@@ -33,8 +33,9 @@ fn bench_sz(c: &mut Criterion) {
     let layout = DataLayout::D3(16, 32, 32);
     let mut group = c.benchmark_group("sz");
     group.throughput(Throughput::Bytes(bytes));
+    // Paper-mode (classic quantizer + zero filter) rows.
     for eb in [1e-2f32, 1e-3, 1e-4] {
-        let cfg = SzConfig::with_error_bound(eb);
+        let cfg = SzConfig::classic(eb);
         group.bench_with_input(
             BenchmarkId::new("compress", format!("eb={eb:.0e}")),
             &cfg,
@@ -47,10 +48,10 @@ fn bench_sz(c: &mut Criterion) {
             |b, buf| b.iter(|| decompress(buf).unwrap()),
         );
     }
-    // Dual-quantization rows: the integer-grid encoder is where the
-    // specialized per-(predictor, layout) quantize loops pay off most
-    // (the classic encoder is latency-bound on its float divide/round
-    // chain, so address-arithmetic savings mostly hide under it).
+    // Dual-quantization rows (the framework default): pre-quantization
+    // is elementwise and the Lorenzo residual is integer-only, while the
+    // classic encoder is latency-bound on a float divide/round inside
+    // its prediction recurrence.
     for eb in [1e-2f32, 1e-3] {
         let cfg = SzConfig::dual_quant(eb);
         group.bench_with_input(

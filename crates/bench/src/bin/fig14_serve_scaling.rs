@@ -82,7 +82,7 @@ fn drive_client(
             let data: Vec<f32> = (0..layout.len())
                 .map(|i| ((i + k * 37) as f32 * 0.013).sin() * (1.0 + k as f32 * 0.1))
                 .collect();
-            SzCodec::classic()
+            SzCodec::dual_quant()
                 .compress(&data, layout, &BoundSpec::Abs(1e-3))
                 .expect("client-side compress")
         })

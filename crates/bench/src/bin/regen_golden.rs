@@ -86,7 +86,7 @@ fn main() {
     // --- Z3 with per-chunk tags forced to Huffman: the current-format
     // twin of the frozen z2v2 fixtures (tag byte present, value 0).
     let data = ramp(24 * 16);
-    let mut cfg = SzConfig::with_error_bound(1e-3);
+    let mut cfg = SzConfig::classic(1e-3);
     cfg.entropy_backend = EntropyBackend::Huffman;
     cfg.chunk_planes = Some(8);
     let buf = compress(&data, DataLayout::D2(24, 16), &cfg).unwrap();

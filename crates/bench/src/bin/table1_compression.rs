@@ -80,7 +80,7 @@ fn main() {
             let scale = abs_mean(act.data()).max(1e-12);
             let layout = DataLayout::for_shape(act.shape());
             for (frac, acc) in [(0.01, &mut sz1), (0.05, &mut sz5)] {
-                let cfg = SzConfig::with_error_bound((frac * scale) as f32);
+                let cfg = SzConfig::classic((frac * scale) as f32);
                 *acc += ebtrain_sz::compress(act.data(), layout, &cfg)
                     .expect("sz")
                     .compressed_byte_len() as u64;
@@ -100,7 +100,7 @@ fn main() {
                 .fold(0.0f32, f32::max);
             worst_rel_jpeg = worst_rel_jpeg.max(jmax as f64 / scale);
             // Matched-quality SZ: bound = JPEG's committed max error.
-            let cfg = SzConfig::with_error_bound(jmax.max(1e-7));
+            let cfg = SzConfig::classic(jmax.max(1e-7));
             szj += ebtrain_sz::compress(act.data(), layout, &cfg)
                 .expect("sz")
                 .compressed_byte_len() as u64;

@@ -26,9 +26,10 @@ impl SzCodec {
         SzCodec { base }
     }
 
-    /// Paper mode: classic quantization + §4.4 zero filter.
+    /// Paper mode: classic quantization + §4.4 zero filter (the 2eb
+    /// small-value contract, [`ErrorContract::AbsoluteZeroSnap`]).
     pub fn classic() -> SzCodec {
-        SzCodec::new(SzConfig::with_error_bound(1e-3))
+        SzCodec::new(SzConfig::classic(1e-3))
     }
 
     /// Vanilla SZ: classic quantization, no zero filter (strict ±eb).
@@ -36,7 +37,9 @@ impl SzCodec {
         SzCodec::new(SzConfig::vanilla(1e-3))
     }
 
-    /// cuSZ-style dual-quantization (zeros exact by construction).
+    /// The framework default: cuSZ-style dual-quantization (zeros exact
+    /// by construction, strict ±eb) — what the trainer, the compressed
+    /// ring and the budgeted arena's at-rest encode use.
     pub fn dual_quant() -> SzCodec {
         SzCodec::new(SzConfig::dual_quant(1e-3))
     }
@@ -64,7 +67,9 @@ impl Codec for SzCodec {
 
     fn name(&self) -> &'static str {
         // A forced entropy stage gets its own name so bench/matrix rows
-        // for the forced axes never collide with the Auto default.
+        // for the forced axes never collide with the Auto default. (The
+        // zero filter is inert under dual-quantization, so it does not
+        // split those names.)
         match (
             self.base.quant_mode,
             self.base.zero_filter,
@@ -76,12 +81,17 @@ impl Codec for SzCodec {
             (QuantMode::Classic, true, EntropyBackend::Auto) => "sz",
             (QuantMode::Classic, true, EntropyBackend::Huffman) => "sz-huffman",
             (QuantMode::Classic, true, EntropyBackend::Range) => "sz-range",
-            (QuantMode::Classic, false, _) => "sz-vanilla",
+            (QuantMode::Classic, false, EntropyBackend::Auto) => "sz-vanilla",
+            (QuantMode::Classic, false, EntropyBackend::Huffman) => "sz-vanilla-huffman",
+            (QuantMode::Classic, false, EntropyBackend::Range) => "sz-vanilla-range",
         }
     }
 
     fn contract(&self) -> ErrorContract {
-        if self.base.zero_filter || self.base.quant_mode == QuantMode::DualQuant {
+        // Only the classic quantizer's zero filter relaxes small values
+        // to 2eb; dual-quantization verifies `|x − x̂| ≤ eb` per element
+        // (or stores the value exactly) and its decoder skips the filter.
+        if self.base.zero_filter && self.base.quant_mode == QuantMode::Classic {
             ErrorContract::AbsoluteZeroSnap
         } else {
             ErrorContract::Absolute
@@ -409,6 +419,31 @@ mod tests {
         // The tagged bytes reparse and still decode.
         let reparsed = TaggedStream::from_bytes(s.as_bytes().to_vec()).unwrap();
         assert_eq!(c.decompress(&reparsed).unwrap(), out);
+    }
+
+    #[test]
+    fn sz_adapter_names_are_unique_per_configuration() {
+        // Bench summaries key rows by name: no two (quantizer, filter,
+        // entropy stage) combinations that behave differently may share
+        // one. (The filter is inert under dual-quant, so it is one name.)
+        let mut names = std::collections::BTreeSet::new();
+        for base in [
+            SzConfig::classic(1e-3),
+            SzConfig::vanilla(1e-3),
+            SzConfig::dual_quant(1e-3),
+        ] {
+            for entropy_backend in [
+                EntropyBackend::Auto,
+                EntropyBackend::Huffman,
+                EntropyBackend::Range,
+            ] {
+                let codec = SzCodec::new(SzConfig {
+                    entropy_backend,
+                    ..base
+                });
+                assert!(names.insert(codec.name()), "duplicate {}", codec.name());
+            }
+        }
     }
 
     #[test]

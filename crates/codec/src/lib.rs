@@ -133,7 +133,7 @@ pub enum ErrorContract {
     /// Every value within ±eb.
     Absolute,
     /// Exact zeros reconstruct exactly, `|x| > 2eb` within ±eb, small
-    /// non-zeros within ±2eb (SZ zero filter / dual-quantization).
+    /// non-zeros within ±2eb (classic SZ with the paper's zero filter).
     AbsoluteZeroSnap,
     /// Per-block *relative* error only — absolute error is unbounded
     /// when a block's dynamic range is large (ZFP fixed-rate; the

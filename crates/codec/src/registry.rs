@@ -25,11 +25,12 @@ impl CodecRegistry {
         }
     }
 
-    /// The standard in-tree backends: SZ (paper mode), ZFP-like,
-    /// lossless, byte-plane.
+    /// The standard in-tree backends: SZ (the dual-quant framework
+    /// default; its decoder reads every SZ stream), ZFP-like, lossless,
+    /// byte-plane.
     pub fn standard() -> CodecRegistry {
         let mut r = CodecRegistry::empty();
-        r.register(Arc::new(SzCodec::classic()));
+        r.register(Arc::new(SzCodec::dual_quant()));
         r.register(Arc::new(ZfpLikeCodec));
         r.register(Arc::new(LosslessCodec));
         r.register(Arc::new(ByteplaneCodec));
@@ -59,8 +60,8 @@ impl CodecRegistry {
     /// decoding the body (routed to [`Codec::declared_elems`]). Consumers
     /// decoding **untrusted** streams call this first and reject a count
     /// that disagrees with their expectation — the header's claim is what
-    /// sizes decode buffers, so checking after [`decompress`]
-    /// (CodecRegistry::decompress) is too late.
+    /// sizes decode buffers, so checking after
+    /// [`decompress`](CodecRegistry::decompress) is too late.
     pub fn declared_elems(&self, stream: &TaggedStream) -> Result<Option<usize>> {
         let codec = self.get(stream.codec_id()).ok_or_else(|| {
             SzError::Corrupt(format!("no codec registered for {}", stream.codec_id()))
@@ -123,9 +124,10 @@ mod tests {
     fn register_replaces_by_id() {
         let mut reg = CodecRegistry::standard();
         let n = reg.codecs().len();
-        reg.register(Arc::new(SzCodec::dual_quant()));
-        assert_eq!(reg.codecs().len(), n, "same id must replace, not grow");
         assert_eq!(reg.get(CodecId::SZ).unwrap().name(), "sz-dualquant");
+        reg.register(Arc::new(SzCodec::classic()));
+        assert_eq!(reg.codecs().len(), n, "same id must replace, not grow");
+        assert_eq!(reg.get(CodecId::SZ).unwrap().name(), "sz");
     }
 
     #[test]

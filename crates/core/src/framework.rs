@@ -57,7 +57,12 @@ pub struct FrameworkConfig {
     pub min_eb: f32,
     /// Upper clamp on adaptive bounds.
     pub max_eb: f32,
-    /// Enable the §4.4 zero-preserving decompression filter.
+    /// The §4.4 zero-preserving decompression filter. Inert since the
+    /// framework quantizer became dual-quantization, which reconstructs
+    /// zeros exactly by construction (no filter pass exists to switch);
+    /// kept so existing configurations still build. The filter itself
+    /// lives on in `SzConfig::classic`, which `ablation_zero_filter`
+    /// measures directly.
     pub zero_filter: bool,
 }
 
@@ -144,8 +149,7 @@ pub struct AdaptiveTrainer {
 impl AdaptiveTrainer {
     /// Wrap a network with the adaptive framework.
     pub fn new(net: Network, sgd: SgdConfig, cfg: FrameworkConfig) -> AdaptiveTrainer {
-        let mut sz = SzConfig::with_error_bound(cfg.fallback_eb);
-        sz.zero_filter = cfg.zero_filter;
+        let sz = SzConfig::with_error_bound(cfg.fallback_eb);
         AdaptiveTrainer {
             net,
             head: SoftmaxCrossEntropy::new(),
@@ -174,8 +178,7 @@ impl AdaptiveTrainer {
         cfg: FrameworkConfig,
         mut budget: BudgetConfig,
     ) -> AdaptiveTrainer {
-        let mut sz = SzConfig::with_error_bound(cfg.fallback_eb);
-        sz.zero_filter = cfg.zero_filter;
+        let sz = SzConfig::with_error_bound(cfg.fallback_eb);
         budget.codec = std::sync::Arc::new(SzCodec::new(sz));
         budget.bound = BoundSpec::Abs(cfg.fallback_eb);
         AdaptiveTrainer {

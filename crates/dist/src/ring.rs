@@ -621,10 +621,10 @@ pub struct CompressedRing {
 
 impl CompressedRing {
     /// Compressed ring for `world` ranks at absolute error bound `eb`
-    /// (vanilla SZ contract: every decoded value within ±eb), with or
-    /// without error feedback.
+    /// (the dual-quant framework codec: every decoded value within ±eb),
+    /// with or without error feedback.
     pub fn new(world: usize, eb: f32, error_feedback: bool) -> CompressedRing {
-        Self::with_codec(world, Arc::new(SzCodec::vanilla()), eb, error_feedback)
+        Self::with_codec(world, Arc::new(SzCodec::dual_quant()), eb, error_feedback)
     }
 
     /// Compressed ring over any backend. The bound is resolved as

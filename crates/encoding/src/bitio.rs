@@ -6,7 +6,7 @@ use crate::{CodecError, Result};
 #[derive(Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits staged in the low end of `acc`, always < 8 between calls.
+    /// Bits staged in the low end of `acc`, always < 32 between calls.
     /// Bits above `nbits` are stale; every extraction truncates them.
     nbits: u32,
     acc: u64,
@@ -18,24 +18,37 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Append the low `n` bits of `value` (MSB of those bits first). `n ≤ 57`
-    /// keeps the shifted accumulator in range; codes here never exceed 32.
+    /// Fresh writer with room for `bytes` output bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            bytes: Vec::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    /// Append the low `n ≤ 32` bits of `value` (MSB of those bits first).
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 57);
-        debug_assert!(n == 64 || value < (1u64 << n));
-        // `nbits < 8` on entry, so `nbits + n ≤ 64` and one shift stages
-        // everything; whole bytes then drain from just below `nbits`.
+        debug_assert!(n <= 32);
+        debug_assert!(value < (1u64 << n));
+        // `nbits < 32` on entry, so `nbits + n ≤ 64` and one shift stages
+        // everything; a whole 32-bit word then drains from just below
+        // `nbits` — one flush per several short codes, not one per byte.
         self.acc = (self.acc << n) | value;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.bytes.push((self.acc >> self.nbits) as u8);
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            self.bytes
+                .extend_from_slice(&((self.acc >> self.nbits) as u32).to_be_bytes());
         }
     }
 
     /// Pad with zero bits to a byte boundary and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.bytes.push((self.acc >> self.nbits) as u8);
+        }
         if self.nbits > 0 {
             self.bytes.push((self.acc << (8 - self.nbits)) as u8);
         }
@@ -48,38 +61,59 @@ impl BitWriter {
     }
 }
 
-/// Reads bits MSB-first from a byte slice.
+/// Reads bits MSB-first from a byte slice, through a 64-bit register
+/// topped up eight bytes at a time — a peek is a shift, not a load, so a
+/// table-driven decoder's per-symbol dependency chain is shift → table
+/// lookup → shift.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Next bit position.
+    /// Next byte to load into `acc`.
+    next: usize,
+    /// Upcoming bits, MSB-aligned; bits below `have` are zero or a
+    /// preview of bytes not yet counted (identical when loaded again).
+    acc: u64,
+    have: u32,
+    /// Bits consumed so far.
     pos: usize,
 }
 
 impl<'a> BitReader<'a> {
     /// Reader over `bytes`, starting at bit 0.
     pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0 }
+        BitReader {
+            bytes,
+            next: 0,
+            acc: 0,
+            have: 0,
+            pos: 0,
+        }
     }
 
-    /// Read `n` bits as the low bits of a `u64`.
+    #[inline]
+    fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.next..self.next + 8) {
+            let word = u64::from_be_bytes(word.try_into().expect("8-byte slice"));
+            self.acc |= word >> self.have;
+            let whole = (63 - self.have) / 8;
+            self.next += whole as usize;
+            self.have += whole * 8;
+        } else {
+            while self.have <= 56 && self.next < self.bytes.len() {
+                self.acc |= (self.bytes[self.next] as u64) << (56 - self.have);
+                self.next += 1;
+                self.have += 8;
+            }
+        }
+    }
+
+    /// Read `n ≤ 32` bits as the low bits of a `u64`.
     pub fn read_bits(&mut self, n: u32) -> Result<u64> {
-        debug_assert!(n <= 57);
-        if self.pos + n as usize > self.bytes.len() * 8 {
-            return Err(CodecError::UnexpectedEof);
+        if n == 0 {
+            return Ok(0);
         }
-        let mut out = 0u64;
-        let mut left = n;
-        while left > 0 {
-            let byte = self.bytes[self.pos / 8];
-            let bit_off = (self.pos % 8) as u32;
-            let avail = 8 - bit_off;
-            let take = avail.min(left);
-            let chunk = (byte >> (avail - take)) & ((1u16 << take) - 1) as u8;
-            out = (out << take) | chunk as u64;
-            self.pos += take as usize;
-            left -= take;
-        }
+        let out = self.peek_bits(n);
+        self.consume(n)?;
         Ok(out)
     }
 
@@ -88,36 +122,34 @@ impl<'a> BitReader<'a> {
         Ok(self.read_bits(1)? as u32)
     }
 
-    /// Peek the next `n` bits (1 ≤ n ≤ 57) without consuming them.
+    /// Peek the next `n` bits (1 ≤ n ≤ 32) without consuming them.
     ///
     /// Positions past the end of the buffer read as zero bits, which lets
     /// a table-driven decoder probe a full window near the end of a
     /// stream; pair with [`consume`](BitReader::consume), which *does*
     /// bounds-check, so over-reads surface as errors.
-    pub fn peek_bits(&self, n: u32) -> u64 {
-        debug_assert!((1..=57).contains(&n));
-        let byte = self.pos >> 3;
-        let off = (self.pos & 7) as u32;
-        let acc = if byte + 8 <= self.bytes.len() {
-            u64::from_be_bytes(self.bytes[byte..byte + 8].try_into().unwrap())
-        } else {
-            let mut a = 0u64;
-            for i in 0..8 {
-                a = (a << 8) | *self.bytes.get(byte + i).unwrap_or(&0) as u64;
-            }
-            a
-        };
-        // Dropping the high `off` bits discards already-consumed bits.
-        (acc << off) >> (64 - n)
+    #[inline]
+    pub fn peek_bits(&mut self, n: u32) -> u64 {
+        debug_assert!((1..=32).contains(&n));
+        if self.have < n {
+            self.refill();
+        }
+        self.acc >> (64 - n)
     }
 
-    /// Advance the cursor by `n` bits previously inspected via
+    /// Advance the cursor by `n ≤ 32` bits previously inspected via
     /// [`peek_bits`](BitReader::peek_bits).
+    #[inline]
     pub fn consume(&mut self, n: u32) -> Result<()> {
         if self.pos + n as usize > self.bytes.len() * 8 {
             return Err(CodecError::UnexpectedEof);
         }
+        if self.have < n {
+            self.refill(); // consumed without a peek
+        }
         self.pos += n as usize;
+        self.acc <<= n;
+        self.have = self.have.saturating_sub(n);
         Ok(())
     }
 
@@ -191,6 +223,42 @@ mod tests {
         // …but consuming past the end is an error.
         assert_eq!(r.consume(6), Err(CodecError::UnexpectedEof));
         assert!(r.consume(5).is_ok());
+    }
+
+    #[test]
+    fn reader_matches_naive_bit_extraction() {
+        // Random widths across the 8-byte refill, the bytewise tail and
+        // the zero-padded end, checked against per-bit indexing.
+        let bytes: Vec<u8> = (0..97u32).map(|i| (i * 151 + 13) as u8).collect();
+        let bit = |i: usize| -> u64 {
+            bytes
+                .get(i / 8)
+                .map_or(0, |b| (b >> (7 - i % 8)) as u64 & 1)
+        };
+        let mut state = 7u32;
+        for peek_first in [true, false] {
+            let mut r = BitReader::new(&bytes);
+            let mut pos = 0usize;
+            loop {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let n = (state >> 24) % 32 + 1;
+                let want = (0..n as usize).fold(0u64, |v, k| (v << 1) | bit(pos + k));
+                if peek_first {
+                    assert_eq!(r.peek_bits(n), want, "peek {n} at bit {pos}");
+                }
+                if pos + n as usize > bytes.len() * 8 {
+                    assert_eq!(r.consume(n), Err(CodecError::UnexpectedEof));
+                    break;
+                }
+                if peek_first {
+                    r.consume(n).unwrap();
+                } else {
+                    assert_eq!(r.read_bits(n).unwrap(), want, "read {n} at bit {pos}");
+                }
+                pos += n as usize;
+                assert_eq!(r.remaining_bits(), bytes.len() * 8 - pos);
+            }
+        }
     }
 
     #[test]

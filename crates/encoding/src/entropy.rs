@@ -46,7 +46,7 @@ impl EntropyStageTag {
 }
 
 /// Encode-side backend handle: borrows the shared codebook (Huffman) or
-/// carries the fold center (range). One `encode_block` call produces the
+/// carries the fold center (range). One `encode_block` call appends the
 /// full frame payload for its tag.
 #[derive(Clone, Copy)]
 pub enum EntropyEncoder<'a> {
@@ -63,23 +63,25 @@ impl EntropyEncoder<'_> {
         }
     }
 
-    /// Entropy-code one chunk's symbols into a frame payload. The
-    /// per-frame backend choice is counted in the metrics registry
-    /// (`encoding.entropy.huffman` / `encoding.entropy.range`), making
-    /// the auto-selector's routing observable per run.
-    pub fn encode_block(&self, codes: &[u32]) -> Vec<u8> {
-        match self {
+    /// Entropy-code one chunk's symbols, appending the frame payload to
+    /// `out`. The per-frame backend choice and its payload bytes are
+    /// counted in the metrics registry (`encoding.entropy.huffman` /
+    /// `.range`, each with a `.bytes` twin), making the auto-selector's
+    /// routing — and what it bought — observable per run.
+    pub fn encode_block(&self, codes: &[u32], out: &mut Vec<u8>) {
+        let start = out.len();
+        let (frames, bytes) = match self {
             EntropyEncoder::Huffman(codebook) => {
-                ebtrain_obs::counter_add("encoding.entropy.huffman", 1);
-                let mut block = Vec::new();
-                codebook.encode_block(codes, &mut block);
-                block
+                codebook.encode_block(codes, out);
+                ("encoding.entropy.huffman", "encoding.entropy.huffman.bytes")
             }
             EntropyEncoder::Range { center } => {
-                ebtrain_obs::counter_add("encoding.entropy.range", 1);
-                range::encode_block(codes, *center)
+                range::encode_block_into(codes, *center, out);
+                ("encoding.entropy.range", "encoding.entropy.range.bytes")
             }
-        }
+        };
+        ebtrain_obs::counter_add(frames, 1);
+        ebtrain_obs::counter_add(bytes, (out.len() - start) as u64);
     }
 }
 
@@ -172,7 +174,8 @@ mod tests {
                 EntropyDecoder::Range { center },
             ),
         ] {
-            let payload = enc.encode_block(&codes);
+            let mut payload = Vec::new();
+            enc.encode_block(&codes, &mut payload);
             let back = dec.decode_block(&payload, codes.len()).unwrap();
             assert_eq!(back, codes, "{:?} backend", enc.tag());
         }
@@ -180,7 +183,8 @@ mod tests {
 
     #[test]
     fn wrong_symbol_count_is_corruption() {
-        let payload = EntropyEncoder::Range { center: 10 }.encode_block(&[10, 10, 11]);
+        let mut payload = Vec::new();
+        EntropyEncoder::Range { center: 10 }.encode_block(&[10, 10, 11], &mut payload);
         let dec = EntropyDecoder::Range { center: 10 };
         assert!(dec.decode_block(&payload, 3).is_ok());
         // Asking for more symbols than encoded either errs or returns

@@ -135,19 +135,27 @@ pub fn count_freqs(symbols: &[u32]) -> Vec<(u32, u64)> {
         max = max.max(s);
     }
     let span = (max - min) as usize + 1;
-    // Cap the counting array at ~4× the input length (or one page of
-    // u64s for small blocks) so sparse alphabets don't zero-fill far
-    // more memory than the sort would touch.
+    // Cap the counting array at ~4× the input length (or 512 entries
+    // for small blocks) so sparse alphabets don't zero-fill far more
+    // memory than the sort would touch.
     if span <= symbols.len().saturating_mul(4).max(512) {
-        let mut counts = vec![0u64; span];
-        for &s in symbols {
-            counts[(s - min) as usize] += 1;
+        // Four interleaved tables: the dominant symbol would otherwise
+        // serialize every increment on one store-to-load forward.
+        let mut counts = vec![[0u64; 4]; span];
+        let mut quads = symbols.chunks_exact(4);
+        for q in &mut quads {
+            for lane in 0..4 {
+                counts[(q[lane] - min) as usize][lane] += 1;
+            }
+        }
+        for &s in quads.remainder() {
+            counts[(s - min) as usize][0] += 1;
         }
         return counts
             .iter()
             .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (min + i as u32, c))
+            .map(|(i, c)| (min + i as u32, c.iter().sum::<u64>()))
+            .filter(|&(_, c)| c > 0)
             .collect();
     }
     let mut sorted = symbols.to_vec();
@@ -276,7 +284,9 @@ impl Codebook {
 
     /// Append `varint bits_len · bitstream` for `symbols`.
     fn emit_bits(&self, symbols: &[u32], out: &mut Vec<u8>) {
-        let mut bw = BitWriter::new();
+        // Quantization codes average a few bits each; half a byte per
+        // symbol covers the usual block without regrowth.
+        let mut bw = BitWriter::with_capacity(symbols.len() / 2 + 8);
         match &self.emit {
             EmitLut::Dense { min_sym, table } => {
                 for s in symbols {

@@ -68,6 +68,14 @@ impl Default for BitModel {
     }
 }
 
+/// Interval split point for `P(bit = 1) = p / 4096` (the two-term form
+/// keeps the 12-bit product inside u32).
+#[inline(always)]
+fn split(low: u32, high: u32, p: u32) -> u32 {
+    let range = high - low;
+    low + (range >> PROB_BITS) * p + (((range & (PROB_ONE - 1)) * p) >> PROB_BITS)
+}
+
 /// Encoder half of the bit coder.
 pub struct RangeEncoder {
     low: u32,
@@ -85,34 +93,36 @@ impl RangeEncoder {
     }
 
     /// Code one bit under `model`, then adapt the model.
+    ///
+    /// The encoder knows the bit before the interval does, and on wide
+    /// alphabets it is a coin flip, so the model step (the same step as
+    /// the decoder's `BitModel::update`, pinned by test) and the interval
+    /// half are masked in rather than branched on. The decoder keeps its
+    /// branches: there the bit is the *result* of a compare, and on the
+    /// skewed chunks routed to this coder it predicts well.
     #[inline(always)]
     pub fn encode_bit(&mut self, model: &mut BitModel, bit: u32) {
-        let range = self.high - self.low;
-        let mid = self.low
-            + (range >> PROB_BITS) * model.p as u32
-            + (((range & (PROB_ONE - 1)) * model.p as u32) >> PROB_BITS);
-        if bit == 1 {
-            self.high = mid;
-        } else {
-            self.low = mid + 1;
-        }
-        model.update(bit);
-        while (self.low ^ self.high) & 0xFF00_0000 == 0 {
-            self.out.push((self.high >> 24) as u8);
-            self.low <<= 8;
-            self.high = (self.high << 8) | 0xFF;
-        }
+        let p = model.p as u32;
+        let mid = split(self.low, self.high, p);
+        let one = ((bit == 1) as u32).wrapping_neg(); // all ones iff bit == 1
+        let step = (((PROB_ONE - p) >> ADAPT_SHIFT) & one).wrapping_sub((p >> ADAPT_SHIFT) & !one);
+        model.p = p.wrapping_add(step) as u16;
+        self.narrow(mid, one);
     }
 
     /// Code one bit at a fixed 1/2 split — no model load or update.
     #[inline(always)]
     pub fn encode_raw_bit(&mut self, bit: u32) {
         let mid = self.low + ((self.high - self.low) >> 1);
-        if bit == 1 {
-            self.high = mid;
-        } else {
-            self.low = mid + 1;
-        }
+        self.narrow(mid, ((bit == 1) as u32).wrapping_neg());
+    }
+
+    /// Keep `[low, mid]` when `one` is all ones, `[mid + 1, high]` when
+    /// it is zero, then shift out the bytes both ends agree on.
+    #[inline(always)]
+    fn narrow(&mut self, mid: u32, one: u32) {
+        self.high = (mid & one) | (self.high & !one);
+        self.low = (self.low & one) | ((mid + 1) & !one);
         while (self.low ^ self.high) & 0xFF00_0000 == 0 {
             self.out.push((self.high >> 24) as u8);
             self.low <<= 8;
@@ -171,10 +181,7 @@ impl<'a> RangeDecoder<'a> {
     /// Decode one bit under `model`, then adapt the model.
     #[inline(always)]
     pub fn decode_bit(&mut self, model: &mut BitModel) -> u32 {
-        let range = self.high - self.low;
-        let mid = self.low
-            + (range >> PROB_BITS) * model.p as u32
-            + (((range & (PROB_ONE - 1)) * model.p as u32) >> PROB_BITS);
+        let mid = split(self.low, self.high, model.p as u32);
         let bit = (self.code <= mid) as u32;
         if bit == 1 {
             self.high = mid;
@@ -182,11 +189,7 @@ impl<'a> RangeDecoder<'a> {
             self.low = mid + 1;
         }
         model.update(bit);
-        while (self.low ^ self.high) & 0xFF00_0000 == 0 {
-            self.low <<= 8;
-            self.high = (self.high << 8) | 0xFF;
-            self.code = (self.code << 8) | self.next_byte() as u32;
-        }
+        self.shift_in();
         bit
     }
 
@@ -200,12 +203,17 @@ impl<'a> RangeDecoder<'a> {
         } else {
             self.low = mid + 1;
         }
+        self.shift_in();
+        bit
+    }
+
+    #[inline(always)]
+    fn shift_in(&mut self) {
         while (self.low ^ self.high) & 0xFF00_0000 == 0 {
             self.low <<= 8;
             self.high = (self.high << 8) | 0xFF;
             self.code = (self.code << 8) | self.next_byte() as u32;
         }
-        bit
     }
 }
 
@@ -268,7 +276,22 @@ fn unfold(m: u64, center: u32) -> Result<u32> {
 /// fixes it), exactly as the Huffman block stores only what the decoder
 /// cannot derive.
 pub fn encode_block(codes: &[u32], center: u32) -> Vec<u8> {
-    let mut enc = RangeEncoder::new();
+    let mut out = Vec::new();
+    encode_block_into(codes, center, &mut out);
+    out
+}
+
+/// [`encode_block`], appending to `out` (a frame buffer the caller
+/// reuses across chunks).
+pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) {
+    // The chunks routed here — near-constant ones, and deep alphabets at
+    // about a byte per symbol — rarely outgrow this reservation.
+    out.reserve(codes.len() + 4);
+    let mut enc = RangeEncoder {
+        low: 0,
+        high: u32::MAX,
+        out: std::mem::take(out),
+    };
     let mut model = SymbolModel::new();
     for &v in codes {
         let m = fold(v, center);
@@ -296,7 +319,7 @@ pub fn encode_block(codes: &[u32], center: u32) -> Vec<u8> {
             }
         }
     }
-    enc.finish()
+    *out = enc.finish();
 }
 
 /// Decode exactly `n` symbols coded by [`encode_block`] with the same
@@ -357,6 +380,22 @@ mod tests {
             let mut m = BitModel::new();
             for (i, &b) in bits.iter().enumerate() {
                 assert_eq!(dec.decode_bit(&mut m), b, "bit {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_encoder_step_matches_model_update_everywhere() {
+        // Every probability state x both bits: the encoder's masked
+        // model step must equal `BitModel::update`, or encoder and
+        // decoder trajectories (and every tag-1 stream) diverge.
+        for p in 1..PROB_ONE as u16 {
+            for bit in [0u32, 1] {
+                let mut want = BitModel { p };
+                want.update(bit);
+                let mut got = BitModel { p };
+                RangeEncoder::new().encode_bit(&mut got, bit);
+                assert_eq!(got.p, want.p, "p={p} bit={bit}");
             }
         }
     }

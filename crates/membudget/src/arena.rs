@@ -48,13 +48,13 @@ pub struct BudgetConfig {
 }
 
 impl BudgetConfig {
-    /// Config with paper-ish defaults: given budget, SZ paper-mode codec
-    /// at a 1e-3 absolute bound, host migration, prefetch depth 2,
-    /// PCIe3-class link.
+    /// Config with paper-ish defaults: given budget, the dual-quant SZ
+    /// framework codec at a 1e-3 absolute bound, host migration,
+    /// prefetch depth 2, PCIe3-class link.
     pub fn with_budget(budget_bytes: usize) -> BudgetConfig {
         BudgetConfig {
             budget_bytes,
-            codec: Arc::new(SzCodec::classic()),
+            codec: Arc::new(SzCodec::dual_quant()),
             bound: BoundSpec::Abs(1e-3),
             cold: ColdPolicy::HostMigrate,
             prefetch_depth: 2,

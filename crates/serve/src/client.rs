@@ -146,7 +146,7 @@ impl ServeClient {
         layout: DataLayout,
         eb: f32,
     ) -> ClientResult<Tier> {
-        let stream = SzCodec::classic()
+        let stream = SzCodec::dual_quant()
             .compress(data, layout, &BoundSpec::Abs(eb))
             .map_err(|_| ClientError::BadResponse("client-side compression failed"))?;
         self.store_stream(tenant, key, layout, eb, &stream)

@@ -21,24 +21,29 @@
 //!    analysis relies on.
 //! 3. Residuals outside the quantizer radius become **outliers**, stored
 //!    bit-exact (so pathological values cost space, never accuracy).
-//! 4. **Canonical Huffman** over the quantization codes, then an **LZ
-//!    pass** that collapses the long runs produced by smooth/sparse
-//!    activation regions (standing in for the lossless stage SZ chains
-//!    after its entropy coder).
+//! 4. **Per-chunk entropy stage** over the quantization codes: a
+//!    shared-codebook canonical Huffman block or the codebook-free
+//!    adaptive range coder, picked per chunk by a size model (see
+//!    [`EntropyBackend`]).
 //!
-//! Two paper-specific extensions:
-//!
-//! * [`SzConfig::zero_filter`] — the paper's §4.4 modification: on
-//!   decompression, values with magnitude ≤ eb are snapped back to exactly
-//!   zero, preventing runs of zeros (post-ReLU sparsity) from being
-//!   smeared into ±eb noise that corrupts gradient sparsity structure.
-//! * [`lossless`] — the lossless comparator (byte-plane shuffle + LZ),
-//!   representing the ~2× lossless-compression baseline of §5.3.
+//! The quantizer comes in two [`QuantMode`]s. The framework default
+//! ([`SzConfig::with_error_bound`]) is cuSZ's **dual-quantization**:
+//! values are first snapped to the integer grid `round(x / 2eb)` and
+//! Lorenzo runs on exact integers, so step 2's divide leaves the
+//! prediction recurrence (about twice the classic quantizer's
+//! throughput) and original zeros reconstruct exactly. The paper-mode
+//! figures use [`SzConfig::classic`]: Lorenzo on reconstructed floats plus
+//! the paper's §4.4 [`SzConfig::zero_filter`], which snaps decompressed
+//! values with magnitude ≤ eb back to zero so post-ReLU zero runs are
+//! not smeared into ±eb noise. [`lossless`] is the lossless comparator
+//! (byte-plane shuffle + LZ) for the ~2× baseline of §5.3.
 //!
 //! # Error contract
 //!
-//! With `zero_filter` **off**: every reconstructed value differs from its
-//! original by at most `eb` (outliers are exact). With `zero_filter`
+//! Dual-quantization and classic quantization with `zero_filter` **off**:
+//! every reconstructed value differs from its original by at most `eb`
+//! (outliers are exact); dual-quantization additionally reconstructs
+//! original zeros exactly. Classic quantization with `zero_filter`
 //! **on**: original zeros reconstruct *exactly*, values with `|x| > 2eb`
 //! still honour `eb`, and small non-zero values (`|x| ≤ 2eb`) may be
 //! zeroed, i.e. their error is at most `2eb`. Both contracts are enforced
@@ -183,14 +188,16 @@ pub enum QuantMode {
     /// linear-scaling quantization of the residual. Runs of zeros after
     /// non-zero data reconstruct to ±eb noise — the pathology the paper's
     /// §4.4 zero filter fixes.
-    #[default]
     Classic,
-    /// cuSZ's dual-quantization: values are pre-quantized to the integer
-    /// grid `q = round(x / 2eb)` and Lorenzo runs on the integers. All
-    /// arithmetic is exact, and — a property worth noting — original
-    /// zeros map to `q = 0` and reconstruct *exactly*, so the zero filter
-    /// is inherently built in (at the cost of snapping every `|x| ≤ eb`
-    /// to zero, the same 2eb small-value contract as the filter).
+    /// cuSZ's dual-quantization (the framework default): values are
+    /// pre-quantized to the integer grid `q = round(x / 2eb)` and Lorenzo
+    /// runs on the integers. All arithmetic is exact, original zeros map
+    /// to `q = 0` and reconstruct *exactly*, and the contract stays the
+    /// strict `|x − x̂| ≤ eb`: a grid point is at most `eb` from its
+    /// value (so `|x| ≤ eb` lands on 0 with error ≤ eb, never the zero
+    /// filter's 2eb), and the encoder verifies every reconstruction,
+    /// demoting the rest to bit-exact outliers.
+    #[default]
     DualQuant,
 }
 
@@ -222,13 +229,15 @@ impl QuantMode {
 /// decoded values, only the bytes in between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EntropyBackend {
-    /// Pick per chunk from the symbol histogram: skewed or very wide
-    /// histograms go to the adaptive range coder (faster on skew,
-    /// denser where deep Huffman codebooks hurt); mid-entropy
-    /// small-alphabet chunks keep shared-codebook Huffman + LZ.
+    /// Pick per chunk from the symbol histogram's modelled sizes. The
+    /// bit-serial range coder runs at a third to a half of Huffman's
+    /// speed, so it takes a chunk only where it is modelled ≥ 15 %
+    /// denser: near-constant chunks (Huffman cannot go below one bit per
+    /// symbol) and very wide alphabets (deep codebooks). Everything else
+    /// keeps shared-codebook Huffman.
     #[default]
     Auto,
-    /// Force shared-codebook canonical Huffman + LZ for every chunk.
+    /// Force shared-codebook canonical Huffman for every chunk.
     Huffman,
     /// Force the codebook-free adaptive binary range coder.
     Range,
@@ -244,6 +253,9 @@ pub struct SzConfig {
     /// Default 32768 (16-bit code space), matching SZ defaults.
     pub radius: u32,
     /// Paper §4.4: snap `|x'| ≤ eb` back to exactly 0 on decompression.
+    /// Meaningful for [`QuantMode::Classic`] only: a dual-quant
+    /// reconstruction is either exactly 0 or at least `2eb` away from
+    /// it, so the decoder skips the pass for dual-quant streams.
     pub zero_filter: bool,
     /// Lorenzo predictor dimensionality; `None` derives it from layout.
     pub predictor: Option<Predictor>,
@@ -260,36 +272,46 @@ pub struct SzConfig {
 }
 
 impl SzConfig {
-    /// Config with the given absolute error bound and paper defaults
-    /// (radius 32768, zero filter **on** — the framework's mode).
+    /// The framework default at absolute error bound `eb`: radius 32768,
+    /// dual-quantization, zero filter off (zeros are exact by
+    /// construction), strict `|x − x̂| ≤ eb`. Every training, collective
+    /// and at-rest path compresses with this.
     pub fn with_error_bound(eb: f32) -> Self {
         SzConfig {
             error_bound: eb,
             radius: 32_768,
-            zero_filter: true,
+            zero_filter: false,
             predictor: None,
-            quant_mode: QuantMode::Classic,
+            quant_mode: QuantMode::DualQuant,
             chunk_planes: None,
             entropy_backend: EntropyBackend::Auto,
         }
     }
 
-    /// Same but with the zero filter disabled (vanilla SZ behaviour).
-    pub fn vanilla(eb: f32) -> Self {
+    /// Paper mode: the classic quantizer with the §4.4 zero filter **on**
+    /// (the 2eb small-value contract). What the paper-figure binaries
+    /// and the classic golden fixtures pin.
+    pub fn classic(eb: f32) -> Self {
         SzConfig {
-            zero_filter: false,
+            quant_mode: QuantMode::Classic,
+            zero_filter: true,
             ..Self::with_error_bound(eb)
         }
     }
 
-    /// cuSZ-style dual-quantization mode (zero filter not needed — zeros
-    /// are exact by construction).
-    pub fn dual_quant(eb: f32) -> Self {
+    /// Vanilla SZ: the classic quantizer with the zero filter disabled.
+    pub fn vanilla(eb: f32) -> Self {
         SzConfig {
-            quant_mode: QuantMode::DualQuant,
             zero_filter: false,
-            ..Self::with_error_bound(eb)
+            ..Self::classic(eb)
         }
+    }
+
+    /// cuSZ-style dual-quantization by name — the same configuration as
+    /// [`with_error_bound`](Self::with_error_bound), for call sites that
+    /// compare quantizers.
+    pub fn dual_quant(eb: f32) -> Self {
+        Self::with_error_bound(eb)
     }
 
     /// Validate the configuration.
@@ -335,15 +357,20 @@ mod tests {
     }
 
     #[test]
-    fn defaults_match_paper_mode() {
-        let c = SzConfig::with_error_bound(1e-4);
-        assert_eq!(c.radius, 32_768);
-        assert!(c.zero_filter);
-        assert_eq!(c.quant_mode, QuantMode::Classic);
-        assert!(!SzConfig::vanilla(1e-4).zero_filter);
-        let d = SzConfig::dual_quant(1e-4);
+    fn default_is_dual_quant_and_classic_is_paper_mode() {
+        let d = SzConfig::with_error_bound(1e-4);
+        assert_eq!(d.radius, 32_768);
         assert_eq!(d.quant_mode, QuantMode::DualQuant);
         assert!(!d.zero_filter);
+        assert_eq!(d.entropy_backend, EntropyBackend::Auto);
+        assert_eq!(SzConfig::dual_quant(1e-4), d);
+        let c = SzConfig::classic(1e-4);
+        assert_eq!(c.quant_mode, QuantMode::Classic);
+        assert!(c.zero_filter);
+        let v = SzConfig::vanilla(1e-4);
+        assert_eq!(v.quant_mode, QuantMode::Classic);
+        assert!(!v.zero_filter);
+        assert_eq!(c.radius, d.radius);
     }
 
     #[test]

@@ -5,34 +5,46 @@
 //! [`predict_i64`](crate::predictor) per element, paying `idx / w`,
 //! `idx % w` (and the 3-D plane decomposition) plus a predictor dispatch
 //! for every value. This module lowers each `(predictor, layout)`
-//! combination to the same dedicated nested loops the decoder uses
-//! ([`Geometry`]): indices are carried by the loops, border handling is
-//! hoisted to loop-invariant flags, and the dispatch happens once per
-//! chunk.
+//! combination to the loop shapes the decoder uses ([`Geometry`]):
+//! indices are carried by the loops, border handling is hoisted out of
+//! them, and the dispatch happens once per chunk. The classic quantizer
+//! keeps one float loop nest per shape (its operand order is part of the
+//! format); dual-quantization, whose stencil is integer and order-free,
+//! shares one row loop across all three.
 //!
-//! The arithmetic — operand order included — replays the generic
-//! per-element loop exactly, so the emitted `(codes, outliers)` are
-//! **bit-identical** to the generic path's;
-//! `tests::specialized_quantize_matches_generic` pins that equivalence
-//! for every predictor × layout × quantization-mode combination,
-//! including forced mismatches (e.g. Lorenzo3 over a 2-D layout).
+//! The emitted `(codes, outliers)` are **bit-identical** to the generic
+//! path's; `tests::specialized_quantize_matches_generic` pins that
+//! equivalence for every predictor × layout × quantization-mode
+//! combination, including forced mismatches (e.g. Lorenzo3 over a 2-D
+//! layout).
 
 use crate::codec::grid_of;
 use crate::predictor::Predictor;
-use crate::reconstruct::{geometry, Geometry};
+use crate::reconstruct::{geometry, lorenzo_rest, neighbour_rows, Geometry};
 use crate::{DataLayout, QuantMode, SzConfig};
 
-/// Predict + quantize one chunk into `(quantization codes, outliers)` —
-/// the phase-1 kernel of [`crate::compress`].
+/// Quantization codes and bit-exact outliers of a run of chunks, flat —
+/// one thread appends chunk after chunk, so one allocation serves the
+/// run — plus the dual-quant grid scratch kept alive for the same reason.
+#[derive(Default)]
+pub(crate) struct Quantized {
+    pub(crate) codes: Vec<u32>,
+    pub(crate) outliers: Vec<u32>,
+    grid: Vec<i64>,
+}
+
+/// Predict + quantize one chunk, appending to `out` — the phase-1 kernel
+/// of [`crate::compress`].
 pub(crate) fn quantize_chunk(
     data: &[f32],
     layout: DataLayout,
     predictor: Predictor,
     config: &SzConfig,
-) -> (Vec<u32>, Vec<u32>) {
+    out: &mut Quantized,
+) {
     match config.quant_mode {
-        QuantMode::Classic => quantize_classic(data, layout, predictor, config),
-        QuantMode::DualQuant => quantize_dual(data, layout, predictor, config),
+        QuantMode::Classic => quantize_classic(data, layout, predictor, config, out),
+        QuantMode::DualQuant => quantize_dual(data, layout, predictor, config, out),
     }
 }
 
@@ -43,16 +55,16 @@ fn quantize_classic(
     layout: DataLayout,
     predictor: Predictor,
     config: &SzConfig,
-) -> (Vec<u32>, Vec<u32>) {
+    out: &mut Quantized,
+) {
     let n = data.len();
     let eb = config.error_bound;
     let two_eb = 2.0 * eb;
     let radius = config.radius as i64;
-    let mut codes: Vec<u32> = Vec::with_capacity(n);
-    let mut outliers: Vec<u32> = Vec::new();
     if n == 0 {
-        return (codes, outliers);
+        return;
     }
+    let (codes, outliers) = (&mut out.codes, &mut out.outliers);
     let mut recon = vec![0.0f32; n];
 
     // One element, exactly as the generic loop computed it: quantize the
@@ -149,153 +161,85 @@ fn quantize_classic(
             }
         }
     }
-    (codes, outliers)
 }
 
-/// Dual-quantization: Lorenzo over the exact integer grid. Wrapping
-/// sums mirror the generic path (unreachable on encoder-side data, whose
-/// grid values are clamped; kept identical for bit-equivalence).
+/// Dual-quantization, in two passes with no loop-carried float work.
+///
+/// Pass 1 is elementwise: snap every value to its grid point and verify
+/// the reconstruction (`grid` gets `q`, or the sentinel 0 the decoder
+/// mirrors for unmappable values; `codes` gets a provisional 1/0 "may be
+/// coded" flag). Pass 2 is the integer Lorenzo residual over the finished
+/// grid — every operand is already in memory, so neither pass waits on
+/// the previous element. Wrapping sums mirror the decoder (unreachable
+/// on encoder-side data, whose grid values are clamped).
 fn quantize_dual(
     data: &[f32],
     layout: DataLayout,
     predictor: Predictor,
     config: &SzConfig,
-) -> (Vec<u32>, Vec<u32>) {
+    out: &mut Quantized,
+) {
     let n = data.len();
     let eb = config.error_bound;
     let two_eb = 2.0 * eb;
     let radius = config.radius as i64;
-    let mut codes: Vec<u32> = Vec::with_capacity(n);
-    let mut outliers: Vec<u32> = Vec::new();
     if n == 0 {
-        return (codes, outliers);
+        return;
     }
-    let mut grid = vec![0i64; n];
-
-    // The f64 divide + round of `grid_of` dominates the encoder and is
-    // purely elementwise, so it is hoisted out of the stencil loops into
-    // this pass, where LLVM can use SIMD divides instead of serializing
-    // one `divsd` per stencil step. IEEE division and rounding are
-    // exactly rounded, so the results are bit-identical to calling
-    // `grid_of` in place (the debug assert in `emit!` pins that).
-    let mut rounded = vec![0.0f64; n];
-    for (dst, &x) in rounded.iter_mut().zip(data) {
-        *dst = (x as f64 / two_eb as f64).round();
+    let Quantized {
+        codes,
+        outliers,
+        grid,
+    } = out;
+    let base = codes.len();
+    codes.resize(base + n, 0);
+    let codes = &mut codes[base..];
+    grid.clear();
+    grid.resize(n, 0);
+    for ((g, flag), &x) in grid.iter_mut().zip(codes.iter_mut()).zip(data) {
+        if let Some(q) = grid_of(x, two_eb) {
+            *g = q;
+            // f32 rounding of q·2eb can break the bound for large |x|/eb
+            // ratios; such points go bit-exact.
+            let rec = (q as f64 * two_eb as f64) as f32;
+            *flag = ((x - rec).abs() <= eb) as u32;
+        }
     }
+    let grid = &grid[..];
 
-    // Evaluates to the grid value written at `idx`, so the loops below
-    // can carry left-hand stencil operands in registers instead of
-    // re-loading them from `grid` next iteration.
-    macro_rules! emit {
-        ($idx:expr, $pred:expr) => {{
-            let idx = $idx;
-            let x = data[idx];
-            let pred: i64 = $pred;
-            // Mirrors `grid_of(x, two_eb)` against the hoisted pass.
-            let qf = rounded[idx];
-            let mapped = if x.is_finite() && qf.is_finite() && qf.abs() < crate::codec::GRID_CLAMP {
-                Some(qf as i64)
+    let (d1, d2) = geometry(predictor, layout, n).plane_shape(n);
+    let zeros = vec![0i64; d2];
+    for row in (0..n).step_by(d2) {
+        let rows = neighbour_rows(&grid[..row], &zeros, d1, d2);
+        let mut left = 0i64;
+        let cells = grid[row..row + d2]
+            .iter()
+            .zip(&mut codes[row..row + d2])
+            .zip(&data[row..row + d2]);
+        for (k, ((&q, code), x)) in cells.enumerate() {
+            let delta = q - left.wrapping_add(lorenzo_rest(rows, k));
+            if *code != 0 && delta.unsigned_abs() < radius as u64 {
+                *code = (delta + radius) as u32;
             } else {
-                None
-            };
-            debug_assert_eq!(mapped, grid_of(x, two_eb));
-            let q = match mapped {
-                Some(q) => {
-                    let delta = q - pred;
-                    // f32 rounding of q·2eb can break the bound for
-                    // large |x|/eb ratios; such points go bit-exact.
-                    let rec = (q as f64 * two_eb as f64) as f32;
-                    if delta.unsigned_abs() < radius as u64 && (x - rec).abs() <= eb {
-                        codes.push((delta + radius) as u32);
-                    } else {
-                        codes.push(0);
-                        outliers.push(x.to_bits());
-                    }
-                    q
-                }
-                None => {
-                    codes.push(0);
-                    outliers.push(x.to_bits());
-                    0 // sentinel, mirrored by the decoder
-                }
-            };
-            grid[idx] = q;
-            q
-        }};
+                *code = 0; // escape: next outlier
+                outliers.push(x.to_bits());
+            }
+            left = q;
+        }
     }
+}
 
-    match geometry(predictor, layout, n) {
-        Geometry::Scan => {
-            let mut prev = emit!(0, 0i64);
-            for idx in 1..n {
-                prev = emit!(idx, prev);
-            }
-        }
-        Geometry::Grid2 { rows, w } => {
-            let mut prev = emit!(0, 0i64);
-            for j in 1..w {
-                prev = emit!(j, prev);
-            }
-            for i in 1..rows {
-                let base = i * w;
-                // `ul` carries the up-neighbor of the previous column.
-                let mut ul = grid[base - w];
-                let mut prev = emit!(base, ul);
-                for j in 1..w {
-                    let idx = base + j;
-                    let u = grid[idx - w];
-                    prev = emit!(idx, u.wrapping_add(prev).wrapping_sub(ul));
-                    ul = u;
-                }
-            }
-        }
-        Geometry::Grid3 { d0, d1, d2 } => {
-            let plane = d1 * d2;
-            for i in 0..d0 {
-                let has_b = i > 0;
-                for j in 0..d1 {
-                    let has_u = j > 0;
-                    let row = i * plane + j * d2;
-                    let u0 = if has_u { grid[row - d2] } else { 0 };
-                    let b0 = if has_b { grid[row - plane] } else { 0 };
-                    let bu0 = if has_b && has_u {
-                        grid[row - plane - d2]
-                    } else {
-                        0
-                    };
-                    // The left-hand stencil operands (l, ul, bl, bul) of
-                    // column k are column k-1's (q, u, b, bu) — carried
-                    // forward instead of re-loaded.
-                    let mut l = emit!(row, u0.wrapping_add(b0).wrapping_sub(bu0));
-                    let (mut ul, mut bl, mut bul) = (u0, b0, bu0);
-                    for k in 1..d2 {
-                        let idx = row + k;
-                        let u = if has_u { grid[idx - d2] } else { 0 };
-                        let b = if has_b { grid[idx - plane] } else { 0 };
-                        let bu = if has_b && has_u {
-                            grid[idx - plane - d2]
-                        } else {
-                            0
-                        };
-                        let q = emit!(
-                            idx,
-                            l.wrapping_add(u)
-                                .wrapping_add(b)
-                                .wrapping_sub(ul)
-                                .wrapping_sub(bl)
-                                .wrapping_sub(bu)
-                                .wrapping_add(bul)
-                        );
-                        l = q;
-                        ul = u;
-                        bl = b;
-                        bul = bu;
-                    }
-                }
-            }
-        }
-    }
-    (codes, outliers)
+/// [`quantize_chunk`] into fresh vectors, for tests.
+#[cfg(test)]
+pub(crate) fn quantize_chunk_owned(
+    data: &[f32],
+    layout: DataLayout,
+    predictor: Predictor,
+    config: &SzConfig,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut out = Quantized::default();
+    quantize_chunk(data, layout, predictor, config, &mut out);
+    (out.codes, out.outliers)
 }
 
 #[cfg(test)]
@@ -410,7 +354,7 @@ mod tests {
                     cfg.predictor = Some(predictor);
                     cfg.quant_mode = quant_mode;
                     let (gc, go) = quantize_generic(&data, layout, predictor, &cfg);
-                    let (sc, so) = quantize_chunk(&data, layout, predictor, &cfg);
+                    let (sc, so) = quantize_chunk_owned(&data, layout, predictor, &cfg);
                     assert_eq!(gc, sc, "{layout:?}/{predictor:?}/{quant_mode:?} codes");
                     assert_eq!(go, so, "{layout:?}/{predictor:?}/{quant_mode:?} outliers");
                 }
@@ -419,46 +363,9 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "manual micro-benchmark: cargo test -p ebtrain-sz --release quantize_kernel_speed -- --ignored --nocapture"]
-    fn quantize_kernel_speed() {
-        use std::time::Instant;
-        let layout = DataLayout::D3(64, 64, 64);
-        let n = layout.len();
-        let data: Vec<f32> = (0..n)
-            .map(|i| {
-                let v = (i as f32 * 0.013).sin() + 0.2;
-                if v < 0.0 {
-                    0.0
-                } else {
-                    v
-                }
-            })
-            .collect();
-        for quant_mode in [QuantMode::Classic, QuantMode::DualQuant] {
-            let mut cfg = SzConfig::vanilla(1e-3);
-            cfg.quant_mode = quant_mode;
-            let p = Predictor::Lorenzo3;
-            let time = |f: &dyn Fn() -> (Vec<u32>, Vec<u32>)| {
-                let mut best = f64::INFINITY;
-                for _ in 0..9 {
-                    let t0 = Instant::now();
-                    std::hint::black_box(f());
-                    best = best.min(t0.elapsed().as_secs_f64());
-                }
-                (n * 4) as f64 / best / (1 << 20) as f64
-            };
-            let generic = time(&|| quantize_generic(&data, layout, p, &cfg));
-            let specialized = time(&|| quantize_chunk(&data, layout, p, &cfg));
-            println!(
-                "{quant_mode:?}: generic {generic:.1} MiB/s, specialized {specialized:.1} MiB/s"
-            );
-        }
-    }
-
-    #[test]
     fn empty_chunk_is_empty() {
         let cfg = SzConfig::vanilla(1e-3);
-        let (c, o) = quantize_chunk(&[], DataLayout::D1(0), Predictor::Lorenzo1, &cfg);
+        let (c, o) = quantize_chunk_owned(&[], DataLayout::D1(0), Predictor::Lorenzo1, &cfg);
         assert!(c.is_empty() && o.is_empty());
     }
 }

@@ -9,11 +9,11 @@
 //! predictor dispatch happens once per chunk, and the border handling is
 //! hoisted out of the inner loop as loop-invariant flags.
 //!
-//! The arithmetic — operand order included — mirrors the generic
-//! stencils in `predictor.rs` exactly, so encoder (which still walks the
-//! generic path while quantizing) and decoder reconstruct the same
-//! values; `codec::tests::specialized_reconstruct_matches_generic` pins
-//! that equivalence element-by-element.
+//! The arithmetic — operand order included, where it is float — mirrors
+//! the generic stencils in `predictor.rs` exactly, so encoder
+//! (`quantize.rs`, lowered the same way) and decoder reconstruct the
+//! same values; `codec::tests::specialized_reconstruct_matches_generic`
+//! pins that equivalence element-by-element.
 
 use crate::codec::grid_of;
 use crate::predictor::Predictor;
@@ -61,6 +61,61 @@ pub(crate) fn geometry(predictor: Predictor, layout: DataLayout, n: usize) -> Ge
             DataLayout::D1(_) => Geometry::Scan,
         },
     }
+}
+
+impl Geometry {
+    /// `(rows per plane, row length)` of the shape seen as a volume (a
+    /// scan of `n` elements is one row, a grid one plane). Exact for the
+    /// integer stencil, whose missing-neighbour terms are zeros under
+    /// wrapping sums; the float stencils keep their per-shape loops,
+    /// where operand order is part of the format.
+    pub(crate) fn plane_shape(&self, n: usize) -> (usize, usize) {
+        match *self {
+            Geometry::Scan => (1, n),
+            Geometry::Grid2 { rows, w } => (rows, w),
+            Geometry::Grid3 { d1, d2, .. } => (d1, d2),
+        }
+    }
+}
+
+/// The finished neighbour rows — above, behind, behind-above — of the
+/// row starting at `done.len()` in a volume of `d1 × d2` planes; `zeros`
+/// (one row long) stands in for rows past the volume's edge.
+pub(crate) fn neighbour_rows<'a>(
+    done: &'a [i64],
+    zeros: &'a [i64],
+    d1: usize,
+    d2: usize,
+) -> [&'a [i64]; 3] {
+    let row = done.len();
+    let (has_up, has_back) = (!(row / d2).is_multiple_of(d1), row >= d1 * d2);
+    let at = |present: bool, back_by: usize| {
+        let src = if present {
+            &done[row - back_by..]
+        } else {
+            zeros
+        };
+        &src[..d2]
+    };
+    [
+        at(has_up, d2),
+        at(has_back, d1 * d2),
+        at(has_up && has_back, d1 * d2 + d2),
+    ]
+}
+
+/// Integer Lorenzo prediction at column `k` of a row, minus its
+/// left-neighbour term — everything that does not depend on the element
+/// just produced, so the decoder's loop-carried chain is a single add.
+#[inline(always)]
+pub(crate) fn lorenzo_rest([up, back, back_up]: [&[i64]; 3], k: usize) -> i64 {
+    let here = up[k].wrapping_add(back[k]).wrapping_sub(back_up[k]);
+    if k == 0 {
+        return here;
+    }
+    here.wrapping_sub(up[k - 1])
+        .wrapping_sub(back[k - 1])
+        .wrapping_add(back_up[k - 1])
 }
 
 /// Classic-mode reconstruction: codes quantize the residual against the
@@ -169,9 +224,9 @@ pub(crate) fn reconstruct_classic(
 }
 
 /// Dual-quantization reconstruction: the Lorenzo stencil runs on the
-/// exact integer grid; wrapping arithmetic mirrors the generic path
-/// (corrupt code streams may accumulate arbitrarily — garbage values are
-/// fine, panics are not).
+/// exact integer grid; wrapping arithmetic mirrors the encoder (corrupt
+/// code streams may accumulate arbitrarily — garbage values are fine,
+/// panics are not).
 pub(crate) fn reconstruct_dual(
     codes: &[u32],
     outliers: &[f32],
@@ -186,100 +241,33 @@ pub(crate) fn reconstruct_dual(
         return Ok(recon);
     }
     let mut grid = vec![0i64; n];
-    let mut oi = 0usize;
-
-    macro_rules! emit {
-        ($idx:expr, $pred:expr) => {{
-            let idx = $idx;
-            let code = codes[idx];
-            if code == 0 {
+    let mut outliers = outliers.iter();
+    let (d1, d2) = geometry(predictor, layout, n).plane_shape(n);
+    let zeros = vec![0i64; d2];
+    for row in (0..n).step_by(d2) {
+        let (done, rest) = grid.split_at_mut(row);
+        let cur = &mut rest[..d2];
+        let rows = neighbour_rows(done, &zeros, d1, d2);
+        let mut left = 0i64;
+        for (k, (&code, out)) in codes[row..row + d2]
+            .iter()
+            .zip(&mut recon[row..row + d2])
+            .enumerate()
+        {
+            left = if code == 0 {
                 let x = *outliers
-                    .get(oi)
+                    .next()
                     .ok_or_else(|| corrupt("outlier underflow"))?;
-                oi += 1;
-                recon[idx] = x;
-                grid[idx] = grid_of(x, two_eb).unwrap_or(0);
+                *out = x;
+                grid_of(x, two_eb).unwrap_or(0)
             } else {
-                let q = ($pred as i64).wrapping_add(code as i64 - radius);
-                grid[idx] = q;
-                recon[idx] = (q as f64 * two_eb as f64) as f32;
-            }
-        }};
-    }
-
-    match geometry(predictor, layout, n) {
-        Geometry::Scan => {
-            emit!(0, 0i64);
-            for idx in 1..n {
-                emit!(idx, grid[idx - 1]);
-            }
-        }
-        Geometry::Grid2 { rows, w } => {
-            emit!(0, 0i64);
-            for j in 1..w {
-                emit!(j, grid[j - 1]);
-            }
-            for i in 1..rows {
-                let base = i * w;
-                emit!(base, grid[base - w]);
-                for j in 1..w {
-                    let idx = base + j;
-                    emit!(
-                        idx,
-                        grid[idx - w]
-                            .wrapping_add(grid[idx - 1])
-                            .wrapping_sub(grid[idx - w - 1])
-                    );
-                }
-            }
-        }
-        Geometry::Grid3 { d0, d1, d2 } => {
-            let plane = d1 * d2;
-            for i in 0..d0 {
-                let has_b = i > 0;
-                for j in 0..d1 {
-                    let has_u = j > 0;
-                    let row = i * plane + j * d2;
-                    {
-                        let u = if has_u { grid[row - d2] } else { 0 };
-                        let b = if has_b { grid[row - plane] } else { 0 };
-                        let bu = if has_b && has_u {
-                            grid[row - plane - d2]
-                        } else {
-                            0
-                        };
-                        emit!(row, u.wrapping_add(b).wrapping_sub(bu));
-                    }
-                    for k in 1..d2 {
-                        let idx = row + k;
-                        let l = grid[idx - 1];
-                        let (u, ul) = if has_u {
-                            (grid[idx - d2], grid[idx - d2 - 1])
-                        } else {
-                            (0, 0)
-                        };
-                        let (b, bl) = if has_b {
-                            (grid[idx - plane], grid[idx - plane - 1])
-                        } else {
-                            (0, 0)
-                        };
-                        let (bu, bul) = if has_b && has_u {
-                            (grid[idx - plane - d2], grid[idx - plane - d2 - 1])
-                        } else {
-                            (0, 0)
-                        };
-                        emit!(
-                            idx,
-                            l.wrapping_add(u)
-                                .wrapping_add(b)
-                                .wrapping_sub(ul)
-                                .wrapping_sub(bl)
-                                .wrapping_sub(bu)
-                                .wrapping_add(bul)
-                        );
-                    }
-                }
-            }
+                let q = left
+                    .wrapping_add(lorenzo_rest(rows, k))
+                    .wrapping_add(code as i64 - radius);
+                *out = (q as f64 * two_eb as f64) as f32;
+                q
+            };
+            cur[k] = left;
         }
     }
     Ok(recon)

@@ -68,7 +68,7 @@ proptest! {
         eb_exp in -4i32..0,
     ) {
         let eb = 10f32.powi(eb_exp);
-        let cfg = SzConfig::with_error_bound(eb);
+        let cfg = SzConfig::classic(eb);
         let buf = compress(&data, DataLayout::D1(data.len()), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
         for (x, y) in data.iter().zip(&out) {
@@ -86,12 +86,14 @@ proptest! {
     }
 
     #[test]
-    fn error_bound_holds_dual_quant(
+    fn error_bound_holds_strictly_for_the_default(
         data in prop::collection::vec(finite_f32(), 0..2000),
         eb_exp in -5i32..0,
     ) {
         let eb = 10f32.powi(eb_exp);
-        let cfg = SzConfig::dual_quant(eb);
+        // The framework default is dual-quantization.
+        let cfg = SzConfig::with_error_bound(eb);
+        prop_assert_eq!(cfg, SzConfig::dual_quant(eb));
         let buf = compress(&data, DataLayout::D1(data.len()), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
         prop_assert_eq!(out.len(), data.len());
@@ -144,7 +146,7 @@ proptest! {
         let mut cfg = if dual {
             SzConfig::dual_quant(eb)
         } else {
-            SzConfig::with_error_bound(eb)
+            SzConfig::classic(eb)
         };
         cfg.entropy_backend = backend_of(backend_sel);
         cfg.chunk_planes = Some(chunk_planes); // deliberately tiny chunks
@@ -182,7 +184,7 @@ proptest! {
             let mut cfg = if dual {
                 SzConfig::dual_quant(eb)
             } else {
-                SzConfig::with_error_bound(eb)
+                SzConfig::classic(eb)
             };
             cfg.entropy_backend = backend;
             cfg.chunk_planes = Some(chunk_planes);
@@ -192,6 +194,38 @@ proptest! {
         let auto = decode_bits(EntropyBackend::Auto);
         prop_assert_eq!(&auto, &decode_bits(EntropyBackend::Huffman));
         prop_assert_eq!(&auto, &decode_bits(EntropyBackend::Range));
+    }
+
+    #[test]
+    fn auto_routing_stays_within_its_size_model(
+        data in prop::collection::vec(-1.0f32..1.0, 4096..12_000),
+        sparsity in 0u8..10,
+        eb_sel in 0u8..3,
+    ) {
+        // On full-size chunks of in-range values (where a model of
+        // asymptotic rates applies: no outlier escapes, no warm-up
+        // dominated frames) Auto takes a chunk off Huffman only where
+        // the range coder is modelled >= 15 % denser, so the stream may
+        // not be materially larger than the Huffman-only one. No bound
+        // is asserted against the range-only stream: the model is
+        // order-0, and the range coder's run context can beat it on
+        // run-structured chunks by more than the margin — bytes this
+        // routing gives up, knowingly, for the faster coder.
+        let eb = [1e-1f32, 1e-2, 1e-3][eb_sel as usize];
+        // ReLU-like zero runs at `sparsity`/10, so skewed chunks occur.
+        let data: Vec<f32> = data
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if (i / 7) % 10 < sparsity as usize { 0.0 } else { v })
+            .collect();
+        let layout = DataLayout::D1(data.len());
+        let encode = |backend: EntropyBackend| {
+            let mut cfg = SzConfig::with_error_bound(eb);
+            cfg.entropy_backend = backend;
+            compress(&data, layout, &cfg).unwrap().compressed_byte_len()
+        };
+        let (auto, huffman) = (encode(EntropyBackend::Auto), encode(EntropyBackend::Huffman));
+        prop_assert!(auto * 100 <= huffman * 103, "auto {} vs huffman {}", auto, huffman);
     }
 
     #[test]
@@ -213,7 +247,7 @@ proptest! {
         let data: Vec<f32> = (0..n)
             .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-5.0f32..5.0) })
             .collect();
-        let mut cfg = if dual { SzConfig::dual_quant(1e-2) } else { SzConfig::with_error_bound(1e-2) };
+        let mut cfg = if dual { SzConfig::dual_quant(1e-2) } else { SzConfig::classic(1e-2) };
         cfg.chunk_planes = Some(chunk_planes);
         let buf = compress(&data, DataLayout::D3(d0, d1, d2), &cfg).unwrap();
         let full = decompress(&buf).unwrap();

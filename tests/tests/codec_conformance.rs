@@ -20,19 +20,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// Every backend the suite exercises: the standard registry's four, the
-/// dual-quantization SZ configuration (same wire id, different encoder),
-/// and the entropy-backend axis — SZ with each forced entropy stage, so
-/// truncation/corruption/partial-decode runs cover range-tagged and
-/// huffman-tagged frames regardless of what Auto would pick.
+/// Every backend the suite exercises: the standard registry's four
+/// (its SZ entry is the dual-quant framework default, held to the strict
+/// `Absolute` contract), the classic SZ configurations (same wire id,
+/// different encoder: paper mode and vanilla), and the entropy-backend
+/// axis — SZ with each forced entropy stage, so truncation/corruption/
+/// partial-decode runs cover range-tagged and huffman-tagged frames
+/// regardless of what Auto would pick.
 fn all_codecs() -> Vec<Arc<dyn Codec>> {
     let mut codecs: Vec<Arc<dyn Codec>> = CodecRegistry::standard().codecs().to_vec();
-    codecs.push(Arc::new(SzCodec::dual_quant()));
+    codecs.push(Arc::new(SzCodec::classic()));
     codecs.push(Arc::new(SzCodec::vanilla()));
     let mut forced_range = SzConfig::dual_quant(1e-3);
     forced_range.entropy_backend = EntropyBackend::Range;
     codecs.push(Arc::new(SzCodec::new(forced_range)));
-    let mut forced_huffman = SzConfig::with_error_bound(1e-3);
+    let mut forced_huffman = SzConfig::classic(1e-3);
     forced_huffman.entropy_backend = EntropyBackend::Huffman;
     codecs.push(Arc::new(SzCodec::new(forced_huffman)));
     codecs
@@ -128,6 +130,31 @@ fn every_codec_roundtrips_within_its_contract() {
             }
         }
     }
+}
+
+#[test]
+fn framework_default_is_held_to_the_strict_contract() {
+    // Dual-quantization verifies |x - x'| <= eb per element, so the
+    // default reports `Absolute`; only the classic quantizer's zero
+    // filter keeps the 2eb small-value relaxation.
+    let default = CodecRegistry::standard().get(CodecId::SZ).unwrap();
+    assert_eq!(default.contract(), ErrorContract::Absolute);
+    for strict in [
+        SzCodec::new(SzConfig::with_error_bound(1e-3)),
+        SzCodec::dual_quant(),
+        SzCodec::vanilla(),
+    ] {
+        assert_eq!(
+            strict.contract(),
+            ErrorContract::Absolute,
+            "{}",
+            strict.name()
+        );
+    }
+    assert_eq!(
+        SzCodec::classic().contract(),
+        ErrorContract::AbsoluteZeroSnap
+    );
 }
 
 #[test]

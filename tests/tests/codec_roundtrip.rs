@@ -4,9 +4,10 @@
 //!
 //! Contracts exercised:
 //!
-//! * `sz::codec` (Classic, Classic+zero-filter, DualQuant) — absolute
-//!   error bound `eb` (with the documented 2eb small-value relaxation
-//!   when the zero filter snaps `|x| <= eb` to zero).
+//! * `sz::codec` (Classic, Classic+zero-filter, and the dual-quant
+//!   framework default) — absolute error bound `eb`, strict for the
+//!   default (with the documented 2eb small-value relaxation only when
+//!   the classic zero filter snaps `|x| <= eb` to zero).
 //! * `sz::zfp_like` — fixed rate with per-4×4-block *relative* error:
 //!   no absolute bound exists (that is the paper's §2.2 argument for SZ),
 //!   but error must stay within a block-scaled envelope and tighten as
@@ -81,7 +82,7 @@ fn sz_classic_respects_absolute_error_bound() {
 fn sz_zero_filter_respects_relaxed_contract() {
     for (name, data) in corpora() {
         for eb in [1e-2f32, 1e-3] {
-            let cfg = SzConfig::with_error_bound(eb); // zero filter ON
+            let cfg = SzConfig::classic(eb); // zero filter ON
             let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
             let out = decompress(&buf).unwrap();
             for (i, (x, y)) in data.iter().zip(&out).enumerate() {
@@ -104,10 +105,12 @@ fn sz_zero_filter_respects_relaxed_contract() {
 }
 
 #[test]
-fn sz_dual_quant_respects_bound_and_preserves_zeros() {
+fn sz_framework_default_respects_strict_bound_and_preserves_zeros() {
     for (name, data) in corpora() {
         for eb in [1e-2f32, 1e-3] {
-            let cfg = SzConfig::dual_quant(eb);
+            // The default every framework path compresses with.
+            let cfg = SzConfig::with_error_bound(eb);
+            assert_eq!(cfg, SzConfig::dual_quant(eb));
             let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
             let out = decompress(&buf).unwrap();
             for (i, (x, y)) in data.iter().zip(&out).enumerate() {
@@ -132,8 +135,8 @@ fn sz_chunk_framed_streams_respect_contracts_and_determinism() {
     for (name, data) in corpora() {
         for base in [
             SzConfig::vanilla(1e-3),
+            SzConfig::classic(1e-3),
             SzConfig::with_error_bound(1e-3),
-            SzConfig::dual_quant(1e-3),
         ] {
             let cfg = SzConfig {
                 chunk_planes: Some(7), // SIDE=64 rows -> 10 chunks

@@ -98,12 +98,15 @@ proptest! {
     ) {
         let eb = 1e-2f32;
         for act in real_activations(seed) {
-            let cfg = SzConfig::with_error_bound(eb);
-            let buf = compress(act.data(), DataLayout::for_shape(act.shape()), &cfg).unwrap();
-            let out = decompress(&buf).unwrap();
-            for (x, y) in act.data().iter().zip(&out) {
-                if *x == 0.0 {
-                    prop_assert_eq!(*y, 0.0, "zero perturbed by compression");
+            // Both zero-preserving modes: the paper's filter on the
+            // classic quantizer, and the dual-quant framework default.
+            for cfg in [SzConfig::classic(eb), SzConfig::with_error_bound(eb)] {
+                let buf = compress(act.data(), DataLayout::for_shape(act.shape()), &cfg).unwrap();
+                let out = decompress(&buf).unwrap();
+                for (x, y) in act.data().iter().zip(&out) {
+                    if *x == 0.0 {
+                        prop_assert_eq!(*y, 0.0, "zero perturbed by compression");
+                    }
                 }
             }
         }

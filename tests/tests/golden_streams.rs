@@ -109,6 +109,49 @@ fn format3_fixtures_carry_the_expected_entropy_tags() {
     );
 }
 
+/// The committed reconstructions double as an input corpus for the
+/// encoder's routing: whichever entropy stage a chunk takes, the stream
+/// decodes to the same values, serial and parallel encodes agree byte
+/// for byte, and Auto is never materially larger than Huffman-only.
+#[test]
+fn routing_is_value_neutral_and_deterministic_on_the_corpus() {
+    use ebtrain_sz::{compress, compress_serial, decompress, DataLayout, EntropyBackend, SzConfig};
+    for name in [
+        "z2v2_huffman_classic",
+        "z2v2_huffman_dualquant",
+        "z3_range_dualquant",
+        "z3_huffman_classic",
+        "z3_mixed_backends",
+        "tagged_sz",
+    ] {
+        let (_, vals) = read_fixture(name);
+        let layout = DataLayout::D1(vals.len());
+        let encode = |backend: EntropyBackend| {
+            let mut cfg = SzConfig::with_error_bound(1e-2);
+            cfg.entropy_backend = backend;
+            cfg.chunk_planes = Some(1);
+            let par = compress(&vals, layout, &cfg).unwrap();
+            let ser = compress_serial(&vals, layout, &cfg).unwrap();
+            assert_eq!(par.as_bytes(), ser.as_bytes(), "{name}: serial != parallel");
+            let bits: Vec<u32> = decompress(&par)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            (par.compressed_byte_len(), bits)
+        };
+        let (auto_len, auto) = encode(EntropyBackend::Auto);
+        let (huffman_len, huffman) = encode(EntropyBackend::Huffman);
+        let (_, range) = encode(EntropyBackend::Range);
+        assert_eq!(auto, huffman, "{name}: huffman changed decoded values");
+        assert_eq!(auto, range, "{name}: range changed decoded values");
+        assert!(
+            auto_len * 100 <= huffman_len * 103,
+            "{name}: auto {auto_len} B vs huffman-only {huffman_len} B"
+        );
+    }
+}
+
 /// The corpus is complete: every `.bin` has a `.vals` twin and vice
 /// versa, and nothing in the directory escapes the suite above.
 #[test]

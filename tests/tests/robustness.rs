@@ -35,9 +35,9 @@ fn activation_like(n: usize, seed: u64) -> Vec<f32> {
 fn sz_decoder_survives_bitflips() {
     let data = activation_like(2048, 1);
     for cfg in [
-        SzConfig::with_error_bound(1e-3),
+        SzConfig::classic(1e-3),
         SzConfig::vanilla(1e-3),
-        SzConfig::dual_quant(1e-3),
+        SzConfig::with_error_bound(1e-3),
     ] {
         let buf = compress(&data, DataLayout::D2(32, 64), &cfg).unwrap();
         let bytes = buf.as_bytes();
