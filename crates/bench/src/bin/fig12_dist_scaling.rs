@@ -16,7 +16,10 @@
 //! dense-equivalent vs transmitted, and the reduction ratio), **per-
 //! phase communication time** (encode / wire / decode / wait, read as
 //! deltas of the `ebtrain-obs` registry: the `dist.encode`/`dist.decode`
-//! spans and the `dist.wire.nanos`/`dist.wait.nanos` counters), and
+//! spans and the `dist.wire.nanos`/`dist.wait.nanos` counters, beside
+//! the ring's codec call counts `dist.codec.encodes`/`.decodes` — every
+//! run hard-fails if the ring decodes more than the streams it
+//! received, i.e. decodes a stream of its own), and
 //! loss-trajectory parity of N=4 compressed training vs a single worker
 //! on the same global batch.
 //!
@@ -75,6 +78,9 @@ struct RunResult {
     /// wire transmission, ...) from the registry histograms over the
     /// same window; 0 when the phase never ran.
     phase_p99_ns: [u64; 4],
+    /// Ring codec calls per step summed over ranks: (encodes, decodes),
+    /// the `dist.codec.*` counters over the same window.
+    codec_ops_per_step: [f64; 2],
     losses: Vec<f32>,
 }
 
@@ -137,6 +143,18 @@ fn run_training(spec: &RunSpec, world: usize, comm: CommMode, zero: bool) -> Run
     // (the modeled nanos of each message; its *sum* stays pinned to the
     // `dist.wire.nanos` counter).
     let p99 = |name: &str| obs.quantiles(name).map_or(0, |q| q.p99);
+    // `dist.decode` spans are the decodes of *received* streams. The
+    // ring makes no other: its own streams' values come back from the
+    // encoder (`Codec::compress_recon`). A decode counted at a codec
+    // call site without such a span is that removal undone.
+    let (decodes, received) = (
+        obs.counter("dist.codec.decodes"),
+        obs.span_stats("dist.decode").count,
+    );
+    assert!(
+        decodes <= received,
+        "ring made {decodes} codec decodes for {received} received streams (world {world}, {comm:?})"
+    );
     RunResult {
         images_per_sec: (spec.iters * global) as f64 / elapsed,
         median_step_ns: step_ns[step_ns.len() / 2],
@@ -155,6 +173,10 @@ fn run_training(spec: &RunSpec, world: usize, comm: CommMode, zero: bool) -> Run
             p99("dist.wire"),
             p99("dist.decode"),
             p99("dist.wait"),
+        ],
+        codec_ops_per_step: [
+            per_step(obs.counter("dist.codec.encodes")),
+            per_step(decodes),
         ],
         losses,
     }
@@ -277,6 +299,8 @@ fn main() {
         "wire/step",
         "decode/step",
         "wait/step",
+        "encodes/step",
+        "decodes/step",
         "enc_p99",
         "wire_p99",
         "dec_p99",
@@ -329,6 +353,8 @@ fn main() {
                 ms(r.phase_ns_per_step[1]),
                 ms(r.phase_ns_per_step[2]),
                 ms(r.phase_ns_per_step[3]),
+                format!("{:.1}", r.codec_ops_per_step[0]),
+                format!("{:.1}", r.codec_ops_per_step[1]),
                 ms(r.phase_p99_ns[0] as f64),
                 ms(r.phase_p99_ns[1] as f64),
                 ms(r.phase_p99_ns[2] as f64),

@@ -114,6 +114,22 @@ impl Codec for SzCodec {
         Ok(TaggedStream::tag(CodecId::SZ, buf.into_bytes()))
     }
 
+    /// Dual-quant hands back the reconstruction its quantizer already
+    /// holds — one `codec.compress`, no decode. The classic
+    /// configurations really decode, inside
+    /// [`ebtrain_sz::compress_recon`].
+    fn compress_recon(
+        &self,
+        data: &[f32],
+        layout: DataLayout,
+        bound: &BoundSpec,
+    ) -> Result<(TaggedStream, Vec<f32>)> {
+        let _span = ebtrain_obs::span!("codec.compress", bytes = data.len() * 4);
+        let cfg = self.cfg_for(data, bound)?;
+        let (buf, recon) = ebtrain_sz::compress_recon(data, layout, &cfg)?;
+        Ok((TaggedStream::tag(CodecId::SZ, buf.into_bytes()), recon))
+    }
+
     fn compress_chunked(
         &self,
         data: &[f32],
@@ -200,7 +216,9 @@ impl ZfpLikeCodec {
                 if mag <= 0.0 {
                     return Some(2);
                 }
-                let bits = ((mag / eb).log2().ceil() as i64) + 2;
+                // Saturating: `mag / eb` overflows to +inf for huge
+                // magnitudes and the cast pins that to `i64::MAX`.
+                let bits = ((mag / eb).log2().ceil() as i64).saturating_add(2);
                 Some(bits.clamp(2, 24) as u32)
             }
             BoundSpec::Rel(rel) => {

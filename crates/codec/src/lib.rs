@@ -14,7 +14,10 @@
 //! Three pieces (DESIGN.md §8):
 //!
 //! * [`Codec`] — `compress(&[f32], DataLayout, &BoundSpec)` →
-//!   [`TaggedStream`], `decompress`, plus **capability probes**:
+//!   [`TaggedStream`], `decompress`,
+//!   [`compress_recon`](Codec::compress_recon) (the stream *and* the
+//!   values a decoder would produce from it, without decoding where the
+//!   encoder already knows them), plus **capability probes**:
 //!   [`supports_frame_index`](Codec::supports_frame_index),
 //!   [`decompress_planes`](Codec::decompress_planes) (with a documented
 //!   whole-decode fallback for codecs without random access),
@@ -187,6 +190,29 @@ pub trait Codec: Send + Sync {
     /// Decompress a stream produced by this codec (routed here by
     /// [`TaggedStream::codec_id`]).
     fn decompress(&self, stream: &TaggedStream) -> Result<Vec<f32>>;
+
+    /// [`compress`](Codec::compress) that also hands back the
+    /// reconstruction. **Contract:** the stream's bytes equal
+    /// `compress(data, layout, bound)`'s and the values equal
+    /// `decompress(&stream)` bit for bit (NaN payloads included) — so a
+    /// consumer that needs `x̂` right after encoding (the compressed
+    /// ring's error-feedback residual and its all-gather owner) may use
+    /// them **in place of** a decode, and what it holds is exactly what
+    /// every peer decoding the stream will hold. The default is
+    /// literally `compress` + `decompress`, correct for every backend;
+    /// a codec whose encoder already knows `x̂` (SZ dual-quant)
+    /// overrides it to skip the decode. The conformance suite pins the
+    /// contract for every registered codec.
+    fn compress_recon(
+        &self,
+        data: &[f32],
+        layout: DataLayout,
+        bound: &BoundSpec,
+    ) -> Result<(TaggedStream, Vec<f32>)> {
+        let stream = self.compress(data, layout, bound)?;
+        let recon = self.decompress(&stream)?;
+        Ok((stream, recon))
+    }
 
     /// Element count the stream's own header declares, read **without**
     /// decoding the body — the validate-before-alloc hook for consumers

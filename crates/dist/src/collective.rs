@@ -152,7 +152,7 @@ pub trait Collective: Send + Sync {
     /// Average `buf` across all ranks (reduce-scatter, all-gather, then
     /// divide by the world size). Every rank returns with **bit-identical**
     /// contents — compressed implementations guarantee this by having the
-    /// segment owner adopt its own quantized stream.
+    /// segment owner adopt the reconstruction of its own quantized stream.
     fn all_reduce(&self, rank: usize, buf: &mut [f32]) -> Result<()> {
         if self.world_size() <= 1 || buf.is_empty() {
             return Ok(());

@@ -48,19 +48,36 @@
 //!   plane-aligned ([`seg_ranges`]), so the per-segment streams keep
 //!   the same chunk geometry a whole-gradient frame-indexed stream
 //!   would have, at `~1/N` of the old hop-0 encode work per rank.
-//! * **All-gather never re-compresses.** The segment owner compresses
-//!   its reduced segment once, *adopts its own decoded copy*, and every
-//!   later hop forwards the identical bytes — so each segment's final
-//!   value decodes from one stream and **all replicas finish
-//!   bit-identical**, the property replica-lockstep SGD needs.
+//! * **All-gather never re-compresses — and nobody decodes their own
+//!   stream.** The segment owner compresses its reduced segment once
+//!   with [`Codec::compress_recon`], *adopts the reconstruction the
+//!   encoder hands back*, and every later hop forwards the identical
+//!   bytes. Peers decode those bytes; the owner holds
+//!   `compress_recon(..).1`, which the codec contract makes
+//!   bit-identical to `decompress` of the same stream (the default
+//!   implementation *is* `compress` + `decompress`; SZ dual-quant
+//!   answers from its quantizer, pinned bit-for-bit by the conformance
+//!   suite over every registered codec). So each segment's final value
+//!   is one stream's reconstruction on every rank and **all replicas
+//!   finish bit-identical**, the property replica-lockstep SGD needs —
+//!   while each rank runs the entropy decoder only over streams it
+//!   *received* (`dist.codec.decodes` == `dist.decode` spans == non-empty
+//!   messages received).
 //! * **Error feedback.** Each rank keeps a residual vector `e` **per
 //!   tag**; before compressing values `v` for a coordinate range it
-//!   sends `v + e`, and afterwards stores
-//!   `e ← (v + e) − decode(encode(v + e))`. The quantization error a
-//!   step rounds away is re-injected the next step, which keeps the
-//!   *time-averaged* injected gradient error unbiased (EF-SGD). One
+//!   sends `v + e`, and afterwards stores `e ← (v + e) − x̂`, with `x̂`
+//!   again the encoder's reconstruction of the stream just built (what
+//!   the receiver will decode, by the same contract). The quantization
+//!   error a step rounds away is re-injected the next step, which keeps
+//!   the *time-averaged* injected gradient error unbiased (EF-SGD). One
 //!   tagged `all_reduce` touches every coordinate of its bucket exactly
 //!   once across both phases, so each residual is well-defined.
+//!
+//! Spans: `dist.encode` is one segment's encode plus its residual
+//! arithmetic (never a decode); `dist.decode` is one received stream's
+//! decode. `dist.codec.encodes` / `dist.codec.decodes` count the codec
+//! calls at those two sites and `dist.errors.codec` the codec failures
+//! that poisoned the group.
 //!
 //! # Failure and straggler handling
 //!
@@ -601,9 +618,10 @@ impl Collective for DenseRing {
 /// The compressed ring: segments travel as self-describing codec
 /// streams under an absolute error bound, with optional per-rank,
 /// per-tag error feedback. See the module docs for the schedule and the
-/// bit-identical-replicas argument (which holds for **any** codec:
-/// all-gather forwards owner-encoded bytes verbatim, so replicas decode
-/// identical streams regardless of backend).
+/// bit-identical-replicas argument (which holds for **any** codec that
+/// honours the [`Codec::compress_recon`] contract: all-gather forwards
+/// owner-encoded bytes verbatim, peers decode them, and the owner holds
+/// the reconstruction that contract equates with their decode).
 ///
 /// Encode work is **segment-only**: each rank compresses exactly the
 /// segments it forwards, `~1/N` of the gradient per hop, instead of the
@@ -688,8 +706,12 @@ impl CompressedRing {
             .insert(tag, v);
     }
 
+    /// Lift a codec result into the ring: a failure poisons the group
+    /// (peers blocked on this rank are released) and is counted under
+    /// `dist.errors.codec`.
     fn codec<T>(&self, r: ebtrain_sz::Result<T>) -> Result<T> {
         r.map_err(|e| {
+            ebtrain_obs::counter_add("dist.errors.codec", 1);
             self.core.poison();
             DistError::Sz(e)
         })
@@ -718,60 +740,20 @@ impl CompressedRing {
             let s_send = (rank + n - t) % n;
             let s_recv = (rank + 2 * n - t - 1) % n;
             let r = segs[s_send].clone();
-            let msg = if r.is_empty() {
-                Message {
-                    seg: s_send,
-                    payload: Payload::Empty,
-                    wire_bytes: 0,
-                    dense_bytes: 0,
-                }
-            } else {
-                // Segment-only encode: one independent stream for
-                // exactly the segment this hop forwards (hop 0 carries
-                // raw values, later hops partial sums — same path).
-                let enc_span = ebtrain_obs::span!("dist.encode", bytes = r.len() * 4);
-                let mut vals = buf[r.clone()].to_vec();
-                if let Some(res) = res.as_ref() {
-                    for (v, e) in vals.iter_mut().zip(&res[r.clone()]) {
-                        *v += *e;
-                    }
-                }
-                let res_slice = res.as_mut().map(|res| &mut res[r.clone()]);
-                let stream = self.encode_segment(&vals, &bound, res_slice)?;
-                drop(enc_span);
-                Message {
-                    seg: s_send,
-                    wire_bytes: stream.compressed_byte_len(),
-                    dense_bytes: r.len() * 4,
-                    payload: Payload::Stream(stream),
-                }
-            };
+            // Segment-only encode: one independent stream for exactly
+            // the segment this hop forwards (hop 0 carries raw values,
+            // later hops partial sums — same path).
+            let res_seg = res.as_mut().map(|res| &mut res[r.clone()]);
+            let msg = self.encode_segment(s_send, &mut buf[r], res_seg, &bound, false)?;
             self.core.send((rank + 1) % n, tag, msg)?;
             let received = self.core.recv(rank, tag)?;
             if received.seg != s_recv {
                 self.core.poison();
                 return Err(DistError::Aborted("ring schedule mismatch".into()));
             }
-            let dst = segs[s_recv].clone();
-            let vals = match received.payload {
-                Payload::Empty => Vec::new(),
-                Payload::Stream(stream) => {
-                    let dec_span =
-                        ebtrain_obs::span!("dist.decode", bytes = stream.compressed_byte_len());
-                    let vals = self.codec(self.codec.decompress(&stream))?;
-                    drop(dec_span);
-                    vals
-                }
-                Payload::Dense(_) => {
-                    self.core.poison();
-                    return Err(DistError::Aborted("unexpected dense payload".into()));
-                }
-            };
-            if vals.len() != dst.len() {
-                self.core.poison();
-                return Err(DistError::Aborted("segment length mismatch".into()));
-            }
-            for (b, v) in buf[dst].iter_mut().zip(vals.iter()) {
+            let dst = &mut buf[segs[s_recv].clone()];
+            let vals = self.decode_received(&received.payload, dst.len())?;
+            for (b, v) in dst.iter_mut().zip(vals.iter()) {
                 *b += v;
             }
         }
@@ -803,45 +785,18 @@ impl CompressedRing {
                 Some(m) => m,
                 None => {
                     debug_assert_eq!(s_send, owned);
+                    // Compress the reduced segment once and adopt the
+                    // encoder's reconstruction, so this rank holds
+                    // exactly what every peer will decode.
                     let r = segs[owned].clone();
-                    if r.is_empty() {
-                        Message {
-                            seg: owned,
-                            payload: Payload::Empty,
-                            wire_bytes: 0,
-                            dense_bytes: 0,
-                        }
-                    } else {
-                        // Compress the reduced segment once; adopt the
-                        // decoded copy locally so this rank holds exactly
-                        // what every peer will decode.
-                        let enc_span = ebtrain_obs::span!("dist.encode", bytes = r.len() * 4);
-                        let mut vals = buf[r.clone()].to_vec();
-                        let mut res = if self.error_feedback {
-                            Some(self.take_residual(rank, tag, buf.len()))
-                        } else {
-                            None
-                        };
-                        if let Some(res) = res.as_ref() {
-                            for (v, e) in vals.iter_mut().zip(&res[r.clone()]) {
-                                *v += *e;
-                            }
-                        }
-                        let res_slice = res.as_mut().map(|res| &mut res[r.clone()]);
-                        let stream = self.encode_segment(&vals, &bound, res_slice)?;
-                        if let Some(res) = res {
-                            self.put_residual(rank, tag, res);
-                        }
-                        let decoded = self.codec(self.codec.decompress(&stream))?;
-                        buf[r.clone()].copy_from_slice(&decoded);
-                        drop(enc_span);
-                        Message {
-                            seg: owned,
-                            wire_bytes: stream.compressed_byte_len(),
-                            dense_bytes: r.len() * 4,
-                            payload: Payload::Stream(stream),
-                        }
+                    let mut res = (self.error_feedback && !r.is_empty())
+                        .then(|| self.take_residual(rank, tag, buf.len()));
+                    let res_seg = res.as_mut().map(|res| &mut res[r.clone()]);
+                    let msg = self.encode_segment(owned, &mut buf[r], res_seg, &bound, true);
+                    if let Some(res) = res {
+                        self.put_residual(rank, tag, res);
                     }
+                    msg?
                 }
             };
             self.core.send((rank + 1) % n, tag, msg)?;
@@ -851,25 +806,9 @@ impl CompressedRing {
                 self.core.poison();
                 return Err(DistError::Aborted("ring schedule mismatch".into()));
             }
-            let dst = segs[s_recv].clone();
-            match &received.payload {
-                Payload::Empty => {}
-                Payload::Stream(stream) => {
-                    let dec_span =
-                        ebtrain_obs::span!("dist.decode", bytes = stream.compressed_byte_len());
-                    let decoded = self.codec(self.codec.decompress(stream))?;
-                    drop(dec_span);
-                    if decoded.len() != dst.len() {
-                        self.core.poison();
-                        return Err(DistError::Aborted("segment length mismatch".into()));
-                    }
-                    buf[dst].copy_from_slice(&decoded);
-                }
-                _ => {
-                    self.core.poison();
-                    return Err(DistError::Aborted("unexpected payload".into()));
-                }
-            }
+            let dst = &mut buf[segs[s_recv].clone()];
+            let vals = self.decode_received(&received.payload, dst.len())?;
+            dst.copy_from_slice(&vals);
             if t + 1 < n - 1 {
                 forward = Some(received);
             }
@@ -878,23 +817,90 @@ impl CompressedRing {
         Ok(())
     }
 
-    /// Compress `vals` (one segment) and, under error feedback, fold the
-    /// residual bookkeeping: `vals` must already include the residual;
-    /// `res[range]` receives `vals − decode(stream)`.
+    /// Encode one segment into the message that carries it. Under error
+    /// feedback `res` is the segment's residual `e`: the stream encodes
+    /// `v + e` and `e ← (v + e) − x̂`. With `adopt` (the all-gather
+    /// owner) `seg ← x̂`. `x̂` is the **encoder's** reconstruction
+    /// ([`Codec::compress_recon`], bit-identical to decoding the stream
+    /// by contract), so no rank ever decodes a stream it encoded. The
+    /// segment is walked once before the encode and once after it.
+    ///
+    /// The `dist.encode` span covers exactly this: encode plus residual
+    /// arithmetic, never a decode.
     fn encode_segment(
         &self,
-        vals: &[f32],
-        bound: &BoundSpec,
+        seg_idx: usize,
+        seg: &mut [f32],
         res: Option<&mut [f32]>,
-    ) -> Result<Arc<TaggedStream>> {
-        let stream = self.codec(self.codec.compress(vals, DataLayout::D1(vals.len()), bound))?;
-        if let Some(res) = res {
-            let decoded = self.codec(self.codec.decompress(&stream))?;
-            for ((r, &v), &d) in res.iter_mut().zip(vals).zip(decoded.iter()) {
-                *r = v - d;
-            }
+        bound: &BoundSpec,
+        adopt: bool,
+    ) -> Result<Message> {
+        if seg.is_empty() {
+            return Ok(Message {
+                seg: seg_idx,
+                payload: Payload::Empty,
+                wire_bytes: 0,
+                dense_bytes: 0,
+            });
         }
-        Ok(Arc::new(stream))
+        let _span = ebtrain_obs::span!("dist.encode", bytes = seg.len() * 4);
+        let summed: Option<Vec<f32>> = res
+            .as_deref()
+            .map(|res| seg.iter().zip(res).map(|(v, e)| v + e).collect());
+        let vals = summed.as_deref().unwrap_or(seg);
+        ebtrain_obs::counter_add("dist.codec.encodes", 1);
+        let (stream, recon) = self.codec(self.codec.compress_recon(
+            vals,
+            DataLayout::D1(vals.len()),
+            bound,
+        ))?;
+        if recon.len() != seg.len() {
+            self.core.poison();
+            return Err(DistError::Aborted("segment length mismatch".into()));
+        }
+        match (res, &summed) {
+            (Some(res), Some(vals)) => {
+                let cells = res.iter_mut().zip(seg.iter_mut());
+                for ((r, s), (&v, &d)) in cells.zip(vals.iter().zip(&recon)) {
+                    *r = v - d;
+                    if adopt {
+                        *s = d;
+                    }
+                }
+            }
+            _ if adopt => seg.copy_from_slice(&recon),
+            _ => {}
+        }
+        Ok(Message {
+            seg: seg_idx,
+            wire_bytes: stream.compressed_byte_len(),
+            dense_bytes: seg.len() * 4,
+            payload: Payload::Stream(Arc::new(stream)),
+        })
+    }
+
+    /// Decode a received hop payload into `expect` values (none for an
+    /// empty segment). The only place the ring decodes: the `dist.decode`
+    /// span and the `dist.codec.decodes` counter are exactly the streams
+    /// this rank *received*.
+    fn decode_received(&self, payload: &Payload, expect: usize) -> Result<Vec<f32>> {
+        let vals = match payload {
+            Payload::Empty => Vec::new(),
+            Payload::Stream(stream) => {
+                let _span = ebtrain_obs::span!("dist.decode", bytes = stream.compressed_byte_len());
+                ebtrain_obs::counter_add("dist.codec.decodes", 1);
+                self.codec(self.codec.decompress(stream))?
+            }
+            Payload::Dense(_) => {
+                self.core.poison();
+                return Err(DistError::Aborted("unexpected dense payload".into()));
+            }
+        };
+        if vals.len() != expect {
+            self.core.poison();
+            return Err(DistError::Aborted("segment length mismatch".into()));
+        }
+        Ok(vals)
     }
 }
 
@@ -1314,6 +1320,178 @@ mod tests {
         // accounting must still be self-consistent.
         let st = coll.stats();
         assert!(st.payload_bytes > 0 && st.dense_equiv_bytes > 0);
+    }
+
+    use ebtrain_codec::{CodecId, ErrorContract};
+    use std::sync::atomic::AtomicUsize;
+    use std::thread::ThreadId;
+
+    /// The framework codec behind the trait's **default**
+    /// `compress_recon` (`compress` + `decompress`): the schedule the
+    /// ring ran before it consumed encoder-side reconstructions.
+    struct DefaultRecon(SzCodec);
+
+    impl Codec for DefaultRecon {
+        fn id(&self) -> CodecId {
+            self.0.id()
+        }
+        fn name(&self) -> &'static str {
+            "sz-default-recon"
+        }
+        fn contract(&self) -> ErrorContract {
+            self.0.contract()
+        }
+        fn compress(
+            &self,
+            data: &[f32],
+            layout: DataLayout,
+            bound: &BoundSpec,
+        ) -> ebtrain_sz::Result<TaggedStream> {
+            self.0.compress(data, layout, bound)
+        }
+        fn decompress(&self, stream: &TaggedStream) -> ebtrain_sz::Result<Vec<f32>> {
+            self.0.decompress(stream)
+        }
+    }
+
+    /// The framework codec with every call counted, remembering which
+    /// thread (= rank: `run_ranks` gives each its own) encoded which
+    /// stream, so a decode of one's own stream is caught.
+    #[derive(Default)]
+    struct Counting {
+        encoder_of: Mutex<HashMap<Vec<u8>, ThreadId>>,
+        encodes: AtomicUsize,
+        decodes: AtomicUsize,
+        own_decodes: AtomicUsize,
+    }
+
+    impl Codec for Counting {
+        fn id(&self) -> CodecId {
+            CodecId::SZ
+        }
+        fn name(&self) -> &'static str {
+            "sz-counting"
+        }
+        fn contract(&self) -> ErrorContract {
+            ErrorContract::Absolute
+        }
+        fn compress(
+            &self,
+            data: &[f32],
+            layout: DataLayout,
+            bound: &BoundSpec,
+        ) -> ebtrain_sz::Result<TaggedStream> {
+            Ok(self.compress_recon(data, layout, bound)?.0)
+        }
+        fn compress_recon(
+            &self,
+            data: &[f32],
+            layout: DataLayout,
+            bound: &BoundSpec,
+        ) -> ebtrain_sz::Result<(TaggedStream, Vec<f32>)> {
+            let out = SzCodec::dual_quant().compress_recon(data, layout, bound)?;
+            self.encodes.fetch_add(1, Ordering::Relaxed);
+            self.encoder_of
+                .lock()
+                .unwrap()
+                .insert(out.0.as_bytes().to_vec(), std::thread::current().id());
+            Ok(out)
+        }
+        fn decompress(&self, stream: &TaggedStream) -> ebtrain_sz::Result<Vec<f32>> {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
+            let encoder = self
+                .encoder_of
+                .lock()
+                .unwrap()
+                .get(stream.as_bytes())
+                .copied();
+            if encoder == Some(std::thread::current().id()) {
+                self.own_decodes.fetch_add(1, Ordering::Relaxed);
+            }
+            SzCodec::dual_quant().decompress(stream)
+        }
+    }
+
+    #[test]
+    fn ring_decodes_only_received_streams_and_matches_the_decode_schedule() {
+        let eb = 1e-3f32;
+        for world in [2usize, 3, 4] {
+            // A bucket window of a larger flat tensor that misses the
+            // last whole-tensor segment: that segment travels as empty
+            // payloads, every other one is clipped or whole.
+            let total = crate::SEG_ALIGN * 2 * world;
+            let start = crate::SEG_ALIGN / 2;
+            let len = crate::SEG_ALIGN * 2 * (world - 1) - 100 - start;
+            let segs = seg_ranges_at(start, len, total, world);
+            let nonempty = segs.iter().filter(|s| !s.is_empty()).count();
+            assert_eq!(nonempty, world - 1, "one empty segment: {segs:?}");
+            for ef in [false, true] {
+                let counting = Arc::new(Counting::default());
+                let ring = Arc::new(CompressedRing::with_codec(
+                    world,
+                    Arc::clone(&counting) as Arc<dyn Codec>,
+                    eb,
+                    ef,
+                ));
+                let reference = Arc::new(CompressedRing::with_codec(
+                    world,
+                    Arc::new(DefaultRecon(SzCodec::dual_quant())),
+                    eb,
+                    ef,
+                ));
+                // Two rounds, so the second encodes under the
+                // residuals the first left behind.
+                for round in 0..2 {
+                    let mut bufs = make_bufs(world, len, 1.0 + round as f32);
+                    let mut expect = bufs.clone();
+                    let before = (
+                        counting.encodes.load(Ordering::Relaxed),
+                        counting.decodes.load(Ordering::Relaxed),
+                    );
+                    for r in run_ranks(&ring, &mut bufs, |c, r, b| {
+                        c.all_reduce_aligned(r, b, 3, start, total)
+                    }) {
+                        r.unwrap();
+                    }
+                    for r in run_ranks(&reference, &mut expect, |c, r, b| {
+                        c.all_reduce_aligned(r, b, 3, start, total)
+                    }) {
+                        r.unwrap();
+                    }
+                    let what = format!("world {world} ef {ef} round {round}");
+                    // Reduce-scatter: every non-empty segment is encoded
+                    // on each of its N−1 hops; all-gather: once, by its
+                    // owner. Each of the 2(N−1) hops per segment is
+                    // decoded by its receiver — and by nobody else.
+                    assert_eq!(
+                        counting.encodes.load(Ordering::Relaxed) - before.0,
+                        world * nonempty,
+                        "{what}: encodes"
+                    );
+                    assert_eq!(
+                        counting.decodes.load(Ordering::Relaxed) - before.1,
+                        2 * (world - 1) * nonempty,
+                        "{what}: decodes == non-empty messages received"
+                    );
+                    assert_eq!(
+                        counting.own_decodes.load(Ordering::Relaxed),
+                        0,
+                        "{what}: a rank decoded a stream it encoded"
+                    );
+                    for (rank, (got, want)) in bufs.iter().zip(&expect).enumerate() {
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(want), "{what}: rank {rank} values");
+                        assert_eq!(got, &bufs[0], "{what}: replicas bit-identical");
+                    }
+                }
+                let (st, want) = (ring.stats(), reference.stats());
+                assert_eq!(
+                    st, want,
+                    "world {world} ef {ef}: wire bytes and message count"
+                );
+                assert_eq!(st.messages, (2 * 2 * world * (world - 1)) as u64);
+            }
+        }
     }
 
     #[test]

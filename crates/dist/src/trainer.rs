@@ -493,7 +493,8 @@ impl DistributedTrainer {
 
     /// Registry delta of the last [`step`](Self::step): the
     /// `dist.encode`/`dist.decode` span times, `dist.wire.nanos`/
-    /// `dist.wait.nanos` counters, codec activity, and (for budgeted
+    /// `dist.wait.nanos` counters, the ring's codec calls
+    /// (`dist.codec.encodes`/`.decodes`), codec activity, and (for budgeted
     /// replicas) membudget residency — one source of truth for per-step
     /// reporting. `None` before the first step.
     pub fn step_report(&self) -> Option<&ebtrain_obs::StepReport> {

@@ -457,22 +457,37 @@ pub(crate) fn grid_of(x: f32, two_eb: f32) -> Option<i64> {
     }
 }
 
+/// The f32 a dual-quant grid point reconstructs to. The encoder's bound
+/// check, the decoder and the encoder-side reconstruction of
+/// [`compress_recon`] all evaluate this one expression, so what the
+/// encoder verified (and hands back) is what the decoder produces.
+#[inline]
+pub(crate) fn grid_value(q: i64, two_eb: f32) -> f32 {
+    (q as f64 * two_eb as f64) as f32
+}
+
 /// Phase-1 output of one thread's contiguous run of chunks: codes and
 /// outliers flat across the run, per chunk its `(code count, outlier
-/// count, selected backend)`, and the merged histogram of the chunks
-/// that routed to Huffman (their share of the shared codebook).
+/// count, selected backend)`, the merged histogram of the chunks that
+/// routed to Huffman (their share of the shared codebook), and — only
+/// when the caller asked for it — the run's reconstruction.
 #[derive(Default)]
 struct QuantizedRun {
     q: Quantized,
     chunks: Vec<(usize, usize, EntropyStageTag)>,
     huffman_freqs: Vec<(u32, u64)>,
+    recon: Vec<f32>,
 }
 
+/// `recon`, when given, receives the values [`decompress`] would return
+/// for the stream being built (dual-quant only — the caller routes).
+/// With `None` nothing below does any extra work.
 fn compress_impl(
     data: &[f32],
     layout: DataLayout,
     config: &SzConfig,
     parallel: bool,
+    recon: Option<&mut Vec<f32>>,
 ) -> Result<CompressedBuffer> {
     config.validate()?;
     if layout.len() != data.len() {
@@ -506,13 +521,23 @@ fn compress_impl(
     // Phase 1 (parallel): predict + quantize each chunk, histogram its
     // codes, and select its entropy backend — a pure function of the
     // chunk's codes, so thread count never changes the choice.
+    let want_recon = recon.is_some();
+    debug_assert!(!want_recon || config.quant_mode == QuantMode::DualQuant);
     let quantize_run = |run: &&[(usize, DataLayout)]| {
         let mut r = QuantizedRun::default();
-        r.q.codes.reserve(run.iter().map(|(_, cl)| cl.len()).sum());
+        let run_len = run.iter().map(|(_, cl)| cl.len()).sum();
+        r.q.codes.reserve(run_len);
+        if want_recon {
+            r.recon.reserve(run_len);
+        }
         for &(off, cl) in run.iter() {
             let _span = ebtrain_obs::span!("sz.quantize", bytes = cl.len() * 4);
             let (c0, o0) = (r.q.codes.len(), r.q.outliers.len());
-            quantize_chunk(&data[off..off + cl.len()], cl, predictor, config, &mut r.q);
+            let chunk = &data[off..off + cl.len()];
+            quantize_chunk(chunk, cl, predictor, config, &mut r.q);
+            if want_recon {
+                r.q.push_dual_recon(chunk, 2.0 * config.error_bound, &mut r.recon);
+            }
             let freqs = huffman::count_freqs(&r.q.codes[c0..]);
             let tag = match config.entropy_backend {
                 EntropyBackend::Huffman => EntropyStageTag::Huffman,
@@ -531,6 +556,13 @@ fn compress_impl(
     } else {
         runs.iter().map(quantize_run).collect()
     };
+    if let Some(out) = recon {
+        out.clear();
+        out.reserve(n);
+        for r in &quantized {
+            out.extend_from_slice(&r.recon);
+        }
+    }
 
     // Phase 2 (serial, cheap): merge the histograms of Huffman-routed
     // chunks and build the single shared codebook, exactly as cuSZ
@@ -630,7 +662,7 @@ fn compress_impl(
 /// assert!(data.iter().zip(&out).all(|(x, y)| (x - y).abs() <= 1e-3));
 /// ```
 pub fn compress(data: &[f32], layout: DataLayout, config: &SzConfig) -> Result<CompressedBuffer> {
-    compress_impl(data, layout, config, true)
+    compress_impl(data, layout, config, true, None)
 }
 
 /// Single-threaded [`compress`]: same chunking, same bytes, no thread
@@ -641,7 +673,46 @@ pub fn compress_serial(
     layout: DataLayout,
     config: &SzConfig,
 ) -> Result<CompressedBuffer> {
-    compress_impl(data, layout, config, false)
+    compress_impl(data, layout, config, false, None)
+}
+
+/// [`compress`] that also hands back the reconstruction it already knows.
+///
+/// Contract: the stream's bytes equal [`compress`]'s, and the values
+/// equal `decompress(&stream)` **bit for bit** (NaN payloads included).
+/// A dual-quant encoder holds both ingredients the moment it quantizes —
+/// a coded element reconstructs to its grid point times `2eb`, an
+/// outlier to its own bits — so no entropy decode is needed; consumers
+/// that want `x − x̂` right after encoding (error feedback, an owner
+/// adopting what its peers will decode) skip a whole decompress. The
+/// classic quantizer has no such shortcut here and really decodes.
+///
+/// ```
+/// use ebtrain_sz::{compress, compress_recon, decompress, DataLayout, SzConfig};
+///
+/// let data: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).sin()).collect();
+/// let cfg = SzConfig::with_error_bound(1e-3);
+/// let (buf, recon) = compress_recon(&data, DataLayout::D1(256), &cfg).unwrap();
+/// assert_eq!(buf.as_bytes(), compress(&data, DataLayout::D1(256), &cfg).unwrap().as_bytes());
+/// assert_eq!(recon, decompress(&buf).unwrap());
+/// ```
+pub fn compress_recon(
+    data: &[f32],
+    layout: DataLayout,
+    config: &SzConfig,
+) -> Result<(CompressedBuffer, Vec<f32>)> {
+    match config.quant_mode {
+        QuantMode::DualQuant => {
+            let mut recon = Vec::new();
+            let buf = compress_impl(data, layout, config, true, Some(&mut recon))?;
+            Ok((buf, recon))
+        }
+        QuantMode::Classic => {
+            let buf = compress(data, layout, config)?;
+            let recon = decompress(&buf)?;
+            Ok((buf, recon))
+        }
+    }
 }
 
 /// Decompress a [`CompressedBuffer`] back to f32 values.
@@ -734,6 +805,7 @@ fn decompress_impl(bytes: &[u8], parallel: bool) -> Result<Vec<f32>> {
 mod tests {
     use super::*;
     use crate::predictor::{predict, predict_i64};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1325,6 +1397,89 @@ mod tests {
             for x in xs {
                 assert_eq!(grid_of(x, two_eb), reference(x, two_eb), "{x:e}/{two_eb:e}");
             }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn compress_recon_is_total_over_quant_modes() {
+        // Dual-quant reconstructs on the encoder side, classic really
+        // decodes; either way the contract is the same.
+        let data = smooth_volume(16, 32, 32);
+        let layout = DataLayout::D3(16, 32, 32);
+        for cfg in [
+            SzConfig::with_error_bound(1e-3),
+            SzConfig::classic(1e-2),
+            SzConfig::vanilla(1e-3),
+        ] {
+            let (buf, recon) = compress_recon(&data, layout, &cfg).unwrap();
+            assert!(buf.num_chunks() > 1);
+            assert_eq!(
+                buf.as_bytes(),
+                compress(&data, layout, &cfg).unwrap().as_bytes()
+            );
+            assert_eq!(bits(&recon), bits(&decompress(&buf).unwrap()));
+        }
+        assert!(
+            compress_recon(&data, DataLayout::D1(3), &SzConfig::with_error_bound(1e-3)).is_err()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The `compress_recon` contract over arbitrary bit patterns (NaN
+        /// payloads, ±Inf, denormals, values past the grid clamp and
+        /// jumps past the radius all occur), every layout rank, forced
+        /// multi-chunk geometry and the whole range of bounds the
+        /// controller can pick: same bytes as `compress`, same values as
+        /// `decompress`, serial == parallel.
+        #[test]
+        fn encoder_side_reconstruction_equals_the_decoder(
+            raw in prop::collection::vec(any::<u32>(), 0..600),
+            d1 in 1usize..7,
+            d2 in 1usize..7,
+            rank in 1usize..4,
+            wild_every in 1usize..9,
+            eb_log10 in -7.0f64..-1.0,
+            chunk_planes in 1usize..5,
+            backend in 0u8..3,
+        ) {
+            let eb = 10f64.powf(eb_log10) as f32;
+            // Mostly smooth values a few bins apart (coded), every
+            // `wild_every`-th an arbitrary bit pattern (escaped or not).
+            let value = |i: usize, b: u32| {
+                if i.is_multiple_of(wild_every) {
+                    f32::from_bits(b)
+                } else {
+                    ((i as f32 * 0.37).sin() * 40.0 + (b % 7) as f32) * eb
+                }
+            };
+            let layout = match rank {
+                1 => DataLayout::D1(raw.len()),
+                2 => DataLayout::D2(raw.len() / d2, d2),
+                _ => DataLayout::D3(raw.len() / (d1 * d2), d1, d2),
+            };
+            let cells = raw.iter().take(layout.len()).enumerate();
+            let data: Vec<f32> = cells.map(|(i, &b)| value(i, b)).collect();
+            let mut cfg = SzConfig::with_error_bound(eb);
+            cfg.chunk_planes = Some(chunk_planes);
+            cfg.entropy_backend = match backend {
+                0 => EntropyBackend::Auto,
+                1 => EntropyBackend::Huffman,
+                _ => EntropyBackend::Range,
+            };
+            let plain = compress(&data, layout, &cfg).unwrap();
+            let (buf, recon) = compress_recon(&data, layout, &cfg).unwrap();
+            prop_assert_eq!(buf.as_bytes(), plain.as_bytes());
+            prop_assert_eq!(bits(&recon), bits(&decompress(&plain).unwrap()));
+            let mut serial = Vec::new();
+            let ser = compress_impl(&data, layout, &cfg, false, Some(&mut serial)).unwrap();
+            prop_assert_eq!(ser.as_bytes(), plain.as_bytes());
+            prop_assert_eq!(bits(&serial), bits(&recon));
         }
     }
 

@@ -18,7 +18,7 @@
 //! combination, including forced mismatches (e.g. Lorenzo3 over a 2-D
 //! layout).
 
-use crate::codec::grid_of;
+use crate::codec::{grid_of, grid_value};
 use crate::predictor::Predictor;
 use crate::reconstruct::{geometry, lorenzo_rest, neighbour_rows, Geometry};
 use crate::{DataLayout, QuantMode, SzConfig};
@@ -31,6 +31,21 @@ pub(crate) struct Quantized {
     pub(crate) codes: Vec<u32>,
     pub(crate) outliers: Vec<u32>,
     grid: Vec<i64>,
+}
+
+impl Quantized {
+    /// Append to `out` what the decoder reconstructs for `data`, the
+    /// chunk [`quantize_chunk`] just appended in dual-quant mode (its
+    /// grid is still in scratch): a coded element is its verified grid
+    /// point's value, an escaped one its own bits.
+    pub(crate) fn push_dual_recon(&self, data: &[f32], two_eb: f32, out: &mut Vec<f32>) {
+        let codes = &self.codes[self.codes.len() - data.len()..];
+        let cells = data.iter().zip(codes).zip(&self.grid);
+        out.extend(cells.map(|((&x, &code), &q)| match code {
+            0 => x,
+            _ => grid_value(q, two_eb),
+        }));
+    }
 }
 
 /// Predict + quantize one chunk, appending to `out` — the phase-1 kernel
@@ -201,8 +216,7 @@ fn quantize_dual(
             *g = q;
             // f32 rounding of q·2eb can break the bound for large |x|/eb
             // ratios; such points go bit-exact.
-            let rec = (q as f64 * two_eb as f64) as f32;
-            *flag = ((x - rec).abs() <= eb) as u32;
+            *flag = ((x - grid_value(q, two_eb)).abs() <= eb) as u32;
         }
     }
     let grid = &grid[..];

@@ -15,7 +15,7 @@
 //! same values; `codec::tests::specialized_reconstruct_matches_generic`
 //! pins that equivalence element-by-element.
 
-use crate::codec::grid_of;
+use crate::codec::{grid_of, grid_value};
 use crate::predictor::Predictor;
 use crate::{DataLayout, Result, SzError};
 
@@ -264,7 +264,7 @@ pub(crate) fn reconstruct_dual(
                 let q = left
                     .wrapping_add(lorenzo_rest(rows, k))
                     .wrapping_add(code as i64 - radius);
-                *out = (q as f64 * two_eb as f64) as f32;
+                *out = grid_value(q, two_eb);
                 q
             };
             cur[k] = left;

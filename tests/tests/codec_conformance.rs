@@ -8,6 +8,9 @@
 //! * corrupted streams never panic (garbage or error are both
 //!   acceptable — integrity is the container's job, memory safety the
 //!   codec's);
+//! * [`Codec::compress_recon`] is `compress` + `decompress`, byte for
+//!   byte and bit for bit, on every codec — the contract the compressed
+//!   ring's bit-identical replicas rest on;
 //! * tagged ↔ legacy stream back-compat: historical untagged streams
 //!   (byte-frozen golden fixtures included) decode through
 //!   [`TaggedStream::from_bytes`] + the registry.
@@ -126,6 +129,88 @@ fn every_codec_roundtrips_within_its_contract() {
                 ErrorContract::BlockRelative => {
                     let again = codec.compress(&data, layout, &bound).unwrap();
                     assert_eq!(stream.as_bytes(), again.as_bytes(), "{}", codec.name());
+                }
+            }
+        }
+    }
+}
+
+/// Inputs that reach every branch of an encoder-side reconstruction:
+/// outliers kept by their own bits (NaN payloads quiet and signalling,
+/// ±Inf, values past the dual-quant grid clamp, jumps past the quantizer
+/// radius), values coded on the grid (denormals, `-0.0`, smooth runs),
+/// and constant planes — each as `n` elements.
+fn recon_inputs(n: usize) -> Vec<(&'static str, Vec<f32>)> {
+    let specials = [
+        f32::from_bits(0x7fc1_2345), // quiet NaN, payload
+        f32::from_bits(0xff80_0001), // signalling NaN, sign set
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,  // denormal
+        -1e-42, // denormal
+        -0.0,
+        1e30, // |x| / 2eb beyond the grid clamp at every bound here
+        f32::MAX,
+        f32::MIN_POSITIVE,
+    ];
+    let mut mixed = payload(n.max(2));
+    mixed.truncate(n);
+    for (i, v) in mixed.iter_mut().enumerate() {
+        match i % 11 {
+            // One special every 11 elements, cycling through the list.
+            0 => *v = specials[(i / 11) % specials.len()],
+            // A ±900 jump: residual past radius · 2eb at eb = 1e-2.
+            5 => *v = if (i / 11) % 2 == 0 { 900.0 } else { -900.0 },
+            _ => {}
+        }
+    }
+    vec![
+        ("mixed", mixed),
+        ("constant", vec![0.25; n]),
+        ("zeros", vec![0.0; n]),
+    ]
+}
+
+#[test]
+fn compress_recon_is_compress_plus_decompress_bit_for_bit() {
+    let layouts = [
+        // 0- and 1-element tensors, every rank.
+        DataLayout::D1(0),
+        DataLayout::D2(0, 4),
+        DataLayout::D3(0, 2, 2),
+        DataLayout::D1(1),
+        DataLayout::D2(1, 1),
+        DataLayout::D3(1, 1, 1),
+        // Single chunk.
+        DataLayout::D1(777),
+        DataLayout::D2(24, 24),
+        DataLayout::D3(3, 10, 11),
+        // Multi-chunk (SZ auto-chunking: several frames, parallel runs).
+        DataLayout::D1(3 * 4096 + 17),
+        DataLayout::D2(300, 41),
+        DataLayout::D3(64, 16, 16),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for codec in all_codecs() {
+        for bound in bounds_for(codec.as_ref()) {
+            for layout in layouts {
+                for (kind, data) in recon_inputs(layout.len()) {
+                    let what = format!("{} [{bound:?}] {layout:?} {kind}", codec.name());
+                    let plain = codec.compress(&data, layout, &bound);
+                    let with_recon = codec.compress_recon(&data, layout, &bound);
+                    let (stream, (rstream, recon)) = match (plain, with_recon) {
+                        (Ok(s), Ok(r)) => (s, r),
+                        // E.g. zfp-like on an empty tensor: both refuse.
+                        (Err(_), Err(_)) => continue,
+                        (p, r) => panic!(
+                            "{what}: compress {:?} but compress_recon {:?}",
+                            p.map(|_| ()),
+                            r.map(|_| ())
+                        ),
+                    };
+                    assert_eq!(stream.as_bytes(), rstream.as_bytes(), "{what}: bytes");
+                    let decoded = codec.decompress(&stream).unwrap();
+                    assert_eq!(bits(&decoded), bits(&recon), "{what}: values");
                 }
             }
         }

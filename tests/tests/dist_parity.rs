@@ -196,19 +196,34 @@ fn replicas_stay_bit_identical_in_every_lockstep_mode() {
     // The bucketed-sync acceptance matrix: after *every* step, all
     // replicas must hold bit-identical parameters — for the dense
     // bucketed ring, the compressed ring with error feedback (pinned
-    // bound), and the ZeRO sharded-optimizer mode (whose exact
-    // parameter all-gather is what makes this hold on a lossy
-    // transport).
+    // bound), the compressed ring as `benchmark/` runs it (σ-adaptive
+    // per-bucket bounds, error feedback on), and the ZeRO
+    // sharded-optimizer mode (whose exact parameter all-gather is what
+    // makes this hold on a lossy transport). On the compressed rows
+    // this rests on `Codec::compress_recon ≡ decompress`: the segment
+    // owner adopts the encoder's reconstruction, its peers decode.
+    let init_eb = 1e-3f32;
     let fixed = CommMode::Compressed {
-        error_bound: 1e-3,
+        error_bound: init_eb,
         error_feedback: true,
         adaptive: false,
     };
-    for (name, comm, zero) in [
-        ("dense", CommMode::Dense, false),
-        ("compressed+EF", fixed, false),
-        ("zero/dense", CommMode::Dense, true),
-        ("zero/compressed", fixed, true),
+    // Bit-identity must hold after every step from the first; four
+    // steps still cross the w_interval=4 collection boundary. The
+    // adaptive row runs on: bounds are re-picked at the iteration-0 and
+    // iteration-4 collections, so steps 5 and 6 encode under the second
+    // re-pick.
+    for (name, comm, zero, steps) in [
+        ("dense", CommMode::Dense, false, 4u64),
+        ("compressed+EF", fixed, false, 4),
+        (
+            "compressed+EF adaptive",
+            CommMode::compressed_default(),
+            false,
+            7,
+        ),
+        ("zero/dense", CommMode::Dense, true, 4),
+        ("zero/compressed", fixed, true, 4),
     ] {
         let data = dataset();
         let mut cfg = DistConfig::new(4, comm);
@@ -217,9 +232,7 @@ fn replicas_stay_bit_identical_in_every_lockstep_mode() {
         cfg.sync.zero_shard = zero;
         let mut group =
             DistributedTrainer::new(cfg, |_| zoo::tiny_alexnet(CLASSES, NET_SEED)).unwrap();
-        // Bit-identity must hold after every step from the first; four
-        // steps still cross the w_interval=4 collection boundary.
-        for i in 0..4u64 {
+        for i in 0..steps {
             let (x, labels) = data.batch(i * GLOBAL_BATCH as u64, GLOBAL_BATCH);
             group.step(x, &labels).unwrap();
             let reference = flat_params(group.replica(0).network());
@@ -230,6 +243,17 @@ fn replicas_stay_bit_identical_in_every_lockstep_mode() {
                     &format!("{name}: step {i}, rank {rank} vs chief"),
                 );
             }
+        }
+        if comm == CommMode::compressed_default() {
+            let bounds: Vec<Option<f32>> =
+                group.history().iter().map(|r| r.comm_error_bound).collect();
+            let after_second = &bounds[5..];
+            assert!(
+                after_second
+                    .iter()
+                    .all(|&b| b != Some(init_eb) && b != bounds[4]),
+                "{name}: steps 5.. must encode under the iteration-4 re-pick: {bounds:?}"
+            );
         }
     }
 }
