@@ -20,7 +20,12 @@
 //!   `serve.tenant.resident#t<id>` gauge high-water mark and the
 //!   arena-measured `peak_resident_bytes` from the `stats` RPC
 //!   (the latter includes transients inside a single call);
-//! * the global resident mirror stays ≤ Σ tenant budgets.
+//! * the global resident mirror stays ≤ Σ tenant budgets;
+//! * the process's peak OS-thread count during a sweep (sampled from
+//!   `/proc/self/status`) stays ≤ client threads + session threads +
+//!   every pool worker alive (`pool.threads`: the daemon's RPC workers
+//!   and the one global pool all codec regions run on) + a small
+//!   constant — parallel regions beneath an RPC create no threads.
 //!
 //! With `EBTRAIN_METRICS_ADDR` set, the run self-probes the live
 //! `/metrics` endpoint before exiting and hard-fails unless the
@@ -36,7 +41,19 @@ use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_flag, env_usize, fmt_bytes};
 use ebtrain_codec::{BoundSpec, Codec, SzCodec};
 use ebtrain_serve::{ColdPolicy, DataLayout, ServeClient, ServeConfig, ServeDaemon, TaggedStream};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+/// Threads outside the client/session/pool accounting: main, the accept
+/// loop, the sampler, the metrics endpoint and its connection handlers.
+const OTHER_THREADS: usize = 8;
+
+/// OS threads of this process right now (`None` off Linux).
+fn process_threads() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("Threads:"))?;
+    line["Threads:".len()..].trim().parse().ok()
+}
 
 /// One client's share of the load: timing samples and byte counts.
 #[derive(Default)]
@@ -194,19 +211,39 @@ fn main() {
         let tenant_base = (sweep as u32 + 1) * 1000;
         eprintln!("[fig14] {n} concurrent client(s) ...");
         let t0 = Instant::now();
-        let runs: Vec<ClientRun> = std::thread::scope(|s| {
+        let done = AtomicBool::new(false);
+        let (runs, peak_threads): (Vec<ClientRun>, usize) = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut peak = 0;
+                while !done.load(Ordering::Relaxed) {
+                    peak = peak.max(process_threads().unwrap_or(0));
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                peak
+            });
             let handles: Vec<_> = (0..n)
                 .map(|c| {
                     let tenant = tenant_base + c as u32;
                     s.spawn(move || drive_client(addr, tenant, tensors, layout, rounds))
                 })
                 .collect();
-            handles
+            let runs = handles
                 .into_iter()
                 .map(|h| h.join().expect("client thread"))
-                .collect()
+                .collect();
+            done.store(true, Ordering::Relaxed);
+            (runs, sampler.join().expect("sampler thread"))
         });
         let elapsed = t0.elapsed().as_secs_f64();
+
+        // One substrate: n client threads (in-process here), n session
+        // threads, the pools' persistent workers — and nothing per region.
+        let pool_threads = ebtrain_pool::live_threads();
+        assert!(
+            peak_threads <= 2 * n + pool_threads + OTHER_THREADS,
+            "{peak_threads} threads at {n} clients: more than 2 x {n} client/session threads \
+             + {pool_threads} pool workers + {OTHER_THREADS}"
+        );
 
         // Contract asserts, while the tenants of this sweep are fresh.
         let errors: Vec<&String> = runs.iter().flat_map(|r| &r.errors).collect();
@@ -277,6 +314,11 @@ fn main() {
             ms(pctl(&fetch_ns, 0.99)),
             format!("{mibs:.1}"),
         ]);
+        println!(
+            "threads at c{n}: peak {peak_threads} = {n} clients + {n} sessions + \
+             {pool_threads} pool workers (pool.threads) + {} other",
+            peak_threads.saturating_sub(2 * n + pool_threads)
+        );
     }
     table.print("Fig 14: serve daemon scaling, concurrent clients vs RPC latency");
 

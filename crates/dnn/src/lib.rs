@@ -35,7 +35,6 @@ pub mod layers;
 pub mod memsim;
 pub mod network;
 pub mod optimizer;
-pub mod parallel;
 pub mod recompute;
 pub mod serialize;
 pub mod store;

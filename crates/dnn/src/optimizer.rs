@@ -123,14 +123,6 @@ impl Sgd {
     /// Gradients are consumed (zeroed) by the caller via
     /// [`Network::zero_grads`](crate::network::Network::zero_grads).
     pub fn step(&mut self, params: Vec<&mut Param>) {
-        self.step_without_advance(params);
-        self.iter += 1;
-    }
-
-    /// Apply the update rule without advancing the iteration counter —
-    /// for data-parallel groups that apply one logical step to several
-    /// replicas (see [`crate::parallel`]). Pair with [`advance`](Sgd::advance).
-    pub fn step_without_advance(&mut self, params: Vec<&mut Param>) {
         let lr = self.current_lr();
         let mu = self.cfg.momentum;
         for p in params {
@@ -148,10 +140,12 @@ impl Sgd {
                 value[i] -= mom[i];
             }
         }
+        self.iter += 1;
     }
 
-    /// Advance the iteration counter by one (see
-    /// [`step_without_advance`](Sgd::step_without_advance)).
+    /// Advance the iteration counter by one without touching a
+    /// parameter — for a step whose update a gradient sync applied
+    /// itself ([`SyncAction::StepApplied`](crate::train::SyncAction)).
     pub fn advance(&mut self) {
         self.iter += 1;
     }

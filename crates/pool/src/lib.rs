@@ -1,15 +1,18 @@
 //! # ebtrain-pool
 //!
-//! A small **persistent worker-thread pool** shared by the subsystems
-//! that need background execution without per-task spawn cost:
+//! A small **persistent worker-thread pool**: the one execution
+//! substrate of the workspace.
 //!
+//! * Every data-parallel region — `tensor::gemm` row blocks,
+//!   `tensor::ops` reductions, the `sz` chunk loops — reaches
+//!   [`WorkerPool::region`] on the [global](WorkerPool::global) pool
+//!   through the vendored `rayon` shim's `par_iter` / `par_chunks`;
 //! * `ebtrain-membudget`'s prefetch pipeline submits one decode task per
-//!   upcoming warm entry (previously one OS thread per decode — spawn
-//!   cost scaled with tensor count);
-//! * `ebtrain-dist` runs its worker replicas as long-lived jobs on a
-//!   dedicated pool, one thread per rank.
+//!   upcoming warm entry to the same global pool;
+//! * `ebtrain-dist` (one thread per rank) and `ebtrain-serve` (RPC
+//!   workers) run their long-lived jobs on dedicated pools.
 //!
-//! Two deliberate design points:
+//! Three deliberate design points:
 //!
 //! * **Inline-claim join.** [`TaskHandle::join`] first tries to claim a
 //!   still-pending task and run it on the joining thread. A caller that
@@ -21,11 +24,31 @@
 //!   data-parallel step needs `&mut` access to each replica). The scope
 //!   guarantees every spawned job finished before it returns — including
 //!   on unwind — which is what makes the internal lifetime erasure sound.
+//! * **Regions need no nesting rule.** [`WorkerPool::region`] runs the
+//!   first piece on the caller and joins the rest with the inline claim,
+//!   so a region entered from a job of the same pool (a prefetch decode,
+//!   a nested chunk loop) completes even when every worker is busy: the
+//!   caller simply runs its own pieces.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
+
+/// Worker threads alive across every pool of the process (mirrored into
+/// the `pool.threads` gauge whenever a pool is built or dropped).
+static LIVE_THREADS: AtomicI64 = AtomicI64::new(0);
+
+/// Worker threads alive across every [`WorkerPool`] of the process.
+pub fn live_threads() -> usize {
+    LIVE_THREADS.load(Ordering::Relaxed).max(0) as usize
+}
+
+fn publish_threads(delta: i64) {
+    let live = LIVE_THREADS.fetch_add(delta, Ordering::Relaxed) + delta;
+    ebtrain_obs::gauge_set("pool.threads", live);
+}
 
 /// Type-erased task the worker loop can execute.
 trait Runnable: Send + Sync {
@@ -259,13 +282,15 @@ impl WorkerPool {
                     .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
-            .collect();
+            .collect::<Vec<_>>();
+        publish_threads(workers.len() as i64);
         WorkerPool { shared, workers }
     }
 
     /// The process-wide shared pool, sized to the available parallelism
     /// (`EBTRAIN_POOL_THREADS` overrides). Lives for the whole process —
-    /// this is the pool the membudget prefetch decoder submits to.
+    /// this is the pool every `par_iter` region and the membudget
+    /// prefetch decoder run on.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -341,6 +366,43 @@ impl WorkerPool {
         scope.join_all(true);
         result
     }
+
+    /// Run `f` over every piece as **one parallel region** and return the
+    /// results in piece order: the caller runs the first piece itself,
+    /// the others are scoped jobs on this pool, and the join claims
+    /// inline whatever no worker has started — so a region entered from
+    /// inside a job of this same pool cannot deadlock, it degrades to
+    /// the caller running its own pieces. A panicking piece is resumed
+    /// on the caller after every other piece finished. Zero or one piece
+    /// runs on the caller without touching the pool.
+    pub fn region<T, R, F>(&self, pieces: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        if pieces.len() <= 1 {
+            ebtrain_obs::counter_add("pool.regions.inline", 1);
+            return pieces.into_iter().map(f).collect();
+        }
+        ebtrain_obs::counter_add("pool.regions", 1);
+        let mut slots: Vec<Option<R>> = pieces.iter().map(|_| None).collect();
+        self.scope(|s| {
+            let f = &f;
+            let mut work = pieces.into_iter().zip(slots.iter_mut());
+            let own = work.next();
+            for (piece, slot) in work {
+                s.spawn(move || *slot = Some(f(piece)));
+            }
+            if let Some((piece, slot)) = own {
+                *slot = Some(f(piece));
+            }
+        });
+        slots
+            .into_iter()
+            .map(|r| r.expect("scope joined every piece"))
+            .collect()
+    }
 }
 
 impl Drop for WorkerPool {
@@ -350,6 +412,7 @@ impl Drop for WorkerPool {
             q.shutdown = true;
         }
         self.shared.cv.notify_all();
+        publish_threads(-(self.workers.len() as i64));
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -520,6 +583,83 @@ mod tests {
             }
         });
         assert_eq!(*gate.0.lock().unwrap(), 2);
+    }
+
+    #[test]
+    fn region_returns_results_in_piece_order() {
+        let pool = WorkerPool::new(3);
+        let out = pool.region((0..7usize).collect(), |i| i * i);
+        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
+        assert_eq!(pool.region(vec![5usize], |i| i + 1), vec![6]);
+        assert_eq!(pool.region(Vec::<usize>::new(), |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn region_pieces_run_on_the_caller_or_a_named_worker() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        for _ in 0..20 {
+            let who = pool.region(vec![(); 4], |()| {
+                let t = std::thread::current();
+                (t.id(), t.name().map(str::to_owned))
+            });
+            assert_eq!(who[0].0, caller, "the first piece belongs to the caller");
+            for (id, name) in who {
+                let worker = name.is_some_and(|n| n.starts_with("ebtrain-pool-"));
+                assert!(id == caller || worker);
+            }
+        }
+    }
+
+    #[test]
+    fn region_inside_a_job_of_a_one_worker_pool_completes() {
+        // The job occupies the pool's only worker; the pieces it spawns
+        // can never be picked up by anyone else, so the region's join
+        // must claim them inline. `wait` (not `join`) keeps the test
+        // thread from claiming the outer job itself.
+        let pool = Arc::new(WorkerPool::new(1));
+        let inner = Arc::clone(&pool);
+        let job = pool.submit(move || {
+            let worker = std::thread::current().id();
+            let who = inner.region(vec![(); 4], |()| std::thread::current().id());
+            who.into_iter().all(|id| id == worker)
+        });
+        job.wait();
+        assert!(job.join(), "every piece ran on the one worker");
+    }
+
+    #[test]
+    fn region_resumes_a_piece_panic_on_the_caller_and_the_pool_survives() {
+        let pool = WorkerPool::new(2);
+        let done = AtomicUsize::new(0);
+        // Piece 0 is the caller's own, piece 3 a pool job.
+        for bad in [0usize, 3] {
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.region((0..4usize).collect(), |i| {
+                    if i == bad {
+                        panic!("piece {i}");
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                })
+            }));
+            assert!(r.is_err());
+        }
+        assert_eq!(done.load(Ordering::SeqCst), 6, "sibling pieces still ran");
+        assert_eq!(pool.region(vec![1, 2, 3], |i| i * 2), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn regions_and_threads_are_counted() {
+        ebtrain_obs::set_metrics_enabled(true);
+        let before = ebtrain_obs::snapshot();
+        let pool = WorkerPool::new(2);
+        assert!(live_threads() >= 2);
+        assert!(ebtrain_obs::gauge_value("pool.threads") >= 2);
+        pool.region(vec![1, 2], |i| i);
+        pool.region(vec![1], |i| i);
+        let delta = ebtrain_obs::snapshot().delta_since(&before);
+        assert!(delta.counter("pool.regions") >= 1);
+        assert!(delta.counter("pool.regions.inline") >= 1);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! (only the length prefixes are read), and
 //! [`CompressedBuffer::decompress_planes`] decodes a chosen range of
 //! leading-dimension planes while *skipping* the frame bodies outside the
-//! range — the streaming-decode primitive for budgeted/partial fetches.
-//! The budgeted activation manager (`ebtrain-membudget`) currently
-//! decodes warm entries whole (its tensors are decode-sized already);
-//! wiring its warm tier to partial fetches of very large layers is a
-//! tracked ROADMAP follow-up.
+//! range — the streaming-decode primitive for budgeted/partial fetches
+//! (`BudgetedArena::fetch_planes`, and through it every warm `fetch` of
+//! the serve daemon). The length prefixes are walked and validated
+//! serially; the covering frames then decode as **one parallel region**,
+//! each straight into its own slice of the output, and a range one frame
+//! covers decodes inline.
 //!
 //! A "plane" is one leading-dimension slice: a row for `D2(h, w)`, a
 //! `d1 × d2` plane for `D3`, and a 4096-element run for `D1` (matching
@@ -22,6 +23,7 @@
 use crate::codec::{corrupt, decode_chunk, parse_header, rd_usize, CompressedBuffer};
 use crate::{blocks, DataLayout, Result};
 use ebtrain_encoding::huffman;
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// Elements per leading-dimension "plane" of a layout (see module docs;
@@ -228,13 +230,12 @@ pub fn decompress_planes_bytes(
     // (`n_planes..n_planes`) would otherwise put `start` past `end`.
     let start_e = (planes.start * pe).min(header.n);
     let end_e = (planes.end * pe).min(header.n);
-    let mut out = Vec::with_capacity(end_e - start_e);
 
     if header.legacy {
         // Z1 has one monolithic body: no random access, decode it all.
         let body = &bytes[header.body_off..];
         let full = decode_chunk(body, header.layout, &header, None, false)?;
-        out.extend_from_slice(&full[start_e..end_e]);
+        let out = full[start_e..end_e].to_vec();
         let stats = RangeDecodeStats {
             frames_total: 1,
             frames_decoded: 1,
@@ -252,36 +253,59 @@ pub fn decompress_planes_bytes(
         frames_total: metas.len(),
         ..RangeDecodeStats::default()
     };
+    // Serial walk: validate every length prefix and pick the covering
+    // frames — (output elements, decoded elements to skip, layout, body).
+    // Nothing is decoded or allocated until the whole stream has been
+    // walked.
+    let mut covering: Vec<(usize, usize, DataLayout, &[u8])> = Vec::new();
     for &(off, cl) in &metas {
         let frame_len = rd_usize(bytes, &mut pos)?;
         if frame_len > bytes.len() - pos {
             return Err(corrupt("truncated chunk frame"));
         }
         stats.frame_bytes_total += frame_len;
-        let chunk_e = off..off + cl.len();
-        if start_e < end_e && chunk_e.start < end_e && chunk_e.end > start_e {
-            let part = decode_chunk(
-                &bytes[pos..pos + frame_len],
-                cl,
-                &header,
-                Some(&decoder),
-                true,
-            )?;
+        let lo = start_e.max(off);
+        let hi = end_e.min(off + cl.len());
+        if lo < hi {
             stats.frames_decoded += 1;
             stats.frame_bytes_decoded += frame_len;
-            // Chunks restart prediction, so a frame must decode whole;
-            // slice out the requested overlap.
-            let lo = start_e.max(chunk_e.start) - chunk_e.start;
-            let hi = end_e.min(chunk_e.end) - chunk_e.start;
-            out.extend_from_slice(&part[lo..hi]);
+            covering.push((hi - lo, lo - off, cl, &bytes[pos..pos + frame_len]));
         }
         pos += frame_len;
     }
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes after chunk frames"));
     }
-    if out.len() != end_e - start_e {
+    if covering.iter().map(|c| c.0).sum::<usize>() != end_e - start_e {
         return Err(corrupt("plane range length mismatch"));
+    }
+
+    // The frames tile the window in order: hand each its disjoint slice
+    // of the output, then decode them as one parallel region. Collecting
+    // in frame order makes the first error in frame order win.
+    let mut out = vec![0.0f32; end_e - start_e];
+    let mut rest = &mut out[..];
+    let mut work: Vec<_> = covering
+        .into_iter()
+        .map(|(len, skip, cl, frame)| {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (dst, skip, cl, frame)
+        })
+        .collect();
+    let decode_one = |(dst, skip, cl, frame): &mut (&mut [f32], usize, DataLayout, &[u8])| {
+        // Chunks restart prediction, so a frame must decode whole; copy
+        // out the requested overlap.
+        let part = decode_chunk(frame, *cl, &header, Some(&decoder), true)?;
+        dst.copy_from_slice(&part[*skip..*skip + dst.len()]);
+        Ok(())
+    };
+    if work.len() > 1 {
+        work.par_iter_mut()
+            .map(decode_one)
+            .collect::<Result<()>>()?;
+    } else {
+        work.iter_mut().try_for_each(decode_one)?;
     }
     Ok((out, stats))
 }
@@ -388,6 +412,70 @@ mod tests {
                 assert!(stats.frame_bytes_decoded < stats.frame_bytes_total);
             }
         }
+    }
+
+    /// The stats the serial covering-frame loop reported at the parent
+    /// of the parallel decoder, frozen: a range decode reads exactly the
+    /// covering frames' bytes, however the frames are scheduled.
+    #[test]
+    fn range_decode_stats_are_frozen() {
+        let data = volume(16, 8, 8);
+        let mut cfg = SzConfig::with_error_bound(1e-2);
+        cfg.chunk_planes = Some(2);
+        let buf = compress(&data, DataLayout::D3(16, 8, 8), &cfg).unwrap();
+        let full = decompress(&buf).unwrap();
+        // (range, frames_decoded, frame_bytes_decoded)
+        let frozen: [(Range<usize>, usize, usize); 8] = [
+            (0..0, 0, 0),
+            (16..16, 0, 0),
+            (0..2, 1, 45),
+            (3..4, 1, 43),
+            (1..3, 2, 88),
+            (5..12, 4, 184),
+            (14..16, 1, 48),
+            (0..16, 8, 367),
+        ];
+        for (range, frames, bytes) in frozen {
+            let (part, stats) = buf.decompress_planes_with_stats(range.clone()).unwrap();
+            assert_eq!(part, full[range.start * 64..range.end * 64], "{range:?}");
+            let want = RangeDecodeStats {
+                frames_total: 8,
+                frames_decoded: frames,
+                frame_bytes_total: 367,
+                frame_bytes_decoded: bytes,
+            };
+            assert_eq!(stats, want, "{range:?}");
+        }
+    }
+
+    /// Two covering frames are corrupt in different ways: whichever
+    /// piece of the region finishes first, the error reported is the
+    /// earlier frame's.
+    #[test]
+    fn first_error_in_frame_order_wins() {
+        let data = volume(16, 8, 8);
+        let mut cfg = SzConfig::with_error_bound(1e-2);
+        cfg.chunk_planes = Some(2);
+        let buf = compress(&data, DataLayout::D3(16, 8, 8), &cfg).unwrap();
+        let idx = buf.frame_index().unwrap();
+        let mut evil = buf.as_bytes().to_vec();
+        // Frame 1: an entropy tag that does not exist. Frame 6: an
+        // outlier count beyond the frame (tag kept valid).
+        evil[idx.entries()[1].bytes.start] = 0x7f;
+        evil[idx.entries()[6].bytes.start + 1] = 0x7f;
+        let msg = |r: Range<usize>| match decompress_planes_bytes(&evil, r) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("corrupt frames decoded"),
+        };
+        let first = msg(2..4); // frame 1 alone
+        let later = msg(12..14); // frame 6 alone
+        assert_ne!(first, later);
+        for _ in 0..50 {
+            assert_eq!(msg(0..16), first);
+            assert_eq!(msg(2..14), first);
+        }
+        // Ranges that avoid both corrupt frames still decode.
+        assert!(decompress_planes_bytes(&evil, 4..12).is_ok());
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Blocked, rayon-parallel single-precision GEMM.
+//! Row-parallel single-precision GEMM.
 //!
 //! Convolution via `im2col` reduces to `C[m×n] = A[m×k] · B[k×n]`; the
-//! backward pass additionally needs the `Aᵀ·B` and `A·Bᵀ` forms. All three
-//! share one micro-kernel: rows of `C` are partitioned across rayon tasks
-//! (each task owns a disjoint `&mut` row block, so there is no sharing), and
-//! the inner loops are ordered `i-k-j` so the innermost loop is a
-//! unit-stride AXPY that the compiler auto-vectorizes.
+//! backward pass additionally needs the `Aᵀ·B` and `A·Bᵀ` forms. Rows of
+//! `C` are partitioned into one parallel region (each piece owns a
+//! disjoint `&mut` row block, so there is no sharing) once the product is
+//! large enough; `NN`/`TN` order their loops `i-k-j` so the innermost
+//! loop is a unit-stride AXPY that the compiler auto-vectorizes, `NT` is
+//! a scalar dot product per output. A row is computed by the same code
+//! whether or not the region fans out, so results do not depend on the
+//! thread count.
 
 use rayon::prelude::*;
 
@@ -20,9 +23,26 @@ pub enum GemmLayout {
     NT,
 }
 
-/// Minimum number of output elements before spawning parallel tasks;
-/// below this the rayon overhead dominates.
-const PAR_THRESHOLD: usize = 16 * 1024;
+/// Minimum multiply-adds (`m·n·k`) before the rows of `C` are split
+/// into a parallel region. A region costs ≈ 4 µs when a pool worker is
+/// awake and ≈ 40 µs when one must be woken; at the AXPY kernels' serial
+/// ≈ 8 G multiply-adds/s this is 32 µs of work, the smallest product the
+/// split wins on with a warm worker (measurements: DESIGN.md §5).
+const PAR_MIN_MACS: usize = 256 * 1024;
+
+/// Run `body` over the rows of `C`, as one parallel region when the
+/// product is large enough. Every row — and so every output element's
+/// summation order — is computed by the same code either way.
+fn for_each_row<F>(m: usize, k: usize, n: usize, c: &mut [f32], body: F)
+where
+    F: Fn((usize, &mut [f32])) + Sync,
+{
+    if m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_MACS {
+        c.par_chunks_mut(n).enumerate().for_each(body);
+    } else {
+        c.chunks_mut(n).enumerate().for_each(body);
+    }
+}
 
 /// `C[m×n] += A[m×k] · B[k×n]` (row-major, `C` must be pre-sized `m*n`).
 pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -41,11 +61,7 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
             }
         }
     };
-    if m * n >= PAR_THRESHOLD {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(m, k, n, c, body);
 }
 
 /// `C[m×n] += Aᵀ·B` where `A` is stored `[k×m]` and `B` is `[k×n]`.
@@ -65,11 +81,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
             }
         }
     };
-    if m * n >= PAR_THRESHOLD {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(m, k, n, c, body);
 }
 
 /// `C[m×n] += A·Bᵀ` where `A` is `[m×k]` and `B` is stored `[n×k]`.
@@ -88,11 +100,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
             *c_v += acc;
         }
     };
-    if m * n >= PAR_THRESHOLD {
-        c.par_chunks_mut(n).enumerate().for_each(body);
-    } else {
-        c.chunks_mut(n).enumerate().for_each(body);
-    }
+    for_each_row(m, k, n, c, body);
 }
 
 /// Dispatching front-end over the three layouts.
@@ -184,6 +192,35 @@ mod tests {
             let mut c = vec![0.0; m * n];
             gemm_nt(m, k, n, &a, &b_t, &mut c);
             assert_close(&c, &naive_nn(m, k, n, &a, &b));
+        }
+    }
+
+    /// Row partitioning must not change a single bit: a product large
+    /// enough to fan out equals the same product computed one row at a
+    /// time (each far below the cutoff, so serial), for all three layouts.
+    #[test]
+    fn parallel_rows_are_bit_identical_to_serial_rows() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (m, k, n) = (64, 96, 100);
+        assert!(m * n * k >= PAR_MIN_MACS && n * k < PAR_MIN_MACS);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for layout in [GemmLayout::NN, GemmLayout::TN, GemmLayout::NT] {
+            let a = rand_mat(&mut rng, m * k);
+            let b = rand_mat(&mut rng, k * n);
+            let c0 = rand_mat(&mut rng, m * n);
+            let mut par = c0.clone();
+            gemm(layout, m, k, n, &a, &b, &mut par);
+            let mut serial = c0;
+            for (i, c_row) in serial.chunks_mut(n).enumerate() {
+                // Row i of the logical A: a column of the stored [k×m]
+                // matrix under TN, a stored row otherwise.
+                let a_row: Vec<f32> = match layout {
+                    GemmLayout::TN => (0..k).map(|p| a[p * m + i]).collect(),
+                    _ => a[i * k..(i + 1) * k].to_vec(),
+                };
+                gemm(layout, 1, k, n, &a_row, &b, c_row);
+            }
+            assert_eq!(bits(&par), bits(&serial), "{layout:?}");
         }
     }
 

@@ -183,3 +183,39 @@ fn corpus_is_paired_and_fully_covered() {
         assert!(seen.iter().any(|s| s == name), "fixture {name} is missing");
     }
 }
+
+/// Every single-byte truncation of every golden Z2 stream, through the
+/// plane-range decoder (whole range and an interior one): a typed error,
+/// never a panic, a hang, or a silently short result. The length walk
+/// runs before any frame is decoded, so a cut anywhere — header,
+/// codebook, a length prefix, a frame body — is caught on the caller.
+#[test]
+fn every_truncation_of_a_golden_z2_stream_fails_plane_decode_cleanly() {
+    for name in [
+        "z2v2_huffman_classic",
+        "z2v2_huffman_dualquant",
+        "z3_range_dualquant",
+        "z3_huffman_classic",
+        "z3_mixed_backends",
+    ] {
+        let (bin, want) = read_fixture(name);
+        let index = ebtrain_sz::frame_index_of(&bin).expect("golden stream has an index");
+        let planes = index.n_planes();
+        let (all, stats) = ebtrain_sz::decompress_planes_bytes(&bin, 0..planes).unwrap();
+        assert_eq!(stats.frames_decoded, index.entries().len(), "{name}");
+        assert!(
+            all.iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{name}: whole-range plane decode differs from the fixture"
+        );
+        for cut in 0..bin.len() {
+            for range in [0..planes, planes / 3..planes / 2 + 1] {
+                assert!(
+                    ebtrain_sz::decompress_planes_bytes(&bin[..cut], range.clone()).is_err(),
+                    "{name}: {cut}-byte prefix decoded planes {range:?}"
+                );
+            }
+        }
+    }
+}
