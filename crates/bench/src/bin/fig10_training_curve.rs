@@ -195,8 +195,8 @@ fn main() {
     }
     println!(
         "\nPaper shape to check: the two accuracy curves nearly coincide \
-         while conv activations are stored ~10x smaller; ratio wobbles \
-         early then stabilizes."
+         while conv and FC input activations are stored ~10x smaller; ratio \
+         wobbles early then stabilizes."
     );
     ebtrain_obs::flush_trace();
     ebtrain_obs::flush_flight();

@@ -15,7 +15,7 @@ use ebtrain_bench::{env_f64, env_usize};
 use ebtrain_core::inject::InjectingStore;
 use ebtrain_core::stats::{fraction_within, looks_normal, moments};
 use ebtrain_data::{SynthConfig, SynthImageNet};
-use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext};
+use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext, LayerKind};
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::network::Network;
 use ebtrain_dnn::store::{ActivationStore, RawStore};
@@ -52,7 +52,7 @@ fn conv_grads(
     }
     let mut grads = Vec::new();
     net.visit_layers(&mut |layer| {
-        if layer.conv_stats().is_some() {
+        if layer.kind() == LayerKind::Conv {
             grads.push((
                 layer.name().to_string(),
                 layer.params()[0].grad.data().to_vec(),

@@ -15,7 +15,9 @@ use ebtrain_core::inject::InjectingStore;
 use ebtrain_core::model::{predict_sigma, predict_sigma_exact, PAPER_A};
 use ebtrain_core::stats::moments;
 use ebtrain_data::{SynthConfig, SynthImageNet};
-use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ConvLayerStats, ForwardContext};
+use ebtrain_dnn::layer::{
+    BackwardContext, CompressionPlan, ConvLayerStats, ForwardContext, LayerKind,
+};
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::network::Network;
 use ebtrain_dnn::store::{ActivationStore, RawStore};
@@ -56,7 +58,7 @@ fn run(
     }
     let mut out = Vec::new();
     net.visit_layers(&mut |layer| {
-        if let Some(stats) = layer.conv_stats() {
+        if let (LayerKind::Conv, Some(stats)) = (layer.kind(), layer.conv_stats()) {
             out.push(LayerObservation {
                 name: layer.name().to_string(),
                 grad: layer.params()[0].grad.data().to_vec(),

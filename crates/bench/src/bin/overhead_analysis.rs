@@ -13,7 +13,7 @@ use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::network::{Network, NetworkBuilder};
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
-use ebtrain_dnn::store::{ActivationStore, MigratedStore, RawStore};
+use ebtrain_dnn::store::{ActivationStore, MigratedStore, RawStore, SlotBytes};
 use ebtrain_dnn::train::train_step;
 use ebtrain_dnn::zoo;
 use std::time::Instant;
@@ -46,7 +46,7 @@ fn time_framework(
     net: Network,
     batch: usize,
     iters: usize,
-) -> (f64, usize, f64, u64, u64) {
+) -> (f64, usize, f64, u64, u64, SlotBytes) {
     let mut trainer = AdaptiveTrainer::new(
         net,
         SgdConfig::default(),
@@ -56,11 +56,15 @@ fn time_framework(
         },
     );
     let mut peak = 0usize;
+    let mut peak_made_of = SlotBytes::default();
     let t0 = Instant::now();
     for i in 0..iters {
         let (x, labels) = data.batch((i * batch) as u64, batch);
         let r = trainer.step(x, &labels).expect("step");
-        peak = peak.max(r.peak_store_bytes);
+        if r.peak_store_bytes > peak {
+            peak = r.peak_store_bytes;
+            peak_made_of = trainer.store_metrics().peak;
+        }
     }
     let total = t0.elapsed().as_secs_f64();
     let m = trainer.store_metrics();
@@ -70,6 +74,19 @@ fn time_framework(
         m.compressible_ratio(),
         m.compress_nanos,
         m.decompress_nanos,
+        peak_made_of,
+    )
+}
+
+/// Shares of the framework's peak held as codec streams / raw f32 /
+/// bit-packed masks and pool offsets.
+fn peak_shares(p: SlotBytes) -> String {
+    let pct = |b: u64| 100.0 * b as f64 / p.total().max(1) as f64;
+    format!(
+        "{:.0}/{:.0}/{:.0}%",
+        pct(p.encoded),
+        pct(p.float_raw),
+        pct(p.bits)
     )
 }
 
@@ -105,11 +122,12 @@ fn main() {
         "codec_share",
         "peak_base",
         "peak_fw",
+        "enc/f32/bits",
     ]);
     for name in ["tiny-alexnet", "tiny-vgg", "tiny-resnet"] {
         eprintln!("[overhead] {name} ...");
         let (tb, pb) = time_baseline(&data, zoo::by_name(name, 10, 7).unwrap(), batch, iters);
-        let (tf, pf, ratio, cn, dn) =
+        let (tf, pf, ratio, cn, dn, made_of) =
             time_framework(&data, zoo::by_name(name, 10, 7).unwrap(), batch, iters);
         let codec = (cn + dn) as f64 * 1e-9;
         table.row(vec![
@@ -121,13 +139,15 @@ fn main() {
             format!("{:.0}%", codec / tf * 100.0),
             fmt_bytes(pb as u64),
             fmt_bytes(pf as u64),
+            peak_shares(made_of),
         ]);
     }
     // 1x1-kernel caveat.
     {
         eprintln!("[overhead] 1x1-heavy ...");
         let (tb, pb) = time_baseline(&data, one_by_one_net(7), batch, iters);
-        let (tf, pf, ratio, cn, dn) = time_framework(&data, one_by_one_net(7), batch, iters);
+        let (tf, pf, ratio, cn, dn, made_of) =
+            time_framework(&data, one_by_one_net(7), batch, iters);
         let codec = (cn + dn) as f64 * 1e-9;
         table.row(vec![
             "conv1x1-heavy".into(),
@@ -138,6 +158,7 @@ fn main() {
             format!("{:.0}%", codec / tf * 100.0),
             fmt_bytes(pb as u64),
             fmt_bytes(pf as u64),
+            peak_shares(made_of),
         ]);
     }
     table.print("Overhead at equal batch size (paper: ~17%, worse for 1x1-kernel networks)");
@@ -153,7 +174,7 @@ fn main() {
         let mut fw_ips = 0.0;
         let mut fw_peak = 0;
         for cand in [batch, batch * 3 / 2, batch * 2, batch * 3, batch * 4] {
-            let (tf, pf, _, _, _) = time_framework(&data, zoo::tiny_vgg(10, 7), cand, iters);
+            let (tf, pf, ..) = time_framework(&data, zoo::tiny_vgg(10, 7), cand, iters);
             if pf <= pb || cand == batch {
                 grown = cand;
                 fw_ips = (iters * cand) as f64 / tf;

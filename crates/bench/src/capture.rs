@@ -1,6 +1,7 @@
-//! A store wrapper that clones every compressible (conv-input) activation
-//! as it is saved — used to harvest realistic activation tensors for the
-//! compressor comparisons (Fig 3, Table 1).
+//! A store wrapper that clones every compressible activation (conv and
+//! fully connected inputs) as it is saved — used to harvest realistic
+//! activation tensors for the compressor comparisons (Fig 3, Table 1),
+//! which keep the conv inputs only.
 
 use ebtrain_dnn::layer::{SaveHint, Saved, SlotId};
 use ebtrain_dnn::store::{ActivationStore, StoreMetrics};
@@ -64,7 +65,7 @@ pub fn capture_conv_activations(
     net: &mut ebtrain_dnn::network::Network,
     x: Tensor,
 ) -> ebtrain_dnn::Result<Vec<(usize, String, Tensor)>> {
-    use ebtrain_dnn::layer::{CompressionPlan, ForwardContext};
+    use ebtrain_dnn::layer::{CompressionPlan, ForwardContext, LayerKind};
     use ebtrain_dnn::store::RawStore;
 
     let mut store = CapturingStore::new(RawStore::new());
@@ -78,20 +79,17 @@ pub fn capture_conv_activations(
         };
         net.forward(x, &mut ctx)?;
     }
-    let mut names = std::collections::HashMap::new();
+    // The store captured every compressible slot; keep the convolutions'.
+    let mut conv_names = std::collections::HashMap::new();
     net.visit_layers(&mut |layer| {
-        names.insert(layer.id(), layer.name().to_string());
+        if layer.kind() == LayerKind::Conv {
+            conv_names.insert(layer.id(), layer.name().to_string());
+        }
     });
     Ok(store
         .take()
         .into_iter()
-        .map(|(id, t)| {
-            let name = names
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| format!("layer{id}"));
-            (id, name, t)
-        })
+        .filter_map(|(id, t)| Some((id, conv_names.get(&id)?.clone(), t)))
         .collect())
 }
 

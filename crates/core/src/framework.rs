@@ -8,8 +8,9 @@
 //!   (activation sparsity `R` at forward, mean loss `L̄` at backward,
 //!   mean momentum `M̄` from the optimizer state),
 //! * re-**assesses** the acceptable gradient error `σ = f·M̄` (Eq. 8),
-//! * re-**estimates** each conv layer's error bound via Eq. 9, and
-//! * **compresses** every conv input activation with its own bound.
+//! * re-**estimates** the error bound of each layer whose weight gradient
+//!   is linear in its saved input (conv, fully connected) via Eq. 9, and
+//! * **compresses** every such input activation with its own bound.
 
 use crate::model;
 use ebtrain_dnn::layer::{CompressionPlan, LayerId};
@@ -81,7 +82,8 @@ impl Default for FrameworkConfig {
     }
 }
 
-/// One conv layer's controller decision at the last collection point.
+/// One conv or fully connected layer's controller decision at the last
+/// collection point.
 #[derive(Debug, Clone)]
 pub struct LayerPlanEntry {
     /// Layer id.
@@ -111,7 +113,8 @@ pub struct IterationRecord {
     pub loss: f32,
     /// Training batch accuracy.
     pub accuracy: f64,
-    /// Compression ratio achieved on conv activations *this iteration*.
+    /// Compression ratio achieved on compressible (conv and FC input)
+    /// activations *this iteration*.
     pub compression_ratio: f64,
     /// Peak activation-store bytes during the iteration.
     pub peak_store_bytes: usize,
@@ -252,6 +255,11 @@ impl AdaptiveTrainer {
             self.update_plan();
         }
         let m = self.store_metrics();
+        // What this step's store peak was made of (one set of gauges per
+        // process: with several trainers the last one to step shows).
+        ebtrain_obs::gauge_set("dnn.store.peak.encoded_bytes", m.peak.encoded as i64);
+        ebtrain_obs::gauge_set("dnn.store.peak.float_raw_bytes", m.peak.float_raw as i64);
+        ebtrain_obs::gauge_set("dnn.store.peak.bits_bytes", m.peak.bits as i64);
         let d_raw = m.compressible_raw_bytes - self.prev_raw;
         let d_stored = m.compressible_stored_bytes - self.prev_stored;
         self.prev_raw = m.compressible_raw_bytes;
@@ -298,8 +306,8 @@ impl AdaptiveTrainer {
         self.last_report.as_ref()
     }
 
-    /// Phase 2 + 3: recompute every conv layer's error bound from the
-    /// freshly collected statistics.
+    /// Phase 2 + 3: recompute the error bound of every layer that collects
+    /// statistics (conv, fully connected) from the fresh ones.
     fn update_plan(&mut self) {
         let cfg = self.cfg.clone();
         let mut entries: Vec<LayerPlanEntry> = Vec::new();
@@ -309,7 +317,7 @@ impl AdaptiveTrainer {
             };
             let id = layer.id();
             let name = layer.name().to_string();
-            // Conv weight momentum (params()[0] is the weight).
+            // Weight momentum (params()[0] is the weight).
             let m_avg = layer
                 .params()
                 .first()
@@ -454,6 +462,7 @@ impl AdaptiveTrainer {
 mod tests {
     use super::*;
     use ebtrain_data::{SynthConfig, SynthImageNet};
+    use ebtrain_dnn::layer::LayerKind;
     use ebtrain_dnn::zoo;
 
     fn quick_cfg() -> FrameworkConfig {
@@ -484,15 +493,77 @@ mod tests {
             assert!(r.compression_ratio >= 1.0, "ratio {}", r.compression_ratio);
         }
         // after ≥2 collection points the plan covers every conv layer
-        assert_eq!(
-            trainer.plan_entries().len(),
-            trainer.network().conv_layer_ids().len()
-        );
+        // and every fully connected one, and nothing else
+        let mut planned = Vec::new();
+        trainer.network().visit_layers(&mut |layer| {
+            if matches!(layer.kind(), LayerKind::Conv | LayerKind::Linear) {
+                planned.push(layer.id());
+            }
+        });
+        assert_eq!(planned.len(), 6 + 2, "tiny_vgg: six convs, two FCs");
+        let entries: Vec<LayerId> = trainer.plan_entries().iter().map(|e| e.layer).collect();
+        assert_eq!(entries, planned);
         // history recorded every iteration, collections flagged
         assert_eq!(trainer.history().len(), 6);
         assert!(trainer.history()[0].collected);
         assert!(trainer.history()[4].collected);
         assert!(!trainer.history()[1].collected);
+    }
+
+    #[test]
+    fn linear_inputs_are_stored_within_the_controllers_bound() {
+        use ebtrain_dnn::layer::{ForwardContext, SlotId};
+        use ebtrain_dnn::store::RawStore;
+        let mut trainer =
+            AdaptiveTrainer::new(zoo::tiny_vgg(4, 1), SgdConfig::default(), quick_cfg());
+        let data = dataset();
+        for i in 0..5u64 {
+            let (x, labels) = data.batch(i * 8, 8);
+            trainer.step(x, &labels).unwrap();
+        }
+        // The controller's decisions, as a plan for a fresh pair of
+        // identical nets: one forward parks x, the other x̂.
+        let mut plan = CompressionPlan::new();
+        let mut fcs = Vec::new();
+        trainer.network().visit_layers(&mut |layer| {
+            if layer.kind() == LayerKind::Linear {
+                fcs.push(layer.id());
+            }
+        });
+        for e in trainer.plan_entries() {
+            assert!(e.error_bound >= trainer.config().min_eb);
+            assert!(e.error_bound <= trainer.config().max_eb);
+            plan.set(e.layer, e.error_bound);
+        }
+        let (x, _) = data.batch(64, 8);
+        let mut exact = RawStore::new();
+        let mut lossy = CompressedStore::new(SzConfig::with_error_bound(1e-7));
+        for store in [&mut exact as &mut dyn ActivationStore, &mut lossy] {
+            let mut ctx = ForwardContext {
+                store,
+                training: true,
+                collect: false,
+                plan: &plan,
+            };
+            zoo::tiny_vgg(4, 1).forward(x.clone(), &mut ctx).unwrap();
+        }
+        assert_eq!(fcs.len(), 2);
+        for id in fcs {
+            let eb = plan.get(id).expect("every Linear has a plan entry");
+            let a = exact.load(SlotId(id, 0)).unwrap().into_f32().unwrap();
+            let b = lossy.load(SlotId(id, 0)).unwrap().into_f32().unwrap();
+            let worst = a
+                .data()
+                .iter()
+                .zip(b.data())
+                .map(|(p, q)| (p - q).abs())
+                .fold(0.0f32, f32::max);
+            assert!(worst <= eb, "layer {id}: max |x - x̂| {worst} > eb {eb}");
+            assert!(
+                worst > eb / 100.0,
+                "layer {id}: the slot was not stored lossily"
+            );
+        }
     }
 
     #[test]
@@ -536,6 +607,7 @@ mod tests {
 
     #[test]
     fn compression_achieves_memory_reduction() {
+        ebtrain_obs::set_metrics_enabled(true);
         let net = zoo::tiny_alexnet(4, 3);
         let mut trainer = AdaptiveTrainer::new(net, SgdConfig::default(), quick_cfg());
         let data = dataset();
@@ -551,6 +623,14 @@ mod tests {
         );
         assert!(m.compress_nanos > 0);
         assert!(m.decompress_nanos > 0);
+        // The last step's peak, by kind: every float slot of this net is
+        // an encoded conv or FC input, LRN's raw input aside.
+        let last = trainer.history().last().unwrap();
+        assert_eq!(m.peak.total(), last.peak_store_bytes as u64);
+        assert!(m.peak.encoded > 0 && m.peak.bits > 0 && m.peak.float_raw > 0);
+        // (Other tests' trainers set the same process-wide gauges.)
+        assert!(ebtrain_obs::gauge_value("dnn.store.peak.encoded_bytes") > 0);
+        assert!(ebtrain_obs::gauge_value("dnn.store.peak.bits_bytes") > 0);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! "For the purpose of theoretical analysis, we inject the error, rather
 //! than actually compressing and decompressing activation data" — this
-//! module provides exactly that: a store wrapper that perturbs saved conv
-//! activations with the modelled uniform error (Figs 6/8), and a gradient
-//! perturbation for the training-curve sweep (Fig 9).
+//! module provides exactly that: a store wrapper that perturbs the saved
+//! compressible activations (conv and fully connected inputs) with the
+//! modelled uniform error (Figs 6/8), and a gradient perturbation for the
+//! training-curve sweep (Fig 9).
 
-use ebtrain_dnn::layer::{SaveHint, Saved, SlotId};
+use ebtrain_dnn::layer::{LayerKind, SaveHint, Saved, SlotId};
 use ebtrain_dnn::network::Network;
 use ebtrain_dnn::store::{ActivationStore, StoreMetrics};
 use ebtrain_tensor::ops::abs_mean;
@@ -60,7 +61,7 @@ pub fn inject_conv_gradient_noise(net: &mut Network, fraction: f64, seed: u64) -
     let mut rng = StdRng::seed_from_u64(seed);
     let mut touched = 0usize;
     net.visit_layers_mut(&mut |layer| {
-        if layer.conv_stats().is_none() {
+        if layer.kind() != LayerKind::Conv {
             return;
         }
         // params()[0] is the conv weight by construction.
@@ -75,7 +76,7 @@ pub fn inject_conv_gradient_noise(net: &mut Network, fraction: f64, seed: u64) -
 }
 
 /// Store wrapper that injects modelled compression error into compressible
-/// (conv-input) slots instead of compressing them.
+/// (conv- and FC-input) slots instead of compressing them.
 ///
 /// Everything else is delegated to the inner store; byte accounting
 /// reflects raw storage, which is fine — the injection experiments study
@@ -217,6 +218,61 @@ mod tests {
     }
 
     #[test]
+    fn linear_weight_gradient_error_follows_the_exact_clt_model() {
+        // §3.2 for a fully connected layer, measured: dW = dYᵀ·X sums
+        // one loss term per sample (P = 1), so U(−eb, +eb) on the saved
+        // non-zero inputs must show up in dW with the exact-CLT spread.
+        use crate::model::{predict_sigma, predict_sigma_exact, PAPER_A};
+        use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext, Layer};
+        use ebtrain_dnn::layers::Linear;
+        let (n, f, o, eb) = (8usize, 96usize, 12usize, 0.05f32);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut x = Tensor::randn(&[n, f], 1.0, &mut rng);
+        x.data_mut().iter_mut().for_each(|v| *v = v.max(0.0)); // post-ReLU: R ≈ ½
+        let dy = Tensor::randn(&[n, o], 0.3, &mut rng);
+        let plan = CompressionPlan::new();
+        let mut fc = Linear::new(0, "fc", f, o, 9);
+        let dw = |store: &mut dyn ActivationStore, fc: &mut Linear| {
+            fc.params_mut()[0].grad.data_mut().fill(0.0);
+            let mut fctx = ForwardContext {
+                store,
+                training: true,
+                collect: true,
+                plan: &plan,
+            };
+            fc.forward(x.clone(), &mut fctx).unwrap();
+            let mut bctx = BackwardContext {
+                store,
+                collect: true,
+                grad_ready: None,
+            };
+            fc.backward(dy.clone(), &mut bctx).unwrap();
+            fc.params()[0].grad.data().to_vec()
+        };
+        let clean = dw(&mut RawStore::new(), &mut fc);
+        let mut noisy = InjectingStore::new(RawStore::new(), eb, true, 17);
+        let mut errors = Vec::new();
+        for _ in 0..200 {
+            let g = dw(&mut noisy, &mut fc);
+            errors.extend(g.iter().zip(&clean).map(|(a, b)| a - b));
+        }
+        assert_eq!(noisy.injected_slots, 200);
+        let measured = moments(&errors).std;
+        let st = fc.conv_stats().unwrap();
+        let exact = predict_sigma_exact(st.l_rms, n, 1, eb as f64, st.sparsity_r);
+        let paper = predict_sigma(PAPER_A, st.l_bar, n, eb as f64, st.sparsity_r);
+        println!(
+            "linear dW error: measured σ {measured:.4e}, /exact-CLT {:.3}, /paper(a=0.32) {:.3}",
+            measured / exact,
+            measured / paper
+        );
+        assert!(
+            (0.7..=1.4).contains(&(measured / exact)),
+            "measured {measured:.4e} vs exact-CLT {exact:.4e}"
+        );
+    }
+
+    #[test]
     fn conv_gradient_noise_touches_only_convs() {
         use ebtrain_dnn::network::NetworkBuilder;
         let mut b = NetworkBuilder::new("t", &[1, 8, 8], 1);
@@ -231,7 +287,7 @@ mod tests {
                                         // linear grads untouched
         let mut saw_linear_untouched = false;
         net.visit_layers(&mut |layer| {
-            if layer.conv_stats().is_none() && !layer.params().is_empty() {
+            if layer.kind() == LayerKind::Linear {
                 let g = layer.params()[0].grad.data();
                 if g.iter().all(|&v| v == 1.0) {
                     saw_linear_untouched = true;

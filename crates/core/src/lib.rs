@@ -7,9 +7,9 @@
 //! implemented here on top of the `ebtrain-dnn` substrate:
 //!
 //! 1. **Parameter collection** ([`framework`]) — every `W` iterations,
-//!    gather each conv layer's activation sparsity `R`, its mean upstream
-//!    loss magnitude `L̄`, and the mean momentum magnitude `M̄` of its
-//!    weights.
+//!    gather each conv and fully connected layer's activation sparsity
+//!    `R`, its mean upstream loss magnitude `L̄`, and the mean momentum
+//!    magnitude `M̄` of its weights.
 //! 2. **Gradient assessment** ([`model::target_sigma`], Eq. 8) — the
 //!    acceptable gradient-error spread is `σ = 0.01 · M̄`.
 //! 3. **Activation assessment** ([`model::error_bound_for_sigma`],
@@ -18,8 +18,8 @@
 //!    largest safe absolute error bound per layer.
 //! 4. **Adaptive compression** — hand the per-layer bounds to the
 //!    [`CompressedStore`](ebtrain_dnn::CompressedStore) so every conv
-//!    activation is compressed with *its own* bound this phase of
-//!    training.
+//!    and FC input activation is compressed with *its own* bound this
+//!    phase of training.
 //!
 //! [`inject`] reproduces the paper's analysis methodology (§3): inject
 //! modelled errors instead of actually compressing, and watch how they

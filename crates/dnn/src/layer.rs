@@ -20,7 +20,7 @@ pub struct SlotId(pub LayerId, pub u8);
 #[derive(Debug, Clone, Copy)]
 pub struct SaveHint {
     /// True when the slot is a large float activation the framework may
-    /// compress (conv inputs in paper mode).
+    /// compress (the inputs of convolutions and fully connected layers).
     pub compressible: bool,
     /// Absolute error bound chosen by the adaptive controller for this
     /// layer this iteration; `None` falls back to the store default.
@@ -55,17 +55,13 @@ impl SaveHint {
 pub enum Saved {
     /// Dense float tensor (activation data).
     F32(Tensor),
-    /// Bit-packed boolean mask (ReLU sign / dropout mask): 1 bit/element.
+    /// Bit-packed words: a boolean mask at 1 bit/element (ReLU sign,
+    /// dropout) or max-pool window offsets at `⌈log₂ k²⌉` bits/output.
     Bits {
         /// Packed 64-bit words.
         words: Vec<u64>,
         /// Number of valid bits.
         len: usize,
-    },
-    /// Index tensor (max-pool argmax).
-    U32 {
-        /// Flat indices.
-        data: Vec<u32>,
     },
 }
 
@@ -75,7 +71,6 @@ impl Saved {
         match self {
             Saved::F32(t) => t.byte_size(),
             Saved::Bits { words, .. } => words.len() * 8,
-            Saved::U32 { data } => data.len() * 4,
         }
     }
 
@@ -203,8 +198,8 @@ pub type GradReadyFn<'a> = dyn FnMut(&dyn Layer) -> Result<()> + 'a;
 pub struct BackwardContext<'a> {
     /// Store to load saved activations from.
     pub store: &'a mut dyn ActivationStore,
-    /// True on parameter-collection iterations: conv layers refresh their
-    /// upstream-loss statistics (`L̄` of Eq. 6).
+    /// True on parameter-collection iterations: conv and fully connected
+    /// layers refresh their upstream-loss statistics (`L̄` of Eq. 6).
     pub collect: bool,
     /// Invoked right after each layer's `backward` returns, i.e. the
     /// moment that layer's parameter gradients are final for this step.
@@ -267,8 +262,9 @@ pub enum LayerKind {
     Dropout,
 }
 
-/// Statistics a convolutional layer exposes to the adaptive controller
-/// (paper §4.1 "parameter collection").
+/// Statistics a layer whose weight gradient is linear in its saved input
+/// (`Conv2d`, `Linear`) exposes to the adaptive controller (paper §4.1
+/// "parameter collection"). The name predates `Linear` joining the plan.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ConvLayerStats {
     /// Non-zero fraction `R` of the input activation (Eq. 7).
@@ -280,13 +276,47 @@ pub struct ConvLayerStats {
     pub l_rms: f64,
     /// Elements per sample in the input activation.
     pub act_elems_per_sample: usize,
-    /// Output spatial positions per sample (`OH·OW`) — the number of
-    /// loss terms each weight-gradient element sums over per sample.
+    /// Loss terms each weight-gradient element sums over per sample:
+    /// the output spatial positions `OH·OW` of a convolution, 1 for a
+    /// fully connected layer.
     pub out_positions_per_sample: usize,
     /// Batch size observed at the last forward.
     pub batch_size: usize,
     /// Last error bound actually used to compress this layer's input.
     pub last_error_bound: Option<f32>,
+}
+
+impl ConvLayerStats {
+    /// Forward half of a training step: record the input's geometry,
+    /// refresh `R` on collection iterations (every `W`, §4.1), and park
+    /// `x` as a compressible slot under the plan's bound for `id`.
+    pub(crate) fn save_input(&mut self, id: LayerId, x: Tensor, ctx: &mut ForwardContext) {
+        self.batch_size = x.shape()[0];
+        self.act_elems_per_sample = x.len() / self.batch_size.max(1);
+        if ctx.collect {
+            self.sparsity_r = ebtrain_tensor::ops::nonzero_fraction(x.data());
+        }
+        self.last_error_bound = ctx.plan.get(id);
+        ctx.store.save(
+            SlotId(id, 0),
+            Saved::F32(x),
+            SaveHint {
+                compressible: true,
+                error_bound: self.last_error_bound,
+                codec: ctx.plan.codec_for(id),
+            },
+        );
+    }
+
+    /// Backward half of a collection iteration: `L̄` and `L_rms` of the
+    /// loss arriving at the layer, summed over `out_positions` terms per
+    /// sample.
+    pub(crate) fn collect_loss(&mut self, dy: &Tensor, out_positions: usize) {
+        use ebtrain_tensor::ops;
+        self.l_bar = ops::abs_mean(dy.data());
+        self.l_rms = (ops::dot(dy.data(), dy.data()) / dy.len().max(1) as f64).sqrt();
+        self.out_positions_per_sample = out_positions;
+    }
 }
 
 /// The polymorphic layer interface.
@@ -321,7 +351,10 @@ pub trait Layer: Send {
     fn params(&self) -> Vec<&Param> {
         Vec::new()
     }
-    /// Collected statistics, for conv layers only.
+    /// Collected controller statistics, for the layers whose weight
+    /// gradient is linear in the saved input (`Conv2d`, `Linear`) — the
+    /// ones the adaptive plan bounds. Not a layer-kind test: use
+    /// [`kind`](Layer::kind) for that.
     fn conv_stats(&self) -> Option<ConvLayerStats> {
         None
     }
@@ -425,6 +458,6 @@ mod tests {
     fn saved_into_f32_type_checks() {
         let t = Tensor::zeros(&[2, 2]);
         assert!(Saved::F32(t).into_f32().is_ok());
-        assert!(Saved::U32 { data: vec![1] }.into_f32().is_err());
+        assert!(pack_bits(&[1.0], |v| v > 0.0).into_f32().is_err());
     }
 }

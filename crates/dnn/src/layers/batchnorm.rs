@@ -22,8 +22,6 @@ pub struct BatchNorm2d {
     /// Batch statistics captured at forward for backward.
     batch_mean: Vec<f64>,
     batch_var: Vec<f64>,
-    /// Compress the saved input (extension; off in paper mode).
-    compress_input: bool,
 }
 
 impl BatchNorm2d {
@@ -41,14 +39,7 @@ impl BatchNorm2d {
             running_var: vec![1.0; channels],
             batch_mean: vec![0.0; channels],
             batch_var: vec![1.0; channels],
-            compress_input: false,
         }
-    }
-
-    /// Opt this layer's saved input into lossy compression.
-    pub fn with_compressed_input(mut self) -> BatchNorm2d {
-        self.compress_input = true;
-        self
     }
 }
 
@@ -118,20 +109,10 @@ impl Layer for BatchNorm2d {
             }
         }
         if ctx.training {
-            let eb = if self.compress_input {
-                ctx.plan.get(self.id)
-            } else {
-                None
-            };
-            ctx.store.save(
-                SlotId(self.id, 0),
-                Saved::F32(x),
-                SaveHint {
-                    compressible: self.compress_input,
-                    error_bound: eb,
-                    codec: ctx.plan.codec_for(self.id),
-                },
-            );
+            // The gradient is not linear in the saved input, so the §3.2
+            // propagation argument does not cover it: the input stays raw.
+            ctx.store
+                .save(SlotId(self.id, 0), Saved::F32(x), SaveHint::raw());
         }
         Ok(y)
     }

@@ -1,5 +1,6 @@
-//! 2-D convolution — the layer class whose input activations the paper's
-//! framework compresses.
+//! 2-D convolution — the layer class the paper's framework was built
+//! around, and with [`Linear`](super::Linear) one of the two whose saved
+//! inputs it compresses.
 //!
 //! Data dependencies (paper Fig 4): the weight gradient needs the forward
 //! input activation (`dW = dY ⋆ X`), so the input is parked in the
@@ -10,11 +11,9 @@
 //! observation that makes the paper's §3.2 analysis tractable.
 
 use crate::layer::{
-    BackwardContext, ConvLayerStats, ForwardContext, Layer, LayerId, LayerKind, Param, SaveHint,
-    SlotId,
+    BackwardContext, ConvLayerStats, ForwardContext, Layer, LayerId, LayerKind, Param, SlotId,
 };
 use crate::{DnnError, Result};
-use ebtrain_tensor::ops;
 use ebtrain_tensor::{col2im, gemm_nn, gemm_nt, gemm_tn, im2col, Conv2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -156,37 +155,15 @@ impl Layer for Conv2d {
 
         if ctx.training {
             self.in_shape = x.shape().to_vec();
-            self.stats.batch_size = n;
-            self.stats.act_elems_per_sample = in_plane;
-            if ctx.collect {
-                // R of Eq. 7, refreshed every W iterations (§4.1).
-                self.stats.sparsity_r = ops::nonzero_fraction(x.data());
-            }
-            let eb = ctx.plan.get(self.id);
-            self.stats.last_error_bound = eb;
-            ctx.store.save(
-                SlotId(self.id, 0),
-                crate::layer::Saved::F32(x),
-                SaveHint {
-                    compressible: true,
-                    error_bound: eb,
-                    codec: ctx.plan.codec_for(self.id),
-                },
-            );
+            self.stats.save_input(self.id, x, ctx);
         }
         Ok(y)
     }
 
     fn backward(&mut self, dy: Tensor, ctx: &mut BackwardContext) -> Result<Tensor> {
         if ctx.collect {
-            // L̄ of Eq. 6: mean |loss| arriving at this layer; the RMS
-            // feeds the exact-CLT variant of the propagation model.
-            self.stats.l_bar = ops::abs_mean(dy.data());
-            let mean_sq = ops::dot(dy.data(), dy.data()) / dy.len().max(1) as f64;
-            self.stats.l_rms = mean_sq.sqrt();
-            let (n_b, _, oh_b, ow_b) = dy.dims4();
-            self.stats.out_positions_per_sample = oh_b * ow_b;
-            debug_assert_eq!(n_b, self.stats.batch_size);
+            let (_, _, oh_b, ow_b) = dy.dims4();
+            self.stats.collect_loss(&dy, oh_b * ow_b);
         }
         let x = ctx.store.load(SlotId(self.id, 0))?.into_f32()?;
         x.expect_shape(&self.in_shape)?;

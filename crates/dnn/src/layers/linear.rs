@@ -1,7 +1,12 @@
 //! Fully connected layer (flattens its input per sample).
+//!
+//! `dW = dYᵀ·X` is linear in the saved input, so the input is parked as a
+//! compressible slot under the controller's bound exactly like a
+//! convolution's — the paper's §3.2 propagation analysis with one loss
+//! term per sample.
 
 use crate::layer::{
-    BackwardContext, ForwardContext, Layer, LayerId, LayerKind, Param, SaveHint, Saved, SlotId,
+    BackwardContext, ConvLayerStats, ForwardContext, Layer, LayerId, LayerKind, Param, SlotId,
 };
 use crate::{DnnError, Result};
 use ebtrain_tensor::{gemm_nn, gemm_nt, gemm_tn, Tensor};
@@ -16,9 +21,7 @@ pub struct Linear {
     out_features: usize,
     weight: Param,
     bias: Param,
-    /// Compress the saved input like a conv activation. Off by default —
-    /// the paper's framework targets convolutional layers only (§2.1).
-    compress_input: bool,
+    stats: ConvLayerStats,
     in_shape: Vec<usize>,
 }
 
@@ -43,16 +46,9 @@ impl Linear {
                 true,
             ),
             bias: Param::new(Tensor::zeros(&[out_features]), false),
-            compress_input: false,
+            stats: ConvLayerStats::default(),
             in_shape: Vec::new(),
         }
-    }
-
-    /// Opt this layer's saved input into lossy compression (extension
-    /// beyond the paper's conv-only default).
-    pub fn with_compressed_input(mut self) -> Linear {
-        self.compress_input = true;
-        self
     }
 }
 
@@ -104,25 +100,15 @@ impl Layer for Linear {
         }
         if ctx.training {
             self.in_shape = x.shape().to_vec();
-            let eb = if self.compress_input {
-                ctx.plan.get(self.id)
-            } else {
-                None
-            };
-            ctx.store.save(
-                SlotId(self.id, 0),
-                Saved::F32(x),
-                SaveHint {
-                    compressible: self.compress_input,
-                    error_bound: eb,
-                    codec: ctx.plan.codec_for(self.id),
-                },
-            );
+            self.stats.save_input(self.id, x, ctx);
         }
         Ok(y)
     }
 
     fn backward(&mut self, dy: Tensor, ctx: &mut BackwardContext) -> Result<Tensor> {
+        if ctx.collect {
+            self.stats.collect_loss(&dy, 1);
+        }
         let x = ctx.store.load(SlotId(self.id, 0))?.into_f32()?;
         let n = x.shape()[0];
         let f = self.in_features;
@@ -150,12 +136,16 @@ impl Layer for Linear {
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
+
+    fn conv_stats(&self) -> Option<ConvLayerStats> {
+        Some(self.stats)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::CompressionPlan;
+    use crate::layer::{CompressionPlan, SaveHint, Saved};
     use crate::store::{ActivationStore, RawStore};
 
     fn contexts() -> (RawStore, CompressionPlan) {
@@ -254,28 +244,53 @@ mod tests {
     }
 
     #[test]
-    fn input_saved_raw_by_default_compressible_when_opted_in() {
-        let (mut store, plan) = contexts();
-        let x = Tensor::zeros(&[2, 8]);
-        let mut fc = Linear::new(0, "fc", 8, 4, 1);
+    fn input_is_saved_compressible_under_the_plan_bound() {
+        use crate::store::CompressedStore;
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut x = Tensor::randn(&[4, 64], 1.0, &mut rng);
+        for v in x.data_mut().iter_mut().step_by(2) {
+            *v = 0.0;
+        }
+        let mut fc = Linear::new(5, "fc", 64, 4, 1);
+        let mut plan = CompressionPlan::new();
+        plan.set(5, 0.05);
+        let mut store = CompressedStore::new(ebtrain_sz::SzConfig::with_error_bound(1e-6));
         let mut ctx = ForwardContext {
             store: &mut store,
             training: true,
-            collect: false,
+            collect: true,
             plan: &plan,
         };
-        fc.forward(x.clone(), &mut ctx).unwrap();
-        assert_eq!(store.metrics().compressible_raw_bytes, 0);
+        let y = fc.forward(x.clone(), &mut ctx).unwrap();
+        assert_eq!(
+            store.metrics().compressible_raw_bytes,
+            x.byte_size() as u64,
+            "the whole input is a compressible slot"
+        );
+        // The slot comes back within the plan's bound, not the store's 1e-6.
+        let back = store.load(SlotId(5, 0)).unwrap().into_f32().unwrap();
+        let worst = x
+            .data()
+            .iter()
+            .zip(back.data())
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f32, f32::max);
+        assert!(worst <= 0.05 && worst > 1e-4, "max |x - x̂| = {worst}");
+        store.save(SlotId(5, 0), Saved::F32(back), SaveHint::raw());
 
-        let (mut store2, plan2) = contexts();
-        let mut fc2 = Linear::new(0, "fc", 8, 4, 1).with_compressed_input();
-        let mut ctx2 = ForwardContext {
-            store: &mut store2,
-            training: true,
-            collect: false,
-            plan: &plan2,
+        let mut bctx = BackwardContext {
+            store: &mut store,
+            collect: true,
+            grad_ready: None,
         };
-        fc2.forward(x, &mut ctx2).unwrap();
-        assert!(store2.metrics().compressible_raw_bytes > 0);
+        fc.backward(Tensor::full(y.shape(), -0.5), &mut bctx)
+            .unwrap();
+        // The statistics the controller bounds a convolution with.
+        let stats = fc.conv_stats().unwrap();
+        assert_eq!(stats.last_error_bound, Some(0.05));
+        assert_eq!((stats.batch_size, stats.act_elems_per_sample), (4, 64));
+        assert_eq!(stats.out_positions_per_sample, 1);
+        assert!((stats.sparsity_r - 0.5).abs() < 1e-9);
+        assert!((stats.l_bar - 0.5).abs() < 1e-6 && (stats.l_rms - 0.5).abs() < 1e-6);
     }
 }

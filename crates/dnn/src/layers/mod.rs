@@ -2,10 +2,13 @@
 //!
 //! Each layer follows the same discipline: forward consumes its input,
 //! parks whatever backward will need in the [`ActivationStore`], and
-//! backward loads it back. Conv inputs are saved with
-//! `compressible = true` — the tensors the paper's framework compresses;
-//! everything else is saved in compact raw form (bit-packed masks, index
-//! arrays, small per-channel vectors).
+//! backward loads it back. The inputs of `Conv2d` and `Linear` — the
+//! layers whose weight gradient is linear in the saved input, the case
+//! the paper's error-propagation analysis covers — are saved with
+//! `compressible = true` under the controller's per-layer bound;
+//! everything else is saved in compact exact form (bit-packed masks,
+//! max-pool window offsets at `⌈log₂ k²⌉` bits per output, raw
+//! batch-norm/LRN inputs).
 //!
 //! [`ActivationStore`]: crate::store::ActivationStore
 

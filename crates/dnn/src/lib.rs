@@ -16,7 +16,9 @@
 //!   activation** (`dW = dY ⋆ X`), while the loss propagated to the
 //!   previous layer needs only the weights (`dX = W ⋆ dY`) — which is why
 //!   compressing activations perturbs `dW` but not the backward chain
-//!   itself, the observation the paper's §3.2 error analysis starts from;
+//!   itself, the observation the paper's §3.2 error analysis starts from
+//!   (a fully connected layer's `dW = dYᵀ·X` is the same case with one
+//!   loss term per sample, so its input is compressed the same way);
 //! * SGD-with-momentum keeps a per-parameter momentum buffer whose mean
 //!   magnitude is the `M̄` statistic of the paper's Eq. 8.
 //!

@@ -1,7 +1,7 @@
 //! Network container: a tree of layers with residual blocks, plus the
 //! shape-tracking builder the model zoo uses.
 
-use crate::layer::{BackwardContext, ForwardContext, Layer, LayerId, Param};
+use crate::layer::{BackwardContext, ForwardContext, Layer, LayerId, LayerKind, Param};
 use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Dropout, Linear, Lrn, MaxPool2d, ReLU};
 use crate::{DnnError, Result};
 use ebtrain_tensor::ops::axpy;
@@ -161,7 +161,7 @@ impl Network {
     pub fn conv_layer_ids(&self) -> Vec<LayerId> {
         let mut ids = Vec::new();
         self.visit_layers(&mut |layer| {
-            if layer.conv_stats().is_some() {
+            if layer.kind() == LayerKind::Conv {
                 ids.push(layer.id());
             }
         });

@@ -30,6 +30,49 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Resident store bytes split by what a slot is held as.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlotBytes {
+    /// Codec streams: compressible float slots after encoding.
+    pub encoded: u64,
+    /// Float tensors held as raw f32.
+    pub float_raw: u64,
+    /// Bit-packed slots: ReLU/dropout masks and pool window offsets.
+    pub bits: u64,
+}
+
+impl SlotBytes {
+    /// Sum over the kinds.
+    pub fn total(&self) -> u64 {
+        self.encoded + self.float_raw + self.bits
+    }
+
+    fn of(&mut self, kind: SlotKind) -> &mut u64 {
+        match kind {
+            SlotKind::Encoded => &mut self.encoded,
+            SlotKind::FloatRaw => &mut self.float_raw,
+            SlotKind::Bits => &mut self.bits,
+        }
+    }
+}
+
+/// Which [`SlotBytes`] field a resident slot counts under.
+#[derive(Debug, Clone, Copy)]
+enum SlotKind {
+    Encoded,
+    FloatRaw,
+    Bits,
+}
+
+impl SlotKind {
+    fn of_raw(value: &Saved) -> SlotKind {
+        match value {
+            Saved::F32(_) => SlotKind::FloatRaw,
+            Saved::Bits { .. } => SlotKind::Bits,
+        }
+    }
+}
+
 /// Cumulative store metrics (reset with
 /// [`ActivationStore::reset_metrics`]).
 #[derive(Debug, Clone, Default)]
@@ -38,7 +81,7 @@ pub struct StoreMetrics {
     pub raw_bytes_saved: u64,
     /// Bytes actually held after the store's transformation.
     pub stored_bytes_saved: u64,
-    /// Raw bytes of *compressible* slots only (conv activations).
+    /// Raw bytes of *compressible* slots only (conv and FC inputs).
     pub compressible_raw_bytes: u64,
     /// Stored bytes of compressible slots only.
     pub compressible_stored_bytes: u64,
@@ -50,6 +93,14 @@ pub struct StoreMetrics {
     pub simulated_transfer_nanos: u64,
     /// Per-layer raw/stored byte totals for compressible slots.
     pub per_layer: HashMap<LayerId, (u64, u64)>,
+    /// What the resident bytes were made of right after the save that
+    /// last raised [`peak_bytes`](ActivationStore::peak_bytes). Follows
+    /// the peak, not the counters: reset by
+    /// [`reset_peak`](ActivationStore::reset_peak), kept by
+    /// [`reset_metrics`](ActivationStore::reset_metrics). Sums to the peak
+    /// except under [`BudgetedStore`], whose arena can also peak inside
+    /// an insert or a prefetch.
+    pub peak: SlotBytes,
 }
 
 impl StoreMetrics {
@@ -106,15 +157,30 @@ pub trait ActivationStore {
 /// Byte accounting shared by the store impls.
 #[derive(Debug, Default)]
 struct Accountant {
-    current: usize,
+    /// Resident bytes by kind; `metrics.peak` is its value at the peak.
+    live: SlotBytes,
     peak: usize,
     metrics: StoreMetrics,
 }
 
 impl Accountant {
-    fn on_save(&mut self, slot: SlotId, raw: usize, stored: usize, compressible: bool) {
-        self.current += stored;
-        self.peak = self.peak.max(self.current);
+    fn current(&self) -> usize {
+        self.live.total() as usize
+    }
+
+    fn on_save(
+        &mut self,
+        slot: SlotId,
+        raw: usize,
+        stored: usize,
+        kind: SlotKind,
+        compressible: bool,
+    ) {
+        *self.live.of(kind) += stored as u64;
+        if self.current() > self.peak {
+            self.peak = self.current();
+            self.metrics.peak = self.live;
+        }
         self.metrics.raw_bytes_saved += raw as u64;
         self.metrics.stored_bytes_saved += stored as u64;
         if compressible {
@@ -126,8 +192,21 @@ impl Accountant {
         }
     }
 
-    fn on_load(&mut self, stored: usize) {
-        self.current = self.current.saturating_sub(stored);
+    fn on_load(&mut self, stored: usize, kind: SlotKind) {
+        let bytes = self.live.of(kind);
+        *bytes = bytes.saturating_sub(stored as u64);
+    }
+
+    fn reset_peak(&mut self) {
+        self.peak = self.current();
+        self.metrics.peak = self.live;
+    }
+
+    fn reset_metrics(&mut self) {
+        self.metrics = StoreMetrics {
+            peak: self.metrics.peak,
+            ..StoreMetrics::default()
+        };
     }
 }
 
@@ -174,30 +253,36 @@ impl RawStore {
 impl ActivationStore for RawStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
         let bytes = value.byte_size();
-        self.acc.on_save(slot, bytes, bytes, hint.compressible);
+        self.acc.on_save(
+            slot,
+            bytes,
+            bytes,
+            SlotKind::of_raw(&value),
+            hint.compressible,
+        );
         self.slots.insert(slot, value);
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
         let v = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size());
+        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
         Ok(v)
     }
 
     fn current_bytes(&self) -> usize {
-        self.acc.current
+        self.acc.current()
     }
     fn peak_bytes(&self) -> usize {
         self.acc.peak
     }
     fn reset_peak(&mut self) {
-        self.acc.peak = self.acc.current;
+        self.acc.reset_peak();
     }
     fn metrics(&self) -> StoreMetrics {
         self.acc.metrics.clone()
     }
     fn reset_metrics(&mut self) {
-        self.acc.metrics = StoreMetrics::default();
+        self.acc.reset_metrics();
     }
 }
 
@@ -217,6 +302,36 @@ impl CompressedEntry {
         match self {
             CompressedEntry::Raw(s) => s.byte_size(),
             CompressedEntry::Encoded { stream, .. } => stream.compressed_byte_len(),
+        }
+    }
+
+    fn kind(&self) -> SlotKind {
+        match self {
+            CompressedEntry::Raw(s) => SlotKind::of_raw(s),
+            CompressedEntry::Encoded { .. } => SlotKind::Encoded,
+        }
+    }
+
+    /// Enter the store: account the bytes under the entry's kind.
+    fn record_save(&self, acc: &mut Accountant, slot: SlotId, raw: usize, compressible: bool) {
+        acc.on_save(slot, raw, self.stored_bytes(), self.kind(), compressible);
+    }
+
+    /// Leave the store: release the accounted bytes, decode if encoded.
+    fn into_saved(self, acc: &mut Accountant) -> Result<Saved> {
+        acc.on_load(self.stored_bytes(), self.kind());
+        match self {
+            CompressedEntry::Raw(s) => Ok(s),
+            CompressedEntry::Encoded {
+                stream,
+                shape,
+                codec,
+            } => {
+                let t0 = Instant::now();
+                let data = codec.decompress(&stream)?;
+                acc.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
+                Ok(Saved::F32(Tensor::from_vec(&shape, data)?))
+            }
         }
     }
 }
@@ -318,67 +433,36 @@ impl ActivationStore for CompressedStore {
             }
             other => CompressedEntry::Raw(other),
         };
-        self.acc
-            .on_save(slot, raw_bytes, entry.stored_bytes(), hint.compressible);
+        entry.record_save(&mut self.acc, slot, raw_bytes, hint.compressible);
         self.slots.insert(slot, entry);
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
         let entry = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(entry.stored_bytes());
-        match entry {
-            CompressedEntry::Raw(s) => Ok(s),
-            CompressedEntry::Encoded {
-                stream,
-                shape,
-                codec,
-            } => {
-                let t0 = Instant::now();
-                let data = codec.decompress(&stream)?;
-                self.acc.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-                Ok(Saved::F32(Tensor::from_vec(&shape, data)?))
-            }
-        }
+        entry.into_saved(&mut self.acc)
     }
 
     fn current_bytes(&self) -> usize {
-        self.acc.current
+        self.acc.current()
     }
     fn peak_bytes(&self) -> usize {
         self.acc.peak
     }
     fn reset_peak(&mut self) {
-        self.acc.peak = self.acc.current;
+        self.acc.reset_peak();
     }
     fn metrics(&self) -> StoreMetrics {
         self.acc.metrics.clone()
     }
     fn reset_metrics(&mut self) {
-        self.acc.metrics = StoreMetrics::default();
-    }
-}
-
-enum LosslessEntry {
-    Raw(Saved),
-    Packed {
-        stream: TaggedStream,
-        shape: Vec<usize>,
-    },
-}
-
-impl LosslessEntry {
-    fn stored_bytes(&self) -> usize {
-        match self {
-            LosslessEntry::Raw(s) => s.byte_size(),
-            LosslessEntry::Packed { stream, .. } => stream.compressed_byte_len(),
-        }
+        self.acc.reset_metrics();
     }
 }
 
 /// Lossless comparator policy (§5.3 "within 2×" class), routed through
 /// the [`LosslessCodec`] backend.
 pub struct LosslessStore {
-    slots: HashMap<SlotId, LosslessEntry>,
+    slots: HashMap<SlotId, CompressedEntry>,
     acc: Accountant,
     codec: Arc<dyn Codec>,
 }
@@ -410,49 +494,40 @@ impl ActivationStore for LosslessStore {
                 match self.codec.compress(t.data(), layout, &BoundSpec::Lossless) {
                     Ok(stream) => {
                         self.acc.metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
-                        LosslessEntry::Packed {
+                        CompressedEntry::Encoded {
                             stream,
                             shape: t.shape().to_vec(),
+                            codec: Arc::clone(&self.codec),
                         }
                     }
-                    Err(_) => LosslessEntry::Raw(Saved::F32(t)),
+                    Err(_) => CompressedEntry::Raw(Saved::F32(t)),
                 }
             }
-            other => LosslessEntry::Raw(other),
+            other => CompressedEntry::Raw(other),
         };
-        self.acc
-            .on_save(slot, raw_bytes, entry.stored_bytes(), hint.compressible);
+        entry.record_save(&mut self.acc, slot, raw_bytes, hint.compressible);
         self.slots.insert(slot, entry);
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
         let entry = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(entry.stored_bytes());
-        match entry {
-            LosslessEntry::Raw(s) => Ok(s),
-            LosslessEntry::Packed { stream, shape } => {
-                let t0 = Instant::now();
-                let data = self.codec.decompress(&stream)?;
-                self.acc.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-                Ok(Saved::F32(Tensor::from_vec(&shape, data)?))
-            }
-        }
+        entry.into_saved(&mut self.acc)
     }
 
     fn current_bytes(&self) -> usize {
-        self.acc.current
+        self.acc.current()
     }
     fn peak_bytes(&self) -> usize {
         self.acc.peak
     }
     fn reset_peak(&mut self) {
-        self.acc.peak = self.acc.current;
+        self.acc.reset_peak();
     }
     fn metrics(&self) -> StoreMetrics {
         self.acc.metrics.clone()
     }
     fn reset_metrics(&mut self) {
-        self.acc.metrics = StoreMetrics::default();
+        self.acc.reset_metrics();
     }
 }
 
@@ -496,13 +571,14 @@ impl MigratedStore {
 impl ActivationStore for MigratedStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
         let raw = value.byte_size();
+        let kind = SlotKind::of_raw(&value);
         if hint.compressible {
             // Ships to host: zero device residency, transfer time charged.
             self.charge_transfer(raw);
-            self.acc.on_save(slot, raw, 0, true);
+            self.acc.on_save(slot, raw, 0, kind, true);
             self.host.insert(slot, value);
         } else {
-            self.acc.on_save(slot, raw, raw, false);
+            self.acc.on_save(slot, raw, raw, kind, false);
             self.device.insert(slot, value);
         }
     }
@@ -513,24 +589,24 @@ impl ActivationStore for MigratedStore {
             return Ok(v);
         }
         let v = self.device.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size());
+        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
         Ok(v)
     }
 
     fn current_bytes(&self) -> usize {
-        self.acc.current
+        self.acc.current()
     }
     fn peak_bytes(&self) -> usize {
         self.acc.peak
     }
     fn reset_peak(&mut self) {
-        self.acc.peak = self.acc.current;
+        self.acc.reset_peak();
     }
     fn metrics(&self) -> StoreMetrics {
         self.acc.metrics.clone()
     }
     fn reset_metrics(&mut self) {
-        self.acc.metrics = StoreMetrics::default();
+        self.acc.reset_metrics();
     }
 }
 
@@ -601,19 +677,20 @@ impl ActivationStore for HybridStore {
                         self.charge_transfer(stream.compressed_byte_len());
                         // Accountant: compressed size recorded for the
                         // ratio metrics, but device residency is zero.
-                        self.acc
-                            .on_save(slot, raw, stream.compressed_byte_len(), true);
-                        self.acc.current -= stream.compressed_byte_len();
+                        let stored = stream.compressed_byte_len();
+                        self.acc.on_save(slot, raw, stored, SlotKind::Encoded, true);
+                        self.acc.on_load(stored, SlotKind::Encoded);
                         self.host.insert(slot, (stream, t.shape().to_vec(), codec));
                     }
                     Err(_) => {
-                        self.acc.on_save(slot, raw, raw, true);
+                        self.acc.on_save(slot, raw, raw, SlotKind::FloatRaw, true);
                         self.device.insert(slot, Saved::F32(t));
                     }
                 }
             }
             other => {
-                self.acc.on_save(slot, raw, raw, hint.compressible);
+                let kind = SlotKind::of_raw(&other);
+                self.acc.on_save(slot, raw, raw, kind, hint.compressible);
                 self.device.insert(slot, other);
             }
         }
@@ -628,24 +705,24 @@ impl ActivationStore for HybridStore {
             return Ok(Saved::F32(Tensor::from_vec(&shape, data)?));
         }
         let v = self.device.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size());
+        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
         Ok(v)
     }
 
     fn current_bytes(&self) -> usize {
-        self.acc.current
+        self.acc.current()
     }
     fn peak_bytes(&self) -> usize {
         self.acc.peak
     }
     fn reset_peak(&mut self) {
-        self.acc.peak = self.acc.current;
+        self.acc.reset_peak();
     }
     fn metrics(&self) -> StoreMetrics {
         self.acc.metrics.clone()
     }
     fn reset_metrics(&mut self) {
-        self.acc.metrics = StoreMetrics::default();
+        self.acc.reset_metrics();
     }
 }
 
@@ -654,10 +731,8 @@ enum SavedMeta {
     /// Dense tensor (arena `F32` payload when compressible, opaque bytes
     /// when not — non-compressible floats must stay bit-exact).
     F32 { shape: Vec<usize> },
-    /// Bit-packed mask (arena bytes).
+    /// Bit-packed mask or pool window offsets (arena bytes).
     Bits { len: usize },
-    /// Index tensor (arena bytes).
-    U32,
 }
 
 /// Phase of the training step the store believes it is in (drives when
@@ -682,7 +757,7 @@ enum StorePhase {
 /// while the caller runs the current layer's gradient kernel). See
 /// `DESIGN.md` §6.
 ///
-/// Non-compressible saves (bit masks, argmax indices, float slots the
+/// Non-compressible saves (bit masks, pool window offsets, float slots the
 /// layer marked raw) are stored as opaque bytes: they obey the budget
 /// and can migrate to host, but are never lossy-compressed.
 pub struct BudgetedStore {
@@ -798,7 +873,25 @@ impl BudgetedStore {
         self.phase = StorePhase::Saving;
     }
 
+    /// Arena residency by slot kind: warm float slots are codec streams,
+    /// hot ones and raw-hinted floats are f32, the rest is bit-packed.
+    fn resident_by_kind(&self) -> SlotBytes {
+        let mut out = SlotBytes::default();
+        for (&slot, meta) in &self.meta {
+            let kind = match (meta, self.arena.tier_of(slot)) {
+                (SavedMeta::Bits { .. }, _) => SlotKind::Bits,
+                (SavedMeta::F32 { .. }, Some(BudgetTier::Warm)) => SlotKind::Encoded,
+                (SavedMeta::F32 { .. }, _) => SlotKind::FloatRaw,
+            };
+            *out.of(kind) += self.arena.resident_of(slot).unwrap_or(0) as u64;
+        }
+        out
+    }
+
     fn record_save(&mut self, slot: SlotId, raw: usize, stored: usize, compressible: bool) {
+        if self.arena.resident_bytes() as u64 > self.metrics.peak.total() {
+            self.metrics.peak = self.resident_by_kind();
+        }
         self.metrics.raw_bytes_saved += raw as u64;
         self.metrics.stored_bytes_saved += stored as u64;
         if compressible {
@@ -879,21 +972,6 @@ fn bytes_to_words(bytes: &[u8]) -> Vec<u64> {
         .collect()
 }
 
-fn u32s_to_bytes(data: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
-}
-
 impl ActivationStore for BudgetedStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
         if self.phase == StorePhase::Loading {
@@ -938,10 +1016,6 @@ impl ActivationStore for BudgetedStore {
                 self.meta.insert(slot, SavedMeta::Bits { len });
                 self.arena.insert_bytes(slot, words_to_bytes(&words))
             }
-            Saved::U32 { data } => {
-                self.meta.insert(slot, SavedMeta::U32);
-                self.arena.insert_bytes(slot, u32s_to_bytes(&data))
-            }
         };
         let stored = self.arena.resident_of(slot).unwrap_or(0);
         self.record_save(slot, raw, stored, compressible);
@@ -980,9 +1054,6 @@ impl ActivationStore for BudgetedStore {
                 words: bytes_to_words(&bytes),
                 len,
             }),
-            (SavedMeta::U32, Fetched::Bytes(bytes)) => Ok(Saved::U32 {
-                data: bytes_to_u32s(&bytes),
-            }),
             _ => Err(DnnError::State(format!(
                 "budgeted store payload/metadata mismatch for slot {slot:?}"
             ))),
@@ -999,6 +1070,7 @@ impl ActivationStore for BudgetedStore {
 
     fn reset_peak(&mut self) {
         self.arena.reset_peak();
+        self.metrics.peak = self.resident_by_kind();
     }
 
     fn metrics(&self) -> StoreMetrics {
@@ -1019,7 +1091,10 @@ impl ActivationStore for BudgetedStore {
     }
 
     fn reset_metrics(&mut self) {
-        self.metrics = StoreMetrics::default();
+        self.metrics = StoreMetrics {
+            peak: self.metrics.peak,
+            ..StoreMetrics::default()
+        };
         self.live_stored.clear();
         self.arena.reset_metrics();
     }
@@ -1343,6 +1418,58 @@ mod tests {
         assert!(s.metrics().raw_bytes_saved > 0);
         s.reset_metrics();
         assert_eq!(s.metrics().raw_bytes_saved, 0);
+    }
+
+    #[test]
+    fn peak_composition_follows_the_peak_by_slot_kind() {
+        let t = act_tensor();
+        let raw = t.byte_size() as u64;
+        let mask = crate::layer::pack_bits(t.data(), |v| v > 0.5);
+        let mask_bytes = mask.byte_size() as u64;
+
+        let mut s = CompressedStore::new(SzConfig::with_error_bound(1e-3));
+        s.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
+        let encoded = s.current_bytes() as u64;
+        s.save(SlotId(1, 0), Saved::F32(t.clone()), SaveHint::raw());
+        s.save(SlotId(2, 0), mask.clone(), SaveHint::raw());
+        let at_peak = SlotBytes {
+            encoded,
+            float_raw: raw,
+            bits: mask_bytes,
+        };
+        assert_eq!(s.metrics().peak, at_peak);
+        assert_eq!(at_peak.total(), s.peak_bytes() as u64);
+        // It follows the high-water mark, not the counters or the level.
+        let _ = s.load(SlotId(1, 0)).unwrap();
+        s.reset_metrics();
+        assert_eq!(s.metrics().peak, at_peak);
+        assert_eq!(s.metrics().raw_bytes_saved, 0);
+        s.reset_peak();
+        assert_eq!(
+            s.metrics().peak,
+            SlotBytes {
+                float_raw: 0,
+                ..at_peak
+            }
+        );
+
+        // Budgeted: the second save demotes the first to a codec stream.
+        let mut b = BudgetedStore::with_budget((raw + raw / 2) as usize);
+        b.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
+        assert_eq!(
+            b.metrics().peak,
+            SlotBytes {
+                float_raw: raw,
+                ..SlotBytes::default()
+            }
+        );
+        b.save(SlotId(1, 0), Saved::F32(t.clone()), compressible());
+        b.save(SlotId(2, 0), mask, SaveHint::raw());
+        let peak = b.metrics().peak;
+        assert!(peak.encoded > 0 && peak.encoded < raw, "{peak:?}");
+        assert_eq!((peak.float_raw, peak.bits), (raw, mask_bytes));
+        assert_eq!(peak.total(), b.current_bytes() as u64);
+        assert!(peak.total() <= b.peak_bytes() as u64);
     }
 
     #[test]

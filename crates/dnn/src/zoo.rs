@@ -213,7 +213,7 @@ pub const PAPER_NETWORKS: [&str; 4] = ["alexnet", "vgg16", "resnet18", "resnet50
 mod tests {
     use super::*;
     use crate::layer::{CompressionPlan, ForwardContext};
-    use crate::store::NullStore;
+    use crate::store::{ActivationStore, NullStore, RawStore, SlotBytes};
     use ebtrain_tensor::Tensor;
 
     #[test]
@@ -260,6 +260,35 @@ mod tests {
             let y = net.forward(x, &mut ctx).unwrap();
             assert_eq!(y.shape(), &[2, 10], "{name}");
         }
+    }
+
+    #[test]
+    fn tiny_vgg_batch8_raw_store_peak_is_pinned() {
+        // The baseline of the benchmark's `mem_saving_x`: a slot-size
+        // regression must fail here, not only there. Six conv inputs
+        // (1,212,416 B) and two FC inputs (36,864 B) as f32; eight
+        // ReLU/dropout masks at 1 bit (57,600 B) and three 2×2 pools'
+        // offsets at 2 bits per output (14,336 B).
+        let mut net = tiny_vgg(4, 1);
+        let plan = CompressionPlan::new();
+        let mut store = RawStore::new();
+        let mut ctx = ForwardContext {
+            store: &mut store,
+            training: true,
+            collect: false,
+            plan: &plan,
+        };
+        net.forward(Tensor::zeros(&[8, 3, 32, 32]), &mut ctx)
+            .unwrap();
+        assert_eq!(store.peak_bytes(), 1_321_216);
+        assert_eq!(
+            store.metrics().peak,
+            SlotBytes {
+                encoded: 0,
+                float_raw: 1_212_416 + 36_864,
+                bits: 57_600 + 14_336,
+            }
+        );
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn main() {
         let r = trainer.step(x, &labels).expect("train step");
         if (i + 1) % 10 == 0 {
             println!(
-                "iter {:>3}: loss {:.3}, batch acc {:.2}, conv activations compressed {:.1}x",
+                "iter {:>3}: loss {:.3}, batch acc {:.2}, conv+FC inputs compressed {:.1}x",
                 r.iter + 1,
                 r.loss,
                 r.accuracy,
@@ -63,7 +63,7 @@ fn main() {
     }
     let m = trainer.store_metrics();
     println!(
-        "overall: conv activation memory {:.1}x smaller ({} KB raw -> {} KB stored)",
+        "overall: conv+FC input memory {:.1}x smaller ({} KB raw -> {} KB stored)",
         m.compressible_ratio(),
         m.compressible_raw_bytes / 1024,
         m.compressible_stored_bytes / 1024,

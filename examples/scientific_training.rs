@@ -54,7 +54,7 @@ fn main() {
         let r = trainer.step(x, &labels).expect("step");
         if (i + 1) % 20 == 0 {
             println!(
-                "  iter {:>3}: loss {:.3}, batch acc {:.2}, conv activations {:.1}x smaller",
+                "  iter {:>3}: loss {:.3}, batch acc {:.2}, conv+FC inputs {:.1}x smaller",
                 i + 1,
                 r.loss,
                 r.accuracy,
@@ -71,7 +71,7 @@ fn main() {
         correct as f64 / 128.0
     );
     println!(
-        "conv activation memory: {:.1}x smaller ({} KB -> {} KB cumulative)",
+        "conv+FC input memory: {:.1}x smaller ({} KB -> {} KB cumulative)",
         m.compressible_ratio(),
         m.compressible_raw_bytes / 1024,
         m.compressible_stored_bytes / 1024

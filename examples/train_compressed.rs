@@ -95,7 +95,7 @@ fn main() {
         base_peak / 1024
     );
     println!(
-        "framework: val acc {:.3}, peak activation store {} KB ({:.1}x less), conv ratio {:.1}x",
+        "framework: val acc {:.3}, peak activation store {} KB ({:.1}x less), conv+FC input ratio {:.1}x",
         fw_correct as f64 / eval_n as f64,
         fw_peak / 1024,
         base_peak as f64 / fw_peak.max(1) as f64,

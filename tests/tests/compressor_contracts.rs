@@ -12,7 +12,8 @@ use ebtrain_sz::{compress, decompress, DataLayout, SzConfig};
 use ebtrain_tensor::Tensor;
 use proptest::prelude::*;
 
-/// Capture all conv-input activations of a tiny net on a real batch.
+/// Capture all compressible (conv- and FC-input) activations of a tiny net
+/// on a real batch.
 fn real_activations(seed: u64) -> Vec<Tensor> {
     use ebtrain_dnn::layer::{SaveHint, Saved, SlotId};
     use ebtrain_dnn::store::{ActivationStore, StoreMetrics};
