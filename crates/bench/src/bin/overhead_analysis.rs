@@ -13,7 +13,7 @@ use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::network::{Network, NetworkBuilder};
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
-use ebtrain_dnn::store::{ActivationStore, MigratedStore, RawStore, SlotBytes};
+use ebtrain_dnn::store::{ActivationStore, CompressedStore, RawStore, SlotBytes};
 use ebtrain_dnn::train::train_step;
 use ebtrain_dnn::zoo;
 use std::time::Instant;
@@ -231,7 +231,7 @@ fn main() {
         let head = SoftmaxCrossEntropy::new();
         let mut net = zoo::tiny_vgg(10, 7);
         let mut opt = Sgd::new(SgdConfig::default());
-        let mut store = MigratedStore::pcie3();
+        let mut store = CompressedStore::pcie3();
         let plan = CompressionPlan::new();
         let t0 = Instant::now();
         for i in 0..iters {

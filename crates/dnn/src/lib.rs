@@ -50,10 +50,7 @@ pub use layer::{
 };
 pub use network::{Network, Node};
 pub use optimizer::{flat_sgd_update, LrSchedule, Sgd, SgdConfig};
-pub use store::{
-    ActivationStore, CompressedStore, HybridStore, LosslessStore, MigratedStore, NullStore,
-    RawStore, StoreMetrics,
-};
+pub use store::{ActivationStore, CompressedStore, NullStore, RawStore, StoreMetrics};
 pub use train::{evaluate, train_step, train_step_synced, GradSync, StepResult, SyncAction};
 
 /// Errors from network construction and execution.

@@ -2,11 +2,14 @@
 //!
 //! A training iteration parks every tensor needed by backward into an
 //! [`ActivationStore`]; the store decides the in-"device-memory"
-//! representation. The paper's framework *is* a store policy
-//! ([`CompressedStore`]); the baselines it is evaluated against are the
-//! other policies here. All stores account current and peak bytes, which
-//! is what the memory-reduction experiments (paper Fig 2/10/11, Table 1)
-//! report.
+//! representation. Four policies: [`NullStore`] (inference), [`RawStore`]
+//! (the baseline every saving is measured against), [`CompressedStore`]
+//! (the paper's framework, whose constructors also build the fixed
+//! comparators it is evaluated against: lossless, migration,
+//! compress-then-migrate) and [`BudgetedStore`] (a hard device-byte
+//! budget over the tiered arena). All stores account current and peak
+//! bytes, which is what the memory-reduction experiments (paper Fig
+//! 2/10/11, Table 1) report.
 
 use crate::layer::{LayerId, SaveHint, Saved, SlotId};
 use crate::{DnnError, Result};
@@ -64,13 +67,13 @@ enum SlotKind {
     Bits,
 }
 
-impl SlotKind {
-    fn of_raw(value: &Saved) -> SlotKind {
-        match value {
-            Saved::F32(_) => SlotKind::FloatRaw,
-            Saved::Bits { .. } => SlotKind::Bits,
-        }
-    }
+/// Bytes of a value held raw, and the kind they count under.
+fn raw_footprint(value: &Saved) -> (usize, SlotKind) {
+    let kind = match value {
+        Saved::F32(_) => SlotKind::FloatRaw,
+        Saved::Bits { .. } => SlotKind::Bits,
+    };
+    (value.byte_size(), kind)
 }
 
 /// Cumulative store metrics (reset with
@@ -89,7 +92,9 @@ pub struct StoreMetrics {
     pub compress_nanos: u64,
     /// Time spent decompressing.
     pub decompress_nanos: u64,
-    /// Simulated interconnect transfer time (migration store only).
+    /// Simulated interconnect transfer time (stores with a host link:
+    /// [`CompressedStore::migrated`] / [`CompressedStore::hybrid`], and
+    /// [`BudgetedStore`]'s host tier).
     pub simulated_transfer_nanos: u64,
     /// Per-layer raw/stored byte totals for compressible slots.
     pub per_layer: HashMap<LayerId, (u64, u64)>,
@@ -134,6 +139,19 @@ impl StoreMetrics {
             }
         })
     }
+
+    /// Count one save of `raw` bytes held as `stored`.
+    fn record_save(&mut self, slot: SlotId, raw: usize, stored: usize, compressible: bool) {
+        self.raw_bytes_saved += raw as u64;
+        self.stored_bytes_saved += stored as u64;
+        if compressible {
+            self.compressible_raw_bytes += raw as u64;
+            self.compressible_stored_bytes += stored as u64;
+            let e = self.per_layer.entry(slot.0).or_insert((0, 0));
+            e.0 += raw as u64;
+            e.1 += stored as u64;
+        }
+    }
 }
 
 /// Storage policy interface; see the module docs.
@@ -172,8 +190,7 @@ impl Accountant {
         &mut self,
         slot: SlotId,
         raw: usize,
-        stored: usize,
-        kind: SlotKind,
+        (stored, kind): (usize, SlotKind),
         compressible: bool,
     ) {
         *self.live.of(kind) += stored as u64;
@@ -181,18 +198,10 @@ impl Accountant {
             self.peak = self.current();
             self.metrics.peak = self.live;
         }
-        self.metrics.raw_bytes_saved += raw as u64;
-        self.metrics.stored_bytes_saved += stored as u64;
-        if compressible {
-            self.metrics.compressible_raw_bytes += raw as u64;
-            self.metrics.compressible_stored_bytes += stored as u64;
-            let e = self.metrics.per_layer.entry(slot.0).or_insert((0, 0));
-            e.0 += raw as u64;
-            e.1 += stored as u64;
-        }
+        self.metrics.record_save(slot, raw, stored, compressible);
     }
 
-    fn on_load(&mut self, stored: usize, kind: SlotKind) {
+    fn on_load(&mut self, (stored, kind): (usize, SlotKind)) {
         let bytes = self.live.of(kind);
         *bytes = bytes.saturating_sub(stored as u64);
     }
@@ -252,20 +261,18 @@ impl RawStore {
 
 impl ActivationStore for RawStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
-        let bytes = value.byte_size();
-        self.acc.on_save(
-            slot,
-            bytes,
-            bytes,
-            SlotKind::of_raw(&value),
-            hint.compressible,
-        );
+        if let Some(old) = self.slots.remove(&slot) {
+            self.acc.on_load(raw_footprint(&old));
+        }
+        let footprint = raw_footprint(&value);
+        self.acc
+            .on_save(slot, footprint.0, footprint, hint.compressible);
         self.slots.insert(slot, value);
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
         let v = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
+        self.acc.on_load(raw_footprint(&v));
         Ok(v)
     }
 
@@ -298,28 +305,18 @@ enum CompressedEntry {
 }
 
 impl CompressedEntry {
-    fn stored_bytes(&self) -> usize {
+    /// Bytes held, and the kind they count under.
+    fn footprint(&self) -> (usize, SlotKind) {
         match self {
-            CompressedEntry::Raw(s) => s.byte_size(),
-            CompressedEntry::Encoded { stream, .. } => stream.compressed_byte_len(),
+            CompressedEntry::Raw(s) => raw_footprint(s),
+            CompressedEntry::Encoded { stream, .. } => {
+                (stream.compressed_byte_len(), SlotKind::Encoded)
+            }
         }
     }
 
-    fn kind(&self) -> SlotKind {
-        match self {
-            CompressedEntry::Raw(s) => SlotKind::of_raw(s),
-            CompressedEntry::Encoded { .. } => SlotKind::Encoded,
-        }
-    }
-
-    /// Enter the store: account the bytes under the entry's kind.
-    fn record_save(&self, acc: &mut Accountant, slot: SlotId, raw: usize, compressible: bool) {
-        acc.on_save(slot, raw, self.stored_bytes(), self.kind(), compressible);
-    }
-
-    /// Leave the store: release the accounted bytes, decode if encoded.
-    fn into_saved(self, acc: &mut Accountant) -> Result<Saved> {
-        acc.on_load(self.stored_bytes(), self.kind());
+    /// Leave the store: decode if encoded.
+    fn into_saved(self, metrics: &mut StoreMetrics) -> Result<Saved> {
         match self {
             CompressedEntry::Raw(s) => Ok(s),
             CompressedEntry::Encoded {
@@ -329,32 +326,87 @@ impl CompressedEntry {
             } => {
                 let t0 = Instant::now();
                 let data = codec.decompress(&stream)?;
-                acc.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
+                metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
                 Ok(Saved::F32(Tensor::from_vec(&shape, data)?))
             }
         }
     }
 }
 
-/// The paper's policy: compressible slots go through an error-bounded
-/// compressor; everything else stays raw.
-///
-/// Backend-agnostic since the codec abstraction (DESIGN.md §8): the
-/// store holds an `Arc<dyn Codec>` default plus a [`CodecRegistry`], and
-/// the per-layer plan can route individual layers to other backends
-/// (e.g. precision-sensitive layers to [`CodecId::LOSSLESS`]) via
-/// [`SaveHint::codec`]. With the default SZ backend, both the save
-/// (compress) and backward-demand load (decompress) paths fan the
-/// tensor's chunks across worker threads.
-pub struct CompressedStore {
-    slots: HashMap<SlotId, CompressedEntry>,
-    acc: Accountant,
+/// The encoding half of a [`CompressedStore`].
+struct Encoder {
     /// Default backend when the plan gives no per-layer codec.
     codec: Arc<dyn Codec>,
     /// Resolves per-layer codec ids from the plan.
     registry: CodecRegistry,
     /// Fallback bound when the plan gives no per-layer bound.
     default_bound: BoundSpec,
+}
+
+impl Encoder {
+    /// Encode under the hint's codec and bound, falling back to the
+    /// defaults.
+    fn encode(&self, t: Tensor, hint: &SaveHint, metrics: &mut StoreMetrics) -> CompressedEntry {
+        let codec = hint
+            .codec
+            .and_then(|id| self.registry.get(id))
+            .unwrap_or_else(|| Arc::clone(&self.codec));
+        let bound = hint
+            .error_bound
+            .map(BoundSpec::Abs)
+            .unwrap_or(self.default_bound);
+        let layout = DataLayout::for_shape(t.shape());
+        let t0 = Instant::now();
+        match codec.compress(t.data(), layout, &bound) {
+            Ok(stream) => {
+                metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
+                CompressedEntry::Encoded {
+                    stream,
+                    shape: t.shape().to_vec(),
+                    codec,
+                }
+            }
+            // Invalid bound (e.g. controller produced 0): degrade to raw
+            // rather than corrupting training.
+            Err(_) => CompressedEntry::Raw(Saved::F32(t)),
+        }
+    }
+}
+
+/// The fixed-policy store: a compressible float slot may go through an
+/// error-bounded codec and may leave device memory over a modelled host
+/// link; everything else stays raw on device. The paper's framework and
+/// the comparators it is evaluated against differ only in which of the
+/// two halves their constructor sets:
+///
+/// | constructor | encoder | host link | policy |
+/// |---|---|---|---|
+/// | [`new`](Self::new), [`with_codec`](Self::with_codec) | SZ / any | — | the paper's framework (§4) |
+/// | [`lossless`](Self::lossless) | [`LosslessCodec`] | — | lossless comparator (§5.3, the "within 2×" class) |
+/// | [`migrated`](Self::migrated), [`pcie3`](Self::pcie3) | — | yes | vDNN/Layrub-class migration (§2.1) |
+/// | [`hybrid`](Self::hybrid) | SZ | yes | compress, then migrate the stream (§6) |
+///
+/// Encoding is backend-agnostic (DESIGN.md §8): an `Arc<dyn Codec>`
+/// default plus a [`CodecRegistry`], through which the per-layer plan
+/// routes individual layers to other backends (e.g. precision-sensitive
+/// layers to [`CodecId::LOSSLESS`]) via [`SaveHint::codec`]. With the SZ
+/// backend, both compress and decompress fan the tensor's chunks across
+/// worker threads.
+///
+/// With an encoder only a codec stream crosses the link (a failed encode
+/// stays on device); without one every compressible slot does. A slot
+/// that crosses is saved at its encoded length (0 if nothing was encoded)
+/// and released at once; each crossing charges `bytes / bandwidth` of
+/// simulated transfer time.
+pub struct CompressedStore {
+    /// Each slot, with the simulated time of one link crossing when it
+    /// was sent to host.
+    slots: HashMap<SlotId, (CompressedEntry, Option<u64>)>,
+    acc: Accountant,
+    /// Encodes compressible float slots; `None` keeps them raw.
+    encoder: Option<Encoder>,
+    /// Host-link bandwidth in bytes/s; `None` keeps every slot on device.
+    bandwidth_bps: Option<f64>,
 }
 
 impl CompressedStore {
@@ -372,341 +424,87 @@ impl CompressedStore {
         CompressedStore {
             slots: HashMap::new(),
             acc: Accountant::default(),
-            codec,
-            registry: CodecRegistry::standard(),
-            default_bound,
+            encoder: Some(Encoder {
+                codec,
+                registry: CodecRegistry::standard(),
+                default_bound,
+            }),
+            bandwidth_bps: None,
         }
     }
 
-    /// Replace the routing registry (e.g. to add experimental codecs).
-    pub fn set_registry(&mut self, registry: CodecRegistry) {
-        self.registry = registry;
+    /// Lossless comparator: every compressible slot bit-exact through
+    /// [`LosslessCodec`].
+    pub fn lossless() -> Self {
+        Self::with_codec(Arc::new(LosslessCodec), BoundSpec::Lossless)
     }
 
-    /// The default backend.
-    pub fn codec(&self) -> &Arc<dyn Codec> {
-        &self.codec
+    /// Migration over a link of the given bandwidth (bytes/s): each
+    /// compressible slot leaves device memory raw and comes back for
+    /// backward.
+    pub fn migrated(bandwidth_bps: f64) -> Self {
+        CompressedStore {
+            slots: HashMap::new(),
+            acc: Accountant::default(),
+            encoder: None,
+            bandwidth_bps: Some(bandwidth_bps.max(1.0)),
+        }
     }
 
-    /// The fallback bound.
-    pub fn default_bound(&self) -> BoundSpec {
-        self.default_bound
+    /// Migration over PCIe 3.0 x16 (~12 GB/s effective).
+    pub fn pcie3() -> Self {
+        Self::migrated(12.0e9)
     }
-}
 
-/// Resolve a save hint against a store's default codec + registry.
-fn resolve_codec(
-    hint: &SaveHint,
-    registry: &CodecRegistry,
-    default: &Arc<dyn Codec>,
-) -> Arc<dyn Codec> {
-    hint.codec
-        .and_then(|id| registry.get(id))
-        .unwrap_or_else(|| Arc::clone(default))
+    /// Compress-then-migrate with the given SZ config and link bandwidth
+    /// (bytes/s).
+    pub fn hybrid(config: SzConfig, bandwidth_bps: f64) -> Self {
+        CompressedStore {
+            encoder: Self::new(config).encoder,
+            ..Self::migrated(bandwidth_bps)
+        }
+    }
 }
 
 impl ActivationStore for CompressedStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
-        let raw_bytes = value.byte_size();
-        let entry = match value {
-            Saved::F32(t) if hint.compressible => {
-                let codec = resolve_codec(&hint, &self.registry, &self.codec);
-                let bound = hint
-                    .error_bound
-                    .map(BoundSpec::Abs)
-                    .unwrap_or(self.default_bound);
-                let layout = DataLayout::for_shape(t.shape());
-                let t0 = Instant::now();
-                match codec.compress(t.data(), layout, &bound) {
-                    Ok(stream) => {
-                        self.acc.metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
-                        CompressedEntry::Encoded {
-                            stream,
-                            shape: t.shape().to_vec(),
-                            codec,
-                        }
-                    }
-                    // Invalid bound (e.g. controller produced 0): degrade
-                    // to raw rather than corrupting training.
-                    Err(_) => CompressedEntry::Raw(Saved::F32(t)),
-                }
-            }
-            other => CompressedEntry::Raw(other),
-        };
-        entry.record_save(&mut self.acc, slot, raw_bytes, hint.compressible);
-        self.slots.insert(slot, entry);
-    }
-
-    fn load(&mut self, slot: SlotId) -> Result<Saved> {
-        let entry = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        entry.into_saved(&mut self.acc)
-    }
-
-    fn current_bytes(&self) -> usize {
-        self.acc.current()
-    }
-    fn peak_bytes(&self) -> usize {
-        self.acc.peak
-    }
-    fn reset_peak(&mut self) {
-        self.acc.reset_peak();
-    }
-    fn metrics(&self) -> StoreMetrics {
-        self.acc.metrics.clone()
-    }
-    fn reset_metrics(&mut self) {
-        self.acc.reset_metrics();
-    }
-}
-
-/// Lossless comparator policy (§5.3 "within 2×" class), routed through
-/// the [`LosslessCodec`] backend.
-pub struct LosslessStore {
-    slots: HashMap<SlotId, CompressedEntry>,
-    acc: Accountant,
-    codec: Arc<dyn Codec>,
-}
-
-impl Default for LosslessStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LosslessStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        LosslessStore {
-            slots: HashMap::new(),
-            acc: Accountant::default(),
-            codec: Arc::new(LosslessCodec),
+        if let Some((old, None)) = self.slots.remove(&slot) {
+            self.acc.on_load(old.footprint());
         }
-    }
-}
-
-impl ActivationStore for LosslessStore {
-    fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
-        let raw_bytes = value.byte_size();
-        let entry = match value {
-            Saved::F32(t) if hint.compressible => {
-                let layout = DataLayout::for_shape(t.shape());
-                let t0 = Instant::now();
-                match self.codec.compress(t.data(), layout, &BoundSpec::Lossless) {
-                    Ok(stream) => {
-                        self.acc.metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
-                        CompressedEntry::Encoded {
-                            stream,
-                            shape: t.shape().to_vec(),
-                            codec: Arc::clone(&self.codec),
-                        }
-                    }
-                    Err(_) => CompressedEntry::Raw(Saved::F32(t)),
-                }
-            }
-            other => CompressedEntry::Raw(other),
-        };
-        entry.record_save(&mut self.acc, slot, raw_bytes, hint.compressible);
-        self.slots.insert(slot, entry);
-    }
-
-    fn load(&mut self, slot: SlotId) -> Result<Saved> {
-        let entry = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
-        entry.into_saved(&mut self.acc)
-    }
-
-    fn current_bytes(&self) -> usize {
-        self.acc.current()
-    }
-    fn peak_bytes(&self) -> usize {
-        self.acc.peak
-    }
-    fn reset_peak(&mut self) {
-        self.acc.reset_peak();
-    }
-    fn metrics(&self) -> StoreMetrics {
-        self.acc.metrics.clone()
-    }
-    fn reset_metrics(&mut self) {
-        self.acc.reset_metrics();
-    }
-}
-
-/// vDNN/GeePS-class migration policy: compressible activations leave
-/// device memory over a modelled interconnect and come back for backward.
-///
-/// Device memory is freed (that is the point of migration) but every
-/// round-trip charges `bytes / bandwidth` of simulated transfer time —
-/// the cost that, per the paper §2.1, caps this approach on nodes without
-/// NVLink-class links.
-pub struct MigratedStore {
-    host: HashMap<SlotId, Saved>,
-    device: HashMap<SlotId, Saved>,
-    acc: Accountant,
-    /// Interconnect bandwidth in bytes/second (e.g. PCIe 3.0 x16 ≈ 12e9).
-    bandwidth_bps: f64,
-}
-
-impl MigratedStore {
-    /// Store with the given simulated interconnect bandwidth (bytes/s).
-    pub fn new(bandwidth_bps: f64) -> Self {
-        MigratedStore {
-            host: HashMap::new(),
-            device: HashMap::new(),
-            acc: Accountant::default(),
-            bandwidth_bps: bandwidth_bps.max(1.0),
-        }
-    }
-
-    /// PCIe 3.0 x16 effective bandwidth (~12 GB/s).
-    pub fn pcie3() -> Self {
-        Self::new(12.0e9)
-    }
-
-    fn charge_transfer(&mut self, bytes: usize) {
-        let nanos = bytes as f64 / self.bandwidth_bps * 1e9;
-        self.acc.metrics.simulated_transfer_nanos += nanos as u64;
-    }
-}
-
-impl ActivationStore for MigratedStore {
-    fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
         let raw = value.byte_size();
-        let kind = SlotKind::of_raw(&value);
-        if hint.compressible {
-            // Ships to host: zero device residency, transfer time charged.
-            self.charge_transfer(raw);
-            self.acc.on_save(slot, raw, 0, kind, true);
-            self.host.insert(slot, value);
+        let entry = match (value, &self.encoder) {
+            (Saved::F32(t), Some(enc)) if hint.compressible => {
+                enc.encode(t, &hint, &mut self.acc.metrics)
+            }
+            (other, _) => CompressedEntry::Raw(other),
+        };
+        let (stored, kind) = entry.footprint();
+        let encoded = matches!(kind, SlotKind::Encoded);
+        let crossing = self
+            .bandwidth_bps
+            .filter(|_| hint.compressible && (encoded || self.encoder.is_none()))
+            .map(|bps| (stored as f64 / bps * 1e9) as u64);
+        let resident = if crossing.is_some() && !encoded {
+            0
         } else {
-            self.acc.on_save(slot, raw, raw, kind, false);
-            self.device.insert(slot, value);
+            stored
+        };
+        self.acc
+            .on_save(slot, raw, (resident, kind), hint.compressible);
+        if let Some(nanos) = crossing {
+            self.acc.on_load((resident, kind));
+            self.acc.metrics.simulated_transfer_nanos += nanos;
         }
+        self.slots.insert(slot, (entry, crossing));
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
-        if let Some(v) = self.host.remove(&slot) {
-            self.charge_transfer(v.byte_size());
-            return Ok(v);
+        let (entry, crossing) = self.slots.remove(&slot).ok_or_else(|| missing(slot))?;
+        match crossing {
+            Some(nanos) => self.acc.metrics.simulated_transfer_nanos += nanos,
+            None => self.acc.on_load(entry.footprint()),
         }
-        let v = self.device.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
-        Ok(v)
-    }
-
-    fn current_bytes(&self) -> usize {
-        self.acc.current()
-    }
-    fn peak_bytes(&self) -> usize {
-        self.acc.peak
-    }
-    fn reset_peak(&mut self) {
-        self.acc.reset_peak();
-    }
-    fn metrics(&self) -> StoreMetrics {
-        self.acc.metrics.clone()
-    }
-    fn reset_metrics(&mut self) {
-        self.acc.reset_metrics();
-    }
-}
-
-/// A compressed payload parked on the host: stream, original shape, and
-/// the codec that decodes it.
-type HostedStream = (TaggedStream, Vec<usize>, Arc<dyn Codec>);
-
-/// The paper's future-work combination (§6): compress activations *and*
-/// migrate the compressed bytes off-device.
-///
-/// Device residency for compressible slots is zero (like
-/// [`MigratedStore`]) but the simulated transfer moves `raw/ratio` bytes
-/// instead of `raw` — multiplying the effective interconnect bandwidth by
-/// the compression ratio, which is exactly why the paper calls the
-/// methods orthogonal.
-pub struct HybridStore {
-    host: HashMap<SlotId, HostedStream>,
-    device: HashMap<SlotId, Saved>,
-    acc: Accountant,
-    codec: Arc<dyn Codec>,
-    registry: CodecRegistry,
-    default_bound: BoundSpec,
-    bandwidth_bps: f64,
-}
-
-impl HybridStore {
-    /// Compress-then-migrate store with the given SZ config and
-    /// simulated interconnect bandwidth (bytes/s).
-    pub fn new(config: SzConfig, bandwidth_bps: f64) -> Self {
-        let bound = BoundSpec::Abs(config.error_bound);
-        Self::with_codec(Arc::new(SzCodec::new(config)), bound, bandwidth_bps)
-    }
-
-    /// Compress-then-migrate over any backend.
-    pub fn with_codec(codec: Arc<dyn Codec>, default_bound: BoundSpec, bandwidth_bps: f64) -> Self {
-        HybridStore {
-            host: HashMap::new(),
-            device: HashMap::new(),
-            acc: Accountant::default(),
-            codec,
-            registry: CodecRegistry::standard(),
-            default_bound,
-            bandwidth_bps: bandwidth_bps.max(1.0),
-        }
-    }
-
-    fn charge_transfer(&mut self, bytes: usize) {
-        let nanos = bytes as f64 / self.bandwidth_bps * 1e9;
-        self.acc.metrics.simulated_transfer_nanos += nanos as u64;
-    }
-}
-
-impl ActivationStore for HybridStore {
-    fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
-        let raw = value.byte_size();
-        match value {
-            Saved::F32(t) if hint.compressible => {
-                let codec = resolve_codec(&hint, &self.registry, &self.codec);
-                let bound = hint
-                    .error_bound
-                    .map(BoundSpec::Abs)
-                    .unwrap_or(self.default_bound);
-                let layout = DataLayout::for_shape(t.shape());
-                let t0 = Instant::now();
-                match codec.compress(t.data(), layout, &bound) {
-                    Ok(stream) => {
-                        self.acc.metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
-                        self.charge_transfer(stream.compressed_byte_len());
-                        // Accountant: compressed size recorded for the
-                        // ratio metrics, but device residency is zero.
-                        let stored = stream.compressed_byte_len();
-                        self.acc.on_save(slot, raw, stored, SlotKind::Encoded, true);
-                        self.acc.on_load(stored, SlotKind::Encoded);
-                        self.host.insert(slot, (stream, t.shape().to_vec(), codec));
-                    }
-                    Err(_) => {
-                        self.acc.on_save(slot, raw, raw, SlotKind::FloatRaw, true);
-                        self.device.insert(slot, Saved::F32(t));
-                    }
-                }
-            }
-            other => {
-                let kind = SlotKind::of_raw(&other);
-                self.acc.on_save(slot, raw, raw, kind, hint.compressible);
-                self.device.insert(slot, other);
-            }
-        }
-    }
-
-    fn load(&mut self, slot: SlotId) -> Result<Saved> {
-        if let Some((stream, shape, codec)) = self.host.remove(&slot) {
-            self.charge_transfer(stream.compressed_byte_len());
-            let t0 = Instant::now();
-            let data = codec.decompress(&stream)?;
-            self.acc.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-            return Ok(Saved::F32(Tensor::from_vec(&shape, data)?));
-        }
-        let v = self.device.remove(&slot).ok_or_else(|| missing(slot))?;
-        self.acc.on_load(v.byte_size(), SlotKind::of_raw(&v));
-        Ok(v)
+        entry.into_saved(&mut self.acc.metrics)
     }
 
     fn current_bytes(&self) -> usize {
@@ -892,20 +690,13 @@ impl BudgetedStore {
         if self.arena.resident_bytes() as u64 > self.metrics.peak.total() {
             self.metrics.peak = self.resident_by_kind();
         }
-        self.metrics.raw_bytes_saved += raw as u64;
-        self.metrics.stored_bytes_saved += stored as u64;
+        self.metrics.record_save(slot, raw, stored, compressible);
         if compressible {
             // A slot re-saved before it was ever loaded (checkpointing
-            // fallback re-runs, slot overwrites): freeze the overwritten
-            // save's record at its save-time value. Its raw bytes stay
-            // counted, so finalizing the stored side at 0 here would
-            // claim compression that never happened.
-            self.live_stored.remove(&slot);
-            self.metrics.compressible_raw_bytes += raw as u64;
-            self.metrics.compressible_stored_bytes += stored as u64;
-            let e = self.metrics.per_layer.entry(slot.0).or_insert((0, 0));
-            e.0 += raw as u64;
-            e.1 += stored as u64;
+            // fallback re-runs, slot overwrites): the insert drops the
+            // overwritten save's record, freezing it at its save-time
+            // value. Its raw bytes stay counted, so finalizing the stored
+            // side at 0 here would claim compression that never happened.
             self.live_stored.insert(slot, (stored as u64, raw as u64));
         }
     }
@@ -1217,7 +1008,7 @@ mod tests {
 
     #[test]
     fn lossless_store_is_bit_exact() {
-        let mut s = LosslessStore::new();
+        let mut s = CompressedStore::lossless();
         let t = act_tensor();
         s.save(SlotId(2, 0), Saved::F32(t.clone()), compressible());
         assert!(s.current_bytes() < t.byte_size());
@@ -1229,7 +1020,7 @@ mod tests {
 
     #[test]
     fn migrated_store_frees_device_and_charges_time() {
-        let mut s = MigratedStore::new(1e9); // 1 GB/s
+        let mut s = CompressedStore::migrated(1e9); // 1 GB/s
         let t = act_tensor();
         let raw = t.byte_size();
         s.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
@@ -1248,8 +1039,8 @@ mod tests {
     #[test]
     fn hybrid_store_compresses_then_migrates() {
         let bw = 1e9; // 1 GB/s
-        let mut hybrid = HybridStore::new(SzConfig::with_error_bound(1e-3), bw);
-        let mut plain = MigratedStore::new(bw);
+        let mut hybrid = CompressedStore::hybrid(SzConfig::with_error_bound(1e-3), bw);
+        let mut plain = CompressedStore::migrated(bw);
         let t = act_tensor();
         hybrid.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
         plain.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
@@ -1272,7 +1063,7 @@ mod tests {
 
     #[test]
     fn hybrid_store_keeps_noncompressible_on_device() {
-        let mut s = HybridStore::new(SzConfig::with_error_bound(1e-3), 1e9);
+        let mut s = CompressedStore::hybrid(SzConfig::with_error_bound(1e-3), 1e9);
         let t = act_tensor();
         s.save(SlotId(1, 0), Saved::F32(t.clone()), SaveHint::raw());
         assert_eq!(s.current_bytes(), t.byte_size());
@@ -1293,7 +1084,7 @@ mod tests {
     fn elided_slots_report_honest_infinite_ratio() {
         // A store that saved compressible bytes but kept none resident
         // (migration) must report infinity, not a fake 1.0.
-        let mut s = MigratedStore::new(1e9);
+        let mut s = CompressedStore::migrated(1e9);
         s.save(SlotId(0, 0), Saved::F32(act_tensor()), compressible());
         let m = s.metrics();
         assert!(m.compressible_raw_bytes > 0);
@@ -1596,5 +1387,257 @@ mod tests {
         assert_eq!(m.compressible_raw_bytes, 2 * raw);
         assert_eq!(m.compressible_stored_bytes, 2 * raw);
         assert_eq!(m.compressible_ratio(), 1.0, "no compression happened");
+    }
+
+    #[test]
+    fn resaving_a_slot_releases_the_replaced_entry() {
+        // A re-save (checkpointing re-runs forward) must release the
+        // replaced entry's bytes, or every later peak is inflated.
+        let t = act_tensor();
+        let cfg = SzConfig::with_error_bound(1e-3);
+        for hint in [compressible(), SaveHint::raw()] {
+            let stores: [(&str, Box<dyn ActivationStore>); 8] = [
+                ("raw", Box::new(RawStore::new())),
+                ("new", Box::new(CompressedStore::new(cfg))),
+                (
+                    "with_codec",
+                    Box::new(CompressedStore::with_codec(
+                        Arc::new(SzCodec::new(cfg)),
+                        BoundSpec::Abs(1e-3),
+                    )),
+                ),
+                ("lossless", Box::new(CompressedStore::lossless())),
+                ("migrated", Box::new(CompressedStore::migrated(1e9))),
+                ("pcie3", Box::new(CompressedStore::pcie3())),
+                ("hybrid", Box::new(CompressedStore::hybrid(cfg, 1e9))),
+                ("budgeted", Box::new(BudgetedStore::with_budget(100 << 20))),
+            ];
+            for (name, mut s) in stores {
+                s.save(SlotId(0, 0), Saved::F32(t.clone()), hint);
+                let one = s.peak_bytes();
+                s.save(SlotId(0, 0), Saved::F32(t.clone()), hint);
+                s.load(SlotId(0, 0)).unwrap();
+                let what = format!("{name}, compressible {}", hint.compressible);
+                assert_eq!(s.current_bytes(), 0, "{what}");
+                assert_eq!(s.peak_bytes(), one, "{what}");
+            }
+        }
+    }
+
+    /// FNV-1a over a loaded value's bits.
+    fn bit_hash(v: &Saved) -> u64 {
+        let words: Vec<u64> = match v {
+            Saved::F32(t) => t.data().iter().map(|x| x.to_bits() as u64).collect(),
+            Saved::Bits { words, len } => words.iter().copied().chain([*len as u64]).collect(),
+        };
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// What [`policy_script`] observes of a store; timing is reduced to
+    /// whether each codec clock ran.
+    #[derive(Debug, PartialEq)]
+    struct Frozen {
+        /// `(current_bytes, peak_bytes)` after each save, then each load.
+        levels: [(usize, usize); 8],
+        /// [`bit_hash`] of each loaded value, in load order.
+        loaded: [u64; 4],
+        raw_bytes_saved: u64,
+        stored_bytes_saved: u64,
+        compressible_raw_bytes: u64,
+        compressible_stored_bytes: u64,
+        simulated_transfer_nanos: u64,
+        per_layer: Vec<(LayerId, (u64, u64))>,
+        peak: SlotBytes,
+        codec_ran: (bool, bool),
+    }
+
+    /// A compressible slot under a plan bound, the same tensor routed to
+    /// the lossless codec, a raw-hinted float and a bit mask; loaded
+    /// back in reverse order.
+    fn policy_script(s: &mut dyn ActivationStore) -> Frozen {
+        let t = act_tensor();
+        let mask = crate::layer::pack_bits(t.data(), |v| v > 0.5);
+        let routed = SaveHint {
+            codec: Some(CodecId::LOSSLESS),
+            ..compressible()
+        };
+        let saves = [
+            (SlotId(0, 0), Saved::F32(t.clone()), compressible()),
+            (SlotId(1, 0), Saved::F32(t.clone()), routed),
+            (SlotId(2, 0), Saved::F32(t), SaveHint::raw()),
+            (SlotId(3, 0), mask, SaveHint::raw()),
+        ];
+        let mut levels = [(0, 0); 8];
+        let mut loaded = [0; 4];
+        for (i, (slot, v, hint)) in saves.into_iter().enumerate() {
+            s.save(slot, v, hint);
+            levels[i] = (s.current_bytes(), s.peak_bytes());
+        }
+        for (i, layer) in (0..4).rev().enumerate() {
+            loaded[i] = bit_hash(&s.load(SlotId(layer, 0)).unwrap());
+            levels[4 + i] = (s.current_bytes(), s.peak_bytes());
+        }
+        let m = s.metrics();
+        let mut per_layer: Vec<_> = m.per_layer.into_iter().collect();
+        per_layer.sort();
+        Frozen {
+            levels,
+            loaded,
+            raw_bytes_saved: m.raw_bytes_saved,
+            stored_bytes_saved: m.stored_bytes_saved,
+            compressible_raw_bytes: m.compressible_raw_bytes,
+            compressible_stored_bytes: m.compressible_stored_bytes,
+            simulated_transfer_nanos: m.simulated_transfer_nanos,
+            per_layer,
+            peak: m.peak,
+            codec_ran: (m.compress_nanos > 0, m.decompress_nanos > 0),
+        }
+    }
+
+    #[test]
+    fn fixed_policy_accounting_is_frozen() {
+        // Literals captured from the five store types before lossless,
+        // migration and compress-then-migrate became `CompressedStore`
+        // constructors (`RawStore`, `CompressedStore`, `LosslessStore`,
+        // `MigratedStore::pcie3`, `HybridStore` at 12 GB/s).
+        const MASK: u64 = 0x6b68_7208_c297_8fec;
+        const EXACT: u64 = 0xc675_dcd9_686b_2e43;
+        const LOSSY: u64 = 0x34e9_53c3_8f07_0d2e;
+        let cfg = SzConfig::with_error_bound(1e-2);
+        let raw = Frozen {
+            levels: [
+                (32768, 32768),
+                (65536, 65536),
+                (98304, 98304),
+                (99328, 99328),
+                (98304, 99328),
+                (65536, 99328),
+                (32768, 99328),
+                (0, 99328),
+            ],
+            loaded: [MASK, EXACT, EXACT, EXACT],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 99328,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 65536,
+            simulated_transfer_nanos: 0,
+            per_layer: vec![(0, (32768, 32768)), (1, (32768, 32768))],
+            peak: SlotBytes {
+                encoded: 0,
+                float_raw: 98304,
+                bits: 1024,
+            },
+            codec_ran: (false, false),
+        };
+        let compressed = Frozen {
+            levels: [
+                (2931, 2931),
+                (20454, 20454),
+                (53222, 53222),
+                (54246, 54246),
+                (53222, 54246),
+                (20454, 54246),
+                (2931, 54246),
+                (0, 54246),
+            ],
+            loaded: [MASK, EXACT, EXACT, LOSSY],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 54246,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 20454,
+            simulated_transfer_nanos: 0,
+            per_layer: vec![(0, (32768, 2931)), (1, (32768, 17523))],
+            peak: SlotBytes {
+                encoded: 20454,
+                float_raw: 32768,
+                bits: 1024,
+            },
+            codec_ran: (true, true),
+        };
+        let lossless = Frozen {
+            levels: [
+                (17523, 17523),
+                (35046, 35046),
+                (67814, 67814),
+                (68838, 68838),
+                (67814, 68838),
+                (35046, 68838),
+                (17523, 68838),
+                (0, 68838),
+            ],
+            loaded: [MASK, EXACT, EXACT, EXACT],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 68838,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 35046,
+            simulated_transfer_nanos: 0,
+            per_layer: vec![(0, (32768, 17523)), (1, (32768, 17523))],
+            peak: SlotBytes {
+                encoded: 35046,
+                float_raw: 32768,
+                bits: 1024,
+            },
+            codec_ran: (true, true),
+        };
+        let migrated = Frozen {
+            levels: [
+                (0, 0),
+                (0, 0),
+                (32768, 32768),
+                (33792, 33792),
+                (32768, 33792),
+                (0, 33792),
+                (0, 33792),
+                (0, 33792),
+            ],
+            loaded: [MASK, EXACT, EXACT, EXACT],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 33792,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 0,
+            simulated_transfer_nanos: 10920,
+            per_layer: vec![(0, (32768, 0)), (1, (32768, 0))],
+            peak: SlotBytes {
+                encoded: 0,
+                float_raw: 32768,
+                bits: 1024,
+            },
+            codec_ran: (false, false),
+        };
+        let hybrid = Frozen {
+            levels: [
+                (0, 2931),
+                (0, 17523),
+                (32768, 32768),
+                (33792, 33792),
+                (32768, 33792),
+                (0, 33792),
+                (0, 33792),
+                (0, 33792),
+            ],
+            loaded: [MASK, EXACT, EXACT, LOSSY],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 54246,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 20454,
+            simulated_transfer_nanos: 3408,
+            per_layer: vec![(0, (32768, 2931)), (1, (32768, 17523))],
+            peak: SlotBytes {
+                encoded: 0,
+                float_raw: 32768,
+                bits: 1024,
+            },
+            codec_ran: (true, true),
+        };
+        assert_eq!(policy_script(&mut RawStore::new()), raw);
+        assert_eq!(policy_script(&mut CompressedStore::new(cfg)), compressed);
+        assert_eq!(policy_script(&mut CompressedStore::lossless()), lossless);
+        assert_eq!(policy_script(&mut CompressedStore::pcie3()), migrated);
+        assert_eq!(
+            policy_script(&mut CompressedStore::hybrid(cfg, 12.0e9)),
+            hybrid
+        );
     }
 }

@@ -213,7 +213,9 @@ pub const PAPER_NETWORKS: [&str; 4] = ["alexnet", "vgg16", "resnet18", "resnet50
 mod tests {
     use super::*;
     use crate::layer::{CompressionPlan, ForwardContext};
-    use crate::store::{ActivationStore, NullStore, RawStore, SlotBytes};
+    use crate::store::{ActivationStore, CompressedStore, NullStore, RawStore, SlotBytes};
+    use ebtrain_data::{SynthConfig, SynthImageNet};
+    use ebtrain_sz::SzConfig;
     use ebtrain_tensor::Tensor;
 
     #[test]
@@ -286,6 +288,40 @@ mod tests {
             SlotBytes {
                 encoded: 0,
                 float_raw: 1_212_416 + 36_864,
+                bits: 57_600 + 14_336,
+            }
+        );
+    }
+
+    #[test]
+    fn tiny_vgg_batch8_compressed_store_peak_is_pinned() {
+        // The other side of `mem_saving_x`: the same slots under the
+        // framework store at its fallback bound. Every conv and FC input
+        // is a codec stream; the masks and pool offsets are the raw
+        // twin's bytes.
+        let data = SynthImageNet::new(SynthConfig {
+            classes: 4,
+            image_hw: 32,
+            noise: 0.15,
+            seed: 7,
+        });
+        let (x, _) = data.batch(0, 8);
+        let mut net = tiny_vgg(4, 1);
+        let plan = CompressionPlan::new();
+        let mut store = CompressedStore::new(SzConfig::with_error_bound(1e-2));
+        let mut ctx = ForwardContext {
+            store: &mut store,
+            training: true,
+            collect: false,
+            plan: &plan,
+        };
+        net.forward(x, &mut ctx).unwrap();
+        assert_eq!(store.peak_bytes(), 314_007);
+        assert_eq!(
+            store.metrics().peak,
+            SlotBytes {
+                encoded: 242_071,
+                float_raw: 0,
                 bits: 57_600 + 14_336,
             }
         );

@@ -14,9 +14,7 @@ use ebtrain_data::{SynthConfig, SynthImageNet};
 use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
-use ebtrain_dnn::store::{
-    ActivationStore, CompressedStore, LosslessStore, MigratedStore, RawStore,
-};
+use ebtrain_dnn::store::{ActivationStore, CompressedStore, RawStore};
 use ebtrain_dnn::train::{evaluate, train_step};
 use ebtrain_dnn::zoo;
 use ebtrain_sz::SzConfig;
@@ -69,8 +67,8 @@ fn train_under(store: &mut dyn ActivationStore, iters: usize, seed: u64) -> (Vec
 fn every_storage_policy_smoke() {
     let iters = 6;
     let (base_losses, base) = train_under(&mut RawStore::new(), iters, 3);
-    let (lossless_losses, lossless) = train_under(&mut LosslessStore::new(), iters, 3);
-    let (migrated_losses, migrated) = train_under(&mut MigratedStore::pcie3(), iters, 3);
+    let (lossless_losses, lossless) = train_under(&mut CompressedStore::lossless(), iters, 3);
+    let (migrated_losses, migrated) = train_under(&mut CompressedStore::pcie3(), iters, 3);
     let (compressed_losses, _) = train_under(
         &mut CompressedStore::new(SzConfig::with_error_bound(1e-3)),
         iters,
@@ -99,8 +97,8 @@ fn every_storage_policy_smoke() {
 fn every_storage_policy_trains_to_competence() {
     let iters = 40;
     let (_, base) = train_under(&mut RawStore::new(), iters, 3);
-    let (_, lossless) = train_under(&mut LosslessStore::new(), iters, 3);
-    let (_, migrated) = train_under(&mut MigratedStore::pcie3(), iters, 3);
+    let (_, lossless) = train_under(&mut CompressedStore::lossless(), iters, 3);
+    let (_, migrated) = train_under(&mut CompressedStore::pcie3(), iters, 3);
     let (_, compressed) = train_under(
         &mut CompressedStore::new(SzConfig::with_error_bound(1e-3)),
         iters,

@@ -7,7 +7,7 @@ use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
 use ebtrain_dnn::recompute::checkpointed_train_step_with;
-use ebtrain_dnn::store::{ActivationStore, HybridStore, RawStore};
+use ebtrain_dnn::store::{ActivationStore, CompressedStore, RawStore};
 use ebtrain_dnn::train::train_step;
 use ebtrain_dnn::zoo;
 use ebtrain_sz::{compress, DataLayout, SzConfig};
@@ -101,7 +101,7 @@ fn hybrid_store_trains_with_zero_device_residency_for_convs() {
         lr: 0.01,
         ..SgdConfig::default()
     });
-    let mut store = HybridStore::new(SzConfig::with_error_bound(1e-3), 12.0e9);
+    let mut store = CompressedStore::hybrid(SzConfig::with_error_bound(1e-3), 12.0e9);
     let plan = CompressionPlan::new();
     let mut last = f32::INFINITY;
     let mut first = None;
@@ -146,7 +146,7 @@ fn checkpointing_over_hybrid_store_trains() {
     let mut net = zoo::tiny_resnet(4, 5);
     let head = SoftmaxCrossEntropy::new();
     let mut opt = Sgd::new(SgdConfig::default());
-    let mut store = HybridStore::new(SzConfig::with_error_bound(1e-3), 12.0e9);
+    let mut store = CompressedStore::hybrid(SzConfig::with_error_bound(1e-3), 12.0e9);
     let plan = CompressionPlan::new();
     let mut raw_peak = 0usize;
     {
