@@ -7,14 +7,18 @@
 //! the reconstruction matches the committed `.vals` (f32 little-endian)
 //! bit-for-bit. Fixtures fall in two classes:
 //!
-//! - **Frozen captures** (`z1_*`, `z2v2_*`): emitted once by a historical
-//!   encoder (format 1 / format 2). This binary never rewrites them — a
-//!   current encoder cannot re-produce those bytes, which is the point.
+//! - **Frozen captures** (`z1_*`, `z2v2_*`, and the `*t1*` copies of the
+//!   range-coded fixtures from before entropy tag 2): emitted once by a
+//!   historical encoder. This binary never rewrites them — a current
+//!   encoder cannot re-produce those bytes, which is the point.
 //! - **Current-format fixtures** (everything else): regenerated here so
-//!   a deliberate format bump can refresh them in one command. A bump
+//!   a deliberate format change can refresh them in one command. A change
 //!   must *add* a frozen copy of the superseded format first.
 //!
 //! Run with `cargo run --release -p ebtrain-bench --bin regen_golden`.
+//! With `--check` it writes nothing: it regenerates the current-format
+//! fixtures in memory and exits non-zero unless every one matches the
+//! committed `.bin` / `.vals` byte for byte.
 
 use ebtrain_codec::{BoundSpec, ByteplaneCodec, Codec, LosslessCodec, SzCodec};
 use ebtrain_sz::{compress, DataLayout, EntropyBackend, SzConfig};
@@ -24,20 +28,23 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-fn write_fixture(name: &str, bytes: &[u8], vals: &[f32]) {
-    let dir = golden_dir();
-    std::fs::create_dir_all(&dir).expect("create tests/golden");
-    std::fs::write(dir.join(format!("{name}.bin")), bytes).expect("write .bin");
-    let mut raw = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        raw.extend_from_slice(&v.to_le_bytes());
+/// A current-format fixture as this encoder emits it: the `.bin` stream
+/// and the `.vals` bytes (little-endian f32s) it decodes to.
+struct Fixture {
+    name: &'static str,
+    bin: Vec<u8>,
+    vals: Vec<u8>,
+}
+
+fn fixture(name: &'static str, bytes: &[u8]) -> Fixture {
+    let (vals, _) = ebtrain_codec::CodecRegistry::standard()
+        .decompress_any(bytes)
+        .expect("fixture must decode");
+    Fixture {
+        name,
+        bin: bytes.to_vec(),
+        vals: vals.iter().flat_map(|v| v.to_le_bytes()).collect(),
     }
-    std::fs::write(dir.join(format!("{name}.vals")), raw).expect("write .vals");
-    println!(
-        "{name}: {} stream bytes, {} values",
-        bytes.len(),
-        vals.len()
-    );
 }
 
 /// Deterministic smooth ramp (no RNG: fixtures must not depend on the
@@ -63,25 +70,16 @@ fn relu_volume(n: usize) -> Vec<f32> {
         .collect()
 }
 
-fn registry_decode(bytes: &[u8]) -> Vec<f32> {
-    let (vals, _) = ebtrain_codec::CodecRegistry::standard()
-        .decompress_any(bytes)
-        .expect("fixture must decode");
-    vals
-}
+fn current_fixtures() -> Vec<Fixture> {
+    let mut out = Vec::new();
 
-fn main() {
     // --- Z3 range-tagged frames: skewed data, Auto selection picks the
     // range backend for every chunk of this volume.
     let data = relu_volume(16 * 16);
     let mut cfg = SzConfig::dual_quant(1e-2);
     cfg.chunk_planes = Some(4);
     let buf = compress(&data, DataLayout::D2(16, 16), &cfg).unwrap();
-    write_fixture(
-        "z3_range_dualquant",
-        buf.as_bytes(),
-        &registry_decode(buf.as_bytes()),
-    );
+    out.push(fixture("z3_range_dualquant", buf.as_bytes()));
 
     // --- Z3 with per-chunk tags forced to Huffman: the current-format
     // twin of the frozen z2v2 fixtures (tag byte present, value 0).
@@ -90,11 +88,7 @@ fn main() {
     cfg.entropy_backend = EntropyBackend::Huffman;
     cfg.chunk_planes = Some(8);
     let buf = compress(&data, DataLayout::D2(24, 16), &cfg).unwrap();
-    write_fixture(
-        "z3_huffman_classic",
-        buf.as_bytes(),
-        &registry_decode(buf.as_bytes()),
-    );
+    out.push(fixture("z3_huffman_classic", buf.as_bytes()));
 
     // --- Z3 heterogeneous body: half the planes skewed (range), half
     // noisy-smooth (huffman) — one stream, both tags. The noise is a
@@ -128,14 +122,10 @@ fn main() {
         idx.entries().iter().map(|e| bytes[e.bytes.start]).collect()
     };
     assert!(
-        tags.contains(&0) && tags.contains(&1),
+        tags.contains(&0) && tags.contains(&2),
         "mixed fixture must exercise both backends, got tags {tags:?}"
     );
-    write_fixture(
-        "z3_mixed_backends",
-        buf.as_bytes(),
-        &registry_decode(buf.as_bytes()),
-    );
+    out.push(fixture("z3_mixed_backends", buf.as_bytes()));
 
     // --- B1 byteplane (untagged legacy magic, format unchanged by the
     // entropy-stage work but pinned the same way).
@@ -143,32 +133,53 @@ fn main() {
     let stream = ByteplaneCodec
         .compress(&data, DataLayout::D1(128), &BoundSpec::Abs(1e-3))
         .unwrap();
-    write_fixture(
-        "b1_byteplane",
-        stream.body(),
-        &registry_decode(stream.body()),
-    );
+    out.push(fixture("b1_byteplane", stream.body()));
 
     // --- Tagged containers (0xEBC0 + codec id + body).
     let data = relu_volume(12 * 32);
     let stream = SzCodec::dual_quant()
         .compress(&data, DataLayout::D2(12, 32), &BoundSpec::Abs(1e-2))
         .unwrap();
-    write_fixture(
-        "tagged_sz",
-        stream.as_bytes(),
-        &registry_decode(stream.as_bytes()),
-    );
+    out.push(fixture("tagged_sz", stream.as_bytes()));
 
     let data = ramp(96);
     let stream = LosslessCodec
         .compress(&data, DataLayout::D1(96), &BoundSpec::Lossless)
         .unwrap();
-    write_fixture(
-        "tagged_lossless",
-        stream.as_bytes(),
-        &registry_decode(stream.as_bytes()),
-    );
+    out.push(fixture("tagged_lossless", stream.as_bytes()));
+    out
+}
 
-    println!("frozen captures (z1_*, z2v2_*) left untouched by design");
+fn main() {
+    let check = std::env::args().any(|a| a == "--check");
+    let dir = golden_dir();
+    let mut stale = Vec::new();
+    for f in current_fixtures() {
+        let bin = dir.join(format!("{}.bin", f.name));
+        let vals = dir.join(format!("{}.vals", f.name));
+        if check {
+            if std::fs::read(&bin).ok() != Some(f.bin) || std::fs::read(&vals).ok() != Some(f.vals)
+            {
+                stale.push(f.name);
+            }
+            continue;
+        }
+        std::fs::create_dir_all(&dir).expect("create tests/golden");
+        std::fs::write(&bin, &f.bin).expect("write .bin");
+        std::fs::write(&vals, &f.vals).expect("write .vals");
+        println!(
+            "{}: {} stream bytes, {} values",
+            f.name,
+            f.bin.len(),
+            f.vals.len() / 4
+        );
+    }
+    if !check {
+        println!("frozen captures (z1_*, z2v2_*, *t1*) left untouched by design");
+    } else if stale.is_empty() {
+        println!("every current-format fixture matches its generator byte for byte");
+    } else {
+        eprintln!("fixtures differ from what regen_golden emits: {stale:?}");
+        std::process::exit(1);
+    }
 }

@@ -6,7 +6,8 @@
 //! | tag | backend | payload |
 //! |-----|---------|---------|
 //! | `0` | [`huffman`] | table-less canonical-Huffman block (`varint n · varint bits_len · bits`) |
-//! | `1` | [`range`] | adaptive binary range-coder bytes |
+//! | `1` | [`range`], decode-only | adaptive binary range-coder bytes, raw mantissa bits inside the coder |
+//! | `2` | [`range`] | range-coder bytes, then the raw mantissa bits as a side stream stored backward from the payload's end |
 //!
 //! Neither payload carries a trailing LZ pass: entropy-coded bytes are
 //! near-incompressible on mid/high-entropy chunks, and the skewed chunks
@@ -25,8 +26,10 @@ use crate::{huffman, range, CodecError, Result};
 pub enum EntropyStageTag {
     /// Shared-codebook canonical Huffman (table-less block).
     Huffman = 0,
+    /// The range coder's first layout (decode-only).
+    RangeV1 = 1,
     /// Codebook-free adaptive binary range coder.
-    Range = 1,
+    Range = 2,
 }
 
 impl EntropyStageTag {
@@ -39,7 +42,8 @@ impl EntropyStageTag {
     pub fn from_u8(b: u8) -> Result<EntropyStageTag> {
         match b {
             0 => Ok(EntropyStageTag::Huffman),
-            1 => Ok(EntropyStageTag::Range),
+            1 => Ok(EntropyStageTag::RangeV1),
+            2 => Ok(EntropyStageTag::Range),
             _ => Err(CodecError::Corrupt("unknown entropy-stage tag")),
         }
     }
@@ -66,8 +70,9 @@ impl EntropyEncoder<'_> {
     /// Entropy-code one chunk's symbols, appending the frame payload to
     /// `out`. The per-frame backend choice and its payload bytes are
     /// counted in the metrics registry (`encoding.entropy.huffman` /
-    /// `.range`, each with a `.bytes` twin), making the auto-selector's
-    /// routing — and what it bought — observable per run.
+    /// `.range`, each with a `.bytes` twin, and `.range.raw_bytes`: what
+    /// bypassed the coder), making the auto-selector's routing — and what
+    /// it bought — observable per run.
     pub fn encode_block(&self, codes: &[u32], out: &mut Vec<u8>) {
         let start = out.len();
         let (frames, bytes) = match self {
@@ -76,7 +81,8 @@ impl EntropyEncoder<'_> {
                 ("encoding.entropy.huffman", "encoding.entropy.huffman.bytes")
             }
             EntropyEncoder::Range { center } => {
-                range::encode_block_into(codes, *center, out);
+                let raw = range::encode_block_into(codes, *center, out);
+                ebtrain_obs::counter_add("encoding.entropy.range.raw_bytes", raw as u64);
                 ("encoding.entropy.range", "encoding.entropy.range.bytes")
             }
         };
@@ -90,6 +96,7 @@ impl EntropyEncoder<'_> {
 pub enum EntropyDecoder<'a> {
     Huffman(&'a huffman::Decoder),
     Range { center: u32 },
+    RangeV1 { center: u32 },
 }
 
 impl EntropyDecoder<'_> {
@@ -97,7 +104,7 @@ impl EntropyDecoder<'_> {
     /// from validated framing (the chunk layout), which bounds every
     /// allocation here; trailing payload bytes are corruption.
     pub fn decode_block(&self, payload: &[u8], n: usize) -> Result<Vec<u32>> {
-        let codes = match self {
+        let codes = match *self {
             EntropyDecoder::Huffman(decoder) => {
                 let mut pos = 0usize;
                 let codes = decoder.decode_block(payload, &mut pos)?;
@@ -106,7 +113,8 @@ impl EntropyDecoder<'_> {
                 }
                 codes
             }
-            EntropyDecoder::Range { center } => range::decode_block(payload, n, *center)?,
+            EntropyDecoder::Range { center } => range::decode_block(payload, n, center)?,
+            EntropyDecoder::RangeV1 { center } => range::decode_block_v1(payload, n, center)?,
         };
         if codes.len() != n {
             return Err(CodecError::Corrupt("code count mismatch"));
@@ -139,10 +147,15 @@ mod tests {
 
     #[test]
     fn tags_roundtrip_and_reject_unknown() {
-        for tag in [EntropyStageTag::Huffman, EntropyStageTag::Range] {
+        for tag in [
+            EntropyStageTag::Huffman,
+            EntropyStageTag::RangeV1,
+            EntropyStageTag::Range,
+        ] {
             assert_eq!(EntropyStageTag::from_u8(tag.as_u8()).unwrap(), tag);
         }
-        assert!(EntropyStageTag::from_u8(2).is_err());
+        assert_eq!(EntropyStageTag::Range.as_u8(), 2);
+        assert!(EntropyStageTag::from_u8(3).is_err());
         assert!(EntropyStageTag::from_u8(0xFF).is_err());
     }
 
@@ -190,6 +203,20 @@ mod tests {
         // Asking for more symbols than encoded either errs or returns
         // garbage — but with a count mismatch it must err, never panic.
         let _ = dec.decode_block(&payload, 4);
+    }
+
+    #[test]
+    fn trailing_bytes_in_a_range_payload_are_corruption() {
+        let codes: Vec<u32> = (0..400).map(|i| 1000 + (i * 37 % 300)).collect();
+        let mut payload = Vec::new();
+        EntropyEncoder::Range { center: 1000 }.encode_block(&codes, &mut payload);
+        let dec = EntropyDecoder::Range { center: 1000 };
+        assert_eq!(dec.decode_block(&payload, codes.len()).unwrap(), codes);
+        for extra in [0u8, 0xFF] {
+            let mut longer = payload.clone();
+            longer.push(extra);
+            assert!(dec.decode_block(&longer, codes.len()).is_err());
+        }
     }
 
     #[test]

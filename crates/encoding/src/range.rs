@@ -16,6 +16,14 @@
 //! denser *and* cheaper than a 1-bit-minimum Huffman code — while wide
 //! histograms (tight bounds) avoid deep-codebook and table-serialization
 //! overhead entirely.
+//!
+//! Two block layouts share that symbol layer. **Tag 2** ([`encode_block`])
+//! codes the hit flag, the length class and the top mantissa bit; the
+//! near-uniform bits below it bypass the coder (as CABAC's bypass bins
+//! do) into a side stream stored backward from the payload's end, so no
+//! length field sits between the two and a block without raw bits has no
+//! side bytes. **Tag 1** ([`decode_block_v1`], decode-only) modeled two
+//! mantissa bits and coded the rest in place as fixed ½ splits.
 
 use crate::{CodecError, Result};
 
@@ -32,11 +40,11 @@ const ADAPT_SHIFT: u32 = 5;
 /// in a stream is corruption.
 const MAX_GAMMA_BITS: usize = 33;
 
-/// Mantissa bits modeled adaptively, counted down from the leading one.
-/// Deeper bits of a Laplacian residual are close to uniform, so they are
-/// coded as raw (p = 1/2, model-free) splits — about half the per-bit
-/// cost, which dominates encode time on deep alphabets (tight bounds).
-const MODELED_MANT_BITS: usize = 2;
+/// Mantissa bits modeled adaptively (tag 2, tag 1), counted down from the
+/// leading one; deeper bits of a Laplacian residual are near-uniform. The
+/// second bit tag 1 modeled is worth 0.4–1 % on narrow blocks, ≤ 0.07 %
+/// of the training benchmarks' ratio, and a coder step per symbol.
+const MODELED_MANT_BITS: [usize; 2] = [1, 2];
 
 /// One adaptive binary probability (12-bit, 1/32 update rate).
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +118,8 @@ impl RangeEncoder {
         self.narrow(mid, one);
     }
 
-    /// Code one bit at a fixed 1/2 split — no model load or update.
+    /// Code one bit at a fixed 1/2 split — no model load or update (tag 1's
+    /// raw bits; the reference for [`RangeDecoder::decode_raw_bit`]).
     #[inline(always)]
     pub fn encode_raw_bit(&mut self, bit: u32) {
         let mid = self.low + ((self.high - self.low) >> 1);
@@ -282,8 +291,8 @@ pub fn encode_block(codes: &[u32], center: u32) -> Vec<u8> {
 }
 
 /// [`encode_block`], appending to `out` (a frame buffer the caller
-/// reuses across chunks).
-pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) {
+/// reuses across chunks). Returns the side stream's share of the bytes.
+pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) -> usize {
     // The chunks routed here — near-constant ones, and deep alphabets at
     // about a byte per symbol — rarely outgrow this reservation.
     out.reserve(codes.len() + 4);
@@ -293,6 +302,8 @@ pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) {
         out: std::mem::take(out),
     };
     let mut model = SymbolModel::new();
+    // Raw bits, MSB-first; the last side byte is zero-padded.
+    let (mut acc, mut acc_bits, mut side) = (0u64, 0usize, Vec::new());
     for &v in codes {
         let m = fold(v, center);
         if m == 0 {
@@ -308,25 +319,72 @@ pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) {
                 enc.encode_bit(&mut model.len[i], 1);
             }
             enc.encode_bit(&mut model.len[k], 0);
-            // Top mantissa bits carry residual structure and stay
-            // modeled; the rest are near-uniform and go as raw splits.
-            let raw_below = k.saturating_sub(MODELED_MANT_BITS);
+            let raw_below = k.saturating_sub(MODELED_MANT_BITS[0]);
             for i in (raw_below..k).rev() {
                 enc.encode_bit(&mut model.mant[i], ((m >> i) & 1) as u32);
             }
-            for i in (0..raw_below).rev() {
-                enc.encode_raw_bit(((m >> i) & 1) as u32);
+            acc = (acc << raw_below) | (m & ((1 << raw_below) - 1));
+            acc_bits += raw_below;
+            while acc_bits >= 8 {
+                acc_bits -= 8;
+                side.push((acc >> acc_bits) as u8);
             }
         }
     }
+    if acc_bits > 0 {
+        side.push((acc << (8 - acc_bits)) as u8);
+    }
     *out = enc.finish();
+    out.extend(side.iter().rev());
+    side.len()
+}
+
+/// Tag 2's raw bits, read backward from the end of the payload: `n` bits
+/// buffered in `acc`, `used` handed out. Past the payload's start they
+/// read as zeros, which the length check then rejects.
+#[derive(Default)]
+struct SideStream {
+    acc: u64,
+    n: usize,
+    used: usize,
+}
+
+impl SideStream {
+    #[inline(always)]
+    fn take(&mut self, bytes: &[u8], n: usize) -> u64 {
+        while self.n < n {
+            let i = bytes.len().checked_sub((self.used + self.n) / 8 + 1);
+            self.acc = (self.acc << 8) | i.map_or(0, |i| bytes[i]) as u64;
+            self.n += 8;
+        }
+        self.n -= n;
+        self.used += n;
+        (self.acc >> self.n) & ((1 << n) - 1)
+    }
 }
 
 /// Decode exactly `n` symbols coded by [`encode_block`] with the same
 /// `center`. Output allocation is bounded by `n`, which the caller
 /// derives from validated framing — a corrupt payload can produce wrong
 /// symbols (caught structurally upstream) but never oversized output.
+/// Bytes the `n` symbols did not consume, or lacked, are corruption.
 pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
+    decode_symbols(bytes, n, center, Some(SideStream::default()))
+}
+
+/// [`decode_block`] for a tag-1 block, which no encoder writes any more.
+pub fn decode_block_v1(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
+    decode_symbols(bytes, n, center, None)
+}
+
+/// The decoder body of both tags: with a side stream it is tag 2's.
+fn decode_symbols(
+    bytes: &[u8],
+    n: usize,
+    center: u32,
+    mut side: Option<SideStream>,
+) -> Result<Vec<u32>> {
+    let modeled = MODELED_MANT_BITS[side.is_none() as usize];
     let mut dec = RangeDecoder::new(bytes);
     let mut model = SymbolModel::new();
     let mut out = Vec::with_capacity(n);
@@ -345,14 +403,20 @@ pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
             }
         }
         let mut m = 1u64;
-        let raw_below = k.saturating_sub(MODELED_MANT_BITS);
+        let raw_below = k.saturating_sub(modeled);
         for i in (raw_below..k).rev() {
             m = (m << 1) | dec.decode_bit(&mut model.mant[i]) as u64;
         }
-        for _ in 0..raw_below {
-            m = (m << 1) | dec.decode_raw_bit() as u64;
-        }
+        m = match side.as_mut() {
+            Some(side) => (m << raw_below) | side.take(bytes, raw_below),
+            None => (0..raw_below).fold(m, |m, _| (m << 1) | dec.decode_raw_bit() as u64),
+        };
         out.push(unfold(m, center)?);
+    }
+    // The coder reads what its encoder wrote: the four flushed bytes up
+    // front, then one per renormalisation, as the encoder shifted them.
+    if dec.pos + side.map_or(0, |s| s.used.div_ceil(8)) != bytes.len() {
+        return Err(CodecError::Corrupt("range payload length mismatch"));
     }
     Ok(out)
 }
@@ -458,6 +522,48 @@ mod tests {
             bytes.len(),
             codes.len()
         );
+    }
+
+    /// A block captured from the last encoder that wrote tag 1: it still
+    /// decodes, and only at its exact length.
+    #[test]
+    fn frozen_tag1_block_decodes_only_at_its_length() {
+        let center = 1000u32;
+        let codes = [
+            center,
+            center + 1,
+            center - 1,
+            center + 300,
+            0,
+            u32::MAX,
+            center,
+            center,
+            center - 77,
+            center + 5000,
+        ];
+        let bytes = [
+            96, 8, 171, 134, 122, 187, 238, 125, 86, 0, 67, 36, 124, 12, 215, 209, 53, 151, 196,
+            137, 107, 229, 127,
+        ];
+        assert_eq!(decode_block_v1(&bytes, codes.len(), center).unwrap(), codes);
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        assert!(decode_block_v1(&longer, codes.len(), center).is_err());
+        assert!(decode_block_v1(&bytes[..bytes.len() - 1], codes.len(), center).is_err());
+    }
+
+    #[test]
+    fn raw_bits_bypass_the_coder() {
+        // m = fold(8, 0) = 16: class 4, one modeled bit, three raw bits.
+        let codes = [8u32; 8];
+        let mut out = vec![0xAB];
+        let side = encode_block_into(&codes, 0, &mut out);
+        assert_eq!(side, 3, "8 symbols x 3 raw bits");
+        assert_eq!(out[0], 0xAB, "appends after what the buffer held");
+        assert_eq!(decode_block(&out[1..], codes.len(), 0).unwrap(), codes);
+        // Hits and classes 0 and 1 (m = 1, 2, 3) have no raw bits, so no
+        // side stream at all.
+        assert_eq!(encode_block_into(&[5, 4, 6, 3], 5, &mut Vec::new()), 0);
     }
 
     #[test]

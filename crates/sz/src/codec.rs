@@ -15,7 +15,8 @@
 //! Format version 3 makes the entropy stage **pluggable per frame**: each
 //! frame body opens with a one-byte entropy-stage tag selecting between
 //! the shared-codebook Huffman block (tag 0) and the codebook-free
-//! adaptive binary range coder (tag 1, see [`ebtrain_encoding::range`]).
+//! adaptive binary range coder (tag 2, see [`ebtrain_encoding::range`];
+//! its first layout, tag 1, still decodes).
 //! Version 3 also drops the format-2 LZ pass around Huffman blocks:
 //! entropy-coded bytes are near-incompressible on the chunks Huffman
 //! wins, and run-heavy chunks route to the range coder. The encoder
@@ -270,7 +271,8 @@ use crate::quantize::{quantize_chunk, Quantized};
 /// length-prefixed frame: `varint frame_len · tag(1B) · varint n_outliers
 /// · u32le outlier bits · varint payload_len · payload`, where the payload
 /// is what `backend.encode_block` emits (tag 0: the chunk's table-less
-/// shared-codebook Huffman block; tag 1: adaptive range-coder bytes).
+/// shared-codebook Huffman block; tag 2: range-coder bytes, then the raw
+/// mantissa bits stored backward).
 /// Format-2 frames are this layout minus the tag, with an LZ pass wrapped
 /// around the Huffman block. `scratch` is reused across chunks: the
 /// payload is coded into it first (both length prefixes need its size),
@@ -307,10 +309,15 @@ fn encode_frame(
 /// (~0.1 bit/symbol). The shared codebook is charged to every chunk —
 /// measured, not principled: one codebook over chunks of different
 /// layers codes well above `H + 0.3`, and the per-chunk charge is what
-/// compensates. The range coder spends one binary decision per coded bit
-/// and runs at a third to a half of Huffman's speed, so it takes the
-/// frame only where it is modelled at least 15 % denser: near-constant
-/// chunks (below the one-bit floor) and deep alphabets (eb → 0).
+/// compensates. The range coder spends one binary decision per modeled
+/// bit (hit flag, length class, top mantissa bit; the deeper mantissa
+/// bits bypass it since entropy tag 2). On the narrow alphabets Huffman
+/// serves well that is still a sixth of Huffman's speed (≈ 160 against
+/// ≈ 1000 MiB/s on 64 Ki Laplacian codes); on wide ones the bypass cut
+/// its time per symbol by a third. So it takes the frame only where it
+/// is modelled at least 15 % denser: near-constant chunks (below the
+/// one-bit floor) and deep alphabets (eb → 0). The margin predates the
+/// bypass and was not re-tuned with it.
 fn select_backend(freqs: &[(u32, u64)], n: usize) -> EntropyStageTag {
     let n_f = n as f64;
     let h = entropy::histogram_entropy(freqs);
@@ -374,11 +381,13 @@ pub(crate) fn decode_chunk(
     }
     let payload = &frame[pos..pos + payload_len];
     let codes = match (tag, decoder) {
-        (EntropyStageTag::Range, _) => {
+        (EntropyStageTag::Range | EntropyStageTag::RangeV1, _) => {
             // The fold center is the quantizer's zero point; the header
             // already validated `radius <= u32::MAX`.
-            EntropyDecoder::Range {
-                center: header.radius as u32,
+            let center = header.radius as u32;
+            match tag {
+                EntropyStageTag::Range => EntropyDecoder::Range { center },
+                _ => EntropyDecoder::RangeV1 { center },
             }
             .decode_block(payload, n)
             .map_err(|e| SzError::Corrupt(e.to_string()))?
@@ -586,7 +595,7 @@ fn compress_impl(
             let _span = ebtrain_obs::span!("sz.entropy", bytes = n_codes * 4);
             let backend = match tag {
                 EntropyStageTag::Huffman => EntropyEncoder::Huffman(&codebook),
-                EntropyStageTag::Range => EntropyEncoder::Range {
+                _ => EntropyEncoder::Range {
                     center: config.radius,
                 },
             };

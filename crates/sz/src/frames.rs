@@ -416,7 +416,10 @@ mod tests {
 
     /// The stats the serial covering-frame loop reported at the parent
     /// of the parallel decoder, frozen: a range decode reads exactly the
-    /// covering frames' bytes, however the frames are scheduled.
+    /// covering frames' bytes, however the frames are scheduled. The
+    /// frames are range-coded: entropy tag 2 re-pinned the byte counts
+    /// (367 B under tag 1, 374 B now — side-stream padding), the frame
+    /// counts are the parent's.
     #[test]
     fn range_decode_stats_are_frozen() {
         let data = volume(16, 8, 8);
@@ -429,11 +432,11 @@ mod tests {
             (0..0, 0, 0),
             (16..16, 0, 0),
             (0..2, 1, 45),
-            (3..4, 1, 43),
-            (1..3, 2, 88),
-            (5..12, 4, 184),
-            (14..16, 1, 48),
-            (0..16, 8, 367),
+            (3..4, 1, 44),
+            (1..3, 2, 89),
+            (5..12, 4, 188),
+            (14..16, 1, 49),
+            (0..16, 8, 374),
         ];
         for (range, frames, bytes) in frozen {
             let (part, stats) = buf.decompress_planes_with_stats(range.clone()).unwrap();
@@ -441,7 +444,7 @@ mod tests {
             let want = RangeDecodeStats {
                 frames_total: 8,
                 frames_decoded: frames,
-                frame_bytes_total: 367,
+                frame_bytes_total: 374,
                 frame_bytes_decoded: bytes,
             };
             assert_eq!(stats, want, "{range:?}");

@@ -230,11 +230,11 @@ impl QuantMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EntropyBackend {
     /// Pick per chunk from the symbol histogram's modelled sizes. The
-    /// bit-serial range coder runs at a third to a half of Huffman's
-    /// speed, so it takes a chunk only where it is modelled ≥ 15 %
-    /// denser: near-constant chunks (Huffman cannot go below one bit per
-    /// symbol) and very wide alphabets (deep codebooks). Everything else
-    /// keeps shared-codebook Huffman.
+    /// range coder makes one binary decision per modeled bit and is several
+    /// times slower than Huffman, so it takes a chunk only where it is
+    /// modelled ≥ 15 % denser: near-constant chunks (Huffman cannot go
+    /// below one bit per symbol) and very wide alphabets (deep
+    /// codebooks). Everything else keeps shared-codebook Huffman.
     #[default]
     Auto,
     /// Force shared-codebook canonical Huffman for every chunk.

@@ -5,11 +5,13 @@
 //! pair: the exact compressed stream as some encoder emitted it, and the
 //! f32 little-endian reconstruction it decoded to at capture time. The
 //! `z1_*` / `z2v2_*` pairs were captured from *historical* encoders
-//! (format 1 / format 2) that no current code can re-emit — they pin
-//! back-compat. The rest are current-format and regenerated by
-//! `cargo run --release -p ebtrain-bench --bin regen_golden` after a
-//! deliberate format bump (which must first freeze the superseded
-//! format as a new `z*v*` fixture).
+//! (format 1 / format 2), and the `*t1*` pairs from the last encoder
+//! that wrote range frames as entropy tag 1; no current code can re-emit
+//! them — they pin back-compat. The rest are current-format and
+//! regenerated by `cargo run --release -p ebtrain-bench --bin
+//! regen_golden` after a deliberate format change (which must first
+//! freeze the superseded format as a new fixture); `regen_golden
+//! --check` proves they still match their generator.
 
 use ebtrain_codec::CodecRegistry;
 use std::path::{Path, PathBuf};
@@ -72,6 +74,13 @@ fn frozen_format2_streams_decode_byte_exactly() {
 }
 
 #[test]
+fn frozen_tag1_range_streams_decode_byte_exactly() {
+    assert_decodes_exactly("z3t1_range_dualquant");
+    assert_decodes_exactly("z3t1_mixed_backends");
+    assert_decodes_exactly("tagged_sz_t1");
+}
+
+#[test]
 fn format3_streams_decode_byte_exactly() {
     assert_decodes_exactly("z3_range_dualquant");
     assert_decodes_exactly("z3_huffman_classic");
@@ -87,26 +96,30 @@ fn container_fixtures_decode_byte_exactly() {
 
 #[test]
 fn format3_fixtures_carry_the_expected_entropy_tags() {
-    let (bin, _) = read_fixture("z3_range_dualquant");
-    let tags = frame_tags(&bin);
-    assert!(
-        tags.iter().all(|&t| t == 1),
-        "skewed fixture should be all range-tagged, got {tags:?}"
-    );
-
-    let (bin, _) = read_fixture("z3_huffman_classic");
-    let tags = frame_tags(&bin);
-    assert!(
-        tags.iter().all(|&t| t == 0),
-        "forced-huffman fixture should be all huffman-tagged, got {tags:?}"
-    );
-
-    let (bin, _) = read_fixture("z3_mixed_backends");
-    let tags = frame_tags(&bin);
-    assert!(
-        tags.contains(&0) && tags.contains(&1),
-        "mixed fixture should carry both tags in one stream, got {tags:?}"
-    );
+    let tag_set = |name: &str| {
+        let (bin, _) = read_fixture(name);
+        // A tagged container wraps the Z2 stream in a 3-byte header.
+        let body = if bin.starts_with(&[0xEB, 0xC0]) {
+            &bin[3..]
+        } else {
+            &bin[..]
+        };
+        let mut tags = frame_tags(body);
+        tags.sort_unstable();
+        tags.dedup();
+        tags
+    };
+    for (name, want) in [
+        ("z3_range_dualquant", &[2][..]),
+        ("z3_huffman_classic", &[0]),
+        ("z3_mixed_backends", &[0, 2]),
+        ("tagged_sz", &[2]),
+        ("z3t1_range_dualquant", &[1]),
+        ("z3t1_mixed_backends", &[0, 1]),
+        ("tagged_sz_t1", &[1]),
+    ] {
+        assert_eq!(tag_set(name), want, "{name}: entropy tags");
+    }
 }
 
 /// The committed reconstructions double as an input corpus for the
@@ -163,8 +176,11 @@ fn corpus_is_paired_and_fully_covered() {
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
+        "z3t1_range_dualquant",
+        "z3t1_mixed_backends",
         "b1_byteplane",
         "tagged_sz",
+        "tagged_sz_t1",
         "tagged_lossless",
     ];
     let mut seen = Vec::new();
@@ -197,6 +213,8 @@ fn every_truncation_of_a_golden_z2_stream_fails_plane_decode_cleanly() {
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
+        "z3t1_range_dualquant",
+        "z3t1_mixed_backends",
     ] {
         let (bin, want) = read_fixture(name);
         let index = ebtrain_sz::frame_index_of(&bin).expect("golden stream has an index");
