@@ -1,15 +1,23 @@
 //! Criterion micro-benchmarks: the compute kernels under the training
-//! substrate (GEMM, im2col, full conv fwd/bwd, entropy stages).
+//! substrate (GEMM, im2col, full conv fwd/bwd, entropy stages) and the
+//! SZ codec on steady-state training activations.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use ebtrain_bench::capture::CapturingStore;
+use ebtrain_core::{AdaptiveTrainer, FrameworkConfig};
+use ebtrain_data::{SynthConfig, SynthImageNet};
 use ebtrain_dnn::layer::Layer;
 use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext};
 use ebtrain_dnn::layers::Conv2d;
+use ebtrain_dnn::network::{Network, NetworkBuilder};
+use ebtrain_dnn::optimizer::SgdConfig;
 use ebtrain_dnn::store::RawStore;
 use ebtrain_encoding::{huffman, lz};
+use ebtrain_sz::{self as sz, CompressedBuffer, DataLayout, SzConfig};
 use ebtrain_tensor::{gemm_nn, im2col, Conv2dGeometry, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 fn bench_gemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -118,9 +126,112 @@ fn bench_entropy(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `train_conv1x1` benchmark workload's network: one 3×3 stem and
+/// six 1×1 convolutions, so the codec dominates its step.
+fn conv1x1_net() -> Network {
+    let mut b = NetworkBuilder::new("conv1x1-heavy", &[3, 32, 32], 7);
+    b.conv(16, 3, 1, 1).relu();
+    for _ in 0..6 {
+        b.conv(16, 1, 1, 0).relu();
+    }
+    b.maxpool(2, 2, 0).linear(10);
+    b.build()
+}
+
+/// What the compressed store encodes in one steady-state step of the
+/// conv1x1 net: train it 30 steps under the adaptive controller, then
+/// capture every compressible activation of one more forward pass with
+/// the bound the plan gives its layer.
+fn steady_state_corpus() -> Vec<(Vec<f32>, DataLayout, SzConfig)> {
+    const BATCH: usize = 8;
+    let data = SynthImageNet::new(SynthConfig {
+        classes: 10,
+        image_hw: 32,
+        noise: 0.2,
+        seed: 31,
+    });
+    let framework = FrameworkConfig {
+        w_interval: 25,
+        ..FrameworkConfig::default()
+    };
+    let mut trainer = AdaptiveTrainer::new(conv1x1_net(), SgdConfig::default(), framework);
+    for step in 0..30 {
+        let (x, labels) = data.batch(step * BATCH as u64, BATCH);
+        trainer.step(x, &labels).expect("training step");
+    }
+    let bounds: HashMap<usize, f32> = trainer
+        .plan_entries()
+        .iter()
+        .map(|e| (e.layer, e.error_bound))
+        .collect();
+    let mut store = CapturingStore::new(RawStore::new());
+    let (x, _) = data.batch(30 * BATCH as u64, BATCH);
+    let mut ctx = ForwardContext {
+        store: &mut store,
+        training: true,
+        collect: false,
+        plan: &CompressionPlan::new(),
+    };
+    trainer
+        .network_mut()
+        .forward(x, &mut ctx)
+        .expect("capture pass");
+    store
+        .take()
+        .into_iter()
+        .map(|(layer, t)| {
+            let eb = bounds[&layer];
+            let layout = DataLayout::for_shape(t.shape());
+            (t.data().to_vec(), layout, SzConfig::with_error_bound(eb))
+        })
+        .collect()
+}
+
+/// The SZ codec on [`steady_state_corpus`], serial and parallel: the
+/// bounds the benchmark's replay corpus (captured at the iteration-0
+/// fallback bound) does not reach.
+fn bench_sz_kernels(c: &mut Criterion) {
+    let corpus = steady_state_corpus();
+    let elems: usize = corpus.iter().map(|(d, _, _)| d.len()).sum();
+    let bounds: Vec<f32> = corpus.iter().map(|(_, _, cfg)| cfg.error_bound).collect();
+    println!(
+        "sz_kernels corpus: {} tensors, {elems} elements, bounds {bounds:?}",
+        corpus.len()
+    );
+    let streams: Vec<CompressedBuffer> = corpus
+        .iter()
+        .map(|(d, layout, cfg)| sz::compress(d, *layout, cfg).expect("compress"))
+        .collect();
+    let mut group = c.benchmark_group("sz_kernels");
+    group.throughput(Throughput::Bytes((elems * 4) as u64));
+    type Compress = fn(&[f32], DataLayout, &SzConfig) -> sz::Result<CompressedBuffer>;
+    type Decompress = fn(&CompressedBuffer) -> sz::Result<Vec<f32>>;
+    let arms: [(&str, Compress, Decompress); 2] = [
+        ("serial", sz::compress_serial, sz::decompress_serial),
+        ("parallel", sz::compress, sz::decompress),
+    ];
+    for (name, compress, decompress) in arms {
+        group.bench_function(format!("compress_{name}"), |b| {
+            b.iter(|| {
+                for (d, layout, cfg) in &corpus {
+                    black_box(compress(d, *layout, cfg).expect("compress"));
+                }
+            })
+        });
+        group.bench_function(format!("decompress_{name}"), |b| {
+            b.iter(|| {
+                for s in &streams {
+                    black_box(decompress(s).expect("decompress"));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_gemm, bench_im2col, bench_conv_layer, bench_entropy
+    targets = bench_gemm, bench_im2col, bench_conv_layer, bench_entropy, bench_sz_kernels
 }
 criterion_main!(benches);

@@ -144,18 +144,35 @@ impl<'a> BitReader<'a> {
         if self.pos + n as usize > self.bytes.len() * 8 {
             return Err(CodecError::UnexpectedEof);
         }
+        self.advance(n);
+        Ok(())
+    }
+
+    /// [`consume`](BitReader::consume) without the end-of-buffer check,
+    /// for a decoder that checks once per block instead of once per
+    /// symbol: past the end the reader keeps yielding zero bits, and
+    /// [`overran`](BitReader::overran) tells afterwards whether any of
+    /// them were consumed.
+    #[inline]
+    pub fn advance(&mut self, n: u32) {
+        debug_assert!(n <= 32);
         if self.have < n {
             self.refill(); // consumed without a peek
         }
         self.pos += n as usize;
         self.acc <<= n;
         self.have = self.have.saturating_sub(n);
-        Ok(())
     }
 
-    /// Bits remaining in the buffer (including trailing padding).
+    /// True once the cursor has moved past the end of the buffer.
+    pub fn overran(&self) -> bool {
+        self.pos > self.bytes.len() * 8
+    }
+
+    /// Bits remaining in the buffer (including trailing padding); zero
+    /// once the cursor has [`overran`](BitReader::overran).
     pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
+        (self.bytes.len() * 8).saturating_sub(self.pos)
     }
 }
 
@@ -223,6 +240,13 @@ mod tests {
         // …but consuming past the end is an error.
         assert_eq!(r.consume(6), Err(CodecError::UnexpectedEof));
         assert!(r.consume(5).is_ok());
+        // Unchecked advancing past the end keeps yielding zero bits and
+        // is reported afterwards.
+        assert!(!r.overran());
+        r.advance(9);
+        assert_eq!(r.peek_bits(7), 0);
+        assert!(r.overran());
+        assert_eq!(r.remaining_bits(), 0);
     }
 
     #[test]

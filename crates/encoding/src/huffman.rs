@@ -348,19 +348,38 @@ pub fn skip_serialized_codebook(bytes: &[u8], pos: &mut usize) -> Result<()> {
     Ok(())
 }
 
-/// Width of the table-driven decoder's primary lookup table. Every code
-/// of at most this many bits decodes with a single peek + index; longer
-/// (rare, deep-tail) codes fall through to the canonical first-code walk.
-/// 11 bits → a 2 KiB table that stays resident in L1.
+/// Width of the table-driven decoder's lookup window. Every code of at
+/// most this many bits decodes with a single peek + index; longer (rare,
+/// deep-tail) codes fall through to the canonical first-code walk.
+/// 11 bits → 2048 16-byte slots, 32 KiB, which stays resident in L1.
 const PRIMARY_BITS: u32 = 11;
+
+/// Most symbols one table slot decodes.
+const SYMS_PER_SLOT: usize = 3;
+
+/// One lookup-table slot: the codes that, back to back, start the
+/// `primary_bits`-bit window indexing it.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Decoded symbols; entries from `count` on are filler the block
+    /// decoder writes ahead of its cursor and then overwrites.
+    syms: [u32; SYMS_PER_SLOT],
+    /// Code length of `syms[0]`; 0 marks an overflow slot, whose window
+    /// is the prefix of a code longer than `primary_bits`.
+    len0: u8,
+    /// Bits the `count` codes take together (≤ `primary_bits`).
+    bits: u8,
+    /// Symbols decoded: 1..=3, or 0 in an overflow slot.
+    count: u8,
+}
 
 /// Prebuilt table-driven canonical decoder, reusable across any number
 /// of blocks encoded against the same [`Codebook`]. Cheap to share
 /// between threads (all state is read-only after construction).
 pub struct Decoder {
-    /// Flat `2^primary_bits` lookup: `(symbol, code length)`; a zero
-    /// length marks an overflow slot (code longer than `primary_bits`).
-    primary: Vec<(u32, u8)>,
+    /// Flat `2^primary_bits` lookup, indexed by the next window of the
+    /// stream: up to three symbols per slot (see [`Slot`]).
+    table: Vec<Slot>,
     primary_bits: u32,
     /// Canonical first-code/first-index walk state for the overflow path.
     first_code: Vec<u64>,
@@ -394,7 +413,7 @@ impl Decoder {
         }
         if table.is_empty() {
             return Ok(Decoder {
-                primary: Vec::new(),
+                table: Vec::new(),
                 primary_bits: 0,
                 first_code: Vec::new(),
                 first_index: Vec::new(),
@@ -415,6 +434,13 @@ impl Decoder {
     /// `pos` past it.
     pub fn decode_block(&self, bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
         let n = varint::read_usize(bytes, pos)?;
+        self.decode_bits(n, bytes, pos)
+    }
+
+    /// Decode `n` symbols from the `varint bits_len · bitstream` at
+    /// `pos`, advancing `pos` past it — the one decode loop behind both
+    /// [`decode_block`](Self::decode_block) and [`decode`].
+    fn decode_bits(&self, n: usize, bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
         let bits_len = varint::read_usize(bytes, pos)?;
         // Subtract rather than add: `*pos + bits_len` could wrap.
         if bits_len > bytes.len() - *pos {
@@ -435,9 +461,28 @@ impl Decoder {
             return Err(CodecError::Corrupt("symbol count exceeds bitstream"));
         }
         let mut br = BitReader::new(&bytes[*pos..*pos + bits_len]);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.decode_symbol(&mut br)?);
+        let mut out = vec![0u32; n];
+        let mut i = 0usize;
+        // One lookup per up-to-three symbols while three output slots
+        // remain: every slot is written whole and the cursor advances by
+        // the slot's count. Consumption is unchecked here (past the end
+        // the reader yields zeros); one overrun check covers the block.
+        while i + SYMS_PER_SLOT <= n {
+            let slot = &self.table[br.peek_bits(self.primary_bits) as usize];
+            if slot.count == 0 {
+                out[i] = self.decode_symbol(&mut br)?;
+                i += 1;
+                continue;
+            }
+            br.advance(slot.bits as u32);
+            out[i..i + SYMS_PER_SLOT].copy_from_slice(&slot.syms);
+            i += slot.count as usize;
+        }
+        for sym in &mut out[i..] {
+            *sym = self.decode_symbol(&mut br)?;
+        }
+        if br.overran() {
+            return Err(CodecError::UnexpectedEof);
         }
         *pos += bits_len;
         Ok(out)
@@ -469,19 +514,46 @@ impl Decoder {
             }
         }
         let primary_bits = max_len.min(PRIMARY_BITS);
-        let mut primary = vec![(0u32, 0u8); 1usize << primary_bits];
+        let mut table = vec![Slot::default(); 1usize << primary_bits];
         for &(sym, code, len) in canon {
             if len as u32 <= primary_bits {
                 // Fill every slot whose top `len` bits equal `code`.
                 let base = (code as usize) << (primary_bits - len as u32);
                 let span = 1usize << (primary_bits - len as u32);
-                for slot in &mut primary[base..base + span] {
-                    *slot = (sym, len);
+                for slot in &mut table[base..base + span] {
+                    slot.syms[0] = sym;
+                    slot.len0 = len;
+                    slot.bits = len;
+                    slot.count = 1;
                 }
             }
         }
+        // Extend each slot with the two codes that follow its first one
+        // inside the window. The slot at the window shifted past the
+        // bits already taken starts with the next code — if that code
+        // fits in the window's remaining real bits. Extension leaves
+        // every slot's `syms[0]` and `len0` as they were, so reading
+        // them from an already-extended slot is sound. Branch-free: a
+        // code that does not fit still lands in `syms` as filler.
+        let mask = table.len() - 1;
+        let fits =
+            |taken: u8, next: &Slot| next.len0 != 0 && (taken + next.len0) as u32 <= primary_bits;
+        for w in 0..table.len() {
+            let first = table[w];
+            let second = table[(w << first.len0) & mask];
+            let fit2 = first.count != 0 && fits(first.len0, &second);
+            let two = first.len0 + second.len0;
+            let third = table[(w << two) & mask];
+            let fit3 = fit2 && fits(two, &third);
+            table[w] = Slot {
+                syms: [first.syms[0], second.syms[0], third.syms[0]],
+                len0: first.len0,
+                bits: first.len0 + fit2 as u8 * second.len0 + fit3 as u8 * third.len0,
+                count: first.count + fit2 as u8 + fit3 as u8,
+            };
+        }
         Ok(Decoder {
-            primary,
+            table,
             primary_bits,
             first_code,
             first_index,
@@ -491,15 +563,17 @@ impl Decoder {
         })
     }
 
-    /// Decode one symbol: primary-table fast path, canonical walk for
-    /// codes longer than `primary_bits`.
+    /// Decode one symbol, checking the end of the stream: the table's
+    /// first symbol, or the canonical walk for codes longer than
+    /// `primary_bits`. The block decoder's path for overflow codes and
+    /// for a block's last few symbols.
     #[inline]
     fn decode_symbol(&self, br: &mut BitReader<'_>) -> Result<u32> {
         let window = br.peek_bits(self.primary_bits) as usize;
-        let (sym, len) = self.primary[window];
-        if len != 0 {
-            br.consume(len as u32)?;
-            return Ok(sym);
+        let slot = &self.table[window];
+        if slot.len0 != 0 {
+            br.consume(slot.len0 as u32)?;
+            return Ok(slot.syms[0]);
         }
         // Overflow (code deeper than the primary table): canonical
         // first-code walk over the remaining lengths, re-peeking the
@@ -522,36 +596,17 @@ impl Decoder {
 /// Decode a stream produced by [`encode`].
 ///
 /// Table-driven: the canonical code set is expanded once into a flat
-/// 11-bit primary lookup table, so the per-symbol cost is a single peek
-/// + table index instead of a bit-by-bit tree walk.
+/// 11-bit lookup table of up to three symbols per slot, and the
+/// bitstream goes through the same loop as a shared-codebook block.
 pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
     let mut pos = 0usize;
     let n = varint::read_usize(bytes, &mut pos)?;
     let decoder = Decoder::deserialize(bytes, &mut pos)?;
+    // An empty input encodes no bitstream length at all.
     if n == 0 {
         return Ok(Vec::new());
     }
-    if decoder.is_empty() {
-        return Err(CodecError::Corrupt(
-            "empty huffman table for non-empty data",
-        ));
-    }
-    let bits_len = varint::read_usize(bytes, &mut pos)?;
-    // Subtract rather than add: `pos + bits_len` could wrap.
-    if bits_len > bytes.len() - pos {
-        return Err(CodecError::UnexpectedEof);
-    }
-    // Every code is at least one bit, so the bitstream bounds the symbol
-    // count; reject corrupt counts before reserving memory.
-    if n > bits_len.saturating_mul(8) {
-        return Err(CodecError::Corrupt("symbol count exceeds bitstream"));
-    }
-    let mut br = BitReader::new(&bytes[pos..pos + bits_len]);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(decoder.decode_symbol(&mut br)?);
-    }
-    Ok(out)
+    decoder.decode_bits(n, bytes, &mut pos)
 }
 
 #[cfg(test)]
@@ -675,6 +730,111 @@ mod tests {
         varint::write_u64(&mut block, u64::MAX - 1); // bits_len
         let mut bpos = 0usize;
         assert!(dec.decode_block(&block, &mut bpos).is_err());
+    }
+
+    /// The single-symbol loop: one checked [`Decoder::decode_symbol`]
+    /// per symbol, over the same block framing as `decode_block`.
+    fn reference_decode_block(dec: &Decoder, bytes: &[u8]) -> Result<Vec<u32>> {
+        let mut pos = 0usize;
+        let n = varint::read_usize(bytes, &mut pos)?;
+        let bits_len = varint::read_usize(bytes, &mut pos)?;
+        if bits_len > bytes.len() - pos {
+            return Err(CodecError::UnexpectedEof);
+        }
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        if dec.is_empty() || n > bits_len.saturating_mul(8) {
+            return Err(CodecError::Corrupt("reference rejects"));
+        }
+        let mut br = BitReader::new(&bytes[pos..pos + bits_len]);
+        (0..n).map(|_| dec.decode_symbol(&mut br)).collect()
+    }
+
+    /// Encode `n` symbols for every `n` in {0, 1, 2, 3, 4, 3000} — half
+    /// the most frequent symbol (runs of short codes, three to a table
+    /// slot), half drawn uniformly from the alphabet (so rare, long
+    /// codes occur often) — and hold the block decoder to the
+    /// reference: the same symbols; `Err` on every truncation; on a
+    /// block with bit `flip` flipped, the reference's answer — `Err` or
+    /// exactly as many symbols as the block claims. Returns the longest
+    /// code length.
+    fn check_against_reference(freqs: &[(u32, u64)], seed: u64, flip: usize) -> u8 {
+        let codebook = Codebook::from_freqs(freqs);
+        let mut table = Vec::new();
+        codebook.serialize(&mut table);
+        let dec = Decoder::deserialize(&table, &mut 0).unwrap();
+        let top = freqs.iter().max_by_key(|&&(_, c)| c).unwrap().0;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for n in [0usize, 1, 2, 3, 4, 3000] {
+            let syms: Vec<u32> = (0..n)
+                .map(|_| match rng.gen_bool(0.5) {
+                    true => top,
+                    false => freqs[rng.gen_range(0..freqs.len())].0,
+                })
+                .collect();
+            let mut block = Vec::new();
+            codebook.encode_block(&syms, &mut block);
+            let mut pos = 0usize;
+            assert_eq!(dec.decode_block(&block, &mut pos).unwrap(), syms, "n {n}");
+            assert_eq!(pos, block.len());
+            assert_eq!(reference_decode_block(&dec, &block).unwrap(), syms);
+            for cut in 0..block.len() {
+                assert!(
+                    dec.decode_block(&block[..cut], &mut 0).is_err(),
+                    "n {n} cut {cut}"
+                );
+            }
+            let mut bad = block.clone();
+            let bit = flip % (bad.len() * 8);
+            bad[bit / 8] ^= 0x80 >> (bit % 8);
+            let claimed = varint::read_usize(&bad, &mut 0);
+            match (
+                dec.decode_block(&bad, &mut 0),
+                reference_decode_block(&dec, &bad),
+            ) {
+                (Ok(fast), Ok(slow)) => {
+                    assert_eq!(fast, slow, "n {n} flip {bit}");
+                    assert_eq!(Ok(fast.len()), claimed);
+                }
+                (Err(_), Err(_)) => {}
+                (fast, slow) => panic!("n {n} flip {bit}: {fast:?} vs reference {slow:?}"),
+            }
+        }
+        codebook.canon.iter().map(|&(_, _, len)| len).max().unwrap()
+    }
+
+    #[test]
+    fn multi_symbol_decode_matches_reference_on_32_bit_codes() {
+        // Counts doubling per symbol make the Huffman tree a chain, cut
+        // at the 32-bit length limit.
+        let chain: Vec<(u32, u64)> = (0..48).map(|i| (1000 + i, 1u64 << i)).collect();
+        assert_eq!(check_against_reference(&chain, 5, 12_345), MAX_CODE_LEN);
+        // A one-symbol codebook: one-bit codes, and nothing for a 1 bit.
+        assert_eq!(check_against_reference(&[(7, 9)], 6, 3), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random histograms whose counts span 2^0..2^47 (code lengths
+        /// 1..=32, long codes beside short ones), one-symbol codebooks
+        /// among them.
+        #[test]
+        fn multi_symbol_decode_matches_reference(
+            exps in proptest::collection::vec(0u32..48, 1..40),
+            one_symbol in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            flip in proptest::prelude::any::<usize>(),
+        ) {
+            let k = if one_symbol { 1 } else { exps.len() };
+            let freqs: Vec<(u32, u64)> = exps[..k]
+                .iter()
+                .enumerate()
+                .map(|(i, &e)| (3 * i as u32 + 40, 1u64 << e))
+                .collect();
+            check_against_reference(&freqs, seed, flip);
+        }
     }
 
     #[test]

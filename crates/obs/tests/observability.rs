@@ -232,6 +232,17 @@ fn metrics_endpoint_exposes_counters_and_histograms() {
     for v in [100u64, 200, 400, 800, 1600] {
         hist_record(lat, v);
     }
+    // A real decode, so its per-chunk stage spans reach the scrape.
+    let chunks = {
+        use ebtrain_sz::{compress, decompress, DataLayout, SzConfig};
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let data: Vec<f32> = (0..16 * 32 * 32).map(|i| (i as f32 * 0.01).sin()).collect();
+        let mut cfg = SzConfig::with_error_bound(1e-3);
+        cfg.chunk_planes = Some(4);
+        let buf = compress(&data, DataLayout::D3(16, 32, 32), &cfg).unwrap();
+        decompress(&buf).unwrap();
+        buf.num_chunks() as f64
+    };
     let snap = snapshot();
 
     let body = serve::fetch(server.addr(), "/metrics").expect("fetch /metrics");
@@ -267,6 +278,18 @@ fn metrics_endpoint_exposes_counters_and_histograms() {
         get(&format!("{hname}_bucket{{le=\"+Inf\"}}")),
         Some(h.count() as f64)
     );
+
+    // Decode time splits into its two per-chunk stages, one span each
+    // per decoded chunk (no other test in this binary runs the codec).
+    for span_key in ["sz.entropy_decode", "sz.reconstruct"] {
+        let count = get(&format!("{}_nanos_count", sanitized(span_key)));
+        assert_eq!(
+            count,
+            Some(snap.span_stats(span_key).count as f64),
+            "{span_key}"
+        );
+        assert_eq!(count, Some(chunks), "{span_key}");
+    }
 
     // The flight-recorder report route serves crate-parseable JSON with
     // the same counter value.

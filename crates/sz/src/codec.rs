@@ -380,6 +380,7 @@ pub(crate) fn decode_chunk(
         return Err(corrupt("trailing bytes in chunk frame"));
     }
     let payload = &frame[pos..pos + payload_len];
+    let entropy_span = ebtrain_obs::span!("sz.entropy_decode", bytes = n * 4);
     let codes = match (tag, decoder) {
         (EntropyStageTag::Range | EntropyStageTag::RangeV1, _) => {
             // The fold center is the quantizer's zero point; the header
@@ -412,10 +413,12 @@ pub(crate) fn decode_chunk(
             huffman::decode(&block).map_err(|e| SzError::Corrupt(e.to_string()))?
         }
     };
+    drop(entropy_span);
     if codes.len() != n {
         return Err(corrupt("code count mismatch"));
     }
 
+    let _span = ebtrain_obs::span!("sz.reconstruct", bytes = n * 4);
     let eb = header.eb;
     let two_eb = 2.0 * eb;
     let radius = header.radius;
@@ -451,19 +454,37 @@ pub(crate) fn decode_chunk(
 ///
 /// `f64::round` is a libm call on baseline x86-64, and it sat on every
 /// element the encoder touches. Inside the clamp the same
-/// half-away-from-zero rounding is one add and a truncating cast:
-/// adding the largest double below 0.5 carries exact halves over and
-/// nothing smaller (`tests::grid_of_matches_libm_round` pins the
-/// equivalence at every boundary).
+/// half-away-from-zero rounding is one add and a truncation: adding the
+/// largest double below 0.5 carries exact halves over and nothing
+/// smaller (`tests::grid_of_matches_libm_round` pins the equivalence at
+/// every boundary).
 #[inline]
 pub(crate) fn grid_of(x: f32, two_eb: f32) -> Option<i64> {
+    let (q, in_range) = grid_point(x, two_eb);
+    in_range.then_some(q)
+}
+
+/// [`grid_of`] without the branch, for loops that vectorize: the grid
+/// point (0 where there is none) and whether there is one.
+///
+/// The truncation goes through the float's bits, not an `as i64` cast:
+/// Rust's cast saturates, and x86 lowers a saturating vector cast one
+/// element at a time. Adding 2^52 to `a ∈ [0, 2^52)` rounds it to the
+/// nearest integer `m`, which then sits in the low mantissa bits; `m`
+/// minus one where it rounded up is `a`'s floor.
+#[inline(always)]
+pub(crate) fn grid_point(x: f32, two_eb: f32) -> (i64, bool) {
+    const TWO_52: f64 = (1u64 << 52) as f64;
     let r = x as f64 / two_eb as f64;
     // `|round(r)| < GRID_CLAMP` exactly; NaN and ±inf fail the compare.
-    if r.abs() < GRID_CLAMP - 0.5 {
-        Some((r + 0.499_999_999_999_999_94_f64.copysign(r)) as i64)
-    } else {
-        None
-    }
+    let in_range = r.abs() < GRID_CLAMP - 0.5;
+    // |r + 0.5⁻·sign(r)|, exactly: round-to-nearest is sign-symmetric.
+    let a = r.abs() + 0.499_999_999_999_999_94;
+    let shifted = a + TWO_52;
+    let nearest = shifted.to_bits() as i64 - TWO_52.to_bits() as i64;
+    let floor = nearest - (shifted - TWO_52 > a) as i64;
+    let q = if r < 0.0 { -floor } else { floor };
+    (if in_range { q } else { 0 }, in_range)
 }
 
 /// The f32 a dual-quant grid point reconstructs to. The encoder's bound

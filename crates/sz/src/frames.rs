@@ -26,18 +26,6 @@ use ebtrain_encoding::huffman;
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Elements per leading-dimension "plane" of a layout (see module docs;
-/// now a public [`DataLayout`] method so other crates can map plane
-/// ranges to element ranges).
-fn plane_elems(layout: DataLayout) -> usize {
-    layout.plane_elems()
-}
-
-/// Number of planes a layout splits into.
-fn plane_count(layout: DataLayout) -> usize {
-    layout.plane_count()
-}
-
 /// One frame's coverage: which planes/elements it reconstructs and which
 /// stream bytes hold its body (length prefix excluded).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,8 +155,8 @@ impl CompressedBuffer {
 /// a body slice.
 pub fn frame_index_of(bytes: &[u8]) -> Result<FrameIndex> {
     let header = parse_header(bytes)?;
-    let pe = plane_elems(header.layout);
-    let np = plane_count(header.layout);
+    let pe = header.layout.plane_elems();
+    let np = header.layout.plane_count();
     if header.legacy {
         return Ok(FrameIndex {
             layout: header.layout,
@@ -220,8 +208,8 @@ pub fn decompress_planes_bytes(
     planes: Range<usize>,
 ) -> Result<(Vec<f32>, RangeDecodeStats)> {
     let header = parse_header(bytes)?;
-    let pe = plane_elems(header.layout);
-    let np = plane_count(header.layout);
+    let pe = header.layout.plane_elems();
+    let np = header.layout.plane_count();
     if planes.start > planes.end || planes.end > np {
         return Err(corrupt("plane range out of bounds"));
     }
