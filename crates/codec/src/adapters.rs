@@ -130,20 +130,6 @@ impl Codec for SzCodec {
         Ok((TaggedStream::tag(CodecId::SZ, buf.into_bytes()), recon))
     }
 
-    fn compress_chunked(
-        &self,
-        data: &[f32],
-        layout: DataLayout,
-        bound: &BoundSpec,
-        chunk_planes: usize,
-    ) -> Result<TaggedStream> {
-        let _span = ebtrain_obs::span!("codec.compress", bytes = data.len() * 4);
-        let mut cfg = self.cfg_for(data, bound)?;
-        cfg.chunk_planes = Some(chunk_planes.max(1));
-        let buf = ebtrain_sz::compress(data, layout, &cfg)?;
-        Ok(TaggedStream::tag(CodecId::SZ, buf.into_bytes()))
-    }
-
     fn decompress(&self, stream: &TaggedStream) -> Result<Vec<f32>> {
         let _span = ebtrain_obs::span!("codec.decompress", bytes = stream.compressed_byte_len());
         ebtrain_sz::decompress_bytes(stream.body())
@@ -177,16 +163,6 @@ impl Codec for SzCodec {
                 partial: st.frames_decoded < st.frames_total,
             },
         ))
-    }
-
-    fn partial_wire_cost(&self, stream: &TaggedStream, planes: &Range<usize>) -> Option<usize> {
-        let idx = ebtrain_sz::frame_index_of(stream.body()).ok()?;
-        let covered = idx.frames_covering(planes);
-        let frame_bytes: usize = idx.entries()[covered].iter().map(|e| e.bytes.len()).sum();
-        // Shared overhead = everything that is not frame bodies (container
-        // tag, header, codebook, length prefixes).
-        let overhead = stream.compressed_byte_len() - idx.frame_bytes_total();
-        Some(overhead + frame_bytes)
     }
 }
 
@@ -479,8 +455,6 @@ mod tests {
         assert_eq!(part, full[4 * 64..8 * 64]);
         assert!(stats.partial);
         assert!(stats.bytes_decoded < stats.bytes_total);
-        let wire = c.partial_wire_cost(&s, &(4..8)).unwrap();
-        assert!(wire < s.compressed_byte_len());
     }
 
     #[test]
@@ -553,7 +527,6 @@ mod tests {
         assert!(!stats.partial);
         assert_eq!(stats.bytes_decoded, stats.bytes_total);
         assert!(c.decompress_planes(&s, layout, 2..17).is_err());
-        assert!(c.partial_wire_cost(&s, &(2..5)).is_none());
         assert!(!c.supports_frame_index());
     }
 }

@@ -20,10 +20,8 @@
 //!   encoder already knows them), plus **capability probes**:
 //!   [`supports_frame_index`](Codec::supports_frame_index),
 //!   [`decompress_planes`](Codec::decompress_planes) (with a documented
-//!   whole-decode fallback for codecs without random access),
-//!   [`compress_chunked`](Codec::compress_chunked) and
-//!   [`partial_wire_cost`](Codec::partial_wire_cost) for consumers that
-//!   ship plane ranges (the ring's frame-indexed hop 0).
+//!   whole-decode fallback for codecs without random access) for
+//!   consumers that fetch plane ranges (the budgeted arena, serve).
 //! * [`BoundSpec`] — unified absolute / value-range-relative / lossless
 //!   bound semantics; each backend resolves the spec against the data
 //!   (and [`Codec::contract`] states what the roundtrip then honours).
@@ -230,27 +228,9 @@ pub trait Codec: Send + Sync {
 
     /// True when streams from this codec carry a frame index, i.e.
     /// [`decompress_planes`](Codec::decompress_planes) can decode a plane
-    /// range *without* touching the rest of the stream and
-    /// [`partial_wire_cost`](Codec::partial_wire_cost) is meaningful.
+    /// range *without* touching the rest of the stream.
     fn supports_frame_index(&self) -> bool {
         false
-    }
-
-    /// [`compress`](Codec::compress) with the chunk geometry pinned to
-    /// `chunk_planes` leading-dimension planes per independently-decodable
-    /// frame — consumers that later fetch plane ranges (ring segments,
-    /// partial activation fetches) align frames to their access grain.
-    /// Codecs without frame support ignore the hint (documented
-    /// fallback: the stream is still valid, ranges just decode whole).
-    fn compress_chunked(
-        &self,
-        data: &[f32],
-        layout: DataLayout,
-        bound: &BoundSpec,
-        chunk_planes: usize,
-    ) -> Result<TaggedStream> {
-        let _ = chunk_planes;
-        self.compress(data, layout, bound)
     }
 
     /// Decode only the leading-dimension planes in `planes` of `layout`
@@ -290,15 +270,6 @@ pub trait Codec: Send + Sync {
                 partial: false,
             },
         ))
-    }
-
-    /// Wire bytes needed to ship **only** `planes` of this stream:
-    /// shared overhead (container tag, header, codebook) plus the frames
-    /// covering the range. `None` when the codec has no frame index and
-    /// the whole stream must travel.
-    fn partial_wire_cost(&self, stream: &TaggedStream, planes: &Range<usize>) -> Option<usize> {
-        let _ = (stream, planes);
-        None
     }
 }
 

@@ -23,7 +23,7 @@
 //!
 //! # ZeRO-style sharded optimizer state
 //!
-//! In `reduce_scatter`-only mode each rank owns one ring segment of
+//! In reduce-scatter-only mode each rank owns one ring segment of
 //! every bucket (always segment `(rank + 1) % world` — the ring's
 //! reduce-scatter invariant), keeps **momentum only for the owned
 //! shards** (`~1/N` of the dense momentum footprint), applies the SGD
@@ -70,7 +70,7 @@ pub struct SyncConfig {
     /// (overlap with the rest of backward). `false` launches everything
     /// after backward — the non-overlapped baseline.
     pub overlap: bool,
-    /// ZeRO-style mode: `reduce_scatter` only, shard the optimizer
+    /// ZeRO-style mode: reduce-scatter only, shard the optimizer
     /// state, all-gather updated parameters exactly. Incompatible with
     /// the σ-adaptive comm bound (momentum lives in shards).
     pub zero_shard: bool,

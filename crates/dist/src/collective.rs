@@ -15,9 +15,8 @@ use std::time::Duration;
 
 /// Ring segments are aligned to this many elements — exactly one `D1`
 /// plane of the Z2 stream format ([`ebtrain_sz::DataLayout::plane_elems`]),
-/// so that a segment of the gradient coincides with a whole number of
-/// chunk frames and the first scatter hop can be served by the frame
-/// index (`decompress_planes`) without decoding neighbouring segments.
+/// so every segment but the tensor's last is a whole number of planes
+/// and its stream chunks on the same plane grid as the whole gradient.
 pub const SEG_ALIGN: usize = 4096;
 
 /// Split `len` elements into `world` contiguous ring segments, aligned
@@ -35,12 +34,6 @@ pub fn seg_ranges(len: usize, world: usize) -> Vec<Range<usize>> {
             lo..hi.max(lo)
         })
         .collect()
-}
-
-/// Planes per segment for a `len`-element vector (the `chunk_planes`
-/// setting that makes Z2 frames coincide with ring segments).
-pub fn seg_planes(len: usize, world: usize) -> usize {
-    len.div_ceil(SEG_ALIGN).div_ceil(world.max(1)).max(1)
 }
 
 /// Segmentation for a **window** `[start, start + len)` of a larger
@@ -74,9 +67,8 @@ pub fn seg_ranges_at(start: usize, len: usize, total: usize, world: usize) -> Ve
 pub struct CommStats {
     /// Point-to-point messages plus per-receiver broadcast deliveries.
     pub messages: u64,
-    /// Bytes that actually travelled (compressed size for compressed
-    /// transports; for the frame-indexed hop, the shared header/codebook
-    /// plus only the frames covering the sent segment).
+    /// Bytes that actually travelled: the stream's size on a lossy hop,
+    /// four bytes per element on the exact one.
     pub payload_bytes: u64,
     /// Bytes a dense f32 transport would have moved for the identical
     /// schedule — the baseline of the Fig 12 reduction claim.
@@ -133,120 +125,62 @@ pub trait Collective: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Replace every rank's `buf` with `root`'s — used once at start-up
-    /// to put all replicas on identical parameters. Compressed
-    /// implementations quantize: **all** ranks (root included) end up
-    /// with the identical decoded copy.
+    /// to put all replicas on identical parameters. **Exact on every
+    /// transport** (dense f32 payload): only the recurring gradient
+    /// streams are lossy.
     fn broadcast(&self, rank: usize, root: usize, buf: &mut [f32]) -> Result<()>;
 
-    /// Ring reduce-scatter: on return, this rank's **owned segment** of
-    /// `buf` (see [`seg_ranges`]) holds the across-rank **sum**; other
-    /// segments hold partial garbage. Returns the owned segment index.
-    fn reduce_scatter(&self, rank: usize, buf: &mut [f32]) -> Result<usize>;
-
-    /// Ring all-gather of per-segment results: each rank contributes the
-    /// segment it owns (`owned` from [`reduce_scatter`](Collective::reduce_scatter));
-    /// on return every rank's `buf` holds identical values in all
-    /// segments.
-    fn all_gather(&self, rank: usize, owned: usize, buf: &mut [f32]) -> Result<()>;
-
-    /// Average `buf` across all ranks (reduce-scatter, all-gather, then
-    /// divide by the world size). Every rank returns with **bit-identical**
-    /// contents — compressed implementations guarantee this by having the
-    /// segment owner adopt the reconstruction of its own quantized stream.
+    /// Average `buf` across all ranks: the whole tensor as one window
+    /// under tag 0 (see [`all_reduce_aligned`](Collective::all_reduce_aligned)).
     fn all_reduce(&self, rank: usize, buf: &mut [f32]) -> Result<()> {
-        if self.world_size() <= 1 || buf.is_empty() {
-            return Ok(());
-        }
-        let owned = self.reduce_scatter(rank, buf)?;
-        self.all_gather(rank, owned, buf)?;
-        let inv = 1.0 / self.world_size() as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
-        Ok(())
+        let len = buf.len();
+        self.all_reduce_aligned(rank, buf, 0, 0, len)
     }
 
-    /// Tagged reduce-scatter: identical semantics to
-    /// [`reduce_scatter`](Collective::reduce_scatter), but all messages
-    /// travel under `tag`, so **several tagged collectives may be in
-    /// flight concurrently** on the same group (one per gradient
-    /// bucket). Every rank must launch the same set of tags.
-    fn reduce_scatter_tagged(&self, rank: usize, buf: &mut [f32], _tag: u64) -> Result<usize> {
-        self.reduce_scatter(rank, buf)
-    }
-
-    /// Tagged all-gather — see
-    /// [`reduce_scatter_tagged`](Collective::reduce_scatter_tagged).
-    fn all_gather_tagged(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        _tag: u64,
-    ) -> Result<()> {
-        self.all_gather(rank, owned, buf)
-    }
-
-    /// Tagged averaging all-reduce: the bucket-granular form of
-    /// [`all_reduce`](Collective::all_reduce), usable concurrently for
-    /// distinct tags.
-    fn all_reduce_tagged(&self, rank: usize, buf: &mut [f32], tag: u64) -> Result<()> {
-        if self.world_size() <= 1 || buf.is_empty() {
-            return Ok(());
-        }
-        let owned = self.reduce_scatter_tagged(rank, buf, tag)?;
-        self.all_gather_tagged(rank, owned, buf, tag)?;
-        let inv = 1.0 / self.world_size() as f32;
-        for v in buf.iter_mut() {
-            *v *= inv;
-        }
-        Ok(())
-    }
-
-    /// **Exact** (dense f32) tagged all-gather, even on lossy
-    /// transports: the ZeRO-style parameter gather — updated parameters
-    /// are shipped once, losslessly, like the startup broadcast. The
-    /// default is correct for exact transports.
-    fn all_gather_exact(&self, rank: usize, owned: usize, buf: &mut [f32], tag: u64) -> Result<()> {
-        self.all_gather_tagged(rank, owned, buf, tag)
-    }
-
-    /// Tagged reduce-scatter of a **window** of a larger flat tensor:
-    /// `buf` holds elements `[start, start + buf.len())` of a
-    /// `total`-element flat view, and segmentation follows
-    /// [`seg_ranges_at`] — so bucket-granular sync keeps each element's
-    /// reduction association order identical to one whole-tensor sync
-    /// (the bit-identity invariant the bucket proptests pin). The
-    /// default ignores the alignment, which is correct for any transport
-    /// whose reduction order is segmentation-independent.
+    /// Ring reduce-scatter of a **window** of a larger flat tensor: `buf`
+    /// holds elements `[start, start + buf.len())` of a `total`-element
+    /// flat view, segmented by [`seg_ranges_at`] — so bucket-granular sync
+    /// keeps each element's reduction association order identical to one
+    /// whole-tensor sync (the bit-identity invariant the bucket proptests
+    /// pin). On return this rank's **owned segment** of `buf` holds the
+    /// across-rank **sum**; other segments hold partial garbage. Returns
+    /// the owned segment index.
+    ///
+    /// All messages travel under `tag`, so **several collectives may be
+    /// in flight concurrently** on the same group (one per gradient
+    /// bucket). Every rank must launch the same set of tags. A window
+    /// that runs past `total` is a [`DistError::Config`](crate::DistError::Config).
     fn reduce_scatter_aligned(
         &self,
         rank: usize,
         buf: &mut [f32],
         tag: u64,
-        _start: usize,
-        _total: usize,
-    ) -> Result<usize> {
-        self.reduce_scatter_tagged(rank, buf, tag)
-    }
+        start: usize,
+        total: usize,
+    ) -> Result<usize>;
 
-    /// Window form of [`all_gather_tagged`](Collective::all_gather_tagged)
-    /// — see [`reduce_scatter_aligned`](Collective::reduce_scatter_aligned).
+    /// Ring all-gather of a window's per-segment results: each rank
+    /// contributes the segment it owns (`owned` from
+    /// [`reduce_scatter_aligned`](Collective::reduce_scatter_aligned));
+    /// on return every rank's `buf` holds identical values in all
+    /// segments. An `owned` index outside the world is a
+    /// [`DistError::Config`](crate::DistError::Config), like a bad window.
     fn all_gather_aligned(
         &self,
         rank: usize,
         owned: usize,
         buf: &mut [f32],
         tag: u64,
-        _start: usize,
-        _total: usize,
-    ) -> Result<()> {
-        self.all_gather_tagged(rank, owned, buf, tag)
-    }
+        start: usize,
+        total: usize,
+    ) -> Result<()>;
 
-    /// Window form of [`all_reduce_tagged`](Collective::all_reduce_tagged):
-    /// averaging all-reduce of one bucket, bit-identical to the same
-    /// elements inside a whole-tensor `all_reduce`.
+    /// Averaging all-reduce of one bucket (reduce-scatter, all-gather,
+    /// then divide by the world size), bit-identical to the same elements
+    /// inside a whole-tensor [`all_reduce`](Collective::all_reduce).
+    /// Every rank returns with **bit-identical** contents — lossy
+    /// transports guarantee this by having the segment owner adopt the
+    /// reconstruction of its own stream.
     fn all_reduce_aligned(
         &self,
         rank: usize,
@@ -267,19 +201,18 @@ pub trait Collective: Send + Sync {
         Ok(())
     }
 
-    /// Window form of [`all_gather_exact`](Collective::all_gather_exact)
-    /// (the ZeRO parameter gather).
+    /// **Exact** (dense f32) window all-gather, even on lossy transports:
+    /// the ZeRO-style parameter gather — updated parameters are shipped
+    /// once, losslessly, like the startup broadcast.
     fn all_gather_exact_aligned(
         &self,
         rank: usize,
         owned: usize,
         buf: &mut [f32],
         tag: u64,
-        _start: usize,
-        _total: usize,
-    ) -> Result<()> {
-        self.all_gather_exact(rank, owned, buf, tag)
-    }
+        start: usize,
+        total: usize,
+    ) -> Result<()>;
 
     /// Cumulative communication counters.
     fn stats(&self) -> CommStats;
@@ -349,19 +282,6 @@ mod tests {
                 cursor = s.end;
             }
             assert_eq!(cursor, len, "segments must cover the vector");
-        }
-    }
-
-    #[test]
-    fn seg_planes_matches_ranges() {
-        let len = SEG_ALIGN * 10 + 5;
-        let world = 4;
-        let per = seg_planes(len, world);
-        let segs = seg_ranges(len, world);
-        for (i, s) in segs.iter().enumerate() {
-            if !s.is_empty() {
-                assert_eq!(s.start, i * per * SEG_ALIGN);
-            }
         }
     }
 

@@ -21,12 +21,13 @@
 //! Module map:
 //!
 //! * [`collective`] — the [`Collective`] trait (`broadcast`,
-//!   `reduce_scatter`, `all_gather`, `all_reduce`), communication-byte
-//!   accounting, and the ring segment geometry (plane-aligned so ring
-//!   segments coincide with Z2 chunk frames);
-//! * [`ring`] — the tag-keyed mailbox/barrier machinery and the two
-//!   implementations: [`ring::DenseRing`] (exact f32 baseline) and
-//!   [`ring::CompressedRing`] (SZ-compressed segments + per-bucket
+//!   `all_reduce`, and the tagged window forms `*_aligned` every bucket
+//!   collective uses), communication-byte accounting, and the ring
+//!   segment geometry (aligned to Z2 `D1` planes);
+//! * [`ring`] — the tag-keyed mailbox/barrier machinery and **one** ring
+//!   schedule, [`ring::Ring`], over a [`ring::Hop`]: [`DenseRing`] is the
+//!   ring over the identity hop (exact f32 baseline), [`CompressedRing`]
+//!   the ring over the codec hop (SZ-compressed segments + per-bucket
 //!   error feedback; **segment-only encode** — each rank compresses
 //!   exactly the segments it forwards);
 //! * [`bucketed`] — [`bucketed::BucketedGradSync`]: the per-rank
@@ -34,7 +35,7 @@
 //!   buckets ([`ebtrain_dnn::BucketPlan`]), launches one tagged
 //!   collective per bucket as backward retires it (overlapping ring
 //!   communication with the rest of backward), and optionally runs the
-//!   ZeRO-style sharded optimizer (`reduce_scatter` + owned-shard SGD +
+//!   ZeRO-style sharded optimizer (reduce-scatter + owned-shard SGD +
 //!   exact parameter all-gather);
 //! * [`trainer`] — [`trainer::DistributedTrainer`]: one
 //!   [`AdaptiveTrainer`](ebtrain_core::AdaptiveTrainer) per replica

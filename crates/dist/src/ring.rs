@@ -1,11 +1,12 @@
-//! Ring collectives: the shared mailbox/barrier machinery, the exact
-//! dense-f32 baseline, and the SZ-compressed transport with per-worker
-//! error feedback.
+//! Ring collectives: the shared mailbox/barrier machinery and **one**
+//! ring schedule, [`Ring`], generic over what a hop carries — the
+//! identity hop [`Exact`] ([`DenseRing`], the dense-f32 baseline) or the
+//! codec hop [`Lossy`] ([`CompressedRing`], per-worker error feedback).
 //!
 //! # Ring schedule
 //!
-//! The gradient splits into `N` plane-aligned segments
-//! ([`seg_ranges`]). A classic two-phase ring runs `2(N−1)` hops, every
+//! A window of the flat gradient splits into `N` plane-aligned segments
+//! ([`seg_ranges_at`]). A classic two-phase ring runs `2(N−1)` hops, every
 //! rank sending to `(rank+1) % N`:
 //!
 //! * **reduce-scatter**, hop `t`: rank `r` sends segment `(r − t) mod N`
@@ -13,65 +14,50 @@
 //!   `(r − t − 1) mod N` into its accumulator. After `N−1` hops rank `r`
 //!   owns the complete sum of segment `(r + 1) mod N`.
 //! * **all-gather**, hop `t`: rank `r` sends segment `(r + 1 − t) mod N`
-//!   and installs the received segment `(r − t) mod N`. Received
-//!   messages are **forwarded verbatim** on the next hop.
+//!   and installs the received segment `(r − t) mod N`. The owner builds
+//!   its segment's message once; received messages are **forwarded
+//!   verbatim** on the next hop.
 //!
-//! # Tagged, bucket-granular operation
+//! Each loop is written once; a [`Hop`] only builds a segment's message
+//! and folds a received one into place (add, or copy). Empty segments
+//! travel as free empty messages without reaching the hop.
 //!
-//! Every point-to-point message carries a **tag** (the gradient bucket
-//! index), and each rank's mailbox is a tag-keyed map — so several
-//! tagged collectives may be **in flight concurrently** on one group
-//! (one per bucket, launched as backward retires buckets) without their
-//! messages interleaving. The untagged [`Collective`] entry points are
-//! the `tag = 0` special case.
+//! Every message carries a **tag** (the gradient bucket index) and each
+//! rank's mailbox is tag-keyed, so one collective per bucket may be **in
+//! flight concurrently** without their messages interleaving. A bucket's
+//! segments are the whole-tensor segments clipped to its window, so every
+//! element keeps the f32 association order of one whole-tensor sync:
+//! bucket-wise dense sync is **bit-identical** to it, and across all
+//! buckets rank `r`'s owned pieces tile whole-tensor segment
+//! `(r + 1) mod N` (the ZeRO shard).
 //!
-//! Bucket collectives use the **aligned** entry points
-//! (`*_aligned`, segmentation by [`seg_ranges_at`]): a bucket's
-//! segments are the whole-tensor segments clipped to the bucket's flat
-//! window, so every element keeps the reduction association order it
-//! would have had in one whole-tensor sync — which makes bucket-wise
-//! dense sync **bit-identical** to the legacy whole-tensor sync, not
-//! merely close (f32 addition is commutative but not associative; only
-//! an inherited segment map preserves the exact fold). It also gives
-//! ZeRO sharding a clean shape: across all buckets, rank `r`'s owned
-//! pieces tile exactly the whole-tensor segment `(r + 1) mod N`.
+//! # The lossy hop
 //!
-//! # Compressed transport
-//!
-//! [`CompressedRing`] ships every segment as a self-describing
-//! [`TaggedStream`] of its configured [`Codec`] (SZ by default; any
-//! registered backend via [`CompressedRing::with_codec`]), with three
-//! twists:
+//! [`Lossy`] ships every segment as a self-describing [`TaggedStream`]
+//! of its configured [`Codec`] (SZ by default; any registered backend via
+//! `CompressedRing::with_codec`):
 //!
 //! * **Segment-only encode.** Each rank compresses exactly the segment
-//!   it forwards on each hop — never the whole gradient. Segments are
-//!   plane-aligned ([`seg_ranges`]), so the per-segment streams keep
-//!   the same chunk geometry a whole-gradient frame-indexed stream
-//!   would have, at `~1/N` of the old hop-0 encode work per rank.
+//!   it forwards on each hop — never the whole gradient.
 //! * **All-gather never re-compresses — and nobody decodes their own
-//!   stream.** The segment owner compresses its reduced segment once
-//!   with [`Codec::compress_recon`], *adopts the reconstruction the
-//!   encoder hands back*, and every later hop forwards the identical
-//!   bytes. Peers decode those bytes; the owner holds
-//!   `compress_recon(..).1`, which the codec contract makes
-//!   bit-identical to `decompress` of the same stream (the default
-//!   implementation *is* `compress` + `decompress`; SZ dual-quant
-//!   answers from its quantizer, pinned bit-for-bit by the conformance
-//!   suite over every registered codec). So each segment's final value
-//!   is one stream's reconstruction on every rank and **all replicas
-//!   finish bit-identical**, the property replica-lockstep SGD needs —
-//!   while each rank runs the entropy decoder only over streams it
+//!   stream.** The owner compresses its reduced segment once with
+//!   [`Codec::compress_recon`] and *adopts the reconstruction the encoder
+//!   hands back*, which that contract makes bit-identical to `decompress`
+//!   of the stream every later hop forwards (pinned for every registered
+//!   codec by the conformance suite). Each segment's final value is one
+//!   stream's reconstruction on every rank, so **all replicas finish
+//!   bit-identical** — and each rank decodes only the streams it
 //!   *received* (`dist.codec.decodes` == `dist.decode` spans == non-empty
 //!   messages received).
-//! * **Error feedback.** Each rank keeps a residual vector `e` **per
-//!   tag**; before compressing values `v` for a coordinate range it
-//!   sends `v + e`, and afterwards stores `e ← (v + e) − x̂`, with `x̂`
-//!   again the encoder's reconstruction of the stream just built (what
-//!   the receiver will decode, by the same contract). The quantization
-//!   error a step rounds away is re-injected the next step, which keeps
-//!   the *time-averaged* injected gradient error unbiased (EF-SGD). One
-//!   tagged `all_reduce` touches every coordinate of its bucket exactly
-//!   once across both phases, so each residual is well-defined.
+//! * **Error feedback.** Each rank keeps a residual `e` **per tag**; it
+//!   encodes `v + e` and stores `e ← (v + e) − x̂`, `x̂` again the
+//!   encoder's reconstruction. The error a step rounds away is re-injected
+//!   the next, keeping the *time-averaged* gradient error unbiased
+//!   (EF-SGD); one `all_reduce` touches each coordinate of its bucket
+//!   exactly once, so each residual is well-defined.
+//!
+//! Broadcast and the ZeRO parameter gather are exact on every ring (the
+//! gather is the same all-gather loop with the [`Exact`] hop).
 //!
 //! Spans: `dist.encode` is one segment's encode plus its residual
 //! arithmetic (never a decode); `dist.decode` is one received stream's
@@ -79,25 +65,19 @@
 //! calls at those two sites and `dist.errors.codec` the codec failures
 //! that poisoned the group.
 //!
-//! # Failure and straggler handling
+//! # Failure, stragglers and the modeled wire
 //!
-//! Any rank failing mid-operation poisons the collective and releases
-//! every blocked peer with `Aborted` — no deadlock on worker failure.
-//! With a **straggler deadline** set ([`Collective::set_straggler_timeout`])
-//! a rank blocked in `recv` past the deadline poisons the group itself,
-//! turning an indefinitely-delayed peer into the same clean abort.
-//!
-//! # Modeled interconnect
-//!
-//! In-memory message handoff is effectively free, which would hide the
-//! wall-clock value of sending fewer bytes. With a wire bandwidth set
+//! Any rank failing mid-operation — a hop error, a schedule mismatch, a
+//! malformed window — poisons the collective and releases every blocked
+//! peer with `Aborted`. With a **straggler deadline**
+//! ([`Collective::set_straggler_timeout`]) a rank blocked in `recv` past
+//! it poisons the group itself. With a wire bandwidth
 //! ([`Collective::set_wire_mibps`]) every send **sleeps**
-//! `bytes / bandwidth` before delivery (accounted under the
-//! `dist.wire.nanos` registry counter); sleeping releases the core, so
-//! overlapped bucket collectives genuinely hide modeled wire time the
-//! way comm/compute overlap hides real wire time. Off by default.
+//! `bytes / bandwidth` first (the `dist.wire.nanos` counter); sleeping
+//! releases the core, so overlapped bucket collectives hide modeled wire
+//! time the way comm/compute overlap hides real wire time.
 
-use crate::collective::{seg_ranges, seg_ranges_at, Collective, CommStats};
+use crate::collective::{seg_ranges_at, Collective, CommStats};
 use crate::{DistError, Result};
 use ebtrain_codec::{BoundSpec, Codec, SzCodec, TaggedStream};
 use ebtrain_sz::DataLayout;
@@ -112,25 +92,261 @@ use std::time::{Duration, Instant};
 const POISON_TICK: Duration = Duration::from_millis(25);
 
 /// One hop's payload.
-#[derive(Clone)]
 enum Payload {
     /// Empty segment (vector smaller than the ring).
     Empty,
-    /// Raw f32 values (dense transport).
+    /// Raw f32 values (the exact hop).
     Dense(Arc<Vec<f32>>),
-    /// Independent compressed stream of one segment.
+    /// Independent compressed stream of one segment (the lossy hop).
     Stream(Arc<TaggedStream>),
 }
 
-/// One point-to-point message.
-#[derive(Clone)]
-struct Message {
+/// One point-to-point ring message, built by a [`Hop`].
+pub struct Message {
     seg: usize,
     payload: Payload,
     /// Wire bytes this payload costs (recounted on every forward hop).
     wire_bytes: usize,
     /// Bytes a dense f32 transport would have cost for the same hop.
     dense_bytes: usize,
+}
+
+/// What one ring hop carries. [`Ring`] runs the schedule; a hop turns a
+/// non-empty segment into a message and folds a received message into
+/// its destination.
+pub trait Hop: Send + Sync {
+    /// [`Collective::name`] of a ring over this hop.
+    const NAME: &'static str;
+
+    /// Per-collective state, from the start of a reduce-scatter or
+    /// all-gather of `rank` under `tag` over `len` elements to its last
+    /// encode.
+    type Op;
+    fn begin(&self, rank: usize, tag: u64, len: usize) -> Self::Op;
+    fn end(&self, _rank: usize, _tag: u64, _op: Self::Op) {}
+
+    /// The message carrying segment `seg`, the non-empty `buf[r]`. With
+    /// `adopt` (the all-gather owner) `buf[r]` must afterwards hold
+    /// exactly what every receiver will fold in.
+    fn encode(
+        &self,
+        op: &mut Self::Op,
+        seg: usize,
+        buf: &mut [f32],
+        r: Range<usize>,
+        adopt: bool,
+    ) -> Result<Message>;
+
+    /// Fold a received message into `dst`: add it (reduce-scatter) or
+    /// copy it (all-gather).
+    fn fold(&self, msg: &Message, dst: &mut [f32], add: bool) -> Result<()>;
+
+    /// The error bounds a lossy hop encodes under (`None`: exact).
+    fn bounds(&self) -> Option<&Mutex<Bounds>> {
+        None
+    }
+}
+
+/// Add `vals` into `dst`, or copy them over it.
+fn fold_values(dst: &mut [f32], vals: &[f32], add: bool) {
+    if add {
+        for (d, v) in dst.iter_mut().zip(vals) {
+            *d += v;
+        }
+    } else {
+        dst.copy_from_slice(vals);
+    }
+}
+
+/// The identity hop: raw f32 segments, folded straight from the
+/// received buffer. Mathematically exact — the only deviation from a
+/// serial sum is the fixed ring association order, which is identical
+/// on every rank (replicas stay bit-identical).
+pub struct Exact;
+
+impl Hop for Exact {
+    const NAME: &'static str = "dense-ring";
+    type Op = ();
+
+    fn begin(&self, _rank: usize, _tag: u64, _len: usize) {}
+
+    fn encode(
+        &self,
+        _op: &mut (),
+        seg: usize,
+        buf: &mut [f32],
+        r: Range<usize>,
+        _adopt: bool,
+    ) -> Result<Message> {
+        Ok(Message {
+            seg,
+            wire_bytes: r.len() * 4,
+            dense_bytes: r.len() * 4,
+            payload: Payload::Dense(Arc::new(buf[r].to_vec())),
+        })
+    }
+
+    fn fold(&self, msg: &Message, dst: &mut [f32], add: bool) -> Result<()> {
+        match &msg.payload {
+            Payload::Empty if dst.is_empty() => {}
+            Payload::Dense(vals) if vals.len() == dst.len() => fold_values(dst, vals, add),
+            _ => return Err(DistError::Aborted("unexpected payload".into())),
+        }
+        Ok(())
+    }
+}
+
+/// A lossy hop's error bounds: the global bound and per-bucket
+/// overrides keyed by tag (σ-model refinement).
+pub struct Bounds {
+    global: f32,
+    per_tag: HashMap<u64, f32>,
+}
+
+/// The codec hop: segments travel as self-describing codec streams
+/// under an absolute error bound, with optional per-rank, per-tag error
+/// feedback. See the module docs for the bit-identical-replicas
+/// argument, which holds for **any** codec that honours the
+/// [`Codec::compress_recon`] contract.
+pub struct Lossy {
+    codec: Arc<dyn Codec>,
+    bounds: Mutex<Bounds>,
+    error_feedback: bool,
+    /// `residuals[rank][tag]` — one EF residual per rank per bucket.
+    residuals: Vec<Mutex<HashMap<u64, Vec<f32>>>>,
+}
+
+/// Lift a codec result into the ring, counting failures under
+/// `dist.errors.codec` (the ring poisons the group on any hop error).
+fn codec<T>(r: ebtrain_sz::Result<T>) -> Result<T> {
+    r.map_err(|e| {
+        ebtrain_obs::counter_add("dist.errors.codec", 1);
+        DistError::Sz(e)
+    })
+}
+
+impl Hop for Lossy {
+    const NAME: &'static str = "compressed-ring";
+    /// The bound snapshot, and this rank's EF residual for the tag —
+    /// taken out of the map so concurrent tags on one rank don't
+    /// serialize on each other's residuals.
+    type Op = (BoundSpec, Option<Vec<f32>>);
+
+    fn begin(&self, rank: usize, tag: u64, len: usize) -> Self::Op {
+        let bound = {
+            let b = self.bounds.lock().expect("eb poisoned");
+            BoundSpec::Abs(b.per_tag.get(&tag).copied().unwrap_or(b.global))
+        };
+        let res = self.error_feedback.then(|| {
+            let mut map = self.residuals[rank].lock().expect("residual poisoned");
+            let res = map.remove(&tag).filter(|res| res.len() == len);
+            res.unwrap_or_else(|| vec![0.0; len])
+        });
+        (bound, res)
+    }
+
+    fn end(&self, rank: usize, tag: u64, (_, res): Self::Op) {
+        if let Some(res) = res {
+            self.residuals[rank]
+                .lock()
+                .expect("residual poisoned")
+                .insert(tag, res);
+        }
+    }
+
+    fn encode(
+        &self,
+        (bound, res): &mut Self::Op,
+        seg: usize,
+        buf: &mut [f32],
+        r: Range<usize>,
+        adopt: bool,
+    ) -> Result<Message> {
+        let res = res.as_mut().map(|res| &mut res[r.clone()]);
+        self.encode_segment(seg, &mut buf[r], res, bound, adopt)
+    }
+
+    fn fold(&self, msg: &Message, dst: &mut [f32], add: bool) -> Result<()> {
+        let vals = self.decode_received(&msg.payload, dst.len())?;
+        fold_values(dst, &vals, add);
+        Ok(())
+    }
+
+    fn bounds(&self) -> Option<&Mutex<Bounds>> {
+        Some(&self.bounds)
+    }
+}
+
+impl Lossy {
+    /// Encode one segment into the message that carries it. Under error
+    /// feedback `res` is the segment's residual `e`: the stream encodes
+    /// `v + e` and `e ← (v + e) − x̂`. With `adopt` (the all-gather
+    /// owner) `seg ← x̂`. `x̂` is the **encoder's** reconstruction
+    /// ([`Codec::compress_recon`], bit-identical to decoding the stream
+    /// by contract), so no rank ever decodes a stream it encoded. The
+    /// segment is walked once before the encode and once after it.
+    ///
+    /// The `dist.encode` span covers exactly this: encode plus residual
+    /// arithmetic, never a decode.
+    fn encode_segment(
+        &self,
+        seg_idx: usize,
+        seg: &mut [f32],
+        res: Option<&mut [f32]>,
+        bound: &BoundSpec,
+        adopt: bool,
+    ) -> Result<Message> {
+        let _span = ebtrain_obs::span!("dist.encode", bytes = seg.len() * 4);
+        let summed: Option<Vec<f32>> = res
+            .as_deref()
+            .map(|res| seg.iter().zip(res).map(|(v, e)| v + e).collect());
+        let vals = summed.as_deref().unwrap_or(seg);
+        ebtrain_obs::counter_add("dist.codec.encodes", 1);
+        let layout = DataLayout::D1(vals.len());
+        let (stream, recon) = codec(self.codec.compress_recon(vals, layout, bound))?;
+        if recon.len() != seg.len() {
+            return Err(DistError::Aborted("segment length mismatch".into()));
+        }
+        match (res, &summed) {
+            (Some(res), Some(vals)) => {
+                let cells = res.iter_mut().zip(seg.iter_mut());
+                for ((r, s), (&v, &d)) in cells.zip(vals.iter().zip(&recon)) {
+                    *r = v - d;
+                    if adopt {
+                        *s = d;
+                    }
+                }
+            }
+            _ if adopt => seg.copy_from_slice(&recon),
+            _ => {}
+        }
+        Ok(Message {
+            seg: seg_idx,
+            wire_bytes: stream.compressed_byte_len(),
+            dense_bytes: seg.len() * 4,
+            payload: Payload::Stream(Arc::new(stream)),
+        })
+    }
+
+    /// Decode a received hop payload into `expect` values (none for an
+    /// empty segment). The only place the ring decodes: the `dist.decode`
+    /// span and the `dist.codec.decodes` counter are exactly the streams
+    /// this rank *received*.
+    fn decode_received(&self, payload: &Payload, expect: usize) -> Result<Vec<f32>> {
+        let vals = match payload {
+            Payload::Empty => Vec::new(),
+            Payload::Stream(stream) => {
+                let _span = ebtrain_obs::span!("dist.decode", bytes = stream.compressed_byte_len());
+                ebtrain_obs::counter_add("dist.codec.decodes", 1);
+                codec(self.codec.decompress(stream))?
+            }
+            Payload::Dense(_) => return Err(DistError::Aborted("unexpected dense payload".into())),
+        };
+        if vals.len() != expect {
+            return Err(DistError::Aborted("segment length mismatch".into()));
+        }
+        Ok(vals)
+    }
 }
 
 /// One rank's mailbox: tag-keyed, capacity 1 **per tag** — concurrent
@@ -146,14 +362,6 @@ struct BarrierState {
     arrived: usize,
 }
 
-/// Payload parked by a broadcast root for every peer to copy.
-/// Broadcast is the one-time exact parameter sync on every transport,
-/// so the payload is always dense (see `CompressedRing::broadcast`).
-#[derive(Clone)]
-enum BcastPayload {
-    Dense(Arc<Vec<f32>>),
-}
-
 /// State shared by all ranks of one ring group.
 struct RingCore {
     world: usize,
@@ -161,8 +369,8 @@ struct RingCore {
     poisoned: AtomicBool,
     barrier: Mutex<BarrierState>,
     barrier_cv: Condvar,
-    bcast: Mutex<Option<BcastPayload>>,
-    bcast_cv: Condvar,
+    /// Values parked by a broadcast root for every peer to copy.
+    bcast: Mutex<Option<Arc<Vec<f32>>>>,
     stats: Mutex<CommStats>,
     /// Straggler deadline for `recv` (None = wait indefinitely).
     straggler: Mutex<Option<Duration>>,
@@ -188,7 +396,6 @@ impl RingCore {
             barrier: Mutex::new(BarrierState { gen: 0, arrived: 0 }),
             barrier_cv: Condvar::new(),
             bcast: Mutex::new(None),
-            bcast_cv: Condvar::new(),
             stats: Mutex::new(CommStats::default()),
             straggler: Mutex::new(None),
             wire_mibps: Mutex::new(None),
@@ -214,12 +421,20 @@ impl RingCore {
             s.cv.notify_all();
         }
         self.barrier_cv.notify_all();
-        self.bcast_cv.notify_all();
         if first {
             // Post-mortem: the last N steps before a poisoned
             // collective go to EBTRAIN_FLIGHT (no-op when unset).
             let _ = ebtrain_obs::flight::dump_flight("collective-poisoned");
         }
+    }
+
+    /// Pass `r` through, poisoning the group if it failed: peers blocked
+    /// on this rank are released.
+    fn or_poison<T>(&self, r: Result<T>) -> Result<T> {
+        if r.is_err() {
+            self.poison();
+        }
+        r
     }
 
     /// Deliver `msg` into `to`'s mailbox under `tag` (capacity 1 per
@@ -257,11 +472,11 @@ impl RingCore {
         Ok(())
     }
 
-    /// Take the message addressed to `rank` under `tag`. With a
-    /// straggler deadline set, waiting past it poisons the group and
-    /// returns a clean `Aborted` — a delayed peer can never hold the
-    /// ring hostage.
-    fn recv(&self, rank: usize, tag: u64) -> Result<Message> {
+    /// Take the message addressed to `rank` under `tag`, which the
+    /// schedule says carries segment `seg`. With a straggler deadline
+    /// set, waiting past it poisons the group and returns a clean
+    /// `Aborted` — a delayed peer can never hold the ring hostage.
+    fn recv(&self, rank: usize, tag: u64, seg: usize) -> Result<Message> {
         let deadline = self
             .straggler
             .lock()
@@ -272,6 +487,11 @@ impl RingCore {
         loop {
             if let Some(msg) = cell.remove(&tag) {
                 slot.cv.notify_all();
+                drop(cell);
+                if msg.seg != seg {
+                    self.poison();
+                    return Err(DistError::Aborted("ring schedule mismatch".into()));
+                }
                 return Ok(msg);
             }
             self.check()?;
@@ -311,64 +531,30 @@ impl RingCore {
         Ok(())
     }
 
-    /// Root side of a broadcast: park the payload (waiting for any
-    /// previous broadcast to be fully consumed) and account one delivery
-    /// per peer.
-    fn bcast_put(&self, payload: BcastPayload, wire_each: usize, dense_each: usize) -> Result<()> {
-        let mut cell = self.bcast.lock().expect("bcast poisoned");
-        while cell.is_some() {
-            self.check()?;
-            cell = self.bcast_cv.wait_timeout(cell, POISON_TICK).expect("b").0;
-        }
-        self.check()?;
-        *cell = Some(payload);
-        self.bcast_cv.notify_all();
-        let peers = (self.world - 1) as u64;
-        let mut st = self.stats.lock().expect("stats poisoned");
-        st.messages += peers;
-        st.payload_bytes += wire_each as u64 * peers;
-        st.dense_equiv_bytes += dense_each as u64 * peers;
-        st.broadcasts += 1;
-        Ok(())
-    }
-
-    /// Peer side: clone the parked payload (after the put barrier).
-    fn bcast_get(&self) -> Result<BcastPayload> {
-        let cell = self.bcast.lock().expect("bcast poisoned");
-        self.check()?;
-        cell.clone()
-            .ok_or_else(|| DistError::Aborted("broadcast payload missing at barrier".into()))
-    }
-
-    fn bcast_clear(&self) {
-        *self.bcast.lock().expect("bcast poisoned") = None;
-        self.bcast_cv.notify_all();
-    }
-
-    fn count_phase(&self, rank: usize) {
-        if rank == 0 {
-            self.stats.lock().expect("stats poisoned").phases += 1;
-        }
-    }
-
-    /// The whole broadcast protocol, shared by both transports: park
-    /// (root) → barrier → copy (peers) → barrier → clear (root). Dense
-    /// payload on every transport — broadcast is the one-time exact
-    /// parameter sync; only recurring gradient streams are lossy.
-    fn dense_broadcast(&self, rank: usize, root: usize, buf: &mut [f32]) -> Result<()> {
+    /// The broadcast protocol, one barrier before each step: park
+    /// (root), copy (peers), clear (root). Dense on every hop — broadcast
+    /// is the one-time exact parameter sync; only recurring gradient
+    /// streams are lossy.
+    fn broadcast(&self, rank: usize, root: usize, buf: &mut [f32]) -> Result<()> {
         if self.world <= 1 {
             return Ok(());
         }
+        self.barrier()?;
         if rank == root {
-            let bytes = buf.len() * 4;
-            self.bcast_put(BcastPayload::Dense(Arc::new(buf.to_vec())), bytes, bytes)?;
+            *self.bcast.lock().expect("bcast poisoned") = Some(Arc::new(buf.to_vec()));
+            let (peers, bytes) = ((self.world - 1) as u64, buf.len() as u64 * 4);
+            self.stat(|st| {
+                st.messages += peers;
+                st.payload_bytes += bytes * peers;
+                st.dense_equiv_bytes += bytes * peers;
+                st.broadcasts += 1;
+            });
         }
         self.barrier()?;
         if rank != root {
-            match self.bcast_get()? {
-                BcastPayload::Dense(data) if data.len() == buf.len() => {
-                    buf.copy_from_slice(&data);
-                }
+            let parked = self.bcast.lock().expect("bcast poisoned").clone();
+            match parked.as_deref() {
+                Some(vals) if vals.len() == buf.len() => buf.copy_from_slice(vals),
                 _ => {
                     self.poison();
                     return Err(DistError::Aborted("broadcast payload mismatch".into()));
@@ -377,16 +563,45 @@ impl RingCore {
         }
         self.barrier()?;
         if rank == root {
-            self.bcast_clear();
+            *self.bcast.lock().expect("bcast poisoned") = None;
         }
         Ok(())
     }
 
-    /// Exact (dense f32) ring reduce-scatter under `tag`, over an
-    /// explicit segment map (`segs` must tile `[0, buf.len())` in
-    /// order; see [`seg_ranges`] / [`seg_ranges_at`]).
-    fn dense_reduce_scatter(
+    fn count_phase(&self, rank: usize) {
+        if rank == 0 {
+            self.stat(|st| st.phases += 1);
+        }
+    }
+
+    /// The message for segment `seg` (`buf[r]`): empty segments travel
+    /// as free empty messages without reaching the hop.
+    fn encode<H: Hop>(
         &self,
+        hop: &H,
+        op: &mut H::Op,
+        seg: usize,
+        buf: &mut [f32],
+        r: Range<usize>,
+        adopt: bool,
+    ) -> Result<Message> {
+        if r.is_empty() {
+            return Ok(Message {
+                seg,
+                payload: Payload::Empty,
+                wire_bytes: 0,
+                dense_bytes: 0,
+            });
+        }
+        self.or_poison(hop.encode(op, seg, buf, r, adopt))
+    }
+
+    /// Ring reduce-scatter under `tag` over a segment map (`segs` tiles
+    /// `[0, buf.len())` in order; see [`seg_ranges_at`]). Returns the
+    /// owned segment index.
+    fn reduce_scatter<H: Hop>(
+        &self,
+        hop: &H,
         rank: usize,
         buf: &mut [f32],
         tag: u64,
@@ -396,53 +611,26 @@ impl RingCore {
         if n <= 1 {
             return Ok(0);
         }
+        let mut op = hop.begin(rank, tag, buf.len());
         for t in 0..n - 1 {
             let s_send = (rank + n - t) % n;
             let s_recv = (rank + 2 * n - t - 1) % n;
-            let r = segs[s_send].clone();
-            let payload = if r.is_empty() {
-                Payload::Empty
-            } else {
-                Payload::Dense(Arc::new(buf[r.clone()].to_vec()))
-            };
-            self.send(
-                (rank + 1) % n,
-                tag,
-                Message {
-                    seg: s_send,
-                    payload,
-                    wire_bytes: r.len() * 4,
-                    dense_bytes: r.len() * 4,
-                },
-            )?;
-            let msg = self.recv(rank, tag)?;
-            if msg.seg != s_recv {
-                self.poison();
-                return Err(DistError::Aborted("ring schedule mismatch".into()));
-            }
-            let dst = segs[s_recv].clone();
-            match msg.payload {
-                Payload::Empty => {}
-                Payload::Dense(vals) if vals.len() == dst.len() => {
-                    for (b, v) in buf[dst].iter_mut().zip(vals.iter()) {
-                        *b += v;
-                    }
-                }
-                _ => {
-                    self.poison();
-                    return Err(DistError::Aborted("unexpected payload".into()));
-                }
-            }
+            let msg = self.encode(hop, &mut op, s_send, buf, segs[s_send].clone(), false)?;
+            self.send((rank + 1) % n, tag, msg)?;
+            let received = self.recv(rank, tag, s_recv)?;
+            self.or_poison(hop.fold(&received, &mut buf[segs[s_recv].clone()], true))?;
         }
+        hop.end(rank, tag, op);
         self.count_phase(rank);
         Ok((rank + 1) % n)
     }
 
-    /// Exact (dense f32) ring all-gather under `tag` — also the
-    /// ZeRO-style parameter gather of lossy transports
-    /// ([`Collective::all_gather_exact`]).
-    fn dense_all_gather(
+    /// Ring all-gather under `tag` over a segment map: the owner encodes
+    /// its segment once (adopting what receivers will fold in), and every
+    /// later hop forwards the message it received.
+    fn all_gather<H: Hop>(
         &self,
+        hop: &H,
         rank: usize,
         owned: usize,
         buf: &mut [f32],
@@ -453,188 +641,44 @@ impl RingCore {
         if n <= 1 {
             return Ok(());
         }
-        let mut forward: Option<Message> = None;
+        debug_assert_eq!(owned, (rank + 1) % n);
+        let mut op = hop.begin(rank, tag, buf.len());
+        let mut msg = self.encode(hop, &mut op, owned, buf, segs[owned].clone(), true)?;
+        hop.end(rank, tag, op);
         for t in 0..n - 1 {
-            let s_send = (rank + 1 + n - t) % n;
-            let msg = match forward.take() {
-                Some(m) => m,
-                None => {
-                    debug_assert_eq!(s_send, owned);
-                    let r = segs[owned].clone();
-                    let payload = if r.is_empty() {
-                        Payload::Empty
-                    } else {
-                        Payload::Dense(Arc::new(buf[r.clone()].to_vec()))
-                    };
-                    Message {
-                        seg: owned,
-                        payload,
-                        wire_bytes: r.len() * 4,
-                        dense_bytes: r.len() * 4,
-                    }
-                }
-            };
             self.send((rank + 1) % n, tag, msg)?;
-            let received = self.recv(rank, tag)?;
             let s_recv = (rank + n - t) % n;
-            if received.seg != s_recv {
-                self.poison();
-                return Err(DistError::Aborted("ring schedule mismatch".into()));
-            }
-            let dst = segs[s_recv].clone();
-            match &received.payload {
-                Payload::Empty => {}
-                Payload::Dense(vals) if vals.len() == dst.len() => {
-                    buf[dst].copy_from_slice(vals);
-                }
-                _ => {
-                    self.poison();
-                    return Err(DistError::Aborted("unexpected payload".into()));
-                }
-            }
-            if t + 1 < n - 1 {
-                forward = Some(received);
-            }
+            msg = self.recv(rank, tag, s_recv)?;
+            self.or_poison(hop.fold(&msg, &mut buf[segs[s_recv].clone()], false))?;
         }
         self.count_phase(rank);
         Ok(())
     }
 }
 
-/// The exact dense-f32 ring — the communication baseline Fig 12 compares
-/// against. Mathematically exact: the only deviation from a serial sum
-/// is the fixed ring association order, which is identical on every
-/// rank (replicas stay bit-identical).
-pub struct DenseRing {
+/// A ring collective: the shared mailbox machinery running one schedule
+/// over hop `H`. See the module docs.
+pub struct Ring<H: Hop> {
     core: RingCore,
+    hop: H,
 }
+
+/// The exact dense-f32 ring — the communication baseline Fig 12 compares
+/// against.
+pub type DenseRing = Ring<Exact>;
+
+/// The compressed ring: segment-only codec streams with per-rank,
+/// per-tag error feedback.
+pub type CompressedRing = Ring<Lossy>;
 
 impl DenseRing {
     /// Dense ring collective for `world` ranks.
     pub fn new(world: usize) -> DenseRing {
-        DenseRing {
+        Ring {
             core: RingCore::new(world.max(1)),
+            hop: Exact,
         }
     }
-}
-
-impl Collective for DenseRing {
-    fn world_size(&self) -> usize {
-        self.core.world
-    }
-
-    fn name(&self) -> &'static str {
-        "dense-ring"
-    }
-
-    fn broadcast(&self, rank: usize, root: usize, buf: &mut [f32]) -> Result<()> {
-        self.core.dense_broadcast(rank, root, buf)
-    }
-
-    fn reduce_scatter(&self, rank: usize, buf: &mut [f32]) -> Result<usize> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.core.dense_reduce_scatter(rank, buf, 0, &segs)
-    }
-
-    fn all_gather(&self, rank: usize, owned: usize, buf: &mut [f32]) -> Result<()> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.core.dense_all_gather(rank, owned, buf, 0, &segs)
-    }
-
-    fn reduce_scatter_tagged(&self, rank: usize, buf: &mut [f32], tag: u64) -> Result<usize> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.core.dense_reduce_scatter(rank, buf, tag, &segs)
-    }
-
-    fn all_gather_tagged(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        tag: u64,
-    ) -> Result<()> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.core.dense_all_gather(rank, owned, buf, tag, &segs)
-    }
-
-    fn reduce_scatter_aligned(
-        &self,
-        rank: usize,
-        buf: &mut [f32],
-        tag: u64,
-        start: usize,
-        total: usize,
-    ) -> Result<usize> {
-        let segs = seg_ranges_at(start, buf.len(), total, self.core.world);
-        self.core.dense_reduce_scatter(rank, buf, tag, &segs)
-    }
-
-    fn all_gather_aligned(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        tag: u64,
-        start: usize,
-        total: usize,
-    ) -> Result<()> {
-        let segs = seg_ranges_at(start, buf.len(), total, self.core.world);
-        self.core.dense_all_gather(rank, owned, buf, tag, &segs)
-    }
-
-    fn all_gather_exact_aligned(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        tag: u64,
-        start: usize,
-        total: usize,
-    ) -> Result<()> {
-        self.all_gather_aligned(rank, owned, buf, tag, start, total)
-    }
-
-    fn stats(&self) -> CommStats {
-        *self.core.stats.lock().expect("stats poisoned")
-    }
-
-    fn reset_stats(&self) {
-        *self.core.stats.lock().expect("stats poisoned") = CommStats::default();
-    }
-
-    fn set_straggler_timeout(&self, timeout: Option<Duration>) {
-        *self.core.straggler.lock().expect("straggler poisoned") = timeout;
-    }
-
-    fn set_wire_mibps(&self, mibps: Option<f64>) {
-        *self.core.wire_mibps.lock().expect("wire poisoned") = mibps;
-    }
-
-    fn abort(&self) {
-        self.core.poison();
-    }
-}
-
-/// The compressed ring: segments travel as self-describing codec
-/// streams under an absolute error bound, with optional per-rank,
-/// per-tag error feedback. See the module docs for the schedule and the
-/// bit-identical-replicas argument (which holds for **any** codec that
-/// honours the [`Codec::compress_recon`] contract: all-gather forwards
-/// owner-encoded bytes verbatim, peers decode them, and the owner holds
-/// the reconstruction that contract equates with their decode).
-///
-/// Encode work is **segment-only**: each rank compresses exactly the
-/// segments it forwards, `~1/N` of the gradient per hop, instead of the
-/// whole gradient on hop 0.
-pub struct CompressedRing {
-    core: RingCore,
-    codec: Arc<dyn Codec>,
-    eb: Mutex<f32>,
-    /// Per-bucket bound overrides, keyed by tag (σ-model refinement).
-    bucket_ebs: Mutex<HashMap<u64, f32>>,
-    error_feedback: bool,
-    /// `residuals[rank][tag]` — one EF residual per rank per bucket.
-    residuals: Vec<Mutex<HashMap<u64, Vec<f32>>>>,
 }
 
 impl CompressedRing {
@@ -654,297 +698,69 @@ impl CompressedRing {
         error_feedback: bool,
     ) -> CompressedRing {
         let world = world.max(1);
-        CompressedRing {
+        Ring {
             core: RingCore::new(world),
-            codec,
-            eb: Mutex::new(eb),
-            bucket_ebs: Mutex::new(HashMap::new()),
-            error_feedback,
-            residuals: (0..world).map(|_| Mutex::new(HashMap::new())).collect(),
+            hop: Lossy {
+                codec,
+                bounds: Mutex::new(Bounds {
+                    global: eb,
+                    per_tag: HashMap::new(),
+                }),
+                error_feedback,
+                residuals: (0..world).map(|_| Mutex::new(HashMap::new())).collect(),
+            },
         }
     }
 
     /// Whether error feedback is active.
     pub fn error_feedback(&self) -> bool {
-        self.error_feedback
+        self.hop.error_feedback
     }
 
     /// The transport's codec.
     pub fn codec_name(&self) -> &'static str {
-        self.codec.name()
-    }
-
-    /// The bound for `tag`: the per-bucket override if set, else the
-    /// global bound.
-    fn snapshot_bound(&self, tag: u64) -> BoundSpec {
-        let eb = self
-            .bucket_ebs
-            .lock()
-            .expect("bucket eb poisoned")
-            .get(&tag)
-            .copied()
-            .unwrap_or_else(|| *self.eb.lock().expect("eb poisoned"));
-        BoundSpec::Abs(eb)
-    }
-
-    /// Take the EF residual for `(rank, tag)`, zero-initialized (or
-    /// reset) to `len` elements. Taken out of the map so concurrent
-    /// tags on one rank don't serialize on each other's residuals.
-    fn take_residual(&self, rank: usize, tag: u64, len: usize) -> Vec<f32> {
-        let mut map = self.residuals[rank].lock().expect("residual poisoned");
-        let mut v = map.remove(&tag).unwrap_or_default();
-        if v.len() != len {
-            v = vec![0.0; len];
-        }
-        v
-    }
-
-    fn put_residual(&self, rank: usize, tag: u64, v: Vec<f32>) {
-        self.residuals[rank]
-            .lock()
-            .expect("residual poisoned")
-            .insert(tag, v);
-    }
-
-    /// Lift a codec result into the ring: a failure poisons the group
-    /// (peers blocked on this rank are released) and is counted under
-    /// `dist.errors.codec`.
-    fn codec<T>(&self, r: ebtrain_sz::Result<T>) -> Result<T> {
-        r.map_err(|e| {
-            ebtrain_obs::counter_add("dist.errors.codec", 1);
-            self.core.poison();
-            DistError::Sz(e)
-        })
-    }
-
-    /// Compressed ring reduce-scatter over an explicit segment map.
-    fn rs_segs(
-        &self,
-        rank: usize,
-        buf: &mut [f32],
-        tag: u64,
-        segs: &[Range<usize>],
-    ) -> Result<usize> {
-        let n = self.core.world;
-        if n <= 1 {
-            return Ok(0);
-        }
-        let len = buf.len();
-        let bound = self.snapshot_bound(tag);
-        let mut res = if self.error_feedback {
-            Some(self.take_residual(rank, tag, len))
-        } else {
-            None
-        };
-        for t in 0..n - 1 {
-            let s_send = (rank + n - t) % n;
-            let s_recv = (rank + 2 * n - t - 1) % n;
-            let r = segs[s_send].clone();
-            // Segment-only encode: one independent stream for exactly
-            // the segment this hop forwards (hop 0 carries raw values,
-            // later hops partial sums — same path).
-            let res_seg = res.as_mut().map(|res| &mut res[r.clone()]);
-            let msg = self.encode_segment(s_send, &mut buf[r], res_seg, &bound, false)?;
-            self.core.send((rank + 1) % n, tag, msg)?;
-            let received = self.core.recv(rank, tag)?;
-            if received.seg != s_recv {
-                self.core.poison();
-                return Err(DistError::Aborted("ring schedule mismatch".into()));
-            }
-            let dst = &mut buf[segs[s_recv].clone()];
-            let vals = self.decode_received(&received.payload, dst.len())?;
-            for (b, v) in dst.iter_mut().zip(vals.iter()) {
-                *b += v;
-            }
-        }
-        if let Some(res) = res {
-            self.put_residual(rank, tag, res);
-        }
-        self.core.count_phase(rank);
-        Ok((rank + 1) % n)
-    }
-
-    /// Compressed ring all-gather over an explicit segment map.
-    fn ag_segs(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        tag: u64,
-        segs: &[Range<usize>],
-    ) -> Result<()> {
-        let n = self.core.world;
-        if n <= 1 {
-            return Ok(());
-        }
-        let bound = self.snapshot_bound(tag);
-        let mut forward: Option<Message> = None;
-        for t in 0..n - 1 {
-            let s_send = (rank + 1 + n - t) % n;
-            let msg = match forward.take() {
-                Some(m) => m,
-                None => {
-                    debug_assert_eq!(s_send, owned);
-                    // Compress the reduced segment once and adopt the
-                    // encoder's reconstruction, so this rank holds
-                    // exactly what every peer will decode.
-                    let r = segs[owned].clone();
-                    let mut res = (self.error_feedback && !r.is_empty())
-                        .then(|| self.take_residual(rank, tag, buf.len()));
-                    let res_seg = res.as_mut().map(|res| &mut res[r.clone()]);
-                    let msg = self.encode_segment(owned, &mut buf[r], res_seg, &bound, true);
-                    if let Some(res) = res {
-                        self.put_residual(rank, tag, res);
-                    }
-                    msg?
-                }
-            };
-            self.core.send((rank + 1) % n, tag, msg)?;
-            let received = self.core.recv(rank, tag)?;
-            let s_recv = (rank + n - t) % n;
-            if received.seg != s_recv {
-                self.core.poison();
-                return Err(DistError::Aborted("ring schedule mismatch".into()));
-            }
-            let dst = &mut buf[segs[s_recv].clone()];
-            let vals = self.decode_received(&received.payload, dst.len())?;
-            dst.copy_from_slice(&vals);
-            if t + 1 < n - 1 {
-                forward = Some(received);
-            }
-        }
-        self.core.count_phase(rank);
-        Ok(())
-    }
-
-    /// Encode one segment into the message that carries it. Under error
-    /// feedback `res` is the segment's residual `e`: the stream encodes
-    /// `v + e` and `e ← (v + e) − x̂`. With `adopt` (the all-gather
-    /// owner) `seg ← x̂`. `x̂` is the **encoder's** reconstruction
-    /// ([`Codec::compress_recon`], bit-identical to decoding the stream
-    /// by contract), so no rank ever decodes a stream it encoded. The
-    /// segment is walked once before the encode and once after it.
-    ///
-    /// The `dist.encode` span covers exactly this: encode plus residual
-    /// arithmetic, never a decode.
-    fn encode_segment(
-        &self,
-        seg_idx: usize,
-        seg: &mut [f32],
-        res: Option<&mut [f32]>,
-        bound: &BoundSpec,
-        adopt: bool,
-    ) -> Result<Message> {
-        if seg.is_empty() {
-            return Ok(Message {
-                seg: seg_idx,
-                payload: Payload::Empty,
-                wire_bytes: 0,
-                dense_bytes: 0,
-            });
-        }
-        let _span = ebtrain_obs::span!("dist.encode", bytes = seg.len() * 4);
-        let summed: Option<Vec<f32>> = res
-            .as_deref()
-            .map(|res| seg.iter().zip(res).map(|(v, e)| v + e).collect());
-        let vals = summed.as_deref().unwrap_or(seg);
-        ebtrain_obs::counter_add("dist.codec.encodes", 1);
-        let (stream, recon) = self.codec(self.codec.compress_recon(
-            vals,
-            DataLayout::D1(vals.len()),
-            bound,
-        ))?;
-        if recon.len() != seg.len() {
-            self.core.poison();
-            return Err(DistError::Aborted("segment length mismatch".into()));
-        }
-        match (res, &summed) {
-            (Some(res), Some(vals)) => {
-                let cells = res.iter_mut().zip(seg.iter_mut());
-                for ((r, s), (&v, &d)) in cells.zip(vals.iter().zip(&recon)) {
-                    *r = v - d;
-                    if adopt {
-                        *s = d;
-                    }
-                }
-            }
-            _ if adopt => seg.copy_from_slice(&recon),
-            _ => {}
-        }
-        Ok(Message {
-            seg: seg_idx,
-            wire_bytes: stream.compressed_byte_len(),
-            dense_bytes: seg.len() * 4,
-            payload: Payload::Stream(Arc::new(stream)),
-        })
-    }
-
-    /// Decode a received hop payload into `expect` values (none for an
-    /// empty segment). The only place the ring decodes: the `dist.decode`
-    /// span and the `dist.codec.decodes` counter are exactly the streams
-    /// this rank *received*.
-    fn decode_received(&self, payload: &Payload, expect: usize) -> Result<Vec<f32>> {
-        let vals = match payload {
-            Payload::Empty => Vec::new(),
-            Payload::Stream(stream) => {
-                let _span = ebtrain_obs::span!("dist.decode", bytes = stream.compressed_byte_len());
-                ebtrain_obs::counter_add("dist.codec.decodes", 1);
-                self.codec(self.codec.decompress(stream))?
-            }
-            Payload::Dense(_) => {
-                self.core.poison();
-                return Err(DistError::Aborted("unexpected dense payload".into()));
-            }
-        };
-        if vals.len() != expect {
-            self.core.poison();
-            return Err(DistError::Aborted("segment length mismatch".into()));
-        }
-        Ok(vals)
+        self.hop.codec.name()
     }
 }
 
-impl Collective for CompressedRing {
+impl<H: Hop> Ring<H> {
+    /// The segment map of window `[start, start + len)` of a
+    /// `total`-element tensor. A window past `total` (or overflowing), a
+    /// rank or an `owned` segment outside the world is a config error
+    /// that poisons the group — never a tail left out of every segment
+    /// or an out-of-bounds index.
+    fn window(
+        &self,
+        rank: usize,
+        owned: Option<usize>,
+        start: usize,
+        len: usize,
+        total: usize,
+    ) -> Result<Vec<Range<usize>>> {
+        let n = self.core.world;
+        let bad = if start.checked_add(len).is_none_or(|end| end > total) {
+            format!("window {start}+{len} runs past the {total}-element tensor")
+        } else if rank >= n || owned.is_some_and(|o| o >= n) {
+            format!("rank {rank} / owned segment {owned:?} outside a world of {n}")
+        } else {
+            return Ok(seg_ranges_at(start, len, total, n));
+        };
+        self.core.poison();
+        Err(DistError::Config(bad))
+    }
+}
+
+impl<H: Hop> Collective for Ring<H> {
     fn world_size(&self) -> usize {
         self.core.world
     }
 
     fn name(&self) -> &'static str {
-        "compressed-ring"
+        H::NAME
     }
 
-    /// Broadcast is **exact** (dense payload) even on this transport:
-    /// only the recurring gradient *streams* are error-bounded. The
-    /// broadcast is a one-time parameter sync, and quantizing it would
-    /// start every replica a bounded-but-needless distance from the
-    /// reference model (the EF-SGD convention: compress what repeats,
-    /// ship the model once, losslessly).
     fn broadcast(&self, rank: usize, root: usize, buf: &mut [f32]) -> Result<()> {
-        self.core.dense_broadcast(rank, root, buf)
-    }
-
-    fn reduce_scatter(&self, rank: usize, buf: &mut [f32]) -> Result<usize> {
-        self.reduce_scatter_tagged(rank, buf, 0)
-    }
-
-    fn all_gather(&self, rank: usize, owned: usize, buf: &mut [f32]) -> Result<()> {
-        self.all_gather_tagged(rank, owned, buf, 0)
-    }
-
-    fn reduce_scatter_tagged(&self, rank: usize, buf: &mut [f32], tag: u64) -> Result<usize> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.rs_segs(rank, buf, tag, &segs)
-    }
-
-    fn all_gather_tagged(
-        &self,
-        rank: usize,
-        owned: usize,
-        buf: &mut [f32],
-        tag: u64,
-    ) -> Result<()> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.ag_segs(rank, owned, buf, tag, &segs)
+        self.core.broadcast(rank, root, buf)
     }
 
     fn reduce_scatter_aligned(
@@ -955,8 +771,8 @@ impl Collective for CompressedRing {
         start: usize,
         total: usize,
     ) -> Result<usize> {
-        let segs = seg_ranges_at(start, buf.len(), total, self.core.world);
-        self.rs_segs(rank, buf, tag, &segs)
+        let segs = self.window(rank, None, start, buf.len(), total)?;
+        self.core.reduce_scatter(&self.hop, rank, buf, tag, &segs)
     }
 
     fn all_gather_aligned(
@@ -968,18 +784,13 @@ impl Collective for CompressedRing {
         start: usize,
         total: usize,
     ) -> Result<()> {
-        let segs = seg_ranges_at(start, buf.len(), total, self.core.world);
-        self.ag_segs(rank, owned, buf, tag, &segs)
+        let segs = self.window(rank, Some(owned), start, buf.len(), total)?;
+        self.core
+            .all_gather(&self.hop, rank, owned, buf, tag, &segs)
     }
 
-    /// ZeRO-style parameter gather: dense f32 payloads even on this
-    /// lossy transport — updated parameters ship once, exactly, like
-    /// the startup broadcast.
-    fn all_gather_exact(&self, rank: usize, owned: usize, buf: &mut [f32], tag: u64) -> Result<()> {
-        let segs = seg_ranges(buf.len(), self.core.world);
-        self.core.dense_all_gather(rank, owned, buf, tag, &segs)
-    }
-
+    /// The same all-gather loop with the [`Exact`] hop, whatever this
+    /// ring's own hop is.
     fn all_gather_exact_aligned(
         &self,
         rank: usize,
@@ -989,8 +800,8 @@ impl Collective for CompressedRing {
         start: usize,
         total: usize,
     ) -> Result<()> {
-        let segs = seg_ranges_at(start, buf.len(), total, self.core.world);
-        self.core.dense_all_gather(rank, owned, buf, tag, &segs)
+        let segs = self.window(rank, Some(owned), start, buf.len(), total)?;
+        self.core.all_gather(&Exact, rank, owned, buf, tag, &segs)
     }
 
     fn stats(&self) -> CommStats {
@@ -1002,22 +813,22 @@ impl Collective for CompressedRing {
     }
 
     fn set_error_bound(&self, eb: f32) {
-        *self.eb.lock().expect("eb poisoned") = eb;
+        if let Some(b) = self.hop.bounds() {
+            b.lock().expect("eb poisoned").global = eb;
+        }
     }
 
     fn error_bound(&self) -> Option<f32> {
-        Some(*self.eb.lock().expect("eb poisoned"))
+        Some(self.hop.bounds()?.lock().expect("eb poisoned").global)
     }
 
     fn set_bucket_error_bound(&self, tag: u64, eb: Option<f32>) {
-        let mut map = self.bucket_ebs.lock().expect("bucket eb poisoned");
-        match eb {
-            Some(eb) => {
-                map.insert(tag, eb);
-            }
-            None => {
-                map.remove(&tag);
-            }
+        if let Some(b) = self.hop.bounds() {
+            let per_tag = &mut b.lock().expect("eb poisoned").per_tag;
+            match eb {
+                Some(eb) => per_tag.insert(tag, eb),
+                None => per_tag.remove(&tag),
+            };
         }
     }
 
@@ -1037,10 +848,11 @@ impl Collective for CompressedRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::seg_ranges;
     use ebtrain_pool::WorkerPool;
 
     /// Drive `op` concurrently for every rank over per-rank buffers.
-    fn run_ranks<C: Collective + 'static>(
+    fn run_ranks<C: Collective + ?Sized + 'static>(
         coll: &Arc<C>,
         bufs: &mut [Vec<f32>],
         op: impl Fn(&C, usize, &mut Vec<f32>) -> Result<()> + Send + Sync,
@@ -1256,44 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_indexed_streams_still_decode_single_segments() {
-        // The ring now encodes segment-only streams, but the codec's
-        // frame index remains the contract that lets other consumers
-        // (the budgeted store's frame-indexed decode) bill and decode a
-        // single segment of a chunked stream without touching its
-        // neighbours — keep the property pinned here where the segment
-        // geometry lives.
-        use crate::collective::seg_planes;
-        let world = 4;
-        let len = crate::SEG_ALIGN * 8;
-        let vals: Vec<f32> = (0..len).map(|i| (i as f32 * 0.001).sin()).collect();
-        let codec = SzCodec::vanilla();
-        let per = seg_planes(len, world);
-        let stream = codec
-            .compress_chunked(&vals, DataLayout::D1(len), &BoundSpec::Abs(1e-3), per)
-            .unwrap();
-        let wire = codec.partial_wire_cost(&stream, &(0..per)).unwrap();
-        assert!(
-            wire < stream.compressed_byte_len(),
-            "hop-0 accounting should not charge the whole stream"
-        );
-        // And the frame-indexed decode of that segment matches the slice
-        // of a full decode (the receiver-side path).
-        let full = codec.decompress(&stream).unwrap();
-        let (part, stats) = codec
-            .decompress_planes(&stream, DataLayout::D1(len), 0..per)
-            .unwrap();
-        assert_eq!(part, full[..per * crate::SEG_ALIGN]);
-        assert!(stats.partial, "receiver must not pay a whole decode");
-    }
-
-    #[test]
     fn lossless_codec_ring_matches_dense_exactly() {
         // The transport is codec-agnostic: with a bit-exact backend the
         // compressed ring must reproduce the dense ring's result to the
-        // bit (same association order, zero injected error) — and the
-        // hop-0 shared-stream path degrades to per-segment streams since
-        // byteplane has no frame index.
+        // bit (same association order, zero injected error).
         use ebtrain_codec::ByteplaneCodec;
         let world = 3;
         let len = crate::SEG_ALIGN * world + 321;
@@ -1320,6 +1098,130 @@ mod tests {
         // accounting must still be self-consistent.
         let st = coll.stats();
         assert!(st.payload_bytes > 0 && st.dense_equiv_bytes > 0);
+    }
+
+    #[test]
+    fn ring_outputs_and_accounting_are_frozen() {
+        // Literals captured from `DenseRing` and `CompressedRing` as two
+        // separate `Collective` impls, before they became one schedule
+        // over a hop: per world × ring × window, an FNV-1a hash over the
+        // output bits of every rank in both rounds, then the full
+        // `CommStats` ([messages, payload, dense-equivalent, broadcasts,
+        // phases]). Rows run ring kind (dense, EF off, EF on, byteplane)
+        // × window (whole tensor via `all_reduce`, then a bucket window
+        // with one empty segment) within each world 2, 3, 4.
+        use ebtrain_codec::ByteplaneCodec;
+        const FROZEN: [(u64, [u64; 5]); 24] = [
+            (0x0b4ae7317103e09d, [8, 143504, 143504, 0, 4]),
+            (0x49f4ddc99708a295, [8, 96704, 96704, 0, 4]),
+            (0x83be5e342dc0f3a3, [8, 21532, 143504, 0, 4]),
+            (0x3d7f05f5ab92868d, [8, 14694, 96704, 0, 4]),
+            (0x8b431b6022ae88e7, [8, 21613, 143504, 0, 4]),
+            (0x776c51440d304a49, [8, 14754, 96704, 0, 4]),
+            (0x0b4ae7317103e09d, [8, 88206, 143504, 0, 4]),
+            (0x49f4ddc99708a295, [8, 58657, 96704, 0, 4]),
+            (0x33fc8928cd5d9d65, [24, 418080, 418080, 0, 4]),
+            (0x734da46714963ce5, [24, 455552, 455552, 0, 4]),
+            (0x794c906bc0c045f2, [24, 67588, 418080, 0, 4]),
+            (0x1731c41fd796ea49, [24, 73577, 455552, 0, 4]),
+            (0x43838b76014118ec, [24, 67890, 418080, 0, 4]),
+            (0xe7f5a37b0192278a, [24, 73908, 455552, 0, 4]),
+            (0x33fc8928cd5d9d65, [24, 254158, 418080, 0, 4]),
+            (0x734da46714963ce5, [24, 276022, 455552, 0, 4]),
+            (0x7fc2f45fd4737235, [48, 823728, 823728, 0, 4]),
+            (0x2a30c89b3a15aee5, [48, 1076544, 1076544, 0, 4]),
+            (0xce9d31d2b4e9355d, [48, 133829, 823728, 0, 4]),
+            (0xfd05ec290d5d166d, [48, 174193, 1076544, 0, 4]),
+            (0x83d35f3a564b3979, [48, 134275, 823728, 0, 4]),
+            (0xaa186e6b751ff6dd, [48, 174799, 1076544, 0, 4]),
+            (0x7fc2f45fd4737235, [48, 502386, 823728, 0, 4]),
+            (0x2a30c89b3a15aee5, [48, 650192, 1076544, 0, 4]),
+        ];
+        let mut rows = Vec::new();
+        for world in [2usize, 3, 4] {
+            let whole = crate::SEG_ALIGN * world + 777;
+            let bucket = (
+                crate::SEG_ALIGN / 2,
+                crate::SEG_ALIGN * 2 * (world - 1) - 100 - crate::SEG_ALIGN / 2,
+                crate::SEG_ALIGN * 2 * world,
+            );
+            for kind in 0..4 {
+                for window in [None, Some(bucket)] {
+                    let coll: Arc<dyn Collective> = match kind {
+                        0 => Arc::new(DenseRing::new(world)),
+                        1 => Arc::new(CompressedRing::new(world, 1e-3, false)),
+                        2 => Arc::new(CompressedRing::new(world, 1e-3, true)),
+                        _ => Arc::new(CompressedRing::with_codec(
+                            world,
+                            Arc::new(ByteplaneCodec),
+                            1e-3,
+                            false,
+                        )),
+                    };
+                    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                    for round in 0..2 {
+                        let len = window.map_or(whole, |w| w.1);
+                        let mut bufs = make_bufs(world, len, 1.0 + round as f32);
+                        for r in run_ranks(&coll, &mut bufs, |c, r, b| match window {
+                            None => c.all_reduce(r, b),
+                            Some((start, _, total)) => c.all_reduce_aligned(r, b, 5, start, total),
+                        }) {
+                            r.unwrap();
+                        }
+                        for v in bufs.iter().flatten() {
+                            hash = (hash ^ v.to_bits() as u64).wrapping_mul(0x100_0000_01b3);
+                        }
+                    }
+                    let st = coll.stats();
+                    let stats = [
+                        st.messages,
+                        st.payload_bytes,
+                        st.dense_equiv_bytes,
+                        st.broadcasts,
+                        st.phases,
+                    ];
+                    rows.push((hash, stats));
+                }
+            }
+        }
+        assert_eq!(rows, FROZEN);
+    }
+
+    #[test]
+    fn malformed_windows_and_owned_indices_are_config_errors() {
+        // Unchecked, a window past the tensor leaves its tail in no
+        // segment (never reduced, only divided by N) and an owned index
+        // past the world indexes out of bounds. Each must fail before any
+        // hop, and poison the group so no peer waits on this rank.
+        let len = 100;
+        for i in 0..6 {
+            for coll in [
+                Arc::new(DenseRing::new(2)) as Arc<dyn Collective>,
+                Arc::new(CompressedRing::new(2, 1e-3, true)),
+            ] {
+                let mut buf = vec![1.0f32; len];
+                let b = &mut buf[..];
+                let err = match i {
+                    0 => coll.all_reduce_aligned(0, b, 0, 50, 120),
+                    1 => coll
+                        .reduce_scatter_aligned(0, b, 0, usize::MAX - 10, usize::MAX)
+                        .map(drop),
+                    2 => coll.all_gather_aligned(0, 1, b, 0, 1, 99),
+                    3 => coll.all_gather_aligned(0, 2, b, 0, 0, len),
+                    4 => coll.all_gather_exact_aligned(0, 7, b, 0, 0, len),
+                    _ => coll.reduce_scatter_aligned(2, b, 0, 0, len).map(drop),
+                };
+                assert!(
+                    matches!(err, Err(DistError::Config(_))),
+                    "{} call {i}: {err:?}",
+                    coll.name()
+                );
+                assert_eq!(buf, vec![1.0f32; len], "{} call {i}", coll.name());
+                assert_eq!(coll.stats(), CommStats::default(), "no message was sent");
+                let again = coll.all_reduce(0, &mut buf);
+                assert!(matches!(again, Err(DistError::Aborted(_))), "{again:?}");
+            }
+        }
     }
 
     use ebtrain_codec::{CodecId, ErrorContract};
@@ -1515,7 +1417,10 @@ mod tests {
                 let tag = tags[ti];
                 for (rank, buf) in per_tag.iter_mut().enumerate() {
                     let coll = Arc::clone(&coll);
-                    s.spawn(move || coll.all_reduce_tagged(rank, buf, tag).unwrap());
+                    s.spawn(move || {
+                        let len = buf.len();
+                        coll.all_reduce_aligned(rank, buf, tag, 0, len).unwrap()
+                    });
                 }
             }
         });
@@ -1570,12 +1475,16 @@ mod tests {
         let coll = Arc::new(CompressedRing::new(world, 1e-5, false));
         coll.set_bucket_error_bound(1, Some(1e-1));
         let mut tight = make_bufs(world, len, 1.0);
-        for r in run_ranks(&coll, &mut tight, |c, r, b| c.all_reduce_tagged(r, b, 0)) {
+        for r in run_ranks(&coll, &mut tight, |c, r, b| {
+            c.all_reduce_aligned(r, b, 0, 0, len)
+        }) {
             r.unwrap();
         }
         let after_tight = coll.stats();
         let mut coarse = make_bufs(world, len, 1.0);
-        for r in run_ranks(&coll, &mut coarse, |c, r, b| c.all_reduce_tagged(r, b, 1)) {
+        for r in run_ranks(&coll, &mut coarse, |c, r, b| {
+            c.all_reduce_aligned(r, b, 1, 0, len)
+        }) {
             r.unwrap();
         }
         let coarse_delta = coll.stats().delta_since(&after_tight);
@@ -1589,7 +1498,9 @@ mod tests {
         coll.set_bucket_error_bound(1, None);
         let before = coll.stats();
         let mut again = make_bufs(world, len, 1.0);
-        for r in run_ranks(&coll, &mut again, |c, r, b| c.all_reduce_tagged(r, b, 1)) {
+        for r in run_ranks(&coll, &mut again, |c, r, b| {
+            c.all_reduce_aligned(r, b, 1, 0, len)
+        }) {
             r.unwrap();
         }
         let d = coll.stats().delta_since(&before);
@@ -1611,7 +1522,7 @@ mod tests {
             .map(|r| bufs[r][segs[(r + 1) % world].clone()].to_vec())
             .collect();
         let results = run_ranks(&coll, &mut bufs, |c, r, b| {
-            c.all_gather_exact(r, (r + 1) % world, b, 9)
+            c.all_gather_exact_aligned(r, (r + 1) % world, b, 9, 0, len)
         });
         for r in results {
             r.unwrap();

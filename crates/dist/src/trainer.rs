@@ -282,8 +282,8 @@ impl DistributedTrainer {
     }
 
     /// Broadcast `root`'s parameters to every replica through the
-    /// collective (compressed transports leave all replicas with the
-    /// identical decoded copy).
+    /// collective — exact on every transport, so all replicas hold
+    /// `root`'s values bit for bit.
     fn broadcast_params(&mut self, root: usize) -> Result<()> {
         if self.world <= 1 {
             return Ok(());

@@ -11,9 +11,9 @@
 //! * [`Codec::compress_recon`] is `compress` + `decompress`, byte for
 //!   byte and bit for bit, on every codec — the contract the compressed
 //!   ring's bit-identical replicas rest on;
-//! * a plane-range decode is bit-equal to the same window of the full
-//!   decode and reads exactly the covering frames, on every
-//!   frame-indexed codec, whatever thread decodes which frame;
+//! * a plane-range decode of a chunked SZ stream is bit-equal to the
+//!   same window of the full decode and reads exactly the covering
+//!   frames, whatever thread decodes which frame;
 //! * tagged ↔ legacy stream back-compat: historical untagged streams
 //!   (byte-frozen golden fixtures included) decode through
 //!   [`TaggedStream::from_bytes`] + the registry.
@@ -381,57 +381,53 @@ fn frame_capable_codecs_serve_partial_ranges_and_others_fall_back() {
     }
 }
 
-/// Every frame-indexed codec of the standard registry, multi-chunk
-/// streams, a sweep of ranges (empty at both ends and inside, within one
-/// frame, exactly one frame, straddling two and five, the tail, all):
-/// the values are the full decode's, bit for bit, and the byte
-/// accounting is what a serial walk of the frame index reads — the
-/// covering frames and nothing else — however the decode is scheduled.
+/// The standard registry's SZ configuration chunked at four planes per
+/// frame (six independently coded frames), a sweep of ranges (empty at
+/// both ends and inside, within one frame, exactly one frame, straddling
+/// two and five, the tail, all): the values are the full decode's, bit
+/// for bit, and the byte accounting is what a serial walk of the frame
+/// index reads — the covering frames and nothing else — however the
+/// decode is scheduled.
 #[test]
 fn plane_ranges_match_the_full_decode_and_read_only_covering_frames() {
     let layout = DataLayout::D3(24, 16, 16);
     let data = payload(layout.len());
-    let mut indexed = 0;
-    for codec in CodecRegistry::standard().codecs() {
-        if !codec.supports_frame_index() {
-            continue;
-        }
-        indexed += 1;
-        for bound in bounds_for(codec.as_ref()) {
-            // Four planes per frame: six independently coded frames.
-            let stream = codec.compress_chunked(&data, layout, &bound, 4).unwrap();
-            let full = codec.decompress(&stream).unwrap();
-            let idx = ebtrain_sz::frame_index_of(stream.body()).unwrap();
-            assert_eq!(idx.entries().len(), 6, "{}", codec.name());
-            for range in [0..0, 7..7, 24..24, 5..6, 4..8, 3..5, 2..19, 20..24, 0..24] {
-                let (part, stats) = codec
-                    .decompress_planes(&stream, layout, range.clone())
-                    .unwrap();
-                let want = &full[range.start * 256..range.end * 256];
-                assert!(
-                    part.len() == want.len()
-                        && part
-                            .iter()
-                            .zip(want)
-                            .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{} {bound:?} {range:?}: values differ from the full decode",
-                    codec.name()
-                );
-                let covered = idx.frames_covering(&range);
-                let expect = PlaneDecodeStats {
-                    bytes_decoded: idx.entries()[covered.clone()]
+    let standard = CodecRegistry::standard().get(CodecId::SZ).unwrap();
+    let codec = SzCodec::new(SzConfig {
+        chunk_planes: Some(4),
+        ..SzConfig::dual_quant(1e-3)
+    });
+    assert_eq!(codec.name(), standard.name(), "the registry's SZ encoder");
+    assert!(codec.supports_frame_index());
+    for bound in bounds_for(&codec) {
+        let stream = codec.compress(&data, layout, &bound).unwrap();
+        let full = codec.decompress(&stream).unwrap();
+        let idx = ebtrain_sz::frame_index_of(stream.body()).unwrap();
+        assert_eq!(idx.entries().len(), 6, "{}", codec.name());
+        for range in [0..0, 7..7, 24..24, 5..6, 4..8, 3..5, 2..19, 20..24, 0..24] {
+            let (part, stats) = codec
+                .decompress_planes(&stream, layout, range.clone())
+                .unwrap();
+            let want = &full[range.start * 256..range.end * 256];
+            assert!(
+                part.len() == want.len()
+                    && part
                         .iter()
-                        .map(|e| e.bytes.len())
-                        .sum(),
-                    bytes_total: idx.frame_bytes_total(),
-                    partial: covered.len() < idx.entries().len(),
-                };
-                assert_eq!(stats, expect, "{} {bound:?} {range:?}", codec.name());
-            }
+                        .zip(want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{} {bound:?} {range:?}: values differ from the full decode",
+                codec.name()
+            );
+            let covered = idx.frames_covering(&range);
+            let expect = PlaneDecodeStats {
+                bytes_decoded: idx.entries()[covered.clone()]
+                    .iter()
+                    .map(|e| e.bytes.len())
+                    .sum(),
+                bytes_total: idx.frame_bytes_total(),
+                partial: covered.len() < idx.entries().len(),
+            };
+            assert_eq!(stats, expect, "{} {bound:?} {range:?}", codec.name());
         }
     }
-    assert!(
-        indexed > 0,
-        "the standard registry lost its frame-indexed codec"
-    );
 }
