@@ -12,7 +12,7 @@ use ebtrain_dnn::layers::Conv2d;
 use ebtrain_dnn::network::{Network, NetworkBuilder};
 use ebtrain_dnn::optimizer::SgdConfig;
 use ebtrain_dnn::store::RawStore;
-use ebtrain_encoding::{huffman, lz};
+use ebtrain_encoding::{huffman, lz, range, rans};
 use ebtrain_sz::{self as sz, CompressedBuffer, DataLayout, SzConfig};
 use ebtrain_tensor::{gemm_nn, im2col, Conv2dGeometry, Tensor};
 use rand::rngs::StdRng;
@@ -123,7 +123,76 @@ fn bench_entropy(c: &mut Criterion) {
     group.bench_function("lz_decompress", |b| {
         b.iter(|| lz::decompress(&packed).unwrap())
     });
+
+    // The range family on one fixed deep symbol set: the quantization
+    // codes of the gradient corpus at eb = 1e-3, in the ring's
+    // 4096-symbol frames.
+    let frames: Vec<Vec<u32>> = gradient_segments()
+        .iter()
+        .map(|seg| deep_codes(seg, 1e-3))
+        .collect();
+    let symbols: usize = frames.iter().map(Vec::len).sum();
+    group.throughput(Throughput::Elements(symbols as u64));
+    const CENTER: u32 = 32_768;
+    type Encode = fn(&[u32], u32) -> Vec<u8>;
+    type Decode = fn(&[u8], usize, u32) -> ebtrain_encoding::Result<Vec<u32>>;
+    let coders: [(&str, Encode, Decode); 2] = [
+        ("range", range::encode_block, range::decode_block),
+        ("rans", rans::encode_block, rans::decode_block),
+    ];
+    for (name, encode, decode) in coders {
+        group.bench_function(format!("{name}_encode"), |b| {
+            b.iter(|| {
+                for f in &frames {
+                    black_box(encode(f, CENTER));
+                }
+            })
+        });
+        let coded: Vec<Vec<u8>> = frames.iter().map(|f| encode(f, CENTER)).collect();
+        group.bench_function(format!("{name}_decode"), |b| {
+            b.iter(|| {
+                for (f, c) in frames.iter().zip(&coded) {
+                    black_box(decode(c, f.len(), CENTER).expect("decode"));
+                }
+            })
+        });
+    }
     group.finish();
+}
+
+/// Gradient-like segments in the ring's 4096-element frames: seeded
+/// Gaussian noise at per-segment scales from 1e-3 to 3e-2, every eighth
+/// segment with a heavy-tailed spike in it.
+fn gradient_segments() -> Vec<Vec<f32>> {
+    let mut rng = StdRng::seed_from_u64(29);
+    (0..24)
+        .map(|s| {
+            let scale = [1e-3, 3e-3, 1e-2, 3e-2][s % 4];
+            (0..4096)
+                .map(|i| {
+                    let (u, v): (f64, f64) = (rng.gen(), rng.gen());
+                    let g = (-2.0 * (1.0 - u).ln()).sqrt() * (std::f64::consts::TAU * v).cos();
+                    let spike = if s % 8 == 0 && i == 2048 { 40.0 } else { 1.0 };
+                    (g * scale * spike) as f32
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The dual quantizer's codes for `seg` at bound `eb` (1-D Lorenzo on
+/// the integer grid, radius 32768), as the codec hands them to the
+/// entropy stage.
+fn deep_codes(seg: &[f32], eb: f64) -> Vec<u32> {
+    let mut prev = 0i64;
+    seg.iter()
+        .map(|&x| {
+            let q = (x as f64 / (2.0 * eb)).round() as i64;
+            let code = (32_768 + q - prev).clamp(0, u32::MAX as i64) as u32;
+            prev = q;
+            code
+        })
+        .collect()
 }
 
 /// The `train_conv1x1` benchmark workload's network: one 3×3 stem and
@@ -222,6 +291,40 @@ fn bench_sz_kernels(c: &mut Criterion) {
             b.iter(|| {
                 for s in &streams {
                     black_box(decompress(s).expect("decompress"));
+                }
+            })
+        });
+    }
+
+    // The deep-alphabet corpus: gradient segments at the bounds the ring
+    // codes them at, where the range family takes the frames.
+    for eb in [1e-2f32, 1e-3, 1e-4] {
+        let segs: Vec<(Vec<f32>, CompressedBuffer)> = gradient_segments()
+            .into_iter()
+            .map(|seg| {
+                let cfg = SzConfig::with_error_bound(eb);
+                let s =
+                    sz::compress_serial(&seg, DataLayout::D1(seg.len()), &cfg).expect("compress");
+                (seg, s)
+            })
+            .collect();
+        let bytes: usize = segs.iter().map(|(seg, _)| seg.len() * 4).sum();
+        group.throughput(Throughput::Bytes(bytes as u64));
+        let cfg = SzConfig::with_error_bound(eb);
+        group.bench_function(format!("deep_compress_eb{eb:e}"), |b| {
+            b.iter(|| {
+                for (seg, _) in &segs {
+                    black_box(
+                        sz::compress_serial(seg, DataLayout::D1(seg.len()), &cfg)
+                            .expect("compress"),
+                    );
+                }
+            })
+        });
+        group.bench_function(format!("deep_decompress_eb{eb:e}"), |b| {
+            b.iter(|| {
+                for (_, s) in &segs {
+                    black_box(sz::decompress_serial(s).expect("decompress"));
                 }
             })
         });

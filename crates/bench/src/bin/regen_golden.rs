@@ -7,8 +7,9 @@
 //! the reconstruction matches the committed `.vals` (f32 little-endian)
 //! bit-for-bit. Fixtures fall in two classes:
 //!
-//! - **Frozen captures** (`z1_*`, `z2v2_*`, and the `*t1*` copies of the
-//!   range-coded fixtures from before entropy tag 2): emitted once by a
+//! - **Frozen captures** (`z1_*`, `z2v2_*`, the `*t1*` copies of the
+//!   range-coded fixtures from before entropy tag 2, and `z3t2_*`, the
+//!   mixed fixture from before entropy tag 3): emitted once by a
 //!   historical encoder. This binary never rewrites them — a current
 //!   encoder cannot re-produce those bytes, which is the point.
 //! - **Current-format fixtures** (everything else): regenerated here so
@@ -90,7 +91,7 @@ fn current_fixtures() -> Vec<Fixture> {
     let buf = compress(&data, DataLayout::D2(24, 16), &cfg).unwrap();
     out.push(fixture("z3_huffman_classic", buf.as_bytes()));
 
-    // --- Z3 heterogeneous body: half the planes skewed (range), half
+    // --- Z3 heterogeneous body: half the planes skewed (rANS), half
     // noisy-smooth (huffman) — one stream, both tags. The noise is a
     // Weyl-style hash, not the rand crate: fixtures must stay bytewise
     // stable across RNG changes. It spreads residuals into the
@@ -122,10 +123,28 @@ fn current_fixtures() -> Vec<Fixture> {
         idx.entries().iter().map(|e| bytes[e.bytes.start]).collect()
     };
     assert!(
-        tags.contains(&0) && tags.contains(&2),
+        tags.contains(&0) && tags.contains(&3),
         "mixed fixture must exercise both backends, got tags {tags:?}"
     );
     out.push(fixture("z3_mixed_backends", buf.as_bytes()));
+
+    // --- Z3 rANS-tagged frames: a deep alphabet (noisy signal at a tight
+    // bound), one full-size chunk, which Auto selection gives tag 3.
+    let data: Vec<f32> = (0..8 * 512)
+        .map(|i| {
+            let noise = (i as u32).wrapping_mul(2_654_435_761) >> 20;
+            (i as f32 * 0.37).sin() + (noise as f32 / 4096.0 - 0.5) * 0.05
+        })
+        .collect();
+    let buf = compress(&data, DataLayout::D2(8, 512), &SzConfig::dual_quant(1e-3)).unwrap();
+    let idx = ebtrain_sz::frame_index_of(buf.as_bytes()).unwrap();
+    assert!(
+        idx.entries()
+            .iter()
+            .all(|e| buf.as_bytes()[e.bytes.start] == 3),
+        "rans fixture must be all tag 3"
+    );
+    out.push(fixture("z3_rans_dualquant", buf.as_bytes()));
 
     // --- B1 byteplane (untagged legacy magic, format unchanged by the
     // entropy-stage work but pinned the same way).
@@ -175,7 +194,7 @@ fn main() {
         );
     }
     if !check {
-        println!("frozen captures (z1_*, z2v2_*, *t1*) left untouched by design");
+        println!("frozen captures (z1_*, z2v2_*, *t1*, z3t2_*) left untouched by design");
     } else if stale.is_empty() {
         println!("every current-format fixture matches its generator byte for byte");
     } else {

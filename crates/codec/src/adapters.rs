@@ -78,12 +78,15 @@ impl Codec for SzCodec {
             (QuantMode::DualQuant, _, EntropyBackend::Auto) => "sz-dualquant",
             (QuantMode::DualQuant, _, EntropyBackend::Huffman) => "sz-dualquant-huffman",
             (QuantMode::DualQuant, _, EntropyBackend::Range) => "sz-dualquant-range",
+            (QuantMode::DualQuant, _, EntropyBackend::Rans) => "sz-dualquant-rans",
             (QuantMode::Classic, true, EntropyBackend::Auto) => "sz",
             (QuantMode::Classic, true, EntropyBackend::Huffman) => "sz-huffman",
             (QuantMode::Classic, true, EntropyBackend::Range) => "sz-range",
+            (QuantMode::Classic, true, EntropyBackend::Rans) => "sz-rans",
             (QuantMode::Classic, false, EntropyBackend::Auto) => "sz-vanilla",
             (QuantMode::Classic, false, EntropyBackend::Huffman) => "sz-vanilla-huffman",
             (QuantMode::Classic, false, EntropyBackend::Range) => "sz-vanilla-range",
+            (QuantMode::Classic, false, EntropyBackend::Rans) => "sz-vanilla-rans",
         }
     }
 
@@ -430,6 +433,7 @@ mod tests {
                 EntropyBackend::Auto,
                 EntropyBackend::Huffman,
                 EntropyBackend::Range,
+                EntropyBackend::Rans,
             ] {
                 let codec = SzCodec::new(SzConfig {
                     entropy_backend,

@@ -1,4 +1,4 @@
-//! The pluggable **entropy-stage seam**: one tag byte, two backends.
+//! The pluggable **entropy-stage seam**: one tag byte, three backends.
 //!
 //! Chunk-framed streams record, per frame, which entropy coder produced
 //! the frame's payload:
@@ -8,18 +8,28 @@
 //! | `0` | [`huffman`] | table-less canonical-Huffman block (`varint n · varint bits_len · bits`) |
 //! | `1` | [`range`], decode-only | adaptive binary range-coder bytes, raw mantissa bits inside the coder |
 //! | `2` | [`range`] | range-coder bytes, then the raw mantissa bits as a side stream stored backward from the payload's end |
+//! | `3` | [`rans`] | the frame's static two-context table, the rANS state and bytes, then tag 2's side stream |
 //!
-//! Neither payload carries a trailing LZ pass: entropy-coded bytes are
+//! Tags 2 and 3 code the same symbols (hit flag, gamma class, top
+//! mantissa bit; the bits below bypass the coder). Tag 2 adapts one
+//! binary decision per modeled bit — about six per deep-alphabet symbol —
+//! and needs no table; tag 3 spends a per-frame table (≈ 25 bytes on a
+//! 4096-symbol gradient frame) to code a symbol in one or two table
+//! steps. On symbols captured from the ring benchmark's range frames
+//! (best of 7 on a shared 2-vCPU host) tag 2 encodes at ≈ 38 and decodes
+//! at ≈ 48 ns/symbol, tag 3 at ≈ 18 and ≈ 13, for +0.6 % bytes.
+//!
+//! No payload carries a trailing LZ pass: entropy-coded bytes are
 //! near-incompressible on mid/high-entropy chunks, and the skewed chunks
 //! where run collapsing would pay route to the range coder (whose
 //! run-context bit model absorbs the runs). Format-2 streams predate the
 //! tag byte; their bodies decode as the implicit Huffman tag with the
 //! historical LZ wrapper, which the frame layer strips before reaching
-//! this seam. Both backends are lossless over the symbol stream, so
+//! this seam. Every backend is lossless over the symbol stream, so
 //! per-chunk selection can never change decoded values — only the bytes
 //! in between.
 
-use crate::{huffman, range, CodecError, Result};
+use crate::{huffman, range, rans, CodecError, Result};
 
 /// Per-frame entropy-stage tag (one byte on the wire).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,6 +40,8 @@ pub enum EntropyStageTag {
     RangeV1 = 1,
     /// Codebook-free adaptive binary range coder.
     Range = 2,
+    /// Static two-context rANS with a per-frame table.
+    Rans = 3,
 }
 
 impl EntropyStageTag {
@@ -44,18 +56,20 @@ impl EntropyStageTag {
             0 => Ok(EntropyStageTag::Huffman),
             1 => Ok(EntropyStageTag::RangeV1),
             2 => Ok(EntropyStageTag::Range),
+            3 => Ok(EntropyStageTag::Rans),
             _ => Err(CodecError::Corrupt("unknown entropy-stage tag")),
         }
     }
 }
 
 /// Encode-side backend handle: borrows the shared codebook (Huffman) or
-/// carries the fold center (range). One `encode_block` call appends the
-/// full frame payload for its tag.
+/// carries the fold center (range, rANS). One `encode_block` call
+/// appends the full frame payload for its tag.
 #[derive(Clone, Copy)]
 pub enum EntropyEncoder<'a> {
     Huffman(&'a huffman::Codebook),
     Range { center: u32 },
+    Rans { center: u32 },
 }
 
 impl EntropyEncoder<'_> {
@@ -64,15 +78,16 @@ impl EntropyEncoder<'_> {
         match self {
             EntropyEncoder::Huffman(_) => EntropyStageTag::Huffman,
             EntropyEncoder::Range { .. } => EntropyStageTag::Range,
+            EntropyEncoder::Rans { .. } => EntropyStageTag::Rans,
         }
     }
 
     /// Entropy-code one chunk's symbols, appending the frame payload to
     /// `out`. The per-frame backend choice and its payload bytes are
     /// counted in the metrics registry (`encoding.entropy.huffman` /
-    /// `.range`, each with a `.bytes` twin, and `.range.raw_bytes`: what
-    /// bypassed the coder), making the auto-selector's routing — and what
-    /// it bought — observable per run.
+    /// `.range` / `.rans`, each with a `.bytes` twin, and `.range.raw_bytes`
+    /// / `.rans.raw_bytes`: what bypassed the coder), making the
+    /// auto-selector's routing — and what it bought — observable per run.
     pub fn encode_block(&self, codes: &[u32], out: &mut Vec<u8>) {
         let start = out.len();
         let (frames, bytes) = match self {
@@ -84,6 +99,11 @@ impl EntropyEncoder<'_> {
                 let raw = range::encode_block_into(codes, *center, out);
                 ebtrain_obs::counter_add("encoding.entropy.range.raw_bytes", raw as u64);
                 ("encoding.entropy.range", "encoding.entropy.range.bytes")
+            }
+            EntropyEncoder::Rans { center } => {
+                let raw = rans::encode_block_into(codes, *center, out);
+                ebtrain_obs::counter_add("encoding.entropy.rans.raw_bytes", raw as u64);
+                ("encoding.entropy.rans", "encoding.entropy.rans.bytes")
             }
         };
         ebtrain_obs::counter_add(frames, 1);
@@ -97,28 +117,49 @@ pub enum EntropyDecoder<'a> {
     Huffman(&'a huffman::Decoder),
     Range { center: u32 },
     RangeV1 { center: u32 },
+    Rans { center: u32 },
 }
 
 impl EntropyDecoder<'_> {
     /// Decode a frame payload back to exactly `n` symbols. `n` comes
     /// from validated framing (the chunk layout), which bounds every
-    /// allocation here; trailing payload bytes are corruption.
+    /// allocation here; trailing payload bytes are corruption. Each
+    /// decoded frame and its symbols are counted per backend
+    /// (`encoding.entropy_decode.{huffman,range,rans}` and `.symbols`;
+    /// tag 1 counts as range), so a scrape can say which coder the decode
+    /// time went to.
     pub fn decode_block(&self, payload: &[u8], n: usize) -> Result<Vec<u32>> {
-        let codes = match *self {
+        let (codes, frames, symbols) = match *self {
             EntropyDecoder::Huffman(decoder) => {
                 let mut pos = 0usize;
-                let codes = decoder.decode_block(payload, &mut pos)?;
+                let codes = decoder.decode_block(payload, &mut pos, n)?;
                 if pos != payload.len() {
                     return Err(CodecError::Corrupt("trailing bytes in huffman block"));
                 }
-                codes
+                (
+                    codes,
+                    "encoding.entropy_decode.huffman",
+                    "encoding.entropy_decode.huffman.symbols",
+                )
             }
-            EntropyDecoder::Range { center } => range::decode_block(payload, n, center)?,
-            EntropyDecoder::RangeV1 { center } => range::decode_block_v1(payload, n, center)?,
+            EntropyDecoder::Range { center } => (
+                range::decode_block(payload, n, center)?,
+                "encoding.entropy_decode.range",
+                "encoding.entropy_decode.range.symbols",
+            ),
+            EntropyDecoder::RangeV1 { center } => (
+                range::decode_block_v1(payload, n, center)?,
+                "encoding.entropy_decode.range",
+                "encoding.entropy_decode.range.symbols",
+            ),
+            EntropyDecoder::Rans { center } => (
+                rans::decode_block(payload, n, center)?,
+                "encoding.entropy_decode.rans",
+                "encoding.entropy_decode.rans.symbols",
+            ),
         };
-        if codes.len() != n {
-            return Err(CodecError::Corrupt("code count mismatch"));
-        }
+        ebtrain_obs::counter_add(frames, 1);
+        ebtrain_obs::counter_add(symbols, n as u64);
         Ok(codes)
     }
 }
@@ -151,11 +192,13 @@ mod tests {
             EntropyStageTag::Huffman,
             EntropyStageTag::RangeV1,
             EntropyStageTag::Range,
+            EntropyStageTag::Rans,
         ] {
             assert_eq!(EntropyStageTag::from_u8(tag.as_u8()).unwrap(), tag);
         }
         assert_eq!(EntropyStageTag::Range.as_u8(), 2);
-        assert!(EntropyStageTag::from_u8(3).is_err());
+        assert_eq!(EntropyStageTag::Rans.as_u8(), 3);
+        assert!(EntropyStageTag::from_u8(4).is_err());
         assert!(EntropyStageTag::from_u8(0xFF).is_err());
     }
 
@@ -186,6 +229,10 @@ mod tests {
                 EntropyEncoder::Range { center },
                 EntropyDecoder::Range { center },
             ),
+            (
+                EntropyEncoder::Rans { center },
+                EntropyDecoder::Rans { center },
+            ),
         ] {
             let mut payload = Vec::new();
             enc.encode_block(&codes, &mut payload);
@@ -208,15 +255,47 @@ mod tests {
     #[test]
     fn trailing_bytes_in_a_range_payload_are_corruption() {
         let codes: Vec<u32> = (0..400).map(|i| 1000 + (i * 37 % 300)).collect();
-        let mut payload = Vec::new();
-        EntropyEncoder::Range { center: 1000 }.encode_block(&codes, &mut payload);
-        let dec = EntropyDecoder::Range { center: 1000 };
-        assert_eq!(dec.decode_block(&payload, codes.len()).unwrap(), codes);
-        for extra in [0u8, 0xFF] {
-            let mut longer = payload.clone();
-            longer.push(extra);
-            assert!(dec.decode_block(&longer, codes.len()).is_err());
+        for (enc, dec) in [
+            (
+                EntropyEncoder::Range { center: 1000 },
+                EntropyDecoder::Range { center: 1000 },
+            ),
+            (
+                EntropyEncoder::Rans { center: 1000 },
+                EntropyDecoder::Rans { center: 1000 },
+            ),
+        ] {
+            let mut payload = Vec::new();
+            enc.encode_block(&codes, &mut payload);
+            assert_eq!(dec.decode_block(&payload, codes.len()).unwrap(), codes);
+            for extra in [0u8, 0xFF] {
+                let mut longer = payload.clone();
+                longer.push(extra);
+                assert!(dec.decode_block(&longer, codes.len()).is_err());
+            }
         }
+    }
+
+    #[test]
+    fn a_huffman_block_claiming_more_symbols_than_its_frame_fails_first() {
+        // 32 zero bytes decode as 256 one-bit codes, so a block claiming
+        // 256 symbols is self-consistent; framed as 8 it claims 32× its
+        // count. The count check must come before the decode sizes
+        // anything from the block's own varint.
+        let codebook = huffman::Codebook::from_freqs(&huffman::count_freqs(&[5, 5, 9]));
+        let mut table = Vec::new();
+        codebook.serialize(&mut table);
+        let decoder = huffman::Decoder::deserialize(&table, &mut 0).unwrap();
+        let mut block = Vec::new();
+        crate::varint::write_usize(&mut block, 256);
+        crate::varint::write_usize(&mut block, 32);
+        block.extend_from_slice(&[0; 32]);
+        let dec = EntropyDecoder::Huffman(&decoder);
+        assert_eq!(dec.decode_block(&block, 256).unwrap().len(), 256);
+        assert_eq!(
+            dec.decode_block(&block, 8),
+            Err(CodecError::Corrupt("huffman block count mismatch"))
+        );
     }
 
     #[test]

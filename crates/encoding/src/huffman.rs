@@ -431,9 +431,14 @@ impl Decoder {
     }
 
     /// Decode one block appended by [`Codebook::encode_block`], advancing
-    /// `pos` past it.
-    pub fn decode_block(&self, bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
+    /// `pos` past it. `expect` is the symbol count framing promises; a
+    /// block that claims another is rejected before anything is sized
+    /// from its own count.
+    pub fn decode_block(&self, bytes: &[u8], pos: &mut usize, expect: usize) -> Result<Vec<u32>> {
         let n = varint::read_usize(bytes, pos)?;
+        if n != expect {
+            return Err(CodecError::Corrupt("huffman block count mismatch"));
+        }
         self.decode_bits(n, bytes, pos)
     }
 
@@ -707,10 +712,13 @@ mod tests {
         let mut pos = 0usize;
         let decoder = Decoder::deserialize(&stream, &mut pos).unwrap();
         for b in &blocks {
-            assert_eq!(&decoder.decode_block(&stream, &mut pos).unwrap(), b);
+            assert_eq!(
+                &decoder.decode_block(&stream, &mut pos, b.len()).unwrap(),
+                b
+            );
         }
         assert_eq!(
-            decoder.decode_block(&stream, &mut pos).unwrap(),
+            decoder.decode_block(&stream, &mut pos, 0).unwrap(),
             Vec::<u32>::new()
         );
         assert_eq!(pos, stream.len());
@@ -729,7 +737,30 @@ mod tests {
         varint::write_usize(&mut block, 1); // n_symbols
         varint::write_u64(&mut block, u64::MAX - 1); // bits_len
         let mut bpos = 0usize;
-        assert!(dec.decode_block(&block, &mut bpos).is_err());
+        assert!(dec.decode_block(&block, &mut bpos, 1).is_err());
+    }
+
+    #[test]
+    fn decode_block_rejects_a_count_framing_did_not_promise() {
+        // 32 zero bytes are 256 one-bit codes, so a block claiming 256
+        // symbols passes the `8 · bits_len` bound; framed as 8 symbols it
+        // claims 32× its count and must fail before any output is sized
+        // from its own varint.
+        let cb = Codebook::from_freqs(&count_freqs(&[5, 5, 9]));
+        let mut stream = Vec::new();
+        cb.serialize(&mut stream);
+        let dec = Decoder::deserialize(&stream, &mut 0).unwrap();
+        let mut block = Vec::new();
+        cb.encode_block(&[5; 8], &mut block);
+        assert_eq!(dec.decode_block(&block, &mut 0, 8).unwrap(), vec![5; 8]);
+        let mut inflated = Vec::new();
+        varint::write_usize(&mut inflated, 256);
+        varint::write_usize(&mut inflated, 32);
+        inflated.extend_from_slice(&[0; 32]);
+        assert_eq!(
+            dec.decode_block(&inflated, &mut 0, 8),
+            Err(CodecError::Corrupt("huffman block count mismatch"))
+        );
     }
 
     /// The single-symbol loop: one checked [`Decoder::decode_symbol`]
@@ -776,12 +807,16 @@ mod tests {
             let mut block = Vec::new();
             codebook.encode_block(&syms, &mut block);
             let mut pos = 0usize;
-            assert_eq!(dec.decode_block(&block, &mut pos).unwrap(), syms, "n {n}");
+            assert_eq!(
+                dec.decode_block(&block, &mut pos, n).unwrap(),
+                syms,
+                "n {n}"
+            );
             assert_eq!(pos, block.len());
             assert_eq!(reference_decode_block(&dec, &block).unwrap(), syms);
             for cut in 0..block.len() {
                 assert!(
-                    dec.decode_block(&block[..cut], &mut 0).is_err(),
+                    dec.decode_block(&block[..cut], &mut 0, n).is_err(),
                     "n {n} cut {cut}"
                 );
             }
@@ -789,8 +824,10 @@ mod tests {
             let bit = flip % (bad.len() * 8);
             bad[bit / 8] ^= 0x80 >> (bit % 8);
             let claimed = varint::read_usize(&bad, &mut 0);
+            // Told the count the damaged block claims, the fast decoder
+            // must agree with the reference.
             match (
-                dec.decode_block(&bad, &mut 0),
+                dec.decode_block(&bad, &mut 0, claimed.clone().unwrap_or(0)),
                 reference_decode_block(&dec, &bad),
             ) {
                 (Ok(fast), Ok(slow)) => {

@@ -15,7 +15,10 @@
 //! * [`range`] — codebook-free adaptive binary range coder (bit
 //!   predictor + carry-less renormalization), the second entropy backend
 //!   for chunk-framed streams.
-//! * [`entropy`] — the entropy-stage seam over [`huffman`] and [`range`]:
+//! * [`rans`] — static two-context rANS coder over the range coder's
+//!   symbols, with a per-frame table: the deep-alphabet backend.
+//! * [`entropy`] — the entropy-stage seam over [`huffman`], [`range`] and
+//!   [`rans`]:
 //!   the per-frame tag byte, encode/decode backend handles, and the
 //!   histogram-entropy estimate that drives per-chunk selection.
 //! * [`varint`] — LEB128 unsigned varints for headers and run lengths.
@@ -31,6 +34,7 @@ pub mod entropy;
 pub mod huffman;
 pub mod lz;
 pub mod range;
+pub mod rans;
 pub mod varint;
 
 /// Errors surfaced while decoding a corrupt or truncated stream.

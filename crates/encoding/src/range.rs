@@ -255,29 +255,26 @@ impl Default for SymbolModel {
 }
 
 /// Fold `v` around `center`: 0 for the center itself, then alternating
-/// above/below distances (the Laplacian-friendly zigzag).
+/// above/below distances (the Laplacian-friendly zigzag). Branch-free:
+/// on a wide alphabet the side of the center is a coin flip.
 #[inline(always)]
-fn fold(v: u32, center: u32) -> u64 {
-    if v >= center {
-        2 * (v as u64 - center as u64)
-    } else {
-        2 * (center as u64 - v as u64) - 1
-    }
+pub(crate) fn fold(v: u32, center: u32) -> u64 {
+    let d = v as i64 - center as i64;
+    ((d << 1) ^ (d >> 63)) as u64
 }
 
 /// Inverse of [`fold`]; errors when the stream names a value outside u32.
 #[inline(always)]
-fn unfold(m: u64, center: u32) -> Result<u32> {
-    if m.is_multiple_of(2) {
-        let v = center as u64 + m / 2;
-        u32::try_from(v).map_err(|_| CodecError::Corrupt("range symbol above u32"))
-    } else {
-        let d = m / 2 + 1;
-        if d > center as u64 {
-            return Err(CodecError::Corrupt("range symbol below zero"));
-        }
-        Ok(center - d as u32)
-    }
+pub(crate) fn unfold(m: u64, center: u32) -> Result<u32> {
+    // Odd m lies below the center: −(m/2) − 1 is m/2 with every bit flipped.
+    let v = center as i64 + ((m >> 1) as i64 ^ -((m & 1) as i64));
+    u32::try_from(v).map_err(|_| {
+        CodecError::Corrupt(if v < 0 {
+            "range symbol below zero"
+        } else {
+            "range symbol above u32"
+        })
+    })
 }
 
 /// Entropy-code a block of symbols around `center`. The symbol count is
@@ -302,8 +299,7 @@ pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) -> usize
         out: std::mem::take(out),
     };
     let mut model = SymbolModel::new();
-    // Raw bits, MSB-first; the last side byte is zero-padded.
-    let (mut acc, mut acc_bits, mut side) = (0u64, 0usize, Vec::new());
+    let mut side = SideWriter::default();
     for &v in codes {
         let m = fold(v, center);
         if m == 0 {
@@ -323,39 +319,82 @@ pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) -> usize
             for i in (raw_below..k).rev() {
                 enc.encode_bit(&mut model.mant[i], ((m >> i) & 1) as u32);
             }
-            acc = (acc << raw_below) | (m & ((1 << raw_below) - 1));
-            acc_bits += raw_below;
-            while acc_bits >= 8 {
-                acc_bits -= 8;
-                side.push((acc >> acc_bits) as u8);
-            }
+            side.put(m, raw_below);
         }
     }
-    if acc_bits > 0 {
-        side.push((acc << (8 - acc_bits)) as u8);
-    }
     *out = enc.finish();
-    out.extend(side.iter().rev());
-    side.len()
+    side.append_reversed(out)
+}
+
+/// Tag 2's raw-bit writer (tag 3 shares it): bits MSB-first, symbol
+/// after symbol, the last byte zero-padded.
+#[derive(Default)]
+pub(crate) struct SideWriter {
+    /// Bits staged in the low end, fewer than 32 between calls.
+    acc: u64,
+    bits: usize,
+    bytes: Vec<u8>,
+}
+
+impl SideWriter {
+    /// Append the low `n ≤ 32` bits of `value`.
+    #[inline(always)]
+    pub(crate) fn put(&mut self, value: u64, n: usize) {
+        self.acc = (self.acc << n) | (value & ((1 << n) - 1));
+        self.bits += n;
+        if self.bits >= 32 {
+            self.bits -= 32;
+            self.bytes
+                .extend_from_slice(&((self.acc >> self.bits) as u32).to_be_bytes());
+        }
+    }
+
+    /// Pad, append the stream to `out` backward, and return its length.
+    pub(crate) fn append_reversed(mut self, out: &mut Vec<u8>) -> usize {
+        while self.bits >= 8 {
+            self.bits -= 8;
+            self.bytes.push((self.acc >> self.bits) as u8);
+        }
+        if self.bits > 0 {
+            self.bytes.push((self.acc << (8 - self.bits)) as u8);
+        }
+        out.extend(self.bytes.iter().rev());
+        self.bytes.len()
+    }
 }
 
 /// Tag 2's raw bits, read backward from the end of the payload: `n` bits
 /// buffered in `acc`, `used` handed out. Past the payload's start they
 /// read as zeros, which the length check then rejects.
 #[derive(Default)]
-struct SideStream {
+pub(crate) struct SideStream {
     acc: u64,
     n: usize,
     used: usize,
 }
 
 impl SideStream {
+    /// Bytes the bits handed out so far occupy.
+    pub(crate) fn bytes_used(&self) -> usize {
+        self.used.div_ceil(8)
+    }
+
+    /// Hand out the next `n ≤ 32` bits.
     #[inline(always)]
-    fn take(&mut self, bytes: &[u8], n: usize) -> u64 {
+    pub(crate) fn take(&mut self, bytes: &[u8], n: usize) -> u64 {
         while self.n < n {
-            let i = bytes.len().checked_sub((self.used + self.n) / 8 + 1);
-            self.acc = (self.acc << 8) | i.map_or(0, |i| bytes[i]) as u64;
-            self.n += 8;
+            // Side byte j is bytes[len − 1 − j]: four at once are one
+            // little-endian load, while they lie inside the payload.
+            let j = (self.used + self.n) / 8;
+            if let Some(end) = bytes.len().checked_sub(j).filter(|&end| end >= 4) {
+                let word = u32::from_le_bytes(bytes[end - 4..end].try_into().expect("4 bytes"));
+                self.acc = (self.acc << 32) | word as u64;
+                self.n += 32;
+            } else {
+                let i = bytes.len().checked_sub(j + 1);
+                self.acc = (self.acc << 8) | i.map_or(0, |i| bytes[i]) as u64;
+                self.n += 8;
+            }
         }
         self.n -= n;
         self.used += n;
@@ -415,7 +454,7 @@ fn decode_symbols(
     }
     // The coder reads what its encoder wrote: the four flushed bytes up
     // front, then one per renormalisation, as the encoder shifted them.
-    if dec.pos + side.map_or(0, |s| s.used.div_ceil(8)) != bytes.len() {
+    if dec.pos + side.map_or(0, |s| s.bytes_used()) != bytes.len() {
         return Err(CodecError::Corrupt("range payload length mismatch"));
     }
     Ok(out)

@@ -14,9 +14,11 @@
 //!
 //! Format version 3 makes the entropy stage **pluggable per frame**: each
 //! frame body opens with a one-byte entropy-stage tag selecting between
-//! the shared-codebook Huffman block (tag 0) and the codebook-free
+//! the shared-codebook Huffman block (tag 0), the codebook-free
 //! adaptive binary range coder (tag 2, see [`ebtrain_encoding::range`];
-//! its first layout, tag 1, still decodes).
+//! its first layout, tag 1, still decodes) and a static rANS coder over
+//! the same symbols with a per-frame table (tag 3, see
+//! [`ebtrain_encoding::rans`]).
 //! Version 3 also drops the format-2 LZ pass around Huffman blocks:
 //! entropy-coded bytes are near-incompressible on the chunks Huffman
 //! wins, and run-heavy chunks route to the range coder. The encoder
@@ -29,7 +31,7 @@ use crate::blocks::{auto_block_planes, chunk_count, chunk_layouts};
 use crate::predictor::Predictor;
 use crate::{DataLayout, EntropyBackend, QuantMode, Result, SzConfig, SzError};
 use ebtrain_encoding::entropy::{self, EntropyDecoder, EntropyEncoder, EntropyStageTag};
-use ebtrain_encoding::{huffman, lz, varint};
+use ebtrain_encoding::{huffman, lz, rans, varint};
 use rayon::prelude::*;
 
 /// Integer-grid clamp for dual-quantization: keeps 3-D Lorenzo sums (7
@@ -272,7 +274,8 @@ use crate::quantize::{quantize_chunk, Quantized};
 /// · u32le outlier bits · varint payload_len · payload`, where the payload
 /// is what `backend.encode_block` emits (tag 0: the chunk's table-less
 /// shared-codebook Huffman block; tag 2: range-coder bytes, then the raw
-/// mantissa bits stored backward).
+/// mantissa bits stored backward; tag 3: the rANS table, state and bytes,
+/// then the same raw bits).
 /// Format-2 frames are this layout minus the tag, with an LZ pass wrapped
 /// around the Huffman block. `scratch` is reused across chunks: the
 /// payload is coded into it first (both length prefixes need its size),
@@ -314,19 +317,35 @@ fn encode_frame(
 /// bits bypass it since entropy tag 2). On the narrow alphabets Huffman
 /// serves well that is still a sixth of Huffman's speed (≈ 160 against
 /// ≈ 1000 MiB/s on 64 Ki Laplacian codes); on wide ones the bypass cut
-/// its time per symbol by a third. So it takes the frame only where it
-/// is modelled at least 15 % denser: near-constant chunks (below the
-/// one-bit floor) and deep alphabets (eb → 0). The margin predates the
-/// bypass and was not re-tuned with it.
-fn select_backend(freqs: &[(u32, u64)], n: usize) -> EntropyStageTag {
-    let n_f = n as f64;
+/// its time per symbol by a third. So the range family takes the frame
+/// only where it is modelled at least 15 % denser: near-constant chunks
+/// (below the one-bit floor) and deep alphabets (eb → 0). The margin
+/// predates the bypass and tag 3 and was not re-tuned with them.
+///
+/// Within the range family, tag 3 (static rANS) codes the same symbols
+/// in one table step per hit and two per miss instead of ≈ 6 binary
+/// decisions per deep symbol. It pays for a per-frame table and cannot
+/// follow drift inside the frame, so it takes the frame only where its
+/// exact price is within 3 % of a model of tag 2's bytes: the ideal code
+/// length of the frame's two halves, each at its own statistics. On
+/// captured range frames that keeps 88 % of the ring's symbols and 86 %
+/// of `train_conv1x1`'s on tag 3 for +0.4 % and +0.7 % bytes, where
+/// taking every frame costs +0.6 % and +1.1 %. Near-constant and tiny
+/// frames, where the table and the 4-byte state are a large share, stay
+/// on tag 2.
+fn select_backend(freqs: &[(u32, u64)], codes: &[u32], center: u32) -> EntropyStageTag {
+    let n_f = codes.len() as f64;
     let h = entropy::histogram_entropy(freqs);
     let est_range_bits = n_f * (h + 0.1);
     let est_huffman_bits = n_f * (h + 0.3).max(1.0) + freqs.len() as f64 * 24.0;
-    if est_range_bits < 0.85 * est_huffman_bits {
-        EntropyStageTag::Range
+    if est_range_bits >= 0.85 * est_huffman_bits {
+        return EntropyStageTag::Huffman;
+    }
+    let price = rans::price(codes, center);
+    if price.bytes as f64 <= 1.03 * price.adaptive_bytes {
+        EntropyStageTag::Rans
     } else {
-        EntropyStageTag::Huffman
+        EntropyStageTag::Range
     }
 }
 
@@ -382,12 +401,13 @@ pub(crate) fn decode_chunk(
     let payload = &frame[pos..pos + payload_len];
     let entropy_span = ebtrain_obs::span!("sz.entropy_decode", bytes = n * 4);
     let codes = match (tag, decoder) {
-        (EntropyStageTag::Range | EntropyStageTag::RangeV1, _) => {
+        (EntropyStageTag::Range | EntropyStageTag::RangeV1 | EntropyStageTag::Rans, _) => {
             // The fold center is the quantizer's zero point; the header
             // already validated `radius <= u32::MAX`.
             let center = header.radius as u32;
             match tag {
                 EntropyStageTag::Range => EntropyDecoder::Range { center },
+                EntropyStageTag::Rans => EntropyDecoder::Rans { center },
                 _ => EntropyDecoder::RangeV1 { center },
             }
             .decode_block(payload, n)
@@ -568,11 +588,13 @@ fn compress_impl(
             if want_recon {
                 r.q.push_dual_recon(chunk, 2.0 * config.error_bound, &mut r.recon);
             }
-            let freqs = huffman::count_freqs(&r.q.codes[c0..]);
+            let codes = &r.q.codes[c0..];
+            let freqs = huffman::count_freqs(codes);
             let tag = match config.entropy_backend {
                 EntropyBackend::Huffman => EntropyStageTag::Huffman,
                 EntropyBackend::Range => EntropyStageTag::Range,
-                EntropyBackend::Auto => select_backend(&freqs, cl.len()),
+                EntropyBackend::Rans => EntropyStageTag::Rans,
+                EntropyBackend::Auto => select_backend(&freqs, codes, config.radius),
             };
             if tag == EntropyStageTag::Huffman {
                 huffman::merge_freqs(&mut r.huffman_freqs, &freqs);
@@ -614,11 +636,11 @@ fn compress_impl(
         let (mut c, mut o) = (0usize, 0usize);
         for &(n_codes, n_outliers, tag) in &r.chunks {
             let _span = ebtrain_obs::span!("sz.entropy", bytes = n_codes * 4);
+            let center = config.radius;
             let backend = match tag {
                 EntropyStageTag::Huffman => EntropyEncoder::Huffman(&codebook),
-                _ => EntropyEncoder::Range {
-                    center: config.radius,
-                },
+                EntropyStageTag::Rans => EntropyEncoder::Rans { center },
+                _ => EntropyEncoder::Range { center },
             };
             let (codes, outliers) = (&r.q.codes[c..c + n_codes], &r.q.outliers[o..o + n_outliers]);
             encode_frame(codes, outliers, &backend, &mut scratch, &mut frames);
@@ -1377,11 +1399,27 @@ mod tests {
         freqs
     }
 
+    /// A chunk with histogram `freqs`, its symbols spread by a fixed hash
+    /// (so the hit contexts see no runs the histogram does not imply).
+    fn spread(freqs: &[(u32, u64)]) -> Vec<u32> {
+        let mut codes: Vec<u32> = freqs
+            .iter()
+            .flat_map(|&(s, c)| std::iter::repeat_n(s, c as usize))
+            .collect();
+        let mut keyed: Vec<(u64, u32)> = codes
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32, s))
+            .collect();
+        keyed.sort_unstable();
+        codes.clear();
+        codes.extend(keyed.iter().map(|&(_, s)| s));
+        codes
+    }
+
     #[test]
     fn routing_prices_the_range_coder_at_its_speed() {
-        let route = |freqs: &[(u32, u64)]| {
-            select_backend(freqs, freqs.iter().map(|&(_, c)| c).sum::<u64>() as usize)
-        };
+        let route = |freqs: &[(u32, u64)]| select_backend(freqs, &spread(freqs), 32_768);
         // ReLU-like chunks — half to two-thirds on the centre symbol, a
         // Laplacian rest — used to go to the range coder on the dominant
         // symbol alone; the model keeps them on Huffman.
@@ -1395,11 +1433,15 @@ mod tests {
             assert_eq!(route(&freqs), EntropyStageTag::Range, "centre {centre}");
         }
         // Tight bounds (fig13's eb = 1e-4 class): hundreds of symbols,
-        // the codebook charge dominates.
+        // the codebook charge dominates, and the rANS table is a small
+        // share of a deep frame.
         let wide = residual_histogram(4096, 0.02, 0.99, 300);
-        assert_eq!(route(&wide), EntropyStageTag::Range);
+        assert_eq!(route(&wide), EntropyStageTag::Rans);
+        // A tiny deep chunk cannot carry the table: it stays on tag 2.
+        let tiny = residual_histogram(64, 0.02, 0.99, 24);
+        assert_eq!(route(&tiny), EntropyStageTag::Range);
         // Degenerate inputs keep the default.
-        assert_eq!(select_backend(&[], 0), EntropyStageTag::Huffman);
+        assert_eq!(select_backend(&[], &[], 32_768), EntropyStageTag::Huffman);
     }
 
     #[test]
@@ -1476,7 +1518,7 @@ mod tests {
             wild_every in 1usize..9,
             eb_log10 in -7.0f64..-1.0,
             chunk_planes in 1usize..5,
-            backend in 0u8..3,
+            backend in 0u8..4,
         ) {
             let eb = 10f64.powf(eb_log10) as f32;
             // Mostly smooth values a few bins apart (coded), every
@@ -1500,7 +1542,8 @@ mod tests {
             cfg.entropy_backend = match backend {
                 0 => EntropyBackend::Auto,
                 1 => EntropyBackend::Huffman,
-                _ => EntropyBackend::Range,
+                2 => EntropyBackend::Range,
+                _ => EntropyBackend::Rans,
             };
             let plain = compress(&data, layout, &cfg).unwrap();
             let (buf, recon) = compress_recon(&data, layout, &cfg).unwrap();

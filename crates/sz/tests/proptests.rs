@@ -5,14 +5,15 @@
 use ebtrain_sz::{compress, decompress, DataLayout, EntropyBackend, SzConfig};
 use proptest::prelude::*;
 
-/// The per-chunk entropy-backend axis: Auto selection plus both forced
-/// backends, so every property covering the stream format also covers
-/// huffman-tagged, range-tagged, and mixed frames.
+/// The per-chunk entropy-backend axis: Auto selection plus every forced
+/// backend, so every property covering the stream format also covers
+/// huffman-, range- and rANS-tagged, and mixed frames.
 fn backend_of(sel: u8) -> EntropyBackend {
-    match sel % 3 {
+    match sel % 4 {
         0 => EntropyBackend::Auto,
         1 => EntropyBackend::Huffman,
-        _ => EntropyBackend::Range,
+        2 => EntropyBackend::Range,
+        _ => EntropyBackend::Rans,
     }
 }
 
@@ -132,7 +133,7 @@ proptest! {
         data in prop::collection::vec(finite_f32(), 0..20_000),
         chunk_planes in 1usize..6,
         dual in any::<bool>(),
-        backend_sel in 0u8..3,
+        backend_sel in 0u8..4,
         eb_sel in 0u8..3,
         shape_sel in 0u8..3,
         w in 1usize..48,
@@ -194,6 +195,7 @@ proptest! {
         let auto = decode_bits(EntropyBackend::Auto);
         prop_assert_eq!(&auto, &decode_bits(EntropyBackend::Huffman));
         prop_assert_eq!(&auto, &decode_bits(EntropyBackend::Range));
+        prop_assert_eq!(&auto, &decode_bits(EntropyBackend::Rans));
     }
 
     #[test]

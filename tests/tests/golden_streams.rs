@@ -5,9 +5,10 @@
 //! pair: the exact compressed stream as some encoder emitted it, and the
 //! f32 little-endian reconstruction it decoded to at capture time. The
 //! `z1_*` / `z2v2_*` pairs were captured from *historical* encoders
-//! (format 1 / format 2), and the `*t1*` pairs from the last encoder
-//! that wrote range frames as entropy tag 1; no current code can re-emit
-//! them — they pin back-compat. The rest are current-format and
+//! (format 1 / format 2), the `*t1*` pairs from the last encoder that
+//! wrote range frames as entropy tag 1, and `z3t2_*` from the last one
+//! that routed every range-family frame to tag 2; no current code can
+//! re-emit them — they pin back-compat. The rest are current-format and
 //! regenerated by `cargo run --release -p ebtrain-bench --bin
 //! regen_golden` after a deliberate format change (which must first
 //! freeze the superseded format as a new fixture); `regen_golden
@@ -81,10 +82,16 @@ fn frozen_tag1_range_streams_decode_byte_exactly() {
 }
 
 #[test]
+fn frozen_pre_rans_stream_decodes_byte_exactly() {
+    assert_decodes_exactly("z3t2_mixed_backends");
+}
+
+#[test]
 fn format3_streams_decode_byte_exactly() {
     assert_decodes_exactly("z3_range_dualquant");
     assert_decodes_exactly("z3_huffman_classic");
     assert_decodes_exactly("z3_mixed_backends");
+    assert_decodes_exactly("z3_rans_dualquant");
 }
 
 #[test]
@@ -112,7 +119,9 @@ fn format3_fixtures_carry_the_expected_entropy_tags() {
     for (name, want) in [
         ("z3_range_dualquant", &[2][..]),
         ("z3_huffman_classic", &[0]),
-        ("z3_mixed_backends", &[0, 2]),
+        ("z3_mixed_backends", &[0, 3]),
+        ("z3_rans_dualquant", &[3]),
+        ("z3t2_mixed_backends", &[0, 2]),
         ("tagged_sz", &[2]),
         ("z3t1_range_dualquant", &[1]),
         ("z3t1_mixed_backends", &[0, 1]),
@@ -135,6 +144,7 @@ fn routing_is_value_neutral_and_deterministic_on_the_corpus() {
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
+        "z3_rans_dualquant",
         "tagged_sz",
     ] {
         let (_, vals) = read_fixture(name);
@@ -156,8 +166,10 @@ fn routing_is_value_neutral_and_deterministic_on_the_corpus() {
         let (auto_len, auto) = encode(EntropyBackend::Auto);
         let (huffman_len, huffman) = encode(EntropyBackend::Huffman);
         let (_, range) = encode(EntropyBackend::Range);
+        let (_, rans) = encode(EntropyBackend::Rans);
         assert_eq!(auto, huffman, "{name}: huffman changed decoded values");
         assert_eq!(auto, range, "{name}: range changed decoded values");
+        assert_eq!(auto, rans, "{name}: rans changed decoded values");
         assert!(
             auto_len * 100 <= huffman_len * 103,
             "{name}: auto {auto_len} B vs huffman-only {huffman_len} B"
@@ -176,8 +188,10 @@ fn corpus_is_paired_and_fully_covered() {
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
+        "z3_rans_dualquant",
         "z3t1_range_dualquant",
         "z3t1_mixed_backends",
+        "z3t2_mixed_backends",
         "b1_byteplane",
         "tagged_sz",
         "tagged_sz_t1",
@@ -213,8 +227,10 @@ fn every_truncation_of_a_golden_z2_stream_fails_plane_decode_cleanly() {
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
+        "z3_rans_dualquant",
         "z3t1_range_dualquant",
         "z3t1_mixed_backends",
+        "z3t2_mixed_backends",
     ] {
         let (bin, want) = read_fixture(name);
         let index = ebtrain_sz::frame_index_of(&bin).expect("golden stream has an index");
