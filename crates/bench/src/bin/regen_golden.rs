@@ -1,20 +1,25 @@
 //! Regenerate the *current-format* fixtures of the golden-stream corpus
 //! under `tests/golden/`.
 //!
-//! The corpus pins wire-format back-compat **by bytes on disk**: the
-//! conformance test (`tests/tests/golden_streams.rs`) decodes every
-//! committed `.bin` through `CodecRegistry::decompress_any` and asserts
-//! the reconstruction matches the committed `.vals` (f32 little-endian)
-//! bit-for-bit. Fixtures fall in two classes:
+//! The corpus pins the wire format **by bytes on disk**: the conformance
+//! test (`tests/tests/golden_streams.rs`) decodes every committed
+//! `.bin` that has a `.vals` twin — bare `Z2` streams through the SZ
+//! decoder, containers through `CodecRegistry::decompress_any` — and
+//! asserts the reconstruction matches the committed `.vals` (f32
+//! little-endian) bit-for-bit. Fixtures fall in three classes:
 //!
-//! - **Frozen captures** (`z1_*`, `z2v2_*`, the `*t1*` copies of the
-//!   range-coded fixtures from before entropy tag 2, and `z3t2_*`, the
-//!   mixed fixture from before entropy tag 3): emitted once by a
-//!   historical encoder. This binary never rewrites them — a current
-//!   encoder cannot re-produce those bytes, which is the point.
-//! - **Current-format fixtures** (everything else): regenerated here so
-//!   a deliberate format change can refresh them in one command. A change
-//!   must *add* a frozen copy of the superseded format first.
+//! - **Current-format fixtures** (`z3_*`, `tagged_*`): regenerated here
+//!   so a deliberate format change can refresh them in one command.
+//! - **The one superseded capture still written**, `z3t2_mixed_backends`:
+//!   the mixed fixture as it was before entropy tag 3 took its skewed
+//!   frames. Tag 2 is still a current layout; no current encoder routes
+//!   that data to it, so this binary leaves it alone.
+//! - **Reject fixtures** (`.bin` only: `z1_classic`, `z2v2_huffman_classic`,
+//!   `tagged_sz_t1`): one stream per retired layout, which every decode
+//!   entry point must refuse cleanly. This binary never touches them.
+//!
+//! A format change that supersedes a layout retires it behind a new
+//! reject fixture instead of keeping it decodable.
 //!
 //! Run with `cargo run --release -p ebtrain-bench --bin regen_golden`.
 //! With `--check` it writes nothing: it regenerates the current-format
@@ -38,9 +43,15 @@ struct Fixture {
 }
 
 fn fixture(name: &'static str, bytes: &[u8]) -> Fixture {
-    let (vals, _) = ebtrain_codec::CodecRegistry::standard()
-        .decompress_any(bytes)
-        .expect("fixture must decode");
+    // Bare `z3_*` streams are the SZ decoder's input; containers route.
+    let vals = if bytes.starts_with(&[0xEB, 0xC0]) {
+        ebtrain_codec::CodecRegistry::standard()
+            .decompress_any(bytes)
+            .map(|(vals, _)| vals)
+    } else {
+        ebtrain_sz::decompress_bytes(bytes)
+    }
+    .expect("fixture must decode");
     Fixture {
         name,
         bin: bytes.to_vec(),
@@ -83,7 +94,7 @@ fn current_fixtures() -> Vec<Fixture> {
     out.push(fixture("z3_range_dualquant", buf.as_bytes()));
 
     // --- Z3 with per-chunk tags forced to Huffman: the current-format
-    // twin of the frozen z2v2 fixtures (tag byte present, value 0).
+    // twin of the retired z2v2 layout (tag byte present, value 0).
     let data = ramp(24 * 16);
     let mut cfg = SzConfig::classic(1e-3);
     cfg.entropy_backend = EntropyBackend::Huffman;
@@ -146,15 +157,13 @@ fn current_fixtures() -> Vec<Fixture> {
     );
     out.push(fixture("z3_rans_dualquant", buf.as_bytes()));
 
-    // --- B1 byteplane (untagged legacy magic, format unchanged by the
-    // entropy-stage work but pinned the same way).
+    // --- Tagged containers (0xEBC0 + codec id + body).
     let data = ramp(128);
     let stream = ByteplaneCodec
         .compress(&data, DataLayout::D1(128), &BoundSpec::Abs(1e-3))
         .unwrap();
-    out.push(fixture("b1_byteplane", stream.body()));
+    out.push(fixture("tagged_byteplane", stream.as_bytes()));
 
-    // --- Tagged containers (0xEBC0 + codec id + body).
     let data = relu_volume(12 * 32);
     let stream = SzCodec::dual_quant()
         .compress(&data, DataLayout::D2(12, 32), &BoundSpec::Abs(1e-2))
@@ -194,7 +203,9 @@ fn main() {
         );
     }
     if !check {
-        println!("frozen captures (z1_*, z2v2_*, *t1*, z3t2_*) left untouched by design");
+        println!(
+            "reject fixtures (z1_classic, z2v2_huffman_classic, tagged_sz_t1) and z3t2_mixed_backends left untouched by design"
+        );
     } else if stale.is_empty() {
         println!("every current-format fixture matches its generator byte for byte");
     } else {

@@ -28,14 +28,12 @@
 //! * [`CodecRegistry`] + [`TaggedStream`] — a self-describing container
 //!   (`0xEB 0xC0` magic + one-byte codec id + body) whose
 //!   [`from_bytes`](TaggedStream::from_bytes) routes to the right
-//!   decoder; **untagged legacy streams still decode** — the sniffer
-//!   recognizes the historical `Z1`/`Z2` (SZ), `L1` (lossless), `F1`
-//!   (ZFP-like) and `B1` (byte-plane) magics and wraps them with the
-//!   right id, so every byte stream ever written by this workspace keeps
-//!   decoding. This covers stream *revisions* too: the `Z2` magic spans
-//!   format versions 2 and 3 (version 3 added a per-frame entropy-stage
-//!   tag — shared-codebook Huffman or the codebook-free range coder —
-//!   see DESIGN.md §3), and the id names the decoder for all of them.
+//!   decoder. Only the container parses: a bare backend body is
+//!   rejected like any unknown magic. The id names a decoder, not a
+//!   stream revision — the SZ body carries its own format version and
+//!   per-frame entropy-stage tags (DESIGN.md §3), and the SZ decoder
+//!   reads exactly one of each layout it has ever written: `Z2`
+//!   version 3 with tags 0, 2 and 3.
 //!
 //! Errors are [`ebtrain_sz::SzError`] across all backends (the ZFP-like
 //! and lossless backends already used it), so consumers keep their error

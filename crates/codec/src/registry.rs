@@ -77,7 +77,7 @@ impl CodecRegistry {
         codec.decompress(stream)
     }
 
-    /// Parse raw bytes (tagged or legacy) and decode them — the one-call
+    /// Parse a tagged container's raw bytes and decode them — the one-call
     /// path for persisted/foreign streams.
     pub fn decompress_any(&self, bytes: &[u8]) -> Result<(Vec<f32>, CodecId)> {
         let stream = TaggedStream::from_bytes(bytes.to_vec())?;

@@ -1,17 +1,17 @@
 //! The self-describing [`TaggedStream`] container.
 //!
 //! Wire format: `0xEB 0xC0` magic, one [`CodecId`] byte, then the
-//! backend's own byte stream verbatim. The two-byte magic collides with
-//! none of the historical backend magics (`Z1`/`Z2` = `0x5A..`, `L1` =
-//! `0x4C31`, `F1` = `0x4631`, `B1` = `0x4231`), so
-//! [`TaggedStream::from_bytes`] can accept **untagged legacy streams**
-//! too: it sniffs those magics and wraps the bytes with the right codec
-//! id at zero cost (the body offset is simply 0).
+//! backend's own byte stream verbatim. [`TaggedStream::from_bytes`]
+//! accepts nothing else: a bare backend stream (an untagged `Z2`, `L1`,
+//! `F1` or `B1` body) is rejected like any unknown magic, so every stream
+//! reaches its decoder through one routing byte.
 
 use crate::{corrupt, CodecId, Result};
 
 /// Container magic: `0xEB 0xC0` ("EB-trained Codec").
 const MAGIC: [u8; 2] = [0xEB, 0xC0];
+/// Magic plus the codec id byte; the body follows.
+const HEADER_LEN: usize = 3;
 
 /// An owned, self-describing compressed stream: codec id + body.
 ///
@@ -23,25 +23,20 @@ const MAGIC: [u8; 2] = [0xEB, 0xC0];
 pub struct TaggedStream {
     bytes: Vec<u8>,
     codec_id: CodecId,
-    body_off: usize,
 }
 
 impl TaggedStream {
     /// Wrap a backend body in the tagged container.
     pub fn tag(codec_id: CodecId, body: Vec<u8>) -> TaggedStream {
-        let mut bytes = Vec::with_capacity(body.len() + 3);
+        let mut bytes = Vec::with_capacity(body.len() + HEADER_LEN);
         bytes.extend_from_slice(&MAGIC);
         bytes.push(codec_id.0);
         bytes.extend_from_slice(&body);
-        TaggedStream {
-            bytes,
-            codec_id,
-            body_off: 3,
-        }
+        TaggedStream { bytes, codec_id }
     }
 
-    /// Parse a stream: the tagged container, or an untagged legacy
-    /// backend stream (sniffed by its historical magic).
+    /// Parse a tagged container; anything without the container magic
+    /// is rejected.
     ///
     /// ```
     /// use ebtrain_codec::{CodecId, TaggedStream};
@@ -50,42 +45,23 @@ impl TaggedStream {
     /// let parsed = TaggedStream::from_bytes(tagged.as_bytes().to_vec()).unwrap();
     /// assert_eq!(parsed.codec_id(), CodecId::SZ);
     /// assert_eq!(parsed.body(), &[1, 2, 3]);
-    /// // Untagged legacy SZ bytes ("Z2" magic) still route:
-    /// let legacy = TaggedStream::from_bytes(vec![0x5A, 0x32, 0x02]).unwrap();
-    /// assert_eq!(legacy.codec_id(), CodecId::SZ);
-    /// assert_eq!(legacy.body().len(), 3);
+    /// // A bare SZ body ("Z2" magic) is not a container:
+    /// assert!(TaggedStream::from_bytes(vec![0x5A, 0x32, 0x03]).is_err());
     /// assert!(TaggedStream::from_bytes(vec![0, 1]).is_err());
     /// ```
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TaggedStream> {
-        if bytes.len() < 2 {
-            return Err(corrupt("stream too short for any magic"));
+        if !bytes.starts_with(&MAGIC) {
+            return Err(corrupt("unrecognized stream magic"));
         }
-        if bytes[0..2] == MAGIC {
-            if bytes.len() < 3 {
-                return Err(corrupt("tagged stream missing codec id"));
-            }
-            let id = CodecId(bytes[2]);
-            if id.0 == 0 {
-                return Err(corrupt("codec id 0 is reserved"));
-            }
-            return Ok(TaggedStream {
-                bytes,
-                codec_id: id,
-                body_off: 3,
-            });
+        let id = *bytes
+            .get(2)
+            .ok_or_else(|| corrupt("tagged stream missing codec id"))?;
+        if id == 0 {
+            return Err(corrupt("codec id 0 is reserved"));
         }
-        // Legacy sniff: historical backend magics, body offset 0.
-        let codec_id = match [bytes[0], bytes[1]] {
-            [0x5A, 0x31] | [0x5A, 0x32] => CodecId::SZ, // "Z1"/"Z2"
-            [0x4C, 0x31] => CodecId::LOSSLESS,          // "L1"
-            [0x46, 0x31] => CodecId::ZFP_LIKE,          // "F1"
-            [0x42, 0x31] => CodecId::BYTEPLANE,         // "B1"
-            _ => return Err(corrupt("unrecognized stream magic")),
-        };
         Ok(TaggedStream {
             bytes,
-            codec_id,
-            body_off: 0,
+            codec_id: CodecId(id),
         })
     }
 
@@ -96,7 +72,7 @@ impl TaggedStream {
 
     /// The backend's own byte stream (container tag stripped).
     pub fn body(&self) -> &[u8] {
-        &self.bytes[self.body_off..]
+        &self.bytes[HEADER_LEN..]
     }
 
     /// Full wire bytes (tag included) — for persistence or transport.
@@ -132,19 +108,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_magics_sniff_to_their_codec() {
-        for (magic, id) in [
-            ([0x5A, 0x31], CodecId::SZ),
-            ([0x5A, 0x32], CodecId::SZ),
-            ([0x4C, 0x31], CodecId::LOSSLESS),
-            ([0x46, 0x31], CodecId::ZFP_LIKE),
-            ([0x42, 0x31], CodecId::BYTEPLANE),
+    fn bare_backend_magics_are_rejected() {
+        for magic in [
+            [0x5A, 0x31],
+            [0x5A, 0x32],
+            [0x4C, 0x31],
+            [0x46, 0x31],
+            [0x42, 0x31],
         ] {
             let mut bytes = magic.to_vec();
-            bytes.extend_from_slice(&[1, 2, 3]);
-            let s = TaggedStream::from_bytes(bytes.clone()).unwrap();
-            assert_eq!(s.codec_id(), id);
-            assert_eq!(s.body(), &bytes[..], "legacy body keeps its magic");
+            bytes.extend_from_slice(&[3, 1, 2]);
+            assert!(TaggedStream::from_bytes(bytes).is_err(), "{magic:?}");
         }
     }
 

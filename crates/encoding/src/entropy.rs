@@ -6,9 +6,12 @@
 //! | tag | backend | payload |
 //! |-----|---------|---------|
 //! | `0` | [`huffman`] | table-less canonical-Huffman block (`varint n · varint bits_len · bits`) |
-//! | `1` | [`range`], decode-only | adaptive binary range-coder bytes, raw mantissa bits inside the coder |
 //! | `2` | [`range`] | range-coder bytes, then the raw mantissa bits as a side stream stored backward from the payload's end |
 //! | `3` | [`rans`] | the frame's static two-context table, the rANS state and bytes, then tag 2's side stream |
+//!
+//! Tag `1` was the range coder's first layout (raw mantissa bits inside
+//! the coder). It is retired: no encoder writes it, and the byte is
+//! rejected like any other unknown tag.
 //!
 //! Tags 2 and 3 code the same symbols (hit flag, gamma class, top
 //! mantissa bit; the bits below bypass the coder). Tag 2 adapts one
@@ -22,12 +25,9 @@
 //! No payload carries a trailing LZ pass: entropy-coded bytes are
 //! near-incompressible on mid/high-entropy chunks, and the skewed chunks
 //! where run collapsing would pay route to the range coder (whose
-//! run-context bit model absorbs the runs). Format-2 streams predate the
-//! tag byte; their bodies decode as the implicit Huffman tag with the
-//! historical LZ wrapper, which the frame layer strips before reaching
-//! this seam. Every backend is lossless over the symbol stream, so
-//! per-chunk selection can never change decoded values — only the bytes
-//! in between.
+//! run-context bit model absorbs the runs). Every backend is lossless
+//! over the symbol stream, so per-chunk selection can never change
+//! decoded values — only the bytes in between.
 
 use crate::{huffman, range, rans, CodecError, Result};
 
@@ -36,8 +36,6 @@ use crate::{huffman, range, rans, CodecError, Result};
 pub enum EntropyStageTag {
     /// Shared-codebook canonical Huffman (table-less block).
     Huffman = 0,
-    /// The range coder's first layout (decode-only).
-    RangeV1 = 1,
     /// Codebook-free adaptive binary range coder.
     Range = 2,
     /// Static two-context rANS with a per-frame table.
@@ -54,7 +52,6 @@ impl EntropyStageTag {
     pub fn from_u8(b: u8) -> Result<EntropyStageTag> {
         match b {
             0 => Ok(EntropyStageTag::Huffman),
-            1 => Ok(EntropyStageTag::RangeV1),
             2 => Ok(EntropyStageTag::Range),
             3 => Ok(EntropyStageTag::Rans),
             _ => Err(CodecError::Corrupt("unknown entropy-stage tag")),
@@ -116,7 +113,6 @@ impl EntropyEncoder<'_> {
 pub enum EntropyDecoder<'a> {
     Huffman(&'a huffman::Decoder),
     Range { center: u32 },
-    RangeV1 { center: u32 },
     Rans { center: u32 },
 }
 
@@ -125,9 +121,8 @@ impl EntropyDecoder<'_> {
     /// from validated framing (the chunk layout), which bounds every
     /// allocation here; trailing payload bytes are corruption. Each
     /// decoded frame and its symbols are counted per backend
-    /// (`encoding.entropy_decode.{huffman,range,rans}` and `.symbols`;
-    /// tag 1 counts as range), so a scrape can say which coder the decode
-    /// time went to.
+    /// (`encoding.entropy_decode.{huffman,range,rans}` and `.symbols`),
+    /// so a scrape can say which coder the decode time went to.
     pub fn decode_block(&self, payload: &[u8], n: usize) -> Result<Vec<u32>> {
         let (codes, frames, symbols) = match *self {
             EntropyDecoder::Huffman(decoder) => {
@@ -144,11 +139,6 @@ impl EntropyDecoder<'_> {
             }
             EntropyDecoder::Range { center } => (
                 range::decode_block(payload, n, center)?,
-                "encoding.entropy_decode.range",
-                "encoding.entropy_decode.range.symbols",
-            ),
-            EntropyDecoder::RangeV1 { center } => (
-                range::decode_block_v1(payload, n, center)?,
                 "encoding.entropy_decode.range",
                 "encoding.entropy_decode.range.symbols",
             ),
@@ -190,7 +180,6 @@ mod tests {
     fn tags_roundtrip_and_reject_unknown() {
         for tag in [
             EntropyStageTag::Huffman,
-            EntropyStageTag::RangeV1,
             EntropyStageTag::Range,
             EntropyStageTag::Rans,
         ] {
@@ -198,6 +187,8 @@ mod tests {
         }
         assert_eq!(EntropyStageTag::Range.as_u8(), 2);
         assert_eq!(EntropyStageTag::Rans.as_u8(), 3);
+        // Tag 1 is the retired first range layout.
+        assert!(EntropyStageTag::from_u8(1).is_err());
         assert!(EntropyStageTag::from_u8(4).is_err());
         assert!(EntropyStageTag::from_u8(0xFF).is_err());
     }

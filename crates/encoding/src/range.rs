@@ -17,13 +17,13 @@
 //! histograms (tight bounds) avoid deep-codebook and table-serialization
 //! overhead entirely.
 //!
-//! Two block layouts share that symbol layer. **Tag 2** ([`encode_block`])
-//! codes the hit flag, the length class and the top mantissa bit; the
-//! near-uniform bits below it bypass the coder (as CABAC's bypass bins
-//! do) into a side stream stored backward from the payload's end, so no
-//! length field sits between the two and a block without raw bits has no
-//! side bytes. **Tag 1** ([`decode_block_v1`], decode-only) modeled two
-//! mantissa bits and coded the rest in place as fixed ½ splits.
+//! The block layout is entropy **tag 2** ([`encode_block`]): it codes the
+//! hit flag, the length class and the top mantissa bit; the near-uniform
+//! bits below it bypass the coder (as CABAC's bypass bins do) into a side
+//! stream stored backward from the payload's end, so no length field sits
+//! between the two and a block without raw bits has no side bytes. The
+//! coder's first layout, tag 1, coded those bits in place; it is retired
+//! and its tag byte is rejected like any unknown tag.
 
 use crate::{CodecError, Result};
 
@@ -40,11 +40,11 @@ const ADAPT_SHIFT: u32 = 5;
 /// in a stream is corruption.
 const MAX_GAMMA_BITS: usize = 33;
 
-/// Mantissa bits modeled adaptively (tag 2, tag 1), counted down from the
-/// leading one; deeper bits of a Laplacian residual are near-uniform. The
-/// second bit tag 1 modeled is worth 0.4–1 % on narrow blocks, ≤ 0.07 %
-/// of the training benchmarks' ratio, and a coder step per symbol.
-const MODELED_MANT_BITS: [usize; 2] = [1, 2];
+/// Mantissa bits modeled adaptively, counted down from the leading one;
+/// deeper bits of a Laplacian residual are near-uniform. A second modeled
+/// bit (tag 1 had one) is worth 0.4–1 % on narrow blocks, ≤ 0.07 % of
+/// the training benchmarks' ratio, and a coder step per symbol.
+const MODELED_MANT_BITS: usize = 1;
 
 /// One adaptive binary probability (12-bit, 1/32 update rate).
 #[derive(Clone, Copy, Debug)]
@@ -116,14 +116,6 @@ impl RangeEncoder {
         let step = (((PROB_ONE - p) >> ADAPT_SHIFT) & one).wrapping_sub((p >> ADAPT_SHIFT) & !one);
         model.p = p.wrapping_add(step) as u16;
         self.narrow(mid, one);
-    }
-
-    /// Code one bit at a fixed 1/2 split — no model load or update (tag 1's
-    /// raw bits; the reference for [`RangeDecoder::decode_raw_bit`]).
-    #[inline(always)]
-    pub fn encode_raw_bit(&mut self, bit: u32) {
-        let mid = self.low + ((self.high - self.low) >> 1);
-        self.narrow(mid, ((bit == 1) as u32).wrapping_neg());
     }
 
     /// Keep `[low, mid]` when `one` is all ones, `[mid + 1, high]` when
@@ -198,20 +190,6 @@ impl<'a> RangeDecoder<'a> {
             self.low = mid + 1;
         }
         model.update(bit);
-        self.shift_in();
-        bit
-    }
-
-    /// Decode one bit coded by [`RangeEncoder::encode_raw_bit`].
-    #[inline(always)]
-    pub fn decode_raw_bit(&mut self) -> u32 {
-        let mid = self.low + ((self.high - self.low) >> 1);
-        let bit = (self.code <= mid) as u32;
-        if bit == 1 {
-            self.high = mid;
-        } else {
-            self.low = mid + 1;
-        }
         self.shift_in();
         bit
     }
@@ -315,7 +293,7 @@ pub fn encode_block_into(codes: &[u32], center: u32, out: &mut Vec<u8>) -> usize
                 enc.encode_bit(&mut model.len[i], 1);
             }
             enc.encode_bit(&mut model.len[k], 0);
-            let raw_below = k.saturating_sub(MODELED_MANT_BITS[0]);
+            let raw_below = k.saturating_sub(MODELED_MANT_BITS);
             for i in (raw_below..k).rev() {
                 enc.encode_bit(&mut model.mant[i], ((m >> i) & 1) as u32);
             }
@@ -408,23 +386,8 @@ impl SideStream {
 /// symbols (caught structurally upstream) but never oversized output.
 /// Bytes the `n` symbols did not consume, or lacked, are corruption.
 pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
-    decode_symbols(bytes, n, center, Some(SideStream::default()))
-}
-
-/// [`decode_block`] for a tag-1 block, which no encoder writes any more.
-pub fn decode_block_v1(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
-    decode_symbols(bytes, n, center, None)
-}
-
-/// The decoder body of both tags: with a side stream it is tag 2's.
-fn decode_symbols(
-    bytes: &[u8],
-    n: usize,
-    center: u32,
-    mut side: Option<SideStream>,
-) -> Result<Vec<u32>> {
-    let modeled = MODELED_MANT_BITS[side.is_none() as usize];
     let mut dec = RangeDecoder::new(bytes);
+    let mut side = SideStream::default();
     let mut model = SymbolModel::new();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -442,19 +405,16 @@ fn decode_symbols(
             }
         }
         let mut m = 1u64;
-        let raw_below = k.saturating_sub(modeled);
+        let raw_below = k.saturating_sub(MODELED_MANT_BITS);
         for i in (raw_below..k).rev() {
             m = (m << 1) | dec.decode_bit(&mut model.mant[i]) as u64;
         }
-        m = match side.as_mut() {
-            Some(side) => (m << raw_below) | side.take(bytes, raw_below),
-            None => (0..raw_below).fold(m, |m, _| (m << 1) | dec.decode_raw_bit() as u64),
-        };
+        m = (m << raw_below) | side.take(bytes, raw_below);
         out.push(unfold(m, center)?);
     }
     // The coder reads what its encoder wrote: the four flushed bytes up
     // front, then one per renormalisation, as the encoder shifted them.
-    if dec.pos + side.map_or(0, |s| s.bytes_used()) != bytes.len() {
+    if dec.pos + side.bytes_used() != bytes.len() {
         return Err(CodecError::Corrupt("range payload length mismatch"));
     }
     Ok(out)
@@ -491,7 +451,7 @@ mod tests {
     fn masked_encoder_step_matches_model_update_everywhere() {
         // Every probability state x both bits: the encoder's masked
         // model step must equal `BitModel::update`, or encoder and
-        // decoder trajectories (and every tag-1 stream) diverge.
+        // decoder trajectories (and every tag-2 stream) diverge.
         for p in 1..PROB_ONE as u16 {
             for bit in [0u32, 1] {
                 let mut want = BitModel { p };
@@ -563,32 +523,16 @@ mod tests {
         );
     }
 
-    /// A block captured from the last encoder that wrote tag 1: it still
-    /// decodes, and only at its exact length.
+    /// The coder's first layout (raw bits coded in place) is retired: its
+    /// wire tag is refused before any payload byte reaches this decoder.
     #[test]
-    fn frozen_tag1_block_decodes_only_at_its_length() {
-        let center = 1000u32;
-        let codes = [
-            center,
-            center + 1,
-            center - 1,
-            center + 300,
-            0,
-            u32::MAX,
-            center,
-            center,
-            center - 77,
-            center + 5000,
-        ];
-        let bytes = [
-            96, 8, 171, 134, 122, 187, 238, 125, 86, 0, 67, 36, 124, 12, 215, 209, 53, 151, 196,
-            137, 107, 229, 127,
-        ];
-        assert_eq!(decode_block_v1(&bytes, codes.len(), center).unwrap(), codes);
-        let mut longer = bytes.to_vec();
-        longer.push(0);
-        assert!(decode_block_v1(&longer, codes.len(), center).is_err());
-        assert!(decode_block_v1(&bytes[..bytes.len() - 1], codes.len(), center).is_err());
+    fn retired_tag1_is_rejected_at_the_tag_byte() {
+        use crate::entropy::EntropyStageTag;
+        assert_eq!(
+            EntropyStageTag::from_u8(1),
+            Err(CodecError::Corrupt("unknown entropy-stage tag"))
+        );
+        assert_eq!(EntropyStageTag::from_u8(2), Ok(EntropyStageTag::Range));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn range_frames_report_their_bytes_and_the_raw_bytes_that_bypassed_the_coder() {
         "coder bytes come before the side stream"
     );
 
-    // Decode side: frames and symbols per backend (tag 1 counts as range).
+    // Decode side: frames and symbols per backend.
     let mut table = Vec::new();
     codebook.serialize(&mut table);
     let decoder = huffman::Decoder::deserialize(&table, &mut 0).unwrap();

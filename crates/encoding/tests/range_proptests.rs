@@ -13,7 +13,7 @@
 //! small twin.
 
 use ebtrain_encoding::bitio::BitWriter;
-use ebtrain_encoding::range::{self, RangeDecoder, RangeEncoder};
+use ebtrain_encoding::range;
 use ebtrain_encoding::{rans, CodecError};
 use proptest::prelude::*;
 
@@ -395,16 +395,6 @@ fn frozen_tag3_block_decodes_only_at_its_length() {
     assert!(rans::decode_block(&bytes[..bytes.len() - 1], codes.len(), center).is_err());
 }
 
-/// Bit streams that drive the adaptive models through varied regimes:
-/// skewed, alternating, and uniform stretches.
-fn bit_stream() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        3 => prop::collection::vec(0u8..2, 0..4000),
-        1 => prop::collection::vec(Just(1u8), 0..2000),
-        1 => prop::collection::vec(Just(0u8), 0..2000),
-    ]
-}
-
 /// Quantization-code-shaped symbols: center-clustered, with occasional
 /// outlier-marker zeros and full-range extremes.
 fn symbol_stream(center: u32) -> impl Strategy<Value = Vec<u32>> {
@@ -419,33 +409,6 @@ fn symbol_stream(center: u32) -> impl Strategy<Value = Vec<u32>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn raw_and_modeled_bits_roundtrip(bits in bit_stream(), raw_period in 1usize..8) {
-        // Interleave modeled and raw coding on one interval: the two
-        // paths share low/high state, so any carry/renorm divergence
-        // between them corrupts everything downstream.
-        let mut enc = RangeEncoder::new();
-        let mut model = range::BitModel::new();
-        for (i, &b) in bits.iter().enumerate() {
-            if i % raw_period == 0 {
-                enc.encode_raw_bit(b as u32);
-            } else {
-                enc.encode_bit(&mut model, b as u32);
-            }
-        }
-        let bytes = enc.finish();
-        let mut dec = RangeDecoder::new(&bytes);
-        let mut model = range::BitModel::new();
-        for (i, &b) in bits.iter().enumerate() {
-            let got = if i % raw_period == 0 {
-                dec.decode_raw_bit()
-            } else {
-                dec.decode_bit(&mut model)
-            };
-            prop_assert_eq!(got, b as u32, "bit {} diverged", i);
-        }
-    }
 
     #[test]
     fn symbol_blocks_roundtrip_at_any_center(
@@ -498,7 +461,6 @@ proptest! {
         // Every layout: a typed error or exactly n symbols.
         let decoded = [
             range::decode_block(&bytes, n, center),
-            range::decode_block_v1(&bytes, n, center),
             rans::decode_block(&bytes, n, center),
         ];
         for symbols in decoded.into_iter().flatten() {

@@ -1,8 +1,8 @@
 //! The compression pipeline: chunk → predict → quantize → entropy-code.
 //!
-//! Since format version 2 the stream is a **chunked container**: the
-//! volume is split into plane-aligned chunks (see [`crate::blocks`]) that
-//! are predicted, quantized and entropy-coded *independently*, each in a
+//! The stream is a **chunked container**: the volume is split into
+//! plane-aligned chunks (see [`crate::blocks`]) that are predicted,
+//! quantized and entropy-coded *independently*, each in a
 //! self-delimiting length-prefixed frame. As in cuSZ, all chunks share
 //! **one** Huffman codebook (histograms are gathered per chunk in
 //! parallel, merged, and the code set built once), while each frame
@@ -12,26 +12,21 @@
 //! configuration, never on thread count, so parallel and serial encodes
 //! are bit-identical (see [`compress_serial`]).
 //!
-//! Format version 3 makes the entropy stage **pluggable per frame**: each
-//! frame body opens with a one-byte entropy-stage tag selecting between
-//! the shared-codebook Huffman block (tag 0), the codebook-free
-//! adaptive binary range coder (tag 2, see [`ebtrain_encoding::range`];
-//! its first layout, tag 1, still decodes) and a static rANS coder over
-//! the same symbols with a per-frame table (tag 3, see
-//! [`ebtrain_encoding::rans`]).
-//! Version 3 also drops the format-2 LZ pass around Huffman blocks:
-//! entropy-coded bytes are near-incompressible on the chunks Huffman
-//! wins, and run-heavy chunks route to the range coder. The encoder
-//! picks per chunk from the symbol histogram ([`select_backend`]);
-//! version-2 streams (no tag; implicit Huffman, LZ-wrapped) decode
-//! unchanged. The full byte layout, old and new, is documented in
-//! `DESIGN.md` §3.
+//! The entropy stage is **pluggable per frame**: each frame body opens
+//! with a one-byte entropy-stage tag selecting between the
+//! shared-codebook Huffman block (tag 0), the codebook-free adaptive
+//! binary range coder (tag 2, see [`ebtrain_encoding::range`]) and a
+//! static rANS coder over the same symbols with a per-frame table (tag 3,
+//! see [`ebtrain_encoding::rans`]). The encoder picks per chunk from the
+//! symbol histogram ([`select_backend`]). This one layout (`Z2` version
+//! 3) is all the decoder reads; the byte layout, and the layouts retired
+//! before it, are documented in `DESIGN.md` §3.
 
 use crate::blocks::{auto_block_planes, chunk_count, chunk_layouts};
 use crate::predictor::Predictor;
 use crate::{DataLayout, EntropyBackend, QuantMode, Result, SzConfig, SzError};
 use ebtrain_encoding::entropy::{self, EntropyDecoder, EntropyEncoder, EntropyStageTag};
-use ebtrain_encoding::{huffman, lz, rans, varint};
+use ebtrain_encoding::{huffman, rans, varint};
 use rayon::prelude::*;
 
 /// Integer-grid clamp for dual-quantization: keeps 3-D Lorenzo sums (7
@@ -40,16 +35,10 @@ use rayon::prelude::*;
 /// stored as outliers.
 pub(crate) const GRID_CLAMP: f64 = (1u64 << 40) as f64;
 
-/// Legacy (format 1) stream magic: "Z1" — a single monolithic body.
-const MAGIC_V1: [u8; 2] = [0x5A, 0x31];
 /// Chunk-framed stream magic: "Z2", followed by a format-version byte.
-const MAGIC_V2: [u8; 2] = [0x5A, 0x32];
-/// Current format version written after [`MAGIC_V2`]: version 3 adds the
-/// per-frame entropy-stage tag byte. Version-2 streams (no tag; implicit
-/// Huffman) still decode.
+const MAGIC: [u8; 2] = [0x5A, 0x32];
+/// The one format version written and read after [`MAGIC`].
 const FORMAT_VERSION: u8 = 3;
-/// Oldest chunk-framed version the decoder accepts.
-const MIN_FORMAT_VERSION: u8 = 2;
 
 /// An owned, self-describing compressed tensor.
 ///
@@ -81,8 +70,7 @@ impl CompressedBuffer {
         self.original_len
     }
 
-    /// Number of independently-coded chunk frames in the stream (legacy
-    /// single-body streams count as one chunk).
+    /// Number of independently-coded chunk frames in the stream.
     pub fn num_chunks(&self) -> usize {
         self.num_chunks
     }
@@ -106,8 +94,7 @@ impl CompressedBuffer {
         self.bytes
     }
 
-    /// Rebuild from a raw stream, validating the full header (both the
-    /// current framed format and the legacy `Z1` layout are accepted).
+    /// Rebuild from a raw stream, validating the full header.
     ///
     /// ```
     /// use ebtrain_sz::{compress, decompress, CompressedBuffer, DataLayout, SzConfig};
@@ -129,7 +116,7 @@ impl CompressedBuffer {
     }
 }
 
-/// Parsed stream header, shared by both format versions.
+/// Parsed stream header.
 pub(crate) struct Header {
     pub(crate) n: usize,
     pub(crate) eb: f32,
@@ -138,17 +125,12 @@ pub(crate) struct Header {
     pub(crate) radius: i64,
     pub(crate) zero_filter: bool,
     pub(crate) quant_mode: QuantMode,
-    /// Chunking parameter (leading-dimension slices per chunk). Legacy
-    /// streams carry the whole volume in one implicit chunk.
+    /// Chunking parameter (leading-dimension slices per chunk).
     pub(crate) block_planes: usize,
     /// Number of chunk frames following the header.
     pub(crate) n_chunks: usize,
-    /// Byte offset of the first frame (legacy: of the single body).
+    /// Byte offset of the shared codebook; the frames follow it.
     pub(crate) body_off: usize,
-    pub(crate) legacy: bool,
-    /// Format ≥ 3: every frame body opens with an entropy-stage tag byte.
-    /// Format-2 and legacy bodies are implicitly Huffman-coded.
-    pub(crate) entropy_tags: bool,
 }
 
 pub(crate) fn corrupt(msg: &str) -> SzError {
@@ -159,26 +141,16 @@ pub(crate) fn rd_usize(bytes: &[u8], pos: &mut usize) -> Result<usize> {
     varint::read_usize(bytes, pos).map_err(|e| SzError::Corrupt(e.to_string()))
 }
 
-/// Parse a `Z1` or `Z2` header; everything after `body_off` is payload.
+/// Parse a `Z2` version-3 header; everything after `body_off` is payload.
+/// Any other magic or version — the retired ones included — is rejected.
 pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header> {
-    if bytes.len() < 2 {
+    if !bytes.starts_with(&MAGIC) {
         return Err(corrupt("bad magic"));
     }
-    let legacy = match [bytes[0], bytes[1]] {
-        MAGIC_V1 => true,
-        MAGIC_V2 => false,
-        _ => return Err(corrupt("bad magic")),
-    };
-    let mut pos = 2usize;
-    let mut entropy_tags = false;
-    if !legacy {
-        let version = *bytes.get(pos).ok_or_else(|| corrupt("eof"))?;
-        pos += 1;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(corrupt("unsupported format version"));
-        }
-        entropy_tags = version >= 3;
+    if bytes.get(2) != Some(&FORMAT_VERSION) {
+        return Err(corrupt("unsupported format version"));
     }
+    let mut pos = 3usize;
     let n = rd_usize(bytes, &mut pos)?;
     if pos + 4 > bytes.len() {
         return Err(corrupt("truncated header"));
@@ -226,28 +198,22 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header> {
     let quant_mode = QuantMode::from_tag(*bytes.get(pos).ok_or_else(|| corrupt("eof"))?)
         .ok_or_else(|| corrupt("bad quant mode"))?;
     pos += 1;
-    let (block_planes, n_chunks) = if legacy {
-        (usize::MAX, 1)
-    } else {
-        let bp = rd_usize(bytes, &mut pos)?;
-        if bp == 0 {
-            return Err(corrupt("zero block_planes"));
-        }
-        let n_chunks = rd_usize(bytes, &mut pos)?;
-        // Computed arithmetically — materializing the chunk list before
-        // the count is validated would let a ~30-byte header drive an
-        // unbounded allocation.
-        let expect = chunk_count(layout, bp);
-        if n_chunks != expect {
-            return Err(corrupt("chunk count does not match geometry"));
-        }
-        // Every frame costs at least one length byte, so the stream
-        // bounds the chunk count.
-        if n_chunks > bytes.len() - pos {
-            return Err(corrupt("chunk count exceeds stream"));
-        }
-        (bp, n_chunks)
-    };
+    let block_planes = rd_usize(bytes, &mut pos)?;
+    if block_planes == 0 {
+        return Err(corrupt("zero block_planes"));
+    }
+    let n_chunks = rd_usize(bytes, &mut pos)?;
+    // Computed arithmetically — materializing the chunk list before the
+    // count is validated would let a ~30-byte header drive an unbounded
+    // allocation.
+    if n_chunks != chunk_count(layout, block_planes) {
+        return Err(corrupt("chunk count does not match geometry"));
+    }
+    // Every frame costs at least one length byte, so the stream bounds
+    // the chunk count.
+    if n_chunks > bytes.len() - pos {
+        return Err(corrupt("chunk count exceeds stream"));
+    }
     Ok(Header {
         n,
         eb,
@@ -259,8 +225,6 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header> {
         block_planes,
         n_chunks,
         body_off: pos,
-        legacy,
-        entropy_tags,
     })
 }
 
@@ -275,9 +239,7 @@ use crate::quantize::{quantize_chunk, Quantized};
 /// is what `backend.encode_block` emits (tag 0: the chunk's table-less
 /// shared-codebook Huffman block; tag 2: range-coder bytes, then the raw
 /// mantissa bits stored backward; tag 3: the rANS table, state and bytes,
-/// then the same raw bits).
-/// Format-2 frames are this layout minus the tag, with an LZ pass wrapped
-/// around the Huffman block. `scratch` is reused across chunks: the
+/// then the same raw bits). `scratch` is reused across chunks: the
 /// payload is coded into it first (both length prefixes need its size),
 /// the frame head behind it, and the two halves are copied out in order.
 fn encode_frame(
@@ -349,31 +311,21 @@ fn select_backend(freqs: &[(u32, u64)], codes: &[u32], center: u32) -> EntropySt
     }
 }
 
-/// Decode one frame body back into `layout.len()` f32 values. With a
-/// shared `decoder` the payload holds a table-less Huffman block (format
-/// 2); without one it is a legacy self-contained stream. `strict`
-/// rejects trailing bytes after the payload (framed streams are exact;
-/// the legacy body is parsed leniently, as the old decoder did).
+/// Decode one frame body back into `layout.len()` f32 values; Huffman
+/// payloads decode against the stream's shared `decoder`. The frame is
+/// exact: bytes after the payload are corruption.
 pub(crate) fn decode_chunk(
     frame: &[u8],
     layout: DataLayout,
     header: &Header,
-    decoder: Option<&huffman::Decoder>,
-    strict: bool,
+    decoder: &huffman::Decoder,
 ) -> Result<Vec<f32>> {
     let n = layout.len();
-    let mut pos = 0usize;
-    // Format ≥ 3: the frame opens with its entropy-stage tag. Older
-    // bodies carry no tag and are implicitly Huffman-coded.
-    let tag = if header.entropy_tags {
-        let b = *frame
-            .get(pos)
-            .ok_or_else(|| corrupt("missing entropy tag"))?;
-        pos += 1;
-        EntropyStageTag::from_u8(b).map_err(|e| SzError::Corrupt(e.to_string()))?
-    } else {
-        EntropyStageTag::Huffman
-    };
+    let tag = *frame
+        .first()
+        .ok_or_else(|| corrupt("missing entropy tag"))?;
+    let tag = EntropyStageTag::from_u8(tag).map_err(|e| SzError::Corrupt(e.to_string()))?;
+    let mut pos = 1usize;
     let n_outliers = rd_usize(frame, &mut pos)?;
     // Divide rather than multiply: a huge claimed count must not wrap
     // the bounds arithmetic (and must fail before any reservation).
@@ -395,44 +347,22 @@ pub(crate) fn decode_chunk(
     if payload_len > frame.len() - pos {
         return Err(corrupt("truncated payload"));
     }
-    if strict && payload_len != frame.len() - pos {
+    if payload_len != frame.len() - pos {
         return Err(corrupt("trailing bytes in chunk frame"));
     }
-    let payload = &frame[pos..pos + payload_len];
-    let entropy_span = ebtrain_obs::span!("sz.entropy_decode", bytes = n * 4);
-    let codes = match (tag, decoder) {
-        (EntropyStageTag::Range | EntropyStageTag::RangeV1 | EntropyStageTag::Rans, _) => {
-            // The fold center is the quantizer's zero point; the header
-            // already validated `radius <= u32::MAX`.
-            let center = header.radius as u32;
-            match tag {
-                EntropyStageTag::Range => EntropyDecoder::Range { center },
-                EntropyStageTag::Rans => EntropyDecoder::Rans { center },
-                _ => EntropyDecoder::RangeV1 { center },
-            }
-            .decode_block(payload, n)
-            .map_err(|e| SzError::Corrupt(e.to_string()))?
-        }
-        (EntropyStageTag::Huffman, Some(decoder)) => {
-            // Format-2 bodies wrap the Huffman block in an LZ pass;
-            // format-3 tag-0 payloads are the bare block.
-            let legacy_block;
-            let block = if header.entropy_tags {
-                payload
-            } else {
-                legacy_block =
-                    lz::decompress(payload).map_err(|e| SzError::Corrupt(e.to_string()))?;
-                &legacy_block[..]
-            };
-            EntropyDecoder::Huffman(decoder)
-                .decode_block(block, n)
-                .map_err(|e| SzError::Corrupt(e.to_string()))?
-        }
-        (EntropyStageTag::Huffman, None) => {
-            let block = lz::decompress(payload).map_err(|e| SzError::Corrupt(e.to_string()))?;
-            huffman::decode(&block).map_err(|e| SzError::Corrupt(e.to_string()))?
-        }
+    let payload = &frame[pos..];
+    // The fold center is the quantizer's zero point; the header already
+    // validated `radius <= u32::MAX`.
+    let center = header.radius as u32;
+    let backend = match tag {
+        EntropyStageTag::Huffman => EntropyDecoder::Huffman(decoder),
+        EntropyStageTag::Range => EntropyDecoder::Range { center },
+        EntropyStageTag::Rans => EntropyDecoder::Rans { center },
     };
+    let entropy_span = ebtrain_obs::span!("sz.entropy_decode", bytes = n * 4);
+    let codes = backend
+        .decode_block(payload, n)
+        .map_err(|e| SzError::Corrupt(e.to_string()))?;
     drop(entropy_span);
     if codes.len() != n {
         return Err(corrupt("code count mismatch"));
@@ -657,7 +587,7 @@ fn compress_impl(
 
     let frames_len: usize = frames.iter().map(|f| f.len()).sum();
     let mut bytes = Vec::with_capacity(frames_len + 3 * codebook.len() + 64);
-    bytes.extend_from_slice(&MAGIC_V2);
+    bytes.extend_from_slice(&MAGIC);
     bytes.push(FORMAT_VERSION);
     varint::write_usize(&mut bytes, n);
     bytes.extend_from_slice(&config.error_bound.to_bits().to_le_bytes());
@@ -786,8 +716,7 @@ pub fn decompress_serial(buffer: &CompressedBuffer) -> Result<Vec<f32>> {
     decompress_impl(&buffer.bytes, false)
 }
 
-/// Decompress a raw stream (both the current framed format and the
-/// legacy `Z1` layout are accepted).
+/// Decompress a raw stream.
 pub fn decompress_bytes(bytes: &[u8]) -> Result<Vec<f32>> {
     decompress_impl(bytes, true)
 }
@@ -802,55 +731,11 @@ pub fn declared_len(bytes: &[u8]) -> Result<usize> {
     parse_header(bytes).map(|h| h.n)
 }
 
+/// A full decode: the whole-plane-range case of [`crate::frames`]' one
+/// decoder.
 fn decompress_impl(bytes: &[u8], parallel: bool) -> Result<Vec<f32>> {
     let _span = ebtrain_obs::span!("sz.decompress", bytes = bytes.len());
-    let header = parse_header(bytes)?;
-    if header.legacy {
-        return decode_chunk(
-            &bytes[header.body_off..],
-            header.layout,
-            &header,
-            None,
-            false,
-        );
-    }
-    let metas = chunk_layouts(header.layout, header.block_planes);
-    let mut pos = header.body_off;
-    let decoder = huffman::Decoder::deserialize(bytes, &mut pos)
-        .map_err(|e| SzError::Corrupt(e.to_string()))?;
-    let mut work: Vec<(DataLayout, &[u8])> = Vec::with_capacity(header.n_chunks);
-    for &(_, cl) in &metas {
-        let frame_len = rd_usize(bytes, &mut pos)?;
-        // Subtract rather than add: `pos + frame_len` could wrap.
-        if frame_len > bytes.len() - pos {
-            return Err(corrupt("truncated chunk frame"));
-        }
-        work.push((cl, &bytes[pos..pos + frame_len]));
-        pos += frame_len;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes after chunk frames"));
-    }
-
-    let decode_one =
-        |&(cl, frame): &(DataLayout, &[u8])| decode_chunk(frame, cl, &header, Some(&decoder), true);
-    let parts: Result<Vec<Vec<f32>>> = if parallel && work.len() > 1 {
-        work.par_iter().map(decode_one).collect()
-    } else {
-        work.iter().map(decode_one).collect()
-    };
-    let parts = parts?;
-    // Capacity from the decoded parts, not the header's claimed count —
-    // a hostile header must never size an allocation by itself.
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for p in parts {
-        out.extend_from_slice(&p);
-    }
-    if out.len() != header.n {
-        return Err(corrupt("chunked length mismatch"));
-    }
-    Ok(out)
+    crate::frames::decode(bytes, None, parallel).map(|(values, _)| values)
 }
 
 #[cfg(test)]
@@ -1025,26 +910,41 @@ mod tests {
         assert!(decompress_bytes(&evil).is_err());
     }
 
+    /// A version-3 header up to `n_chunks`: `dims` under a classic
+    /// quantizer, `n` elements claimed.
+    fn crafted_header(n: usize, dims: &[usize], quant_mode: u8, block_planes: usize) -> Vec<u8> {
+        let mut evil = MAGIC.to_vec();
+        evil.push(FORMAT_VERSION);
+        varint::write_usize(&mut evil, n);
+        evil.extend_from_slice(&1e-3f32.to_bits().to_le_bytes());
+        evil.push(dims.len() as u8); // Lorenzo predictor of that rank
+        evil.push(dims.len() as u8); // ndims
+        for &d in dims {
+            varint::write_usize(&mut evil, d);
+        }
+        varint::write_u64(&mut evil, 32_768); // radius
+        evil.push(0); // zero_filter
+        evil.push(quant_mode);
+        varint::write_usize(&mut evil, block_planes);
+        evil
+    }
+
+    fn corrupt_message(bytes: &[u8]) -> String {
+        match decompress_bytes(bytes) {
+            Err(SzError::Corrupt(msg)) => msg,
+            other => panic!("want a corruption error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn crafted_huge_header_claims_error_before_allocating() {
         // ~30 bytes claiming a petabyte-scale volume must fail cheaply
         // (chunk count is validated arithmetically and against the
         // stream length, never materialized first).
         let huge = 1usize << 40;
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&[0x5A, 0x32, 2]); // magic "Z2", version
-        varint::write_usize(&mut evil, huge * 2); // n
-        evil.extend_from_slice(&1e-3f32.to_bits().to_le_bytes());
-        evil.push(2); // Lorenzo2
-        evil.push(2); // ndims
-        varint::write_usize(&mut evil, huge); // h
-        varint::write_usize(&mut evil, 2); // w
-        varint::write_u64(&mut evil, 32_768); // radius
-        evil.push(0); // zero_filter
-        evil.push(0); // quant_mode classic
-        varint::write_usize(&mut evil, 1); // block_planes
+        let mut evil = crafted_header(huge * 2, &[huge, 2], 0, 1);
         varint::write_usize(&mut evil, huge); // n_chunks (matches geometry)
-        assert!(decompress_bytes(&evil).is_err());
+        assert_eq!(corrupt_message(&evil), "chunk count exceeds stream");
         assert!(CompressedBuffer::from_bytes(evil).is_err());
     }
 
@@ -1053,20 +953,9 @@ mod tests {
         // Three 2^22 dims multiply to 2^66: checked_len must reject the
         // header instead of overflow-panicking in debug builds.
         let d = 1usize << 22;
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&[0x5A, 0x32, 2]);
-        varint::write_usize(&mut evil, 7); // n (arbitrary)
-        evil.extend_from_slice(&1e-3f32.to_bits().to_le_bytes());
-        evil.push(3); // Lorenzo3
-        evil.push(3); // ndims
-        for _ in 0..3 {
-            varint::write_usize(&mut evil, d);
-        }
-        varint::write_u64(&mut evil, 32_768);
-        evil.extend_from_slice(&[0, 0]);
-        varint::write_usize(&mut evil, 1); // block_planes
+        let mut evil = crafted_header(7, &[d, d, d], 0, 1);
         varint::write_usize(&mut evil, 1); // n_chunks
-        assert!(decompress_bytes(&evil).is_err());
+        assert_eq!(corrupt_message(&evil), "layout/len mismatch");
     }
 
     #[test]
@@ -1079,25 +968,13 @@ mod tests {
         let (h, w) = (64usize, 64usize);
         let codes = vec![u32::MAX; h * w];
         let codebook = Codebook::from_freqs(&count_freqs(&codes));
-        let mut block = Vec::new();
-        codebook.encode_block(&codes, &mut block);
-        let payload = lz::compress(&block);
+        let mut payload = Vec::new();
+        codebook.encode_block(&codes, &mut payload);
 
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&[0x5A, 0x32, 2]);
-        varint::write_usize(&mut evil, h * w);
-        evil.extend_from_slice(&1e-3f32.to_bits().to_le_bytes());
-        evil.push(2); // Lorenzo2
-        evil.push(2); // ndims
-        varint::write_usize(&mut evil, h);
-        varint::write_usize(&mut evil, w);
-        varint::write_u64(&mut evil, 32_768);
-        evil.push(0); // zero_filter
-        evil.push(1); // quant_mode: dual
-        varint::write_usize(&mut evil, h); // block_planes: one chunk
+        let mut evil = crafted_header(h * w, &[h, w], 1, h); // dual, one chunk
         varint::write_usize(&mut evil, 1); // n_chunks
         codebook.serialize(&mut evil);
-        let mut frame = Vec::new();
+        let mut frame = vec![EntropyStageTag::Huffman.as_u8()];
         varint::write_usize(&mut frame, 0); // n_outliers
         varint::write_usize(&mut frame, payload.len());
         frame.extend_from_slice(&payload);
@@ -1109,21 +986,42 @@ mod tests {
     }
 
     #[test]
-    fn crafted_legacy_outlier_count_errors_not_panics() {
-        // Legacy body with an outlier count whose `* 4` would wrap.
-        let huge = 1usize << 61;
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&[0x5A, 0x31]); // magic "Z1"
-        varint::write_usize(&mut evil, huge); // n
-        evil.extend_from_slice(&1e-3f32.to_bits().to_le_bytes());
-        evil.push(1); // Lorenzo1
-        evil.push(1); // ndims
-        varint::write_usize(&mut evil, huge); // dim
-        varint::write_u64(&mut evil, 32_768); // radius
-        evil.push(0); // zero_filter
-        evil.push(0); // quant_mode classic
-        varint::write_usize(&mut evil, huge); // n_outliers
-        assert!(decompress_bytes(&evil).is_err());
+    fn crafted_outlier_count_overflow_errors_not_panics() {
+        // One frame whose outlier count, times 4, would wrap — under a
+        // header whose element count is as large, so only the
+        // frame-length check stands between the count and an allocation.
+        let huge = 1usize << 62;
+        let mut evil = crafted_header(huge, &[huge], 0, huge);
+        varint::write_usize(&mut evil, 1); // n_chunks
+        huffman::Codebook::from_freqs(&[]).serialize(&mut evil);
+        let mut frame = vec![EntropyStageTag::Huffman.as_u8()];
+        varint::write_usize(&mut frame, huge); // n_outliers
+        varint::write_usize(&mut evil, frame.len());
+        evil.extend_from_slice(&frame);
+        assert_eq!(corrupt_message(&evil), "truncated outliers");
+    }
+
+    #[test]
+    fn retired_z1_stream_is_rejected_at_the_magic() {
+        // A format-1 stream as the pre-framing encoder wrote it (sin ramp,
+        // D2(4, 6), eb = 1e-2): refused at its magic like any unknown one.
+        const RETIRED_Z1: &[u8] = &[
+            0x5a, 0x31, 0x18, 0x0a, 0xd7, 0x23, 0x3c, 0x02, 0x02, 0x04, 0x06, 0x80, 0x80, 0x02,
+            0x01, 0x00, 0x00, 0x52, 0x4f, 0xf0, 0x40, 0x18, 0x10, 0xf8, 0xff, 0x01, 0x03, 0xfa,
+            0xff, 0x01, 0x03, 0x87, 0x80, 0x02, 0x03, 0xff, 0xff, 0x01, 0x04, 0x80, 0x80, 0x02,
+            0x04, 0x81, 0x80, 0x02, 0x04, 0x82, 0x80, 0x02, 0x04, 0x88, 0x80, 0x02, 0x04, 0x89,
+            0x80, 0x02, 0x04, 0xab, 0x80, 0x02, 0x04, 0xd7, 0xff, 0x01, 0x05, 0xf7, 0xff, 0x01,
+            0x05, 0xf9, 0xff, 0x01, 0x05, 0xfb, 0xff, 0x01, 0x05, 0xfc, 0xff, 0x01, 0x05, 0xfd,
+            0xff, 0x01, 0x05, 0x0c, 0x7a, 0xb4, 0x96, 0x74, 0x9e, 0x6e, 0x40, 0x00, 0xeb, 0xfe,
+            0x68, 0x80,
+        ];
+        assert_eq!(corrupt_message(RETIRED_Z1), "bad magic");
+        assert!(declared_len(RETIRED_Z1).is_err());
+        assert!(CompressedBuffer::from_bytes(RETIRED_Z1.to_vec()).is_err());
+        // Format 2 shares the magic and is refused at the version byte.
+        let mut v2 = crafted_header(24, &[4, 6], 0, 4);
+        v2[2] = 2;
+        assert_eq!(corrupt_message(&v2), "unsupported format version");
     }
 
     #[test]
@@ -1164,32 +1062,6 @@ mod tests {
         cfg.chunk_planes = Some(100);
         let one = compress(&data, DataLayout::D3(12, 8, 8), &cfg).unwrap();
         assert_eq!(one.num_chunks(), 1);
-    }
-
-    #[test]
-    fn legacy_z1_stream_still_decodes() {
-        // Golden stream captured from the pre-framing (format 1) encoder:
-        // sin ramp, D2(4, 6), eb = 1e-2, classic quantization + zero
-        // filter. Byte-frozen so format compatibility cannot silently rot.
-        const GOLDEN_Z1: &[u8] = &[
-            0x5a, 0x31, 0x18, 0x0a, 0xd7, 0x23, 0x3c, 0x02, 0x02, 0x04, 0x06, 0x80, 0x80, 0x02,
-            0x01, 0x00, 0x00, 0x52, 0x4f, 0xf0, 0x40, 0x18, 0x10, 0xf8, 0xff, 0x01, 0x03, 0xfa,
-            0xff, 0x01, 0x03, 0x87, 0x80, 0x02, 0x03, 0xff, 0xff, 0x01, 0x04, 0x80, 0x80, 0x02,
-            0x04, 0x81, 0x80, 0x02, 0x04, 0x82, 0x80, 0x02, 0x04, 0x88, 0x80, 0x02, 0x04, 0x89,
-            0x80, 0x02, 0x04, 0xab, 0x80, 0x02, 0x04, 0xd7, 0xff, 0x01, 0x05, 0xf7, 0xff, 0x01,
-            0x05, 0xf9, 0xff, 0x01, 0x05, 0xfb, 0xff, 0x01, 0x05, 0xfc, 0xff, 0x01, 0x05, 0xfd,
-            0xff, 0x01, 0x05, 0x0c, 0x7a, 0xb4, 0x96, 0x74, 0x9e, 0x6e, 0x40, 0x00, 0xeb, 0xfe,
-            0x68, 0x80,
-        ];
-        let data: Vec<f32> = (0..24).map(|i| (i as f32 * 0.17).sin()).collect();
-        let out = decompress_bytes(GOLDEN_Z1).unwrap();
-        assert_eq!(out.len(), data.len());
-        for (x, y) in data.iter().zip(&out) {
-            assert!((x - y).abs() <= 1e-2, "|{x} - {y}| > 1e-2");
-        }
-        let rebuilt = CompressedBuffer::from_bytes(GOLDEN_Z1.to_vec()).unwrap();
-        assert_eq!(rebuilt.original_len(), 24);
-        assert_eq!(rebuilt.num_chunks(), 1);
     }
 
     #[test]

@@ -9,18 +9,16 @@
 //! leading-dimension planes while *skipping* the frame bodies outside the
 //! range — the streaming-decode primitive for budgeted/partial fetches
 //! (`BudgetedArena::fetch_planes`, and through it every warm `fetch` of
-//! the serve daemon). The length prefixes are walked and validated
-//! serially; the covering frames then decode as **one parallel region**,
-//! each straight into its own slice of the output, and a range one frame
-//! covers decodes inline.
+//! the serve daemon). A full [`decompress`](crate::decompress) is the
+//! same decoder over every plane. The length prefixes are walked and
+//! validated serially; the covering frames then decode as **one parallel
+//! region**, and a range one frame covers decodes inline.
 //!
 //! A "plane" is one leading-dimension slice: a row for `D2(h, w)`, a
 //! `d1 × d2` plane for `D3`, and a 4096-element run for `D1` (matching
-//! the chunk geometry in [`crate::blocks`]). Legacy `Z1` streams are one
-//! monolithic body, so their index has a single frame and every range
-//! decode pays a full decode (documented, tested).
+//! the chunk geometry in [`crate::blocks`]).
 
-use crate::codec::{corrupt, decode_chunk, parse_header, rd_usize, CompressedBuffer};
+use crate::codec::{corrupt, decode_chunk, parse_header, rd_usize, CompressedBuffer, Header};
 use crate::{blocks, DataLayout, Result};
 use ebtrain_encoding::huffman;
 use rayon::prelude::*;
@@ -155,47 +153,24 @@ impl CompressedBuffer {
 /// a body slice.
 pub fn frame_index_of(bytes: &[u8]) -> Result<FrameIndex> {
     let header = parse_header(bytes)?;
-    let pe = header.layout.plane_elems();
-    let np = header.layout.plane_count();
-    if header.legacy {
-        return Ok(FrameIndex {
-            layout: header.layout,
-            plane_elems: pe,
-            n_planes: np,
-            entries: vec![FrameEntry {
-                planes: 0..np,
-                elems: 0..header.n,
-                bytes: header.body_off..bytes.len(),
-            }],
-        });
-    }
     let mut pos = header.body_off;
     // Skip the shared codebook without building decode tables.
     huffman::skip_serialized_codebook(bytes, &mut pos)
         .map_err(|e| crate::SzError::Corrupt(e.to_string()))?;
-    let metas = blocks::chunk_layouts(header.layout, header.block_planes);
-    let mut entries = Vec::with_capacity(metas.len());
+    let np = header.layout.plane_count();
     let bp = header.block_planes;
-    for (ci, &(off, cl)) in metas.iter().enumerate() {
-        let frame_len = rd_usize(bytes, &mut pos)?;
-        if frame_len > bytes.len() - pos {
-            return Err(corrupt("truncated chunk frame"));
-        }
-        let p0 = ci * bp;
-        let p1 = (p0 + bp).min(np);
-        entries.push(FrameEntry {
-            planes: p0..p1,
+    let entries = walk_frames(bytes, &header, pos)?
+        .into_iter()
+        .enumerate()
+        .map(|(ci, (off, cl, body))| FrameEntry {
+            planes: ci * bp..(ci * bp + bp).min(np),
             elems: off..off + cl.len(),
-            bytes: pos..pos + frame_len,
-        });
-        pos += frame_len;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes after chunk frames"));
-    }
+            bytes: body,
+        })
+        .collect();
     Ok(FrameIndex {
         layout: header.layout,
-        plane_elems: pe,
+        plane_elems: header.layout.plane_elems(),
         n_planes: np,
         entries,
     })
@@ -207,94 +182,99 @@ pub fn decompress_planes_bytes(
     bytes: &[u8],
     planes: Range<usize>,
 ) -> Result<(Vec<f32>, RangeDecodeStats)> {
+    decode(bytes, Some(planes), true)
+}
+
+/// Every frame's `(first element, chunk layout, body bytes)`, read from
+/// the length prefixes that start at `pos` (just past the codebook).
+/// The one walk of a stream's framing: the frame index and the decoder
+/// both stand on it. The frames must end exactly at the stream's end.
+fn walk_frames(
+    bytes: &[u8],
+    header: &Header,
+    mut pos: usize,
+) -> Result<Vec<(usize, DataLayout, Range<usize>)>> {
+    let metas = blocks::chunk_layouts(header.layout, header.block_planes);
+    let mut frames = Vec::with_capacity(metas.len());
+    for (off, cl) in metas {
+        let frame_len = rd_usize(bytes, &mut pos)?;
+        // Subtract rather than add: `pos + frame_len` could wrap.
+        if frame_len > bytes.len() - pos {
+            return Err(corrupt("truncated chunk frame"));
+        }
+        frames.push((off, cl, pos..pos + frame_len));
+        pos += frame_len;
+    }
+    if pos != bytes.len() {
+        return Err(corrupt("trailing bytes after chunk frames"));
+    }
+    Ok(frames)
+}
+
+/// The SZ decoder: the values of the leading-dimension planes `planes`,
+/// or of the whole stream for `None`, and what the call read. The whole
+/// stream is walked before anything is decoded; then the covering frames
+/// decode — as one parallel region when `parallel` and there are several
+/// — each into its own buffer, and the window is copied out of them in
+/// frame order. Sizing the output from decoded frames, not from the
+/// header, keeps a hostile header from sizing an allocation by itself;
+/// collecting in frame order makes the first error in frame order win.
+pub(crate) fn decode(
+    bytes: &[u8],
+    planes: Option<Range<usize>>,
+    parallel: bool,
+) -> Result<(Vec<f32>, RangeDecodeStats)> {
     let header = parse_header(bytes)?;
-    let pe = header.layout.plane_elems();
     let np = header.layout.plane_count();
+    let planes = planes.unwrap_or(0..np);
     if planes.start > planes.end || planes.end > np {
         return Err(corrupt("plane range out of bounds"));
     }
     // Requested flat element window. Both ends clamp to `n`: the
     // final D1 plane may be partial, so an empty range at the tail
     // (`n_planes..n_planes`) would otherwise put `start` past `end`.
+    let pe = header.layout.plane_elems();
     let start_e = (planes.start * pe).min(header.n);
     let end_e = (planes.end * pe).min(header.n);
-
-    if header.legacy {
-        // Z1 has one monolithic body: no random access, decode it all.
-        let body = &bytes[header.body_off..];
-        let full = decode_chunk(body, header.layout, &header, None, false)?;
-        let out = full[start_e..end_e].to_vec();
-        let stats = RangeDecodeStats {
-            frames_total: 1,
-            frames_decoded: 1,
-            frame_bytes_total: body.len(),
-            frame_bytes_decoded: body.len(),
-        };
-        return Ok((out, stats));
-    }
 
     let mut pos = header.body_off;
     let decoder = huffman::Decoder::deserialize(bytes, &mut pos)
         .map_err(|e| crate::SzError::Corrupt(e.to_string()))?;
-    let metas = blocks::chunk_layouts(header.layout, header.block_planes);
+    let frames = walk_frames(bytes, &header, pos)?;
     let mut stats = RangeDecodeStats {
-        frames_total: metas.len(),
+        frames_total: frames.len(),
         ..RangeDecodeStats::default()
     };
-    // Serial walk: validate every length prefix and pick the covering
-    // frames — (output elements, decoded elements to skip, layout, body).
-    // Nothing is decoded or allocated until the whole stream has been
-    // walked.
-    let mut covering: Vec<(usize, usize, DataLayout, &[u8])> = Vec::new();
-    for &(off, cl) in &metas {
-        let frame_len = rd_usize(bytes, &mut pos)?;
-        if frame_len > bytes.len() - pos {
-            return Err(corrupt("truncated chunk frame"));
-        }
-        stats.frame_bytes_total += frame_len;
+    // The covering frames: (body, layout, overlap with the window in
+    // the frame's own elements).
+    let mut covering: Vec<(&[u8], DataLayout, Range<usize>)> = Vec::new();
+    for (off, cl, body) in frames {
+        stats.frame_bytes_total += body.len();
         let lo = start_e.max(off);
         let hi = end_e.min(off + cl.len());
         if lo < hi {
             stats.frames_decoded += 1;
-            stats.frame_bytes_decoded += frame_len;
-            covering.push((hi - lo, lo - off, cl, &bytes[pos..pos + frame_len]));
+            stats.frame_bytes_decoded += body.len();
+            covering.push((&bytes[body], cl, lo - off..hi - off));
         }
-        pos += frame_len;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes after chunk frames"));
-    }
-    if covering.iter().map(|c| c.0).sum::<usize>() != end_e - start_e {
-        return Err(corrupt("plane range length mismatch"));
     }
 
-    // The frames tile the window in order: hand each its disjoint slice
-    // of the output, then decode them as one parallel region. Collecting
-    // in frame order makes the first error in frame order win.
-    let mut out = vec![0.0f32; end_e - start_e];
-    let mut rest = &mut out[..];
-    let mut work: Vec<_> = covering
-        .into_iter()
-        .map(|(len, skip, cl, frame)| {
-            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            rest = tail;
-            (dst, skip, cl, frame)
-        })
-        .collect();
-    let decode_one = |(dst, skip, cl, frame): &mut (&mut [f32], usize, DataLayout, &[u8])| {
-        // Chunks restart prediction, so a frame must decode whole; copy
-        // out the requested overlap.
-        let part = decode_chunk(frame, *cl, &header, Some(&decoder), true)?;
-        dst.copy_from_slice(&part[*skip..*skip + dst.len()]);
-        Ok(())
+    // Chunks restart prediction, so a frame decodes whole.
+    let decode_one = |&(frame, cl, _): &(&[u8], DataLayout, Range<usize>)| {
+        decode_chunk(frame, cl, &header, &decoder)
     };
-    if work.len() > 1 {
-        work.par_iter_mut()
-            .map(decode_one)
-            .collect::<Result<()>>()?;
+    let parts: Vec<Vec<f32>> = if parallel && covering.len() > 1 {
+        covering.par_iter().map(decode_one).collect::<Result<_>>()?
     } else {
-        work.iter_mut().try_for_each(decode_one)?;
+        covering.iter().map(decode_one).collect::<Result<_>>()?
+    };
+    let mut out = Vec::with_capacity(end_e - start_e);
+    for ((_, _, overlap), part) in covering.into_iter().zip(&parts) {
+        out.extend_from_slice(&part[overlap]);
     }
+    // The chunk geometry tiles the volume and every frame decodes to its
+    // chunk's length, so the overlaps tile the window.
+    debug_assert_eq!(out.len(), end_e - start_e);
     Ok((out, stats))
 }
 
@@ -517,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_z1_index_is_one_frame_and_ranges_still_decode() {
-        // Golden Z1 stream from codec::tests (sin ramp, D2(4, 6), eb 1e-2).
-        const GOLDEN_Z1: &[u8] = &[
+    fn retired_z1_stream_has_no_index_and_no_plane_decode() {
+        // The format-1 stream of codec::tests (sin ramp, D2(4, 6), eb 1e-2).
+        const RETIRED_Z1: &[u8] = &[
             0x5a, 0x31, 0x18, 0x0a, 0xd7, 0x23, 0x3c, 0x02, 0x02, 0x04, 0x06, 0x80, 0x80, 0x02,
             0x01, 0x00, 0x00, 0x52, 0x4f, 0xf0, 0x40, 0x18, 0x10, 0xf8, 0xff, 0x01, 0x03, 0xfa,
             0xff, 0x01, 0x03, 0x87, 0x80, 0x02, 0x03, 0xff, 0xff, 0x01, 0x04, 0x80, 0x80, 0x02,
@@ -529,13 +509,14 @@ mod tests {
             0xff, 0x01, 0x05, 0x0c, 0x7a, 0xb4, 0x96, 0x74, 0x9e, 0x6e, 0x40, 0x00, 0xeb, 0xfe,
             0x68, 0x80,
         ];
-        let buf = CompressedBuffer::from_bytes(GOLDEN_Z1.to_vec()).unwrap();
-        let idx = buf.frame_index().unwrap();
-        assert_eq!(idx.entries().len(), 1);
-        assert_eq!(idx.n_planes(), 4);
-        let full = crate::decompress_bytes(GOLDEN_Z1).unwrap();
-        let (rows, stats) = buf.decompress_planes_with_stats(1..3).unwrap();
-        assert_eq!(rows, full[6..18]);
-        assert_eq!(stats.frames_decoded, 1); // no random access in Z1
+        let bad_magic =
+            |r: Result<()>| matches!(r, Err(crate::SzError::Corrupt(m)) if m == "bad magic");
+        assert!(bad_magic(frame_index_of(RETIRED_Z1).map(drop)));
+        assert!(bad_magic(
+            decompress_planes_bytes(RETIRED_Z1, 1..3).map(drop)
+        ));
+        assert!(bad_magic(
+            decompress_planes_bytes(RETIRED_Z1, 0..4).map(drop)
+        ));
     }
 }

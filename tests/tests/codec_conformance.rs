@@ -14,9 +14,9 @@
 //! * a plane-range decode of a chunked SZ stream is bit-equal to the
 //!   same window of the full decode and reads exactly the covering
 //!   frames, whatever thread decodes which frame;
-//! * tagged ↔ legacy stream back-compat: historical untagged streams
-//!   (byte-frozen golden fixtures included) decode through
-//!   [`TaggedStream::from_bytes`] + the registry.
+//! * only the tagged container parses: bare backend bodies are refused
+//!   by [`TaggedStream::from_bytes`] + the registry, and tagged bytes
+//!   survive a persist/reparse.
 
 use ebtrain_codec::{
     BoundSpec, Codec, CodecId, CodecRegistry, ErrorContract, PlaneDecodeStats, SzCodec,
@@ -290,60 +290,38 @@ fn every_codec_survives_corruption_without_panicking() {
     }
 }
 
-/// Golden Z1 stream from the format-1 encoder (byte-frozen in
-/// `ebtrain-sz` since PR 2): sin ramp, D2(4, 6), eb = 1e-2.
-const GOLDEN_Z1: &[u8] = &[
-    0x5a, 0x31, 0x18, 0x0a, 0xd7, 0x23, 0x3c, 0x02, 0x02, 0x04, 0x06, 0x80, 0x80, 0x02, 0x01, 0x00,
-    0x00, 0x52, 0x4f, 0xf0, 0x40, 0x18, 0x10, 0xf8, 0xff, 0x01, 0x03, 0xfa, 0xff, 0x01, 0x03, 0x87,
-    0x80, 0x02, 0x03, 0xff, 0xff, 0x01, 0x04, 0x80, 0x80, 0x02, 0x04, 0x81, 0x80, 0x02, 0x04, 0x82,
-    0x80, 0x02, 0x04, 0x88, 0x80, 0x02, 0x04, 0x89, 0x80, 0x02, 0x04, 0xab, 0x80, 0x02, 0x04, 0xd7,
-    0xff, 0x01, 0x05, 0xf7, 0xff, 0x01, 0x05, 0xf9, 0xff, 0x01, 0x05, 0xfb, 0xff, 0x01, 0x05, 0xfc,
-    0xff, 0x01, 0x05, 0xfd, 0xff, 0x01, 0x05, 0x0c, 0x7a, 0xb4, 0x96, 0x74, 0x9e, 0x6e, 0x40, 0x00,
-    0xeb, 0xfe, 0x68, 0x80,
-];
-
 #[test]
-fn legacy_untagged_streams_decode_through_tagged_container() {
+fn bare_streams_are_rejected_and_tagged_bytes_survive_reparse() {
     let registry = CodecRegistry::standard();
-
-    // 1. The byte-frozen legacy Z1 golden fixture routes and decodes.
-    let stream = TaggedStream::from_bytes(GOLDEN_Z1.to_vec()).unwrap();
-    assert_eq!(stream.codec_id(), CodecId::SZ);
-    let (out, id) = registry.decompress_any(GOLDEN_Z1).unwrap();
-    assert_eq!(id, CodecId::SZ);
-    let expect: Vec<f32> = (0..24).map(|i| (i as f32 * 0.17).sin()).collect();
-    assert_eq!(out.len(), expect.len());
-    for (x, y) in expect.iter().zip(&out) {
-        assert!((x - y).abs() <= 1e-2, "|{x} - {y}| > 1e-2");
-    }
-
-    // 2. Current untagged Z2 bytes (written by `ebtrain_sz::compress`
-    // directly, bypassing the container) still route and decode to the
-    // same values as the native decoder.
     let data = payload(512);
+
+    // 1. Current bare Z2 bytes (written by `ebtrain_sz::compress`
+    // directly, bypassing the container) do not route; the same body
+    // in a container decodes to the native decoder's values.
     let buf = ebtrain_sz::compress(
         &data,
         DataLayout::D1(512),
         &ebtrain_sz::SzConfig::with_error_bound(1e-3),
     )
     .unwrap();
-    let native = ebtrain_sz::decompress(&buf).unwrap();
-    let (routed, id) = registry.decompress_any(buf.as_bytes()).unwrap();
+    assert!(TaggedStream::from_bytes(buf.as_bytes().to_vec()).is_err());
+    assert!(registry.decompress_any(buf.as_bytes()).is_err());
+    let wrapped = TaggedStream::tag(CodecId::SZ, buf.as_bytes().to_vec());
+    let (routed, id) = registry.decompress_any(wrapped.as_bytes()).unwrap();
     assert_eq!(id, CodecId::SZ);
-    assert_eq!(native, routed);
+    assert_eq!(routed, ebtrain_sz::decompress(&buf).unwrap());
 
-    // 3. Untagged lossless ("L1") bytes route too.
+    // 2. Bare lossless ("L1") bytes do not route either.
     let l1 = ebtrain_sz::lossless::compress(&data);
-    let (out, id) = registry.decompress_any(&l1).unwrap();
-    assert_eq!(id, CodecId::LOSSLESS);
-    assert_eq!(out, data);
+    assert!(registry.decompress_any(&l1).is_err());
 
-    // 4. And a tagged stream survives a byte-level persist/reparse.
+    // 3. A tagged stream survives a byte-level persist/reparse.
     let codec = SzCodec::classic();
     let tagged = codec
         .compress(&data, DataLayout::D1(512), &BoundSpec::Abs(1e-3))
         .unwrap();
     let reparsed = TaggedStream::from_bytes(tagged.as_bytes().to_vec()).unwrap();
+    assert_eq!(reparsed, tagged);
     assert_eq!(
         codec.decompress(&reparsed).unwrap(),
         codec.decompress(&tagged).unwrap()

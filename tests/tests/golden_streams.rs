@@ -1,58 +1,70 @@
 //! Golden-stream corpus: committed wire bytes must keep decoding to the
-//! committed values, bit for bit, forever.
+//! committed values, bit for bit — and retired layouts must keep being
+//! refused.
 //!
-//! Every fixture under `tests/golden/` is a `(<name>.bin, <name>.vals)`
-//! pair: the exact compressed stream as some encoder emitted it, and the
-//! f32 little-endian reconstruction it decoded to at capture time. The
-//! `z1_*` / `z2v2_*` pairs were captured from *historical* encoders
-//! (format 1 / format 2), the `*t1*` pairs from the last encoder that
-//! wrote range frames as entropy tag 1, and `z3t2_*` from the last one
-//! that routed every range-family frame to tag 2; no current code can
-//! re-emit them — they pin back-compat. The rest are current-format and
-//! regenerated by `cargo run --release -p ebtrain-bench --bin
-//! regen_golden` after a deliberate format change (which must first
-//! freeze the superseded format as a new fixture); `regen_golden
-//! --check` proves they still match their generator.
+//! A current-format fixture is a `(<name>.bin, <name>.vals)` pair: the
+//! exact compressed stream as some encoder emitted it, and the f32
+//! little-endian reconstruction it decoded to at capture time. Bare
+//! `z3_*` streams are `Z2` version 3 bodies; `tagged_*` are `0xEBC0`
+//! containers. All but `z3t2_mixed_backends` (the mixed stream before
+//! entropy tag 3 took its skewed frames) are regenerated by `cargo run
+//! --release -p ebtrain-bench --bin regen_golden` after a deliberate
+//! format change; `regen_golden --check` proves they still match their
+//! generator.
+//!
+//! A reject fixture is a `.bin` alone: one stream per retired layout
+//! (format 1, format 2, entropy tag 1), which every decode entry point
+//! must refuse with an error, never a panic.
 
 use ebtrain_codec::CodecRegistry;
 use std::path::{Path, PathBuf};
+
+/// One stream per retired layout, kept to be refused.
+const REJECT_FIXTURES: [&str; 3] = ["z1_classic", "z2v2_huffman_classic", "tagged_sz_t1"];
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
+fn read_bin(name: &str) -> Vec<u8> {
+    std::fs::read(golden_dir().join(format!("{name}.bin")))
+        .unwrap_or_else(|e| panic!("missing fixture {name}.bin: {e}"))
+}
+
 fn read_fixture(name: &str) -> (Vec<u8>, Vec<f32>) {
-    let dir = golden_dir();
-    let bin = std::fs::read(dir.join(format!("{name}.bin")))
-        .unwrap_or_else(|e| panic!("missing fixture {name}.bin: {e}"));
-    let raw = std::fs::read(dir.join(format!("{name}.vals")))
+    let raw = std::fs::read(golden_dir().join(format!("{name}.vals")))
         .unwrap_or_else(|e| panic!("missing fixture {name}.vals: {e}"));
     assert_eq!(raw.len() % 4, 0, "{name}.vals is not whole f32s");
     let vals = raw
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
         .collect();
-    (bin, vals)
+    (read_bin(name), vals)
 }
 
-/// Decode `name` through the registry (exercising stream sniffing, as a
-/// checkpoint reader would) and compare bit patterns — NaN-safe and
-/// stricter than `==` on f32.
+/// Decode `name` — a container through the registry, as a checkpoint
+/// reader would; a bare `Z2` stream through the SZ decoder — and compare
+/// bit patterns, NaN-safe and stricter than `==` on f32.
 fn assert_decodes_exactly(name: &str) {
     let (bin, want) = read_fixture(name);
-    let (got, codec) = CodecRegistry::standard()
-        .decompress_any(&bin)
-        .unwrap_or_else(|e| panic!("fixture {name} failed to decode: {e}"));
+    let got = if bin.starts_with(&[0xEB, 0xC0]) {
+        CodecRegistry::standard()
+            .decompress_any(&bin)
+            .map(|(values, _)| values)
+    } else {
+        ebtrain_sz::decompress_bytes(&bin)
+    }
+    .unwrap_or_else(|e| panic!("fixture {name} failed to decode: {e}"));
     assert_eq!(
         got.len(),
         want.len(),
-        "fixture {name} (codec {codec}) decoded to the wrong length"
+        "fixture {name} decoded to the wrong length"
     );
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
-            "fixture {name} (codec {codec}) diverges at value {i}: {g} != {w}"
+            "fixture {name} diverges at value {i}: {g} != {w}"
         );
     }
 }
@@ -63,22 +75,46 @@ fn frame_tags(bin: &[u8]) -> Vec<u8> {
     index.entries().iter().map(|e| bin[e.bytes.start]).collect()
 }
 
-#[test]
-fn frozen_format1_stream_decodes_byte_exactly() {
-    assert_decodes_exactly("z1_classic");
+/// Every decode entry point refuses the reject fixture `name` with an
+/// error, never a panic.
+fn assert_rejected_by_every_entry_point(name: &str) {
+    let bin = read_bin(name);
+    assert!(
+        CodecRegistry::standard().decompress_any(&bin).is_err(),
+        "{name}: decompress_any"
+    );
+    assert!(
+        ebtrain_sz::frame_index_of(&bin).is_err(),
+        "{name}: frame_index_of"
+    );
+    assert!(
+        ebtrain_sz::decompress_planes_bytes(&bin, 0..1).is_err(),
+        "{name}: decompress_planes_bytes"
+    );
+    assert!(
+        ebtrain_sz::declared_len(&bin).is_err(),
+        "{name}: declared_len"
+    );
+    // A container's body reaches the SZ decoder, which refuses the
+    // retired entropy tag in its frames.
+    if let Some(body) = bin.strip_prefix(&[0xEB, 0xC0, 0x01]) {
+        assert!(ebtrain_sz::decompress_bytes(body).is_err(), "{name}: body");
+    }
 }
 
 #[test]
-fn frozen_format2_streams_decode_byte_exactly() {
-    assert_decodes_exactly("z2v2_huffman_classic");
-    assert_decodes_exactly("z2v2_huffman_dualquant");
+fn retired_format1_stream_is_rejected_by_every_entry_point() {
+    assert_rejected_by_every_entry_point("z1_classic");
 }
 
 #[test]
-fn frozen_tag1_range_streams_decode_byte_exactly() {
-    assert_decodes_exactly("z3t1_range_dualquant");
-    assert_decodes_exactly("z3t1_mixed_backends");
-    assert_decodes_exactly("tagged_sz_t1");
+fn retired_format2_stream_is_rejected_by_every_entry_point() {
+    assert_rejected_by_every_entry_point("z2v2_huffman_classic");
+}
+
+#[test]
+fn retired_tag1_stream_is_rejected_by_every_entry_point() {
+    assert_rejected_by_every_entry_point("tagged_sz_t1");
 }
 
 #[test]
@@ -96,7 +132,7 @@ fn format3_streams_decode_byte_exactly() {
 
 #[test]
 fn container_fixtures_decode_byte_exactly() {
-    assert_decodes_exactly("b1_byteplane");
+    assert_decodes_exactly("tagged_byteplane");
     assert_decodes_exactly("tagged_sz");
     assert_decodes_exactly("tagged_lossless");
 }
@@ -104,7 +140,7 @@ fn container_fixtures_decode_byte_exactly() {
 #[test]
 fn format3_fixtures_carry_the_expected_entropy_tags() {
     let tag_set = |name: &str| {
-        let (bin, _) = read_fixture(name);
+        let bin = read_bin(name);
         // A tagged container wraps the Z2 stream in a 3-byte header.
         let body = if bin.starts_with(&[0xEB, 0xC0]) {
             &bin[3..]
@@ -123,8 +159,6 @@ fn format3_fixtures_carry_the_expected_entropy_tags() {
         ("z3_rans_dualquant", &[3]),
         ("z3t2_mixed_backends", &[0, 2]),
         ("tagged_sz", &[2]),
-        ("z3t1_range_dualquant", &[1]),
-        ("z3t1_mixed_backends", &[0, 1]),
         ("tagged_sz_t1", &[1]),
     ] {
         assert_eq!(tag_set(name), want, "{name}: entropy tags");
@@ -139,12 +173,11 @@ fn format3_fixtures_carry_the_expected_entropy_tags() {
 fn routing_is_value_neutral_and_deterministic_on_the_corpus() {
     use ebtrain_sz::{compress, compress_serial, decompress, DataLayout, EntropyBackend, SzConfig};
     for name in [
-        "z2v2_huffman_classic",
-        "z2v2_huffman_dualquant",
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
         "z3_rans_dualquant",
+        "z3t2_mixed_backends",
         "tagged_sz",
     ] {
         let (_, vals) = read_fixture(name);
@@ -177,44 +210,49 @@ fn routing_is_value_neutral_and_deterministic_on_the_corpus() {
     }
 }
 
-/// The corpus is complete: every `.bin` has a `.vals` twin and vice
-/// versa, and nothing in the directory escapes the suite above.
+/// The corpus is complete: every current-format `.bin` has a `.vals`
+/// twin and every reject fixture has none, and nothing in the directory
+/// escapes the suite above.
 #[test]
 fn corpus_is_paired_and_fully_covered() {
-    let known = [
-        "z1_classic",
-        "z2v2_huffman_classic",
-        "z2v2_huffman_dualquant",
+    let current = [
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
         "z3_rans_dualquant",
-        "z3t1_range_dualquant",
-        "z3t1_mixed_backends",
         "z3t2_mixed_backends",
-        "b1_byteplane",
+        "tagged_byteplane",
         "tagged_sz",
-        "tagged_sz_t1",
         "tagged_lossless",
     ];
     let mut seen = Vec::new();
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden exists") {
         let path = entry.unwrap().path();
-        if path.extension().map(|e| e == "bin").unwrap_or(false) {
-            let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
-            assert!(
-                known.contains(&stem.as_str()),
-                "unlisted fixture {stem}: add it to golden_streams.rs"
-            );
-            seen.push(stem);
+        let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
+        match path.extension().and_then(|e| e.to_str()) {
+            Some("bin") => seen.push(stem),
+            Some("vals") => assert!(
+                current.contains(&stem.as_str()),
+                "{stem}.vals belongs to no current-format fixture"
+            ),
+            _ => {}
         }
     }
-    for name in known {
+    for stem in &seen {
+        assert!(
+            current.contains(&stem.as_str()) || REJECT_FIXTURES.contains(&stem.as_str()),
+            "unlisted fixture {stem}: add it to golden_streams.rs"
+        );
+    }
+    for name in current.iter().chain(&REJECT_FIXTURES) {
         assert!(seen.iter().any(|s| s == name), "fixture {name} is missing");
+    }
+    for name in current {
+        read_fixture(name);
     }
 }
 
-/// Every single-byte truncation of every golden Z2 stream, through the
+/// Every single-byte truncation of every bare golden Z2 stream, through the
 /// plane-range decoder (whole range and an interior one): a typed error,
 /// never a panic, a hang, or a silently short result. The length walk
 /// runs before any frame is decoded, so a cut anywhere — header,
@@ -222,14 +260,10 @@ fn corpus_is_paired_and_fully_covered() {
 #[test]
 fn every_truncation_of_a_golden_z2_stream_fails_plane_decode_cleanly() {
     for name in [
-        "z2v2_huffman_classic",
-        "z2v2_huffman_dualquant",
         "z3_range_dualquant",
         "z3_huffman_classic",
         "z3_mixed_backends",
         "z3_rans_dualquant",
-        "z3t1_range_dualquant",
-        "z3t1_mixed_backends",
         "z3t2_mixed_backends",
     ] {
         let (bin, want) = read_fixture(name);

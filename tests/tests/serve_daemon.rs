@@ -8,6 +8,7 @@
 //! process-global and `cargo test` runs these in parallel, so each
 //! test owns its `serve.tenant.resident#t<id>` gauges outright.
 
+use ebtrain_codec::{CodecId, TaggedStream};
 use ebtrain_serve::{
     frame, ColdPolicy, DataLayout, ErrorCode, ServeClient, ServeConfig, ServeDaemon,
 };
@@ -420,9 +421,12 @@ fn hostile_declared_count_is_rejected_before_any_allocation() {
     // daemon must answer Malformed from the header probe alone — before
     // the fix, the claimed count sized the decode allocation and a
     // 40-byte frame could drive an exabyte-scale reservation.
-    let mut stream = vec![0x42, 0x31]; // B1 magic
-    stream.extend_from_slice(&leb128(1u64 << 60));
-    let body = frame::store_payload(1, layout, 0.0, &stream);
+    let byteplane = |count: u64| {
+        let mut body = vec![0x42, 0x31]; // B1 magic
+        body.extend_from_slice(&leb128(count));
+        TaggedStream::tag(CodecId::BYTEPLANE, body).into_bytes()
+    };
+    let body = frame::store_payload(1, layout, 0.0, &byteplane(1u64 << 60));
     s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 1, tenant, &body))
         .unwrap();
     let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
@@ -434,9 +438,7 @@ fn hostile_declared_count_is_rejected_before_any_allocation() {
     );
     // A count that *matches* the layout but a body that is not there:
     // past the probe, the decoder itself reports corruption.
-    let mut stream = vec![0x42, 0x31];
-    stream.extend_from_slice(&leb128(layout.len() as u64));
-    let body = frame::store_payload(2, layout, 0.0, &stream);
+    let body = frame::store_payload(2, layout, 0.0, &byteplane(layout.len() as u64));
     s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 1, tenant, &body))
         .unwrap();
     let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
@@ -447,6 +449,50 @@ fn hostile_declared_count_is_rejected_before_any_allocation() {
     assert_eq!((stats.entries, stats.raw_bytes), (0, 0));
     c.store_f32(tenant, 3, &smooth(layout.len(), 5), layout, 1e-3)
         .expect("daemon healthy after hostile headers");
+    daemon.shutdown();
+}
+
+#[test]
+fn bare_and_retired_sz_streams_are_codec_errors() {
+    let daemon = ServeDaemon::spawn(test_config()).expect("spawn");
+    let mut s = connect_raw(&daemon);
+    let tenant = 9_905;
+    let layout = DataLayout::D1(1024);
+    let cfg = ebtrain_sz::SzConfig::with_error_bound(1e-3);
+    let current = ebtrain_sz::compress(&smooth(layout.len(), 2), layout, &cfg).unwrap();
+    // A current-format SZ body without the container, and a format-1
+    // body inside it: neither reaches a decoder.
+    let z1 = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/golden/z1_classic.bin"
+    ))
+    .expect("reject fixture");
+    let streams = [
+        current.as_bytes().to_vec(),
+        TaggedStream::tag(CodecId::SZ, z1).into_bytes(),
+    ];
+    for (key, stream) in streams.iter().enumerate() {
+        let body = frame::store_payload(key as u64, layout, 0.0, stream);
+        s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 1, tenant, &body))
+            .unwrap();
+        let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(
+            ErrorCode::from_byte(resp.status),
+            Some(ErrorCode::Codec),
+            "stream {key}: {:?}",
+            String::from_utf8_lossy(&resp.payload)
+        );
+    }
+    let mut c = ServeClient::connect(daemon.addr()).expect("connect");
+    assert_eq!(c.stats(tenant).expect("stats").entries, 0);
+    // The same session still stores the same body once it is tagged.
+    let tagged = TaggedStream::tag(CodecId::SZ, current.into_bytes()).into_bytes();
+    let body = frame::store_payload(7, layout, 0.0, &tagged);
+    s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 1, tenant, &body))
+        .unwrap();
+    let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+    assert_eq!(resp.status, 0, "session survived both codec errors");
+    assert_eq!(c.stats(tenant).expect("stats").entries, 1);
     daemon.shutdown();
 }
 
