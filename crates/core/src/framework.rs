@@ -748,4 +748,146 @@ mod tests {
             first.unwrap()
         );
     }
+
+    /// FNV-1a over the bits of every parameter, in layer order.
+    fn param_checksum(net: &Network) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        net.visit_layers(&mut |layer| {
+            for p in layer.params() {
+                for v in p.value.data() {
+                    hash = (hash ^ u64::from(v.to_bits())).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        });
+        hash
+    }
+
+    /// What six steps of one trainer leave behind: each step's loss bits
+    /// and enforced peak, the steps whose forward dropped a payload, and
+    /// [`param_checksum`] of the trained network.
+    #[derive(Debug, PartialEq)]
+    struct FrozenRun {
+        losses: [u32; 6],
+        peaks: [usize; 6],
+        dropped: [bool; 6],
+        params: u64,
+    }
+
+    fn frozen_run(mut trainer: AdaptiveTrainer) -> FrozenRun {
+        let data = dataset();
+        let mut run = FrozenRun {
+            losses: [0; 6],
+            peaks: [0; 6],
+            dropped: [false; 6],
+            params: 0,
+        };
+        for i in 0..6 {
+            let (x, labels) = data.batch(i as u64 * 8, 8);
+            let r = trainer.step(x, &labels).unwrap();
+            run.losses[i] = r.loss.to_bits();
+            run.peaks[i] = r.peak_store_bytes;
+            run.dropped[i] = trainer.step_report().unwrap().counter("membudget.drops") > 0;
+        }
+        run.params = param_checksum(trainer.network());
+        run
+    }
+
+    #[test]
+    fn trainer_outputs_are_frozen() {
+        // Losses, peaks and parameter bits of tiny_vgg under the three
+        // store shapes a trainer runs: the unbudgeted compressed store, a
+        // host-migrating budget at a third of the raw peak, and a
+        // drop-for-recompute budget under which every forward drops a
+        // payload and the step finishes through the checkpointing
+        // fallback. A change to how a step drives its store must keep
+        // every bit. Literals captured before the budgeted step became a
+        // branch of the one training step.
+        ebtrain_obs::set_metrics_enabled(true);
+        let raw_peak = {
+            let mut net = zoo::tiny_vgg(4, 1);
+            let mut opt = Sgd::new(SgdConfig::default());
+            let mut store = ebtrain_dnn::store::RawStore::new();
+            let (x, labels) = dataset().batch(0, 8);
+            ebtrain_dnn::train::train_step(
+                &mut net,
+                &SoftmaxCrossEntropy::new(),
+                &mut opt,
+                &mut store,
+                &CompressionPlan::new(),
+                x,
+                &labels,
+                false,
+            )
+            .unwrap()
+            .peak_store_bytes
+        };
+        assert_eq!(raw_peak, 1_321_216);
+        let budgeted = |budget: BudgetConfig| {
+            AdaptiveTrainer::new_budgeted(
+                zoo::tiny_vgg(4, 1),
+                SgdConfig::default(),
+                quick_cfg(),
+                budget,
+            )
+        };
+        let plain = frozen_run(AdaptiveTrainer::new(
+            zoo::tiny_vgg(4, 1),
+            SgdConfig::default(),
+            quick_cfg(),
+        ));
+        let migrate = frozen_run(budgeted(BudgetConfig::with_budget(raw_peak / 3)));
+        let mut drop = BudgetConfig::with_budget(raw_peak * 10 / 21);
+        drop.cold = ebtrain_dnn::store::ColdPolicy::DropForRecompute;
+        let drop = frozen_run(budgeted(drop));
+        assert_eq!(
+            plain,
+            FrozenRun {
+                losses: [
+                    0x4011_1ec6,
+                    0x3fc8_10e6,
+                    0x3fa1_039d,
+                    0x3f91_009e,
+                    0x3f8e_885b,
+                    0x3f8c_0c08
+                ],
+                peaks: [522_934, 316_031, 313_856, 312_110, 310_778, 258_326],
+                dropped: [false; 6],
+                params: 0x27bc_970f_dc61_087f,
+            }
+        );
+        assert_eq!(
+            migrate,
+            FrozenRun {
+                losses: [
+                    0x4011_1ec6,
+                    0x3fc8_10e6,
+                    0x3fa1_03ab,
+                    0x3f91_0085,
+                    0x3f8e_8819,
+                    0x3f8c_0c6f
+                ],
+                peaks: [403_827, 422_803, 421_786, 421_309, 420_777, 435_683],
+                dropped: [false; 6],
+                params: 0x79e2_4916_b689_c1d0,
+            }
+        );
+        // The fallback's peak is its checkpoints plus the largest
+        // segment's, hence above the budget the arena enforces.
+        assert_eq!(
+            drop,
+            FrozenRun {
+                losses: [
+                    0x3fe3_f05a,
+                    0x3fed_3a5d,
+                    0x401b_c97c,
+                    0x3f80_d1df,
+                    0x3f7c_d6b0,
+                    0x3fa5_4415
+                ],
+                peaks: [1_615_448, 1_597_017, 1_597_096, 1_597_015, 1_596_989, 1_591_717],
+                dropped: [true; 6],
+                params: 0x7258_396b_89f1_c917,
+            }
+        );
+    }
 }
