@@ -13,6 +13,12 @@
 //! batch sizes where it overflows are exactly the region where only the
 //! budgeted framework keeps training.
 //!
+//! A last row runs the smallest batch under
+//! [`ColdPolicy::DropForRecompute`] at half its raw peak: every forward
+//! drops payloads, and the step finishes through the gradient-checkpointing
+//! fallback inside `train_step`. Its `step_peak` adds the checkpoints,
+//! which live outside the store, to the store's peak.
+//!
 //! `--smoke` (also `EBTRAIN_SMOKE=1`): tiny net, tiny budget, one rep —
 //! CI runs this on every push so the enforcement path stays exercised.
 
@@ -23,16 +29,21 @@ use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::memsim::DeviceSpec;
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
-use ebtrain_dnn::store::{BudgetConfig, BudgetedStore, RawStore};
-use ebtrain_dnn::train::{budgeted_train_step, train_step};
+use ebtrain_dnn::store::{ActivationStore, BudgetConfig, BudgetedStore, ColdPolicy, RawStore};
+use ebtrain_dnn::train::train_step;
 use ebtrain_dnn::zoo;
 use std::time::Instant;
 
 struct BudgetedPoint {
+    /// Largest store residency of a step.
     peak: usize,
+    /// Largest reported step peak: the store's, plus the checkpoints of
+    /// a step that fell back to recompute.
+    step_peak: usize,
     ips: f64,
     demotions: u64,
     evictions: u64,
+    drops: u64,
     prefetch_hits: u64,
     ratio: f64,
 }
@@ -66,31 +77,36 @@ fn measure_budgeted(
     batch: usize,
     reps: usize,
     store_budget: usize,
+    cold: ColdPolicy,
 ) -> BudgetedPoint {
     let mut net = zoo::tiny_vgg(classes, 7);
     let head = SoftmaxCrossEntropy::new();
     let mut opt = Sgd::new(SgdConfig::default());
     let mut cfg = BudgetConfig::with_budget(store_budget);
     cfg.bound = ebtrain_dnn::store::BoundSpec::Abs(env_f64("EBTRAIN_EB", 1e-3) as f32);
+    cfg.cold = cold;
     let mut store = BudgetedStore::new(cfg, Box::new(ebtrain_dnn::store::FarthestNextUse));
     let plan = CompressionPlan::new();
-    let mut peak = 0usize;
+    let (mut peak, mut step_peak) = (0usize, 0usize);
     // Warmup step outside the timed window, mirroring measure_raw, so
     // the img/s columns are methodologically comparable.
     let mut t0 = Instant::now();
     for i in 0..=reps {
         let (x, labels) = data.batch((i * batch) as u64, batch);
-        let r = budgeted_train_step(
-            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false, None,
+        let r = train_step(
+            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false,
         )
         .expect("budgeted step");
-        // The acceptance gate: the *enforced* peak every single step.
+        // The acceptance gate: the *enforced* peak every single step (a
+        // recompute fallback's last segment; the arena's tripwire below
+        // covers its earlier ones).
         assert!(
-            r.peak_store_bytes <= store_budget,
+            store.peak_bytes() <= store_budget,
             "batch {batch}: step {i} peak {} exceeded budget {store_budget}",
-            r.peak_store_bytes
+            store.peak_bytes()
         );
-        peak = peak.max(r.peak_store_bytes);
+        peak = peak.max(store.peak_bytes());
+        step_peak = step_peak.max(r.peak_store_bytes);
         if i == 0 {
             t0 = Instant::now();
         }
@@ -109,9 +125,11 @@ fn measure_budgeted(
     };
     BudgetedPoint {
         peak,
+        step_peak,
         ips,
         demotions: am.demotions,
         evictions: am.evictions_host,
+        drops: am.drops,
         prefetch_hits: am.prefetch_hits,
         ratio,
     }
@@ -138,9 +156,9 @@ fn main() {
     // guaranteed to engage on a CI-class machine in seconds.
     let weights3 = zoo::tiny_vgg(classes, 7).weight_bytes() * 3;
     let workspace = 64 << 10;
+    let half_first_raw = (measure_raw(&data, classes, batches[0], 1).0 / 2).max(1);
     let store_budget = if smoke {
-        let (raw_peak, _) = measure_raw(&data, classes, batches[0], 1);
-        (raw_peak / 2).max(1)
+        half_first_raw
     } else {
         let budget_mib = env_f64("EBTRAIN_BUDGET_MIB", 6.0);
         let capacity = (budget_mib * (1 << 20) as f64) as usize;
@@ -165,37 +183,50 @@ fn main() {
         "raw_peak",
         "raw_fits",
         "raw_img/s",
+        "cold",
         "budget_peak",
         "enforced<=budget",
+        "step_peak",
         "demote_ratio",
-        "demote/evict",
+        "demote/evict/drop",
         "prefetch_hits",
         "budget_img/s",
     ]);
     let mut raw_max_batch = None;
     let mut budget_max_batch = None;
-    for &b in &batches {
-        eprintln!("[fig11b] batch {b} ...");
+    let mut row = |b: usize, budget: usize, cold: ColdPolicy| {
         let (raw_peak, raw_ips) = measure_raw(&data, classes, b, reps);
-        let raw_fits = raw_peak <= store_budget;
-        let p = measure_budgeted(&data, classes, b, reps, store_budget);
-        if raw_fits {
-            raw_max_batch = Some(b);
-        }
-        budget_max_batch = Some(b); // asserted: every step stayed in budget
+        let p = measure_budgeted(&data, classes, b, reps, budget, cold);
         table.row(vec![
             format!("{b}"),
             fmt_bytes(raw_peak as u64),
-            format!("{}", raw_fits as u8),
+            format!("{}", (raw_peak <= budget) as u8),
             format!("{raw_ips:.1}"),
+            format!("{cold:?}"),
             fmt_bytes(p.peak as u64),
             "yes".into(),
+            fmt_bytes(p.step_peak as u64),
             format!("{:.1}x", p.ratio),
-            format!("{}/{}", p.demotions, p.evictions),
+            format!("{}/{}/{}", p.demotions, p.evictions, p.drops),
             format!("{}", p.prefetch_hits),
             format!("{:.1}", p.ips),
         ]);
+        (raw_peak, p)
+    };
+    for &b in &batches {
+        eprintln!("[fig11b] batch {b} ...");
+        let (raw_peak, _) = row(b, store_budget, ColdPolicy::HostMigrate);
+        if raw_peak <= store_budget {
+            raw_max_batch = Some(b);
+        }
+        budget_max_batch = Some(b); // asserted: every step stayed in budget
     }
+    // The recompute fallback: half the smallest batch's raw peak, which
+    // its forward overflows even compressed, so every step drops payloads
+    // and finishes by gradient checkpointing, whose segments fit.
+    eprintln!("[fig11b] batch {}, drop-for-recompute ...", batches[0]);
+    let (_, p) = row(batches[0], half_first_raw, ColdPolicy::DropForRecompute);
+    assert!(p.drops > 0, "drop row: no step fell back to recompute");
     table.print("Fig 11 (measured): batch growth under an enforced activation budget");
 
     println!("\nmax batch within {}:", fmt_bytes(store_budget as u64));

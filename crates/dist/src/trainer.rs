@@ -271,12 +271,6 @@ impl DistributedTrainer {
             history: Vec::new(),
             last_report: None,
         };
-        // Sharded optimizer state is real per-rank memory: tell each
-        // budgeted store about it for reporting — pinned elsewhere to
-        // never charge the *activation* budget.
-        for (t, s) in trainer.replicas.iter_mut().zip(&trainer.syncs) {
-            t.note_external_store_bytes(s.optimizer_shard_bytes());
-        }
         trainer.broadcast_params(0)?;
         Ok(trainer)
     }

@@ -17,12 +17,12 @@
 //! [`Dropout`](crate::layers::Dropout), whose mask stream would advance;
 //! use checkpointing with dropout-free architectures (e.g. ResNets).
 
-use crate::layer::{BackwardContext, CompressionPlan, ForwardContext};
+use crate::layer::{BackwardContext, CompressionPlan, ForwardContext, Layer};
 use crate::layers::SoftmaxCrossEntropy;
 use crate::network::Network;
 use crate::optimizer::Sgd;
 use crate::store::{ActivationStore, NullStore, RawStore};
-use crate::train::StepResult;
+use crate::train::{apply_sync_action, GradSync, NoSync, StepResult};
 use crate::{DnnError, Result};
 use ebtrain_tensor::Tensor;
 
@@ -86,7 +86,7 @@ pub fn checkpointed_train_step_with(
 }
 
 /// [`checkpointed_train_step_with`] plus an optional
-/// [`GradSync`](crate::train::GradSync) driver. The driver observes the
+/// [`GradSync`] driver. The driver observes the
 /// segmented backward exactly like the plain path — `begin` before the
 /// first segment's backward, `grad_ready` as each layer retires inside
 /// its segment, `finish` after the last segment — so bucketed
@@ -102,7 +102,7 @@ pub fn checkpointed_train_step_synced(
     labels: &[usize],
     n_segments: usize,
     collect: bool,
-    mut sync: Option<&mut dyn crate::train::GradSync>,
+    sync: Option<&mut dyn GradSync>,
 ) -> Result<StepResult> {
     let n_nodes = net.num_top_nodes();
     if n_nodes == 0 {
@@ -110,6 +110,8 @@ pub fn checkpointed_train_step_synced(
     }
     let batch = x.shape()[0];
     let segments = segment_bounds(n_nodes, n_segments);
+    let mut no_sync = NoSync;
+    let sync = sync.unwrap_or(&mut no_sync);
 
     // Phase 1: checkpoint-only forward (intra-segment saves discarded).
     let mut checkpoints: Vec<Tensor> = Vec::with_capacity(segments.len());
@@ -134,9 +136,7 @@ pub fn checkpointed_train_step_synced(
 
     // Phase 2: per segment (reverse order): re-forward with real storage,
     // then backward through it. The store drains fully each segment.
-    if let Some(s) = sync.as_deref_mut() {
-        s.begin(net)?;
-    }
+    sync.begin(net)?;
     let mut max_segment_peak = 0usize;
     for (seg, ckpt) in segments.iter().zip(&checkpoints).rev() {
         store.reset_peak();
@@ -151,13 +151,7 @@ pub fn checkpointed_train_step_synced(
         }
         max_segment_peak = max_segment_peak.max(store.peak_bytes());
         {
-            let sync_ref = &mut sync;
-            let mut on_ready = |layer: &dyn crate::layer::Layer| -> Result<()> {
-                match sync_ref.as_deref_mut() {
-                    Some(s) => s.grad_ready(layer),
-                    None => Ok(()),
-                }
-            };
+            let mut on_ready = |layer: &dyn Layer| sync.grad_ready(layer);
             let mut bctx = BackwardContext {
                 store,
                 collect,
@@ -167,11 +161,8 @@ pub fn checkpointed_train_step_synced(
         }
     }
 
-    let action = match sync {
-        Some(s) => s.finish(net)?,
-        None => crate::train::SyncAction::LocalStep,
-    };
-    crate::train::apply_sync_action(net, opt, action);
+    let action = sync.finish(net)?;
+    apply_sync_action(net, opt, action);
     Ok(StepResult {
         loss,
         correct,

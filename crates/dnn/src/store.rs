@@ -170,6 +170,19 @@ pub trait ActivationStore {
     fn metrics(&self) -> StoreMetrics;
     /// Zero the cumulative metrics.
     fn reset_metrics(&mut self);
+    /// Mark the start of a training step. Returns whether the step may
+    /// drop a payload (see [`step_dropped`](Self::step_dropped)), and so
+    /// must keep its batch to run forward again.
+    fn begin_step(&mut self) -> bool {
+        false
+    }
+    /// True when a payload saved since [`begin_step`](Self::begin_step)
+    /// was dropped, so backward cannot run on this step's saves. A store
+    /// returns `true` only after discarding them; the step then recomputes
+    /// (see [`train_step_synced`](crate::train::train_step_synced)).
+    fn step_dropped(&mut self) -> bool {
+        false
+    }
 }
 
 /// Byte accounting shared by the store impls.
@@ -563,17 +576,13 @@ pub struct BudgetedStore {
     meta: HashMap<SlotId, SavedMeta>,
     save_order: Vec<SlotId>,
     phase: StorePhase,
+    /// The arena drops payloads instead of migrating them
+    /// ([`ColdPolicy::DropForRecompute`]).
+    may_drop: bool,
     drops_at_step_start: u64,
     metrics: StoreMetrics,
     /// Resolves per-layer codec routing ids from save hints.
     registry: CodecRegistry,
-    /// Bytes a caller holds *outside* the activation arena on this
-    /// worker's behalf (e.g. a sharded optimizer's per-rank momentum
-    /// shard). Reported for capacity planning but **never** charged
-    /// against the activation budget — optimizer state is not an
-    /// activation, and double-counting it would shrink the usable
-    /// activation budget by the shard size.
-    external_bytes: usize,
     /// Save-time `(stored, raw)` bytes of still-live compressible slots. The
     /// arena demotes/evicts entries *after* their save was recorded, so
     /// the stored-byte metrics are retro-updated against each slot's
@@ -588,6 +597,7 @@ impl BudgetedStore {
     /// Store over a configured arena and eviction policy.
     pub fn new(cfg: BudgetConfig, policy: Box<dyn EvictionPolicy>) -> BudgetedStore {
         BudgetedStore {
+            may_drop: cfg.cold == ColdPolicy::DropForRecompute,
             arena: BudgetedArena::new(cfg, policy),
             meta: HashMap::new(),
             save_order: Vec::new(),
@@ -595,7 +605,6 @@ impl BudgetedStore {
             drops_at_step_start: 0,
             metrics: StoreMetrics::default(),
             registry: CodecRegistry::standard(),
-            external_bytes: 0,
             live_stored: HashMap::new(),
         }
     }
@@ -609,57 +618,15 @@ impl BudgetedStore {
         )
     }
 
-    /// The enforced budget in bytes.
-    pub fn budget_bytes(&self) -> usize {
-        self.arena.budget_bytes()
-    }
-
     /// Arena-level counters (tiers, evictions, prefetch, codec time).
     pub fn arena_metrics(&self) -> ArenaMetrics {
         self.arena.metrics()
     }
 
-    /// Active eviction policy name.
-    pub fn policy_name(&self) -> &'static str {
-        self.arena.policy_name()
-    }
-
-    /// Record `bytes` of per-worker state held outside the activation
-    /// arena (sharded optimizer momentum, for instance). Overwrites the
-    /// previous figure — callers report their current holding, not a
-    /// delta. Deliberately *not* part of the budget: see
-    /// [`external_bytes`](Self::external_bytes).
-    pub fn note_external_bytes(&mut self, bytes: usize) {
-        self.external_bytes = bytes;
-    }
-
-    /// Bytes recorded via [`note_external_bytes`](Self::note_external_bytes).
-    /// These never count against [`budget_bytes`](Self::budget_bytes)
-    /// or the enforced activation peak.
-    pub fn external_bytes(&self) -> usize {
-        self.external_bytes
-    }
-
-    /// Mark the start of a fresh training step: clears the
-    /// dropped-payload flag consulted by
-    /// [`step_dropped`](Self::step_dropped).
-    pub fn begin_step(&mut self) {
-        self.drops_at_step_start = self.arena.metrics().drops;
-    }
-
-    /// True when any payload saved since [`begin_step`](Self::begin_step)
-    /// was dropped under [`ColdPolicy::DropForRecompute`] — the signal
-    /// that a plain step cannot finish backward and the caller must fall
-    /// back to recompute (see
-    /// [`budgeted_train_step`](crate::train::budgeted_train_step)).
-    pub fn step_dropped(&self) -> bool {
-        self.arena.metrics().drops > self.drops_at_step_start
-    }
-
     /// Drop all held state (entries, schedule, metadata). Budget, policy
     /// and cumulative metrics survive (live compressible slots are
     /// reconciled to their residency at clear time first).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         let live: Vec<SlotId> = self.live_stored.keys().copied().collect();
         for slot in live {
             let cur = self.current_stored_of(slot);
@@ -888,6 +855,21 @@ impl ActivationStore for BudgetedStore {
         };
         self.live_stored.clear();
         self.arena.reset_metrics();
+    }
+
+    /// Only a [`ColdPolicy::DropForRecompute`] arena may drop.
+    fn begin_step(&mut self) -> bool {
+        self.drops_at_step_start = self.arena.metrics().drops;
+        self.may_drop
+    }
+
+    /// Clears the store when the arena dropped a payload this step.
+    fn step_dropped(&mut self) -> bool {
+        let dropped = self.arena.metrics().drops > self.drops_at_step_start;
+        if dropped {
+            self.clear();
+        }
+        dropped
     }
 }
 
@@ -1134,36 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn external_bytes_never_charge_the_activation_budget() {
-        // ZeRO composition pin: a sharded optimizer's per-rank momentum
-        // shard is *reported* via note_external_bytes but must not eat
-        // into the activation budget — saves behave identically with and
-        // without a huge recorded shard.
-        let t = act_tensor();
-        let raw = t.byte_size();
-        let budget = raw + raw / 2;
-        let mut plain = BudgetedStore::with_budget(budget);
-        let mut noted = BudgetedStore::with_budget(budget);
-        noted.note_external_bytes(budget * 16); // way over budget on its own
-        for s in [&mut plain, &mut noted] {
-            s.save(SlotId(0, 0), Saved::F32(t.clone()), compressible());
-            s.save(SlotId(1, 0), Saved::F32(t.clone()), compressible());
-        }
-        assert_eq!(noted.external_bytes(), budget * 16);
-        assert_eq!(plain.external_bytes(), 0);
-        // Identical arena behavior: same peak, same pressure response.
-        assert_eq!(plain.peak_bytes(), noted.peak_bytes());
-        assert_eq!(plain.current_bytes(), noted.current_bytes());
-        assert_eq!(
-            plain.arena_metrics().demotions,
-            noted.arena_metrics().demotions
-        );
-        assert!(noted.peak_bytes() <= budget);
-        // And the budget itself is unchanged by the note.
-        assert_eq!(noted.budget_bytes(), budget);
-    }
-
-    #[test]
     fn budgeted_store_generous_budget_stays_hot_and_exact() {
         let t = act_tensor();
         let mut s = BudgetedStore::with_budget(100 << 20);
@@ -1192,14 +1144,17 @@ mod tests {
         let mut cfg = BudgetConfig::with_budget(64);
         cfg.cold = ColdPolicy::DropForRecompute;
         let mut s = BudgetedStore::new(cfg, Box::new(Lru));
-        s.begin_step();
+        assert!(s.begin_step(), "a dropping store must ask for the batch");
         assert!(!s.step_dropped());
         s.save(SlotId(0, 0), Saved::F32(act_tensor()), compressible());
         assert!(s.step_dropped(), "overflowing save must flag the step");
+        // The flag discarded the step's saves.
         assert!(s.load(SlotId(0, 0)).is_err());
-        s.clear();
-        s.begin_step();
+        assert_eq!(s.current_bytes(), 0);
+        assert!(s.begin_step());
         assert!(!s.step_dropped());
+        // Host migration never drops, so its steps keep no batch copy.
+        assert!(!BudgetedStore::with_budget(64).begin_step());
     }
 
     #[test]

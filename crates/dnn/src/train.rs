@@ -5,6 +5,7 @@ use crate::layer::{BackwardContext, CompressionPlan, ForwardContext, Layer};
 use crate::layers::SoftmaxCrossEntropy;
 use crate::network::Network;
 use crate::optimizer::Sgd;
+use crate::recompute::checkpointed_train_step_synced;
 use crate::store::{ActivationStore, NullStore};
 use crate::Result;
 use ebtrain_tensor::Tensor;
@@ -34,10 +35,6 @@ pub enum SyncAction {
 ///   whatever is still in flight, writes the reduced gradients (or
 ///   already-updated parameters) back, and tells the step how to
 ///   proceed via [`SyncAction`].
-///
-/// Plain closures `FnMut(&mut Network) -> Result<()>` implement this
-/// trait with the legacy whole-tensor semantics (everything happens in
-/// `finish`, between backward and the optimizer step).
 pub trait GradSync {
     /// Called before backward starts; reset per-step state.
     fn begin(&mut self, _net: &mut Network) -> Result<()> {
@@ -52,50 +49,12 @@ pub trait GradSync {
     fn finish(&mut self, net: &mut Network) -> Result<SyncAction>;
 }
 
-impl<F> GradSync for F
-where
-    F: FnMut(&mut Network) -> Result<()>,
-{
-    fn finish(&mut self, net: &mut Network) -> Result<SyncAction> {
-        self(net)?;
-        Ok(SyncAction::LocalStep)
-    }
-}
+/// The driver of a step that has none: gradients stay local.
+pub(crate) struct NoSync;
 
-/// Run backward with an optional [`GradSync`] driver wired into the
-/// context, then let the driver finish; returns the [`SyncAction`] the
-/// optimizer step must honor. Shared by the plain, budgeted and
-/// checkpointed step paths.
-pub(crate) fn backward_synced(
-    net: &mut Network,
-    dlogits: Tensor,
-    store: &mut dyn ActivationStore,
-    collect: bool,
-    sync: Option<&mut dyn GradSync>,
-) -> Result<SyncAction> {
-    match sync {
-        Some(sync) => {
-            sync.begin(net)?;
-            {
-                let mut on_ready = |layer: &dyn Layer| sync.grad_ready(layer);
-                let mut bctx = BackwardContext {
-                    store,
-                    collect,
-                    grad_ready: Some(&mut on_ready),
-                };
-                net.backward(dlogits, &mut bctx)?;
-            }
-            sync.finish(net)
-        }
-        None => {
-            let mut bctx = BackwardContext {
-                store,
-                collect,
-                grad_ready: None,
-            };
-            net.backward(dlogits, &mut bctx)?;
-            Ok(SyncAction::LocalStep)
-        }
+impl GradSync for NoSync {
+    fn finish(&mut self, _net: &mut Network) -> Result<SyncAction> {
+        Ok(SyncAction::LocalStep)
     }
 }
 
@@ -145,6 +104,19 @@ pub fn train_step(
 /// [`train_step`] with an optional [`GradSync`] driver observing
 /// backward at layer granularity (bucketed collectives) and finishing
 /// before the optimizer step.
+///
+/// If the store dropped a payload during forward
+/// ([`ActivationStore::step_dropped`]: a
+/// [`BudgetedStore`](crate::store::BudgetedStore) under
+/// [`ColdPolicy::DropForRecompute`](crate::store::ColdPolicy) whose budget
+/// even compressed residency overflowed), backward cannot run. The step
+/// then falls back to gradient checkpointing
+/// ([`checkpointed_train_step_synced`]) over `⌈√nodes⌉` segments from a
+/// copy of the batch, re-running forward per segment so each segment's
+/// smaller live set fits. The driver runs exactly once on either path, so
+/// a data-parallel worker joins its collective whichever path its memory
+/// pressure forced. The fallback's [`StepResult::peak_store_bytes`] is
+/// its checkpoints plus the largest segment's peak.
 #[allow(clippy::too_many_arguments)]
 pub fn train_step_synced(
     net: &mut Network,
@@ -159,6 +131,7 @@ pub fn train_step_synced(
 ) -> Result<StepResult> {
     let batch = x.shape()[0];
     store.reset_peak();
+    let x_again = store.begin_step().then(|| x.clone());
     let logits = {
         let mut fctx = ForwardContext {
             store,
@@ -168,111 +141,27 @@ pub fn train_step_synced(
         };
         net.forward(x, &mut fctx)?
     };
-    let (loss, dlogits) = head.loss(&logits, labels)?;
-    let correct = head.correct(&logits, labels);
-    let action = backward_synced(net, dlogits, store, collect, sync)?;
-    let peak = store.peak_bytes();
-    apply_sync_action(net, opt, action);
-    Ok(StepResult {
-        loss,
-        correct,
-        batch,
-        peak_store_bytes: peak,
-    })
-}
-
-/// One training step under an **enforced device-memory budget**, with a
-/// recompute fallback.
-///
-/// Runs forward with the [`BudgetedStore`](crate::store::BudgetedStore);
-/// the arena demotes and evicts
-/// under pressure, so the live activation set never exceeds the budget.
-/// If the store reports that some payload had to be **dropped**
-/// ([`ColdPolicy::DropForRecompute`](crate::store::ColdPolicy) and even
-/// compressed residency overflowed), backward cannot proceed — instead
-/// of failing, the step falls back to gradient checkpointing
-/// ([`checkpointed_train_step_with`](crate::recompute::checkpointed_train_step_with))
-/// over `fallback_segments` segments (default `⌈√nodes⌉`), re-running
-/// forward per segment so each segment's much smaller live set fits.
-/// Under `ColdPolicy::HostMigrate` the fallback never triggers: the host
-/// tier absorbs any overflow (at simulated transfer cost).
-///
-/// The returned [`StepResult::peak_store_bytes`] is the *enforced* peak:
-/// callers can assert `peak ≤ budget` every step (the
-/// `fig11_budgeted_batch` binary does).
-#[allow(clippy::too_many_arguments)]
-pub fn budgeted_train_step(
-    net: &mut Network,
-    head: &SoftmaxCrossEntropy,
-    opt: &mut Sgd,
-    store: &mut crate::store::BudgetedStore,
-    plan: &CompressionPlan,
-    x: Tensor,
-    labels: &[usize],
-    collect: bool,
-    fallback_segments: Option<usize>,
-) -> Result<StepResult> {
-    budgeted_train_step_synced(
-        net,
-        head,
-        opt,
-        store,
-        plan,
-        x,
-        labels,
-        collect,
-        fallback_segments,
-        None,
-    )
-}
-
-/// [`budgeted_train_step`] with an optional [`GradSync`] driver; the
-/// driver also runs exactly once on the recompute-fallback path
-/// (buckets then retire during the segmented re-backward), so a
-/// data-parallel worker participates in its collective regardless of
-/// which execution path its memory pressure forced.
-#[allow(clippy::too_many_arguments)]
-pub fn budgeted_train_step_synced(
-    net: &mut Network,
-    head: &SoftmaxCrossEntropy,
-    opt: &mut Sgd,
-    store: &mut crate::store::BudgetedStore,
-    plan: &CompressionPlan,
-    x: Tensor,
-    labels: &[usize],
-    collect: bool,
-    fallback_segments: Option<usize>,
-    sync: Option<&mut dyn GradSync>,
-) -> Result<StepResult> {
-    let batch = x.shape()[0];
-    store.reset_peak();
-    store.begin_step();
-    // The batch is tiny next to the activation set; keep a copy so the
-    // recompute fallback can re-run forward from scratch.
-    let x_backup = x.clone();
-    let logits = {
-        let mut fctx = ForwardContext {
-            store,
-            training: true,
-            collect,
-            plan,
-        };
-        net.forward(x, &mut fctx)?
-    };
-    if store.step_dropped() {
-        // Even compressed residency overflowed the budget: recompute.
-        store.clear();
-        store.reset_peak();
-        let segments = fallback_segments
-            .unwrap_or_else(|| (net.num_top_nodes() as f64).sqrt().ceil() as usize)
-            .max(1);
-        return crate::recompute::checkpointed_train_step_synced(
-            net, head, opt, store, plan, x_backup, labels, segments, collect, sync,
+    if let Some(x) = x_again.filter(|_| store.step_dropped()) {
+        let segments = (net.num_top_nodes() as f64).sqrt().ceil() as usize;
+        return checkpointed_train_step_synced(
+            net, head, opt, store, plan, x, labels, segments, collect, sync,
         );
     }
     let (loss, dlogits) = head.loss(&logits, labels)?;
     let correct = head.correct(&logits, labels);
-    let action = backward_synced(net, dlogits, store, collect, sync)?;
+    let mut no_sync = NoSync;
+    let sync = sync.unwrap_or(&mut no_sync);
+    sync.begin(net)?;
+    {
+        let mut on_ready = |layer: &dyn Layer| sync.grad_ready(layer);
+        let mut bctx = BackwardContext {
+            store,
+            collect,
+            grad_ready: Some(&mut on_ready),
+        };
+        net.backward(dlogits, &mut bctx)?;
+    }
+    let action = sync.finish(net)?;
     let peak = store.peak_bytes();
     apply_sync_action(net, opt, action);
     Ok(StepResult {
@@ -309,7 +198,9 @@ mod tests {
     use super::*;
     use crate::network::NetworkBuilder;
     use crate::optimizer::SgdConfig;
-    use crate::store::RawStore;
+    use crate::store::{
+        BoundSpec, BudgetConfig, BudgetedStore, ColdPolicy, FarthestNextUse, RawStore,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -399,7 +290,6 @@ mod tests {
 
     #[test]
     fn budgeted_step_enforces_budget_and_still_learns() {
-        use crate::store::BudgetedStore;
         // First measure the raw activation peak, then train under ~40% of
         // it: the arena must compress/evict to fit, every step.
         let head = SoftmaxCrossEntropy::new();
@@ -430,8 +320,8 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..40 {
             let (x, labels) = toy_batch(&mut rng, 16);
-            let r = budgeted_train_step(
-                &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false, None,
+            let r = train_step(
+                &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false,
             )
             .unwrap();
             assert!(
@@ -452,43 +342,136 @@ mod tests {
         assert_eq!(store.arena_metrics().over_budget_events, 0);
     }
 
-    #[test]
-    fn budgeted_step_falls_back_to_recompute_on_drop() {
-        use crate::store::{BudgetConfig, BudgetedStore, ColdPolicy, FarthestNextUse};
+    /// A drop-for-recompute store whose budget holds any one of
+    /// `toy_net(5)`'s slots but not the live set of a whole forward on the
+    /// returned batch, so every plain forward drops a payload while the
+    /// checkpointing fallback's segments fit. Entries stay raw or dead:
+    /// the NaN bound makes the codec reject, so there is no warm tier.
+    fn dropping_store() -> (BudgetedStore, Tensor, Vec<usize>) {
         let head = SoftmaxCrossEntropy::new();
-        let plan = CompressionPlan::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        // Budget sized so the full forward set cannot stay resident even
-        // compressed, but one segment's worth can: with drop-for-recompute
-        // the step must complete via the checkpointing fallback.
-        let raw_peak = {
-            let mut net = toy_net(5);
-            let mut opt = Sgd::new(SgdConfig::default());
-            let mut store = RawStore::new();
-            let (x, labels) = toy_batch(&mut rng, 32);
-            train_step(
-                &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false,
-            )
-            .unwrap()
-            .peak_store_bytes
-        };
-        // Below the full live set, but above any single slot (so the
-        // per-segment live sets of the fallback still fit).
+        let (x, labels) = toy_batch(&mut StdRng::seed_from_u64(7), 32);
+        let raw_peak = train_step(
+            &mut toy_net(5),
+            &head,
+            &mut Sgd::new(SgdConfig::default()),
+            &mut RawStore::new(),
+            &CompressionPlan::new(),
+            x.clone(),
+            &labels,
+            false,
+        )
+        .unwrap()
+        .peak_store_bytes;
         let mut cfg = BudgetConfig::with_budget(raw_peak - raw_peak / 8);
         cfg.cold = ColdPolicy::DropForRecompute;
-        // Keep entries raw-or-dead so the drop path actually triggers.
-        cfg.bound = crate::store::BoundSpec::Abs(f32::NAN); // codec rejects -> no warm tier
-        let mut store = BudgetedStore::new(cfg, Box::new(FarthestNextUse));
+        cfg.bound = BoundSpec::Abs(f32::NAN);
+        let store = BudgetedStore::new(cfg, Box::new(FarthestNextUse));
+        (store, x, labels)
+    }
+
+    #[test]
+    fn budgeted_step_falls_back_to_recompute_on_drop() {
+        let (mut store, x, labels) = dropping_store();
         let mut net = toy_net(5);
         let mut opt = Sgd::new(SgdConfig::default());
-        let mut rng = StdRng::seed_from_u64(7);
-        let (x, labels) = toy_batch(&mut rng, 32);
-        let r = budgeted_train_step(
-            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, false, None,
+        let r = train_step(
+            &mut net,
+            &SoftmaxCrossEntropy::new(),
+            &mut opt,
+            &mut store,
+            &CompressionPlan::new(),
+            x,
+            &labels,
+            false,
         )
         .unwrap();
         assert!(r.loss.is_finite());
         assert!(store.arena_metrics().drops > 0, "fallback never triggered");
+    }
+
+    /// Counts the driver's calls; the optimizer step stays local.
+    #[derive(Default)]
+    struct CountingSync {
+        begins: usize,
+        ready: usize,
+        finishes: usize,
+    }
+
+    impl GradSync for CountingSync {
+        fn begin(&mut self, _net: &mut Network) -> Result<()> {
+            self.begins += 1;
+            Ok(())
+        }
+        fn grad_ready(&mut self, _layer: &dyn Layer) -> Result<()> {
+            self.ready += 1;
+            Ok(())
+        }
+        fn finish(&mut self, _net: &mut Network) -> Result<SyncAction> {
+            self.finishes += 1;
+            Ok(SyncAction::LocalStep)
+        }
+    }
+
+    /// Every parameter's bits, in layer order.
+    fn param_bits(net: &Network) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_layers(&mut |layer| {
+            for p in layer.params() {
+                bits.extend(p.value.data().iter().map(|v| v.to_bits()));
+            }
+        });
+        bits
+    }
+
+    #[test]
+    fn drop_fallback_drives_grad_sync_exactly_once() {
+        let head = SoftmaxCrossEntropy::new();
+        let plan = CompressionPlan::new();
+        let step = |direct: bool| {
+            let (mut store, x, labels) = dropping_store();
+            let mut net = toy_net(5);
+            let mut opt = Sgd::new(SgdConfig::default());
+            let mut sync = CountingSync::default();
+            let r = if direct {
+                // ⌈√3⌉ = 2 segments, as the fallback picks for toy_net.
+                checkpointed_train_step_synced(
+                    &mut net,
+                    &head,
+                    &mut opt,
+                    &mut store,
+                    &plan,
+                    x,
+                    &labels,
+                    2,
+                    false,
+                    Some(&mut sync),
+                )
+            } else {
+                train_step_synced(
+                    &mut net,
+                    &head,
+                    &mut opt,
+                    &mut store,
+                    &plan,
+                    x,
+                    &labels,
+                    false,
+                    Some(&mut sync),
+                )
+            }
+            .unwrap();
+            let drops = store.arena_metrics().drops;
+            (r, sync, param_bits(&net), drops)
+        };
+        let (r, sync, params, drops) = step(false);
+        assert!(drops > 0, "fallback never triggered");
+        assert_eq!((sync.begins, sync.finishes), (1, 1));
+        let (expect, direct_sync, expect_params, direct_drops) = step(true);
+        assert_eq!(direct_drops, 0, "the direct segments must fit");
+        assert_eq!(sync.ready, direct_sync.ready);
+        assert_eq!(r.loss.to_bits(), expect.loss.to_bits());
+        assert_eq!(r.peak_store_bytes, expect.peak_store_bytes);
+        assert_eq!(params, expect_params);
     }
 
     #[test]
