@@ -1410,7 +1410,8 @@ mod tests {
 
     /// A compressible slot under a plan bound, the same tensor routed to
     /// the lossless codec, a raw-hinted float and a bit mask; loaded
-    /// back in reverse order.
+    /// back in reverse order. A load that fails (a payload dropped under
+    /// a budget) reads back as 0.
     fn policy_script(s: &mut dyn ActivationStore) -> Frozen {
         let t = act_tensor();
         let mask = crate::layer::pack_bits(t.data(), |v| v > 0.5);
@@ -1431,7 +1432,7 @@ mod tests {
             levels[i] = (s.current_bytes(), s.peak_bytes());
         }
         for (i, layer) in (0..4).rev().enumerate() {
-            loaded[i] = bit_hash(&s.load(SlotId(layer, 0)).unwrap());
+            loaded[i] = s.load(SlotId(layer, 0)).map_or(0, |v| bit_hash(&v));
             levels[4 + i] = (s.current_bytes(), s.peak_bytes());
         }
         let m = s.metrics();
@@ -1600,6 +1601,50 @@ mod tests {
         assert_eq!(
             policy_script(&mut CompressedStore::hybrid(cfg, 12.0e9)),
             hybrid
+        );
+        // Under a budget below the script's raw total, the two floats
+        // saved first demote and then leave the device.
+        let budget = 40_000;
+        let budgeted = Frozen {
+            levels: [
+                (32768, 32768),
+                (36008, 36008),
+                (32768, 36008),
+                (33792, 36008),
+                (32768, 36008),
+                (0, 36008),
+                (0, 36008),
+                (0, 36008),
+            ],
+            loaded: [MASK, EXACT, EXACT, LOSSY],
+            raw_bytes_saved: 99328,
+            stored_bytes_saved: 33792,
+            compressible_raw_bytes: 65536,
+            compressible_stored_bytes: 0,
+            simulated_transfer_nanos: 3460,
+            per_layer: vec![(0, (32768, 0)), (1, (32768, 0))],
+            peak: SlotBytes {
+                encoded: 3240,
+                float_raw: 32768,
+                bits: 0,
+            },
+            codec_ran: (true, true),
+        };
+        assert_eq!(
+            policy_script(&mut BudgetedStore::with_budget(budget)),
+            budgeted
+        );
+        let mut drop_cfg = BudgetConfig::with_budget(budget);
+        drop_cfg.cold = ColdPolicy::DropForRecompute;
+        let dropping = Frozen {
+            loaded: [MASK, EXACT, 0, 0],
+            simulated_transfer_nanos: 0,
+            codec_ran: (true, false),
+            ..budgeted
+        };
+        assert_eq!(
+            policy_script(&mut BudgetedStore::new(drop_cfg, Box::new(FarthestNextUse))),
+            dropping
         );
     }
 }

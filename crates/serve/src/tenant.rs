@@ -341,6 +341,171 @@ impl Drop for Tenant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebtrain_codec::{Codec, SzCodec};
+    use ebtrain_membudget::ColdPolicy;
+
+    const LAYOUT: DataLayout = DataLayout::D3(8, 16, 16);
+    /// Room for two raw tensors; the script stores seven.
+    const BUDGET: usize = 2 * 2048 * 4;
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// A client-side stream: a noisy wave under classic SZ at 1e-3, the
+    /// way the serving benchmark's client stores.
+    fn stream(seed: u32) -> Vec<u8> {
+        let mut s = seed.wrapping_mul(2_654_435_761) | 1;
+        let data: Vec<f32> = (0..LAYOUT.len())
+            .map(|i| {
+                s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let noise = (s >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+                ((i as f32 + seed as f32 * 37.0) * 0.011).sin() + noise
+            })
+            .collect();
+        SzCodec::classic()
+            .compress(&data, LAYOUT, &BoundSpec::Abs(1e-3))
+            .unwrap()
+            .into_bytes()
+    }
+
+    /// A tenant built the way `daemon::tenant_slot` builds one, driven
+    /// over twice its budget. One line per operation: the stats body's
+    /// eight words, then what the operation returned — the FNV-1a of
+    /// the bits read back, a store's landing tier, the bytes a reclaim
+    /// freed, or the error code of a failure.
+    fn tenant_script(cold: ColdPolicy) -> Vec<String> {
+        let mut cfg = BudgetConfig::with_budget(BUDGET);
+        cfg.cold = cold;
+        cfg.bound = BoundSpec::Abs(1e-3);
+        let mut t = Tenant::new(0, cfg);
+        let registry = CodecRegistry::standard();
+        let mut lines = Vec::new();
+        let mut line = |t: &Tenant, read: u64| {
+            let words: Vec<String> = t
+                .stats()
+                .encode()
+                .chunks(8)
+                .map(|w| u64::from_be_bytes(w.try_into().unwrap()).to_string())
+                .collect();
+            lines.push(format!("{} {read:x}", words.join(" ")));
+        };
+        let bits = |r: Result<Vec<f32>, ServeError>| match r {
+            Ok(v) => fnv(v.iter().map(|x| x.to_bits() as u64)),
+            Err(e) => e.code as u64,
+        };
+        // Seven stores, then two replacements of live keys.
+        for (key, seed) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (3, 3),
+            (4, 4),
+            (5, 5),
+            (6, 6),
+            (1, 11),
+            (4, 14),
+        ] {
+            let r = t.store(&registry, key, LAYOUT, 1e-3, &stream(seed));
+            line(&t, r.map_or_else(|e| e.code as u64, |tier| tier as u64));
+        }
+        for key in [0, 4, 6] {
+            let r = t.fetch(key).map(|(v, _)| v);
+            line(&t, bits(r));
+        }
+        for (key, start) in [(2, 2), (5, 6), (1, 0)] {
+            let r = t.fetch_planes(key, start, start + 2);
+            line(&t, bits(r));
+        }
+        let r = t.evict(3).map(|()| Vec::new());
+        line(&t, bits(r));
+        let freed = t.reclaim_to(BUDGET / 4);
+        line(&t, freed as u64);
+        let r = t.fetch(1).map(|(v, _)| v);
+        line(&t, bits(r));
+        let r = t.store(&registry, 3, LAYOUT, 1e-3, &stream(33));
+        line(&t, r.map_or_else(|e| e.code as u64, |tier| tier as u64));
+        let r = t.fetch(3).map(|(v, _)| v);
+        line(&t, bits(r));
+        let r = t.evict(0).map(|()| Vec::new());
+        line(&t, bits(r));
+        let freed = t.reclaim_to(0);
+        line(&t, freed as u64);
+        for key in [6, 3] {
+            let r = t.fetch_planes(key, 4, 6);
+            line(&t, bits(r));
+        }
+        lines
+    }
+
+    #[test]
+    fn host_migrate_tenant_script_is_frozen() {
+        assert_eq!(
+            tenant_script(ColdPolicy::HostMigrate),
+            [
+                "8192 16384 8192 1 8192 1 0 0 0",
+                "16384 16384 16384 2 16384 2 0 0 0",
+                "13782 16384 16384 3 24576 3 0 0 0",
+                "13759 16384 16384 4 32768 4 0 0 0",
+                "13752 16384 16384 5 40960 5 0 0 0",
+                "13768 16384 16384 6 49152 6 0 0 0",
+                "13795 16384 16384 7 57344 7 0 0 0",
+                "13780 16384 16384 7 57344 8 0 0 0",
+                "13757 16384 16384 7 57344 9 0 0 0",
+                "13757 16384 16384 7 57344 9 1 0 1b72a6f31d40963c",
+                "13757 16384 16384 7 57344 9 2 0 9643b8e773ddfb80",
+                "13757 16384 16384 7 57344 9 3 0 e2ec3877e31daa39",
+                "13757 16384 16384 7 57344 9 4 0 c34c3ad3d4a9ee85",
+                "13757 16384 16384 7 57344 9 5 0 a3187b27a8d5e745",
+                "13757 16384 16384 7 57344 9 6 0 974ca676b472e0a2",
+                "13757 16384 16384 6 49152 9 6 0 cbf29ce484222325",
+                "2784 16384 16384 6 49152 9 6 0 2add",
+                "2784 16384 16384 6 49152 9 7 0 e9a0b4157cd18a1",
+                "10976 16384 16384 7 57344 10 7 0 0",
+                "10976 16384 16384 7 57344 10 8 0 dc251efb0858e2d3",
+                "10976 16384 16384 6 49152 10 8 0 cbf29ce484222325",
+                "0 16384 16384 6 49152 10 8 0 2ae0",
+                "0 16384 16384 6 49152 10 9 0 b7f58ff3a7c982bc",
+                "0 16384 16384 6 49152 10 10 0 5f9cc4fe4102fd89",
+            ]
+        );
+    }
+
+    #[test]
+    fn drop_for_recompute_tenant_script_is_frozen() {
+        assert_eq!(
+            tenant_script(ColdPolicy::DropForRecompute),
+            [
+                "8192 16384 8192 1 8192 1 0 0 0",
+                "16384 16384 16384 2 16384 2 0 0 0",
+                "13782 16384 16384 3 24576 3 0 0 0",
+                "13759 16384 16384 4 32768 4 0 0 0",
+                "13752 16384 16384 5 40960 5 0 0 0",
+                "13768 16384 16384 6 49152 6 0 0 0",
+                "13795 16384 16384 7 57344 7 0 0 0",
+                "13780 16384 16384 7 57344 8 0 0 0",
+                "13757 16384 16384 7 57344 9 0 0 0",
+                "13757 16384 16384 7 57344 9 0 0 8",
+                "13757 16384 16384 7 57344 9 1 0 9643b8e773ddfb80",
+                "13757 16384 16384 7 57344 9 2 0 e2ec3877e31daa39",
+                "13757 16384 16384 7 57344 9 2 0 8",
+                "13757 16384 16384 7 57344 9 2 0 8",
+                "13757 16384 16384 7 57344 9 3 0 974ca676b472e0a2",
+                "13757 16384 16384 6 49152 9 3 0 cbf29ce484222325",
+                "2784 16384 16384 6 49152 9 3 0 2add",
+                "2784 16384 16384 6 49152 9 4 0 e9a0b4157cd18a1",
+                "10976 16384 16384 7 57344 10 4 0 0",
+                "10976 16384 16384 7 57344 10 5 0 dc251efb0858e2d3",
+                "10976 16384 16384 6 49152 10 5 0 cbf29ce484222325",
+                "0 16384 16384 6 49152 10 5 0 2ae0",
+                "0 16384 16384 6 49152 10 5 0 8",
+                "0 16384 16384 6 49152 10 5 0 8",
+            ]
+        );
+    }
 
     #[test]
     fn stats_encode_decode_roundtrip() {
