@@ -466,7 +466,7 @@ impl CompressedStore {
 
     /// Migration over PCIe 3.0 x16 (~12 GB/s effective).
     pub fn pcie3() -> Self {
-        Self::migrated(12.0e9)
+        Self::migrated(ebtrain_membudget::HOST_LINK_BPS)
     }
 
     /// Compress-then-migrate with the given SZ config and link bandwidth
@@ -546,14 +546,6 @@ enum SavedMeta {
     Bits { len: usize },
 }
 
-/// Phase of the training step the store believes it is in (drives when
-/// the backward schedule is handed to the arena).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StorePhase {
-    Saving,
-    Loading,
-}
-
 /// The active memory manager: an [`ActivationStore`] over
 /// [`ebtrain_membudget::BudgetedArena`], enforcing a **hard device-byte
 /// budget** instead of merely accounting one.
@@ -574,8 +566,9 @@ enum StorePhase {
 pub struct BudgetedStore {
     arena: BudgetedArena<SlotId>,
     meta: HashMap<SlotId, SavedMeta>,
+    /// Slots saved since the last load: the next load hands them,
+    /// reversed, to the arena as the backward schedule.
     save_order: Vec<SlotId>,
-    phase: StorePhase,
     /// The arena drops payloads instead of migrating them
     /// ([`ColdPolicy::DropForRecompute`]).
     may_drop: bool,
@@ -601,7 +594,6 @@ impl BudgetedStore {
             arena: BudgetedArena::new(cfg, policy),
             meta: HashMap::new(),
             save_order: Vec::new(),
-            phase: StorePhase::Saving,
             drops_at_step_start: 0,
             metrics: StoreMetrics::default(),
             registry: CodecRegistry::standard(),
@@ -635,7 +627,6 @@ impl BudgetedStore {
         self.arena.clear();
         self.meta.clear();
         self.save_order.clear();
-        self.phase = StorePhase::Saving;
     }
 
     /// Arena residency by slot kind: warm float slots are codec streams,
@@ -732,12 +723,6 @@ fn bytes_to_words(bytes: &[u8]) -> Vec<u64> {
 
 impl ActivationStore for BudgetedStore {
     fn save(&mut self, slot: SlotId, value: Saved, hint: SaveHint) {
-        if self.phase == StorePhase::Loading {
-            // A new forward pass begins: the previous step's schedule is
-            // stale.
-            self.save_order.clear();
-            self.phase = StorePhase::Saving;
-        }
         let raw = value.byte_size();
         let compressible = hint.compressible && matches!(value, Saved::F32(_));
         let _tier = match value {
@@ -781,13 +766,14 @@ impl ActivationStore for BudgetedStore {
     }
 
     fn load(&mut self, slot: SlotId) -> Result<Saved> {
-        if self.phase == StorePhase::Saving && !self.save_order.is_empty() {
-            // First load of the backward pass: declare the expected
-            // access order (reverse save order) so eviction and prefetch
-            // see the future.
-            let schedule: Vec<SlotId> = self.save_order.iter().rev().copied().collect();
-            self.arena.set_schedule(schedule);
-            self.phase = StorePhase::Loading;
+        if !self.save_order.is_empty() {
+            // First load after a run of saves (a backward pass, or a
+            // recompute inside one): declare the expected access order
+            // (reverse save order) so eviction and prefetch see the
+            // future.
+            self.save_order.reverse();
+            self.arena
+                .set_schedule(std::mem::take(&mut self.save_order));
         }
         let meta = self.meta.remove(&slot).ok_or_else(|| missing(slot))?;
         // Finalize the stored-byte record at the residency the payload

@@ -12,6 +12,11 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Simulated host interconnect bandwidth in bytes/second (PCIe 3.0 x16
+/// ≈ 12e9): what the host tier's transfer-time accounting charges, and
+/// the link of `ebtrain-dnn`'s fixed migration comparator.
+pub const HOST_LINK_BPS: f64 = 12.0e9;
+
 /// What happens to payloads that cannot stay on-device even compressed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ColdPolicy {
@@ -42,15 +47,12 @@ pub struct BudgetConfig {
     /// How many scheduled entries ahead of the cursor to decode on
     /// worker threads (0 disables prefetch).
     pub prefetch_depth: usize,
-    /// Simulated host interconnect bandwidth in bytes/second (PCIe 3.0
-    /// x16 ≈ 12e9); used by the host tier's transfer-time accounting.
-    pub host_bandwidth_bps: f64,
 }
 
 impl BudgetConfig {
     /// Config with paper-ish defaults: given budget, the dual-quant SZ
     /// framework codec at a 1e-3 absolute bound, host migration,
-    /// prefetch depth 2, PCIe3-class link.
+    /// prefetch depth 2.
     pub fn with_budget(budget_bytes: usize) -> BudgetConfig {
         BudgetConfig {
             budget_bytes,
@@ -58,7 +60,6 @@ impl BudgetConfig {
             bound: BoundSpec::Abs(1e-3),
             cold: ColdPolicy::HostMigrate,
             prefetch_depth: 2,
-            host_bandwidth_bps: 12.0e9,
         }
     }
 }
@@ -71,7 +72,6 @@ impl Debug for BudgetConfig {
             .field("bound", &self.bound)
             .field("cold", &self.cold)
             .field("prefetch_depth", &self.prefetch_depth)
-            .field("host_bandwidth_bps", &self.host_bandwidth_bps)
             .finish()
     }
 }
@@ -171,16 +171,32 @@ impl DecodeJob {
     }
 }
 
+/// What an entry holds, wherever it is held.
+enum Payload {
+    F32(Vec<f32>),
+    Bytes(Vec<u8>),
+    /// A compressed f32 payload.
+    Stream(TaggedStream),
+}
+
+impl Payload {
+    fn byte_len(&self) -> usize {
+        match self {
+            Payload::F32(d) => d.len() * 4,
+            Payload::Bytes(b) => b.len(),
+            Payload::Stream(s) => s.compressed_byte_len(),
+        }
+    }
+}
+
+/// Where an entry's payload lives. Device payloads are charged their
+/// [`Payload::byte_len`]; host and dropped entries are charged nothing.
 enum Repr {
-    HotF32(Vec<f32>),
-    HotBytes(Vec<u8>),
-    Warm(TaggedStream),
+    Device(Payload),
     /// Prefetch in progress; charged conservatively for *both* the
     /// compressed source and the raw result while in flight.
     InFlight(DecodeJob),
-    HostF32(Vec<f32>),
-    HostWarm(TaggedStream),
-    HostBytes(Vec<u8>),
+    Host(Payload),
     Dropped,
 }
 
@@ -202,12 +218,45 @@ struct Entry {
 impl Entry {
     fn tier(&self) -> Tier {
         match self.repr {
-            Repr::HotF32(_) | Repr::HotBytes(_) | Repr::InFlight(_) => Tier::Hot,
-            Repr::Warm(_) => Tier::Warm,
-            Repr::HostF32(_) | Repr::HostWarm(_) | Repr::HostBytes(_) => Tier::Cold,
+            Repr::Device(Payload::Stream(_)) => Tier::Warm,
+            Repr::Device(_) | Repr::InFlight(_) => Tier::Hot,
+            Repr::Host(_) => Tier::Cold,
             Repr::Dropped => Tier::Dropped,
         }
     }
+}
+
+/// Simulated host-link time for `bytes`.
+fn transfer_nanos(bytes: usize) -> u64 {
+    (bytes as f64 / HOST_LINK_BPS * 1e9) as u64
+}
+
+/// Run one decode of `stream` on the caller's thread, timed into
+/// `nanos` under the `membudget.decompress` span.
+fn decode<T>(
+    nanos: &mut u64,
+    stream: &TaggedStream,
+    f: impl FnOnce(&TaggedStream) -> ebtrain_sz::Result<T>,
+) -> Result<T> {
+    let _span = ebtrain_obs::span!("membudget.decompress", bytes = stream.compressed_byte_len());
+    let t0 = Instant::now();
+    let out = f(stream).map_err(MembudgetError::Codec);
+    *nanos += t0.elapsed().as_nanos() as u64;
+    out
+}
+
+/// Element range `[lo, hi)` of `planes` in an `n`-element payload.
+fn plane_elems(layout: DataLayout, planes: &Range<usize>, n: usize) -> Result<(usize, usize)> {
+    let pe = layout.plane_elems();
+    if planes.start > planes.end || planes.end > layout.plane_count() {
+        return Err(MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
+            "plane range out of bounds".into(),
+        )));
+    }
+    // Both ends clamp to the element count: the final D1 plane may be
+    // partial, so `start * pe` can exceed `n` for an empty range at the
+    // tail (`plane_count..plane_count`).
+    Ok(((planes.start * pe).min(n), (planes.end * pe).min(n)))
 }
 
 /// Tiered activation arena under a hard device-byte budget; see the
@@ -300,18 +349,11 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         // registry side); cold carries the bytes actually held on host.
         let (mut hot, mut warm, mut cold) = (0i64, 0i64, 0i64);
         for e in self.entries.values() {
-            match e.tier() {
-                Tier::Hot => hot += e.resident as i64,
-                Tier::Warm => warm += e.resident as i64,
-                Tier::Cold => {
-                    cold += match &e.repr {
-                        Repr::HostF32(d) => (d.len() * 4) as i64,
-                        Repr::HostWarm(s) => s.compressed_byte_len() as i64,
-                        Repr::HostBytes(b) => b.len() as i64,
-                        _ => 0,
-                    }
-                }
-                Tier::Dropped => {}
+            match (e.tier(), &e.repr) {
+                (Tier::Hot, _) => hot += e.resident as i64,
+                (Tier::Warm, _) => warm += e.resident as i64,
+                (_, Repr::Host(p)) => cold += p.byte_len() as i64,
+                _ => {}
             }
         }
         ebtrain_obs::gauge_set(&self.obs_keys[0], hot);
@@ -364,11 +406,6 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         self.last_obs = ArenaMetrics::default();
     }
 
-    /// Active eviction policy name (reporting).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Current residency tier of `key`, if live.
     pub fn tier_of(&self, key: K) -> Option<Tier> {
         self.entries.get(&key).map(|e| e.tier())
@@ -419,11 +456,6 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         self.resident = self.resident.saturating_sub(bytes);
     }
 
-    fn charge_transfer(&mut self, bytes: usize) {
-        let nanos = bytes as f64 / self.cfg.host_bandwidth_bps.max(1.0) * 1e9;
-        self.metrics.transfer_nanos += nanos as u64;
-    }
-
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -454,7 +486,6 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
             cands.push(Candidate {
                 last_touch: e.last_touch,
                 next_use: self.next_use(k),
-                resident_bytes: e.resident,
             });
         }
         self.policy.victim(&cands).map(|i| keys[i])
@@ -463,16 +494,10 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// Compress an f32 payload through the entry's codec under its
     /// bound; `None` when the codec rejects the request (degenerate
     /// bound, unsupported spec).
-    fn compress_payload(
-        &mut self,
-        data: &[f32],
-        layout: DataLayout,
-        bound: &BoundSpec,
-        codec: &Arc<dyn Codec>,
-    ) -> Option<TaggedStream> {
+    fn compress(&mut self, data: &[f32], e: &Entry) -> Option<TaggedStream> {
         let _span = ebtrain_obs::span!("membudget.compress", bytes = data.len() * 4);
         let t0 = Instant::now();
-        let out = codec.compress(data, layout, bound).ok();
+        let out = e.codec.compress(data, e.layout, &e.bound).ok();
         self.metrics.compress_nanos += t0.elapsed().as_nanos() as u64;
         if let Some(stream) = &out {
             self.metrics.bytes_compressed_raw += (data.len() * 4) as u64;
@@ -481,112 +506,69 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         out
     }
 
-    /// Move one hot entry down to warm (f32: compress) or cold (bytes).
-    fn demote(&mut self, key: K) {
-        let Some(mut e) = self.entries.remove(&key) else {
-            return;
-        };
-        match std::mem::replace(&mut e.repr, Repr::Dropped) {
-            Repr::HotF32(data) => {
-                let compressed = self.compress_payload(&data, e.layout, &e.bound, &e.codec);
-                match compressed {
-                    // Compression must actually help; an inflating stream
-                    // goes straight to the cold tier instead.
-                    Some(buf) if buf.compressed_byte_len() < e.resident => {
-                        self.uncharge(e.resident);
-                        e.resident = buf.compressed_byte_len();
-                        self.charge(e.resident);
-                        e.repr = Repr::Warm(buf);
-                        self.metrics.demotions += 1;
-                    }
-                    _ => {
-                        self.uncharge(e.resident);
-                        e.resident = 0;
-                        e.repr = self.send_cold_f32(data);
-                    }
-                }
+    /// The cold path for a payload leaving the device: migrate it to
+    /// host (compressed payloads travel compressed) or drop it.
+    fn send_cold(&mut self, payload: Payload) -> Repr {
+        match self.cfg.cold {
+            ColdPolicy::HostMigrate => {
+                self.metrics.transfer_nanos += transfer_nanos(payload.byte_len());
+                self.metrics.evictions_host += 1;
+                Repr::Host(payload)
             }
-            Repr::HotBytes(bytes) => {
-                self.uncharge(e.resident);
-                e.resident = 0;
-                e.repr = self.send_cold_bytes(bytes);
-            }
-            other => {
-                e.repr = other; // not hot; nothing to do
+            ColdPolicy::DropForRecompute => {
+                self.metrics.drops += 1;
+                Repr::Dropped
             }
         }
-        self.entries.insert(key, e);
     }
 
-    /// Move one warm entry off-device.
-    fn evict_warm(&mut self, key: K) {
+    /// Move one device entry a rung down the ladder: a raw f32 payload
+    /// compresses to warm when that shrinks it; anything else (bytes,
+    /// warm streams, f32 the codec cannot shrink) leaves the device.
+    fn step_down(&mut self, key: K) {
         let Some(mut e) = self.entries.remove(&key) else {
             return;
         };
-        if let Repr::Warm(buf) = std::mem::replace(&mut e.repr, Repr::Dropped) {
+        let payload = match std::mem::replace(&mut e.repr, Repr::Dropped) {
+            Repr::Device(Payload::F32(data)) => match self.compress(&data, &e) {
+                // Compression must actually help; an inflating stream
+                // sends the raw payload cold instead.
+                Some(stream) if stream.compressed_byte_len() < e.resident => {
+                    self.uncharge(e.resident);
+                    e.resident = stream.compressed_byte_len();
+                    self.charge(e.resident);
+                    e.repr = Repr::Device(Payload::Stream(stream));
+                    self.metrics.demotions += 1;
+                    None
+                }
+                _ => Some(Payload::F32(data)),
+            },
+            Repr::Device(payload) => Some(payload),
+            other => {
+                e.repr = other; // not on device; nothing to do
+                None
+            }
+        };
+        if let Some(payload) = payload {
             self.uncharge(e.resident);
             e.resident = 0;
-            e.repr = match self.cfg.cold {
-                ColdPolicy::HostMigrate => {
-                    self.charge_transfer(buf.compressed_byte_len());
-                    self.metrics.evictions_host += 1;
-                    Repr::HostWarm(buf)
-                }
-                ColdPolicy::DropForRecompute => {
-                    self.metrics.drops += 1;
-                    Repr::Dropped
-                }
-            };
+            e.repr = self.send_cold(payload);
         }
         self.entries.insert(key, e);
     }
 
-    fn send_cold_f32(&mut self, data: Vec<f32>) -> Repr {
-        match self.cfg.cold {
-            ColdPolicy::HostMigrate => {
-                self.charge_transfer(data.len() * 4);
-                self.metrics.evictions_host += 1;
-                Repr::HostF32(data)
+    /// Step entries down — hot ones first, then warm — until `need`
+    /// more bytes fit under `target`. Stops (without erroring) when only
+    /// pinned in-flight entries remain; callers re-check the headroom.
+    fn shed(&mut self, need: usize, target: usize, exclude: Option<K>) {
+        while self.resident + need > target {
+            let victim = self
+                .pick_victim(Tier::Hot, exclude)
+                .or_else(|| self.pick_victim(Tier::Warm, exclude));
+            match victim {
+                Some(k) => self.step_down(k),
+                None => return,
             }
-            ColdPolicy::DropForRecompute => {
-                self.metrics.drops += 1;
-                Repr::Dropped
-            }
-        }
-    }
-
-    fn send_cold_bytes(&mut self, bytes: Vec<u8>) -> Repr {
-        match self.cfg.cold {
-            ColdPolicy::HostMigrate => {
-                self.charge_transfer(bytes.len());
-                self.metrics.evictions_host += 1;
-                Repr::HostBytes(bytes)
-            }
-            ColdPolicy::DropForRecompute => {
-                self.metrics.drops += 1;
-                Repr::Dropped
-            }
-        }
-    }
-
-    /// Free device bytes until `need` more fit under the budget, walking
-    /// the ladder: demote hot entries first, then evict warm ones.
-    /// Stops (without erroring) when nothing evictable remains; callers
-    /// re-check the headroom and take the cold path themselves.
-    fn make_room(&mut self, need: usize, exclude: Option<K>) {
-        loop {
-            if self.resident + need <= self.cfg.budget_bytes {
-                return;
-            }
-            if let Some(k) = self.pick_victim(Tier::Hot, exclude) {
-                self.demote(k);
-                continue;
-            }
-            if let Some(k) = self.pick_victim(Tier::Warm, exclude) {
-                self.evict_warm(k);
-                continue;
-            }
-            return; // only pinned/in-flight entries left
         }
     }
 
@@ -600,17 +582,7 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// ceiling, without inserting anything.
     pub fn reclaim_to(&mut self, target: usize) -> usize {
         let before = self.resident;
-        while self.resident > target {
-            if let Some(k) = self.pick_victim(Tier::Hot, None) {
-                self.demote(k);
-                continue;
-            }
-            if let Some(k) = self.pick_victim(Tier::Warm, None) {
-                self.evict_warm(k);
-                continue;
-            }
-            break; // only pinned/in-flight entries left
-        }
+        self.shed(0, target, None);
         self.publish_obs();
         before - self.resident
     }
@@ -639,111 +611,64 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         bound: Option<BoundSpec>,
         codec: Option<Arc<dyn Codec>>,
     ) -> Tier {
-        self.remove(key);
-        self.metrics.inserts += 1;
-        let raw = data.len() * 4;
         let bound = bound.unwrap_or(self.cfg.bound);
         let codec = codec.unwrap_or_else(|| Arc::clone(&self.cfg.codec));
-        let touch = self.tick();
-        let mut entry = Entry {
-            repr: Repr::Dropped,
-            layout,
-            bound,
-            codec,
-            raw_bytes: raw,
-            resident: 0,
-            last_touch: touch,
-        };
-
-        self.make_room(raw, Some(key));
-        if self.resident + raw <= self.cfg.budget_bytes {
-            entry.resident = raw;
-            entry.repr = Repr::HotF32(data);
-            self.charge(raw);
-            let tier = Tier::Hot;
-            self.entries.insert(key, entry);
-            self.publish_obs();
-            return tier;
-        }
-
-        // Hot does not fit: compress and try the warm tier.
-        let compressed = {
-            let (bound, codec) = (entry.bound, Arc::clone(&entry.codec));
-            self.compress_payload(&data, layout, &bound, &codec)
-        };
-        let tier = match compressed {
-            Some(buf) => {
-                let cb = buf.compressed_byte_len();
-                self.make_room(cb, Some(key));
-                if self.resident + cb <= self.cfg.budget_bytes {
-                    entry.resident = cb;
-                    entry.repr = Repr::Warm(buf);
-                    self.charge(cb);
-                    self.metrics.demotions += 1;
-                    Tier::Warm
-                } else {
-                    // Even compressed it overflows: go cold. Under
-                    // HostMigrate the *compressed* bytes travel.
-                    match self.cfg.cold {
-                        ColdPolicy::HostMigrate => {
-                            self.charge_transfer(cb);
-                            self.metrics.evictions_host += 1;
-                            entry.repr = Repr::HostWarm(buf);
-                            Tier::Cold
-                        }
-                        ColdPolicy::DropForRecompute => {
-                            self.metrics.drops += 1;
-                            entry.repr = Repr::Dropped;
-                            Tier::Dropped
-                        }
-                    }
-                }
-            }
-            // Codec rejected the bound: raw payload takes the cold path.
-            None => {
-                entry.repr = self.send_cold_f32(data);
-                match entry.repr {
-                    Repr::Dropped => Tier::Dropped,
-                    _ => Tier::Cold,
-                }
-            }
-        };
-        self.entries.insert(key, entry);
-        self.publish_obs();
-        tier
+        self.insert(key, Payload::F32(data), layout, bound, codec)
     }
 
     /// Insert an opaque byte payload (masks, index tensors). Never
     /// compressed; evicts to host / drops under pressure like any other
     /// entry.
     pub fn insert_bytes(&mut self, key: K, bytes: Vec<u8>) -> Tier {
+        let (bound, codec) = (self.cfg.bound, Arc::clone(&self.cfg.codec));
+        self.insert(key, Payload::Bytes(bytes), DataLayout::D1(0), bound, codec)
+    }
+
+    /// Place a new payload: on device raw if room can be made, else (an
+    /// f32 payload) compressed if that fits, else down the cold path —
+    /// under `HostMigrate` a compressed payload travels compressed.
+    fn insert(
+        &mut self,
+        key: K,
+        payload: Payload,
+        layout: DataLayout,
+        bound: BoundSpec,
+        codec: Arc<dyn Codec>,
+    ) -> Tier {
         self.remove(key);
         self.metrics.inserts += 1;
-        let raw = bytes.len();
-        let touch = self.tick();
-        let mut entry = Entry {
+        let raw_bytes = payload.byte_len();
+        let mut e = Entry {
             repr: Repr::Dropped,
-            layout: DataLayout::D1(0),
-            bound: self.cfg.bound,
-            codec: Arc::clone(&self.cfg.codec),
-            raw_bytes: raw,
+            layout,
+            bound,
+            codec,
+            raw_bytes,
             resident: 0,
-            last_touch: touch,
+            last_touch: self.tick(),
         };
-        self.make_room(raw, Some(key));
-        let tier = if self.resident + raw <= self.cfg.budget_bytes {
-            entry.resident = raw;
-            entry.repr = Repr::HotBytes(bytes);
-            self.charge(raw);
-            Tier::Hot
-        } else {
-            entry.repr = self.send_cold_bytes(bytes);
-            match entry.repr {
-                Repr::Dropped => Tier::Dropped,
-                _ => Tier::Cold,
+        let budget = self.cfg.budget_bytes;
+        self.shed(raw_bytes, budget, Some(key));
+        // A raw payload that still does not fit has nothing left to shed
+        // against, so its stream is placed without shedding again.
+        let payload = match payload {
+            Payload::F32(data) if self.resident + raw_bytes > budget => self
+                .compress(&data, &e)
+                .map_or(Payload::F32(data), Payload::Stream),
+            other => other,
+        };
+        if self.resident + payload.byte_len() <= budget {
+            if matches!(payload, Payload::Stream(_)) {
+                self.metrics.demotions += 1;
             }
-        };
-        self.entries.insert(key, entry);
+            e.resident = payload.byte_len();
+            self.charge(e.resident);
+            e.repr = Repr::Device(payload);
+        } else {
+            e.repr = self.send_cold(payload);
+        }
+        let tier = e.tier();
+        self.entries.insert(key, e);
         self.publish_obs();
         tier
     }
@@ -781,6 +706,18 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         }
     }
 
+    /// Hand a payload back as loaded, decoding a compressed one.
+    fn open(&mut self, codec: &Arc<dyn Codec>, payload: Payload) -> Result<Fetched> {
+        match payload {
+            Payload::F32(data) => Ok(Fetched::F32(data)),
+            Payload::Bytes(bytes) => Ok(Fetched::Bytes(bytes)),
+            Payload::Stream(stream) => decode(&mut self.metrics.decompress_nanos, &stream, |s| {
+                codec.decompress(s)
+            })
+            .map(Fetched::F32),
+        }
+    }
+
     /// Fetch (and remove) a payload. Advances the schedule cursor and —
     /// when a schedule is set — issues prefetch decodes for upcoming
     /// warm entries before returning, so they overlap the caller's
@@ -794,58 +731,23 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
                 self.cursor = pos + 1;
             }
         }
-        let raw = entry.raw_bytes;
+        let tier = entry.tier();
         let fetched = match entry.repr {
-            Repr::HotF32(data) => {
-                self.metrics.hot_hits += 1;
-                Ok(Fetched::F32(data))
-            }
-            Repr::HotBytes(bytes) => {
-                self.metrics.hot_hits += 1;
-                Ok(Fetched::Bytes(bytes))
-            }
-            Repr::Warm(stream) => {
-                let _span = ebtrain_obs::span!(
-                    "membudget.decompress",
-                    bytes = stream.compressed_byte_len()
-                );
-                let t0 = Instant::now();
-                let out = entry
-                    .codec
-                    .decompress(&stream)
-                    .map_err(MembudgetError::Codec);
-                self.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-                self.metrics.warm_hits += 1;
-                out.map(Fetched::F32)
+            Repr::Device(payload) => {
+                match tier {
+                    Tier::Warm => self.metrics.warm_hits += 1,
+                    _ => self.metrics.hot_hits += 1,
+                }
+                self.open(&entry.codec, payload)
             }
             Repr::InFlight(job) => {
                 self.metrics.prefetch_hits += 1;
                 job.join().map(Fetched::F32).map_err(MembudgetError::Codec)
             }
-            Repr::HostF32(data) => {
-                self.charge_transfer(raw);
+            Repr::Host(payload) => {
+                self.metrics.transfer_nanos += transfer_nanos(payload.byte_len());
                 self.metrics.host_hits += 1;
-                Ok(Fetched::F32(data))
-            }
-            Repr::HostWarm(stream) => {
-                self.charge_transfer(stream.compressed_byte_len());
-                self.metrics.host_hits += 1;
-                let _span = ebtrain_obs::span!(
-                    "membudget.decompress",
-                    bytes = stream.compressed_byte_len()
-                );
-                let t0 = Instant::now();
-                let out = entry
-                    .codec
-                    .decompress(&stream)
-                    .map_err(MembudgetError::Codec);
-                self.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-                out.map(Fetched::F32)
-            }
-            Repr::HostBytes(bytes) => {
-                self.charge_transfer(raw);
-                self.metrics.host_hits += 1;
-                Ok(Fetched::Bytes(bytes))
+                self.open(&entry.codec, payload)
             }
             Repr::Dropped => Err(MembudgetError::Dropped),
         };
@@ -865,106 +767,79 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// bytes pay transfer) — the `partial_bytes_decoded` /
     /// `partial_bytes_total` metrics prove what the fetch touched, and
     /// for codecs without a frame index they honestly report the
-    /// documented whole-decode fallback. Hot entries return a plain
-    /// slice copy. An in-flight prefetch is joined and kept hot.
+    /// documented whole-decode fallback. Raw entries return a plain
+    /// slice copy (a host one pays the slice's transfer). An in-flight
+    /// prefetch is joined and kept hot.
     pub fn fetch_planes(&mut self, key: K, planes: Range<usize>) -> Result<Vec<f32>> {
         let touch = self.tick();
-        if !self.entries.contains_key(&key) {
-            return Err(MembudgetError::Missing);
-        }
-        // Join an in-flight decode first so the match below only sees
+        let mut e = self.entries.remove(&key).ok_or(MembudgetError::Missing)?;
+        // Join an in-flight decode first so the read below only sees
         // settled representations; the result stays resident as hot
         // (uncharging the compressed source the worker consumed).
-        if matches!(
-            self.entries.get(&key).map(|e| &e.repr),
-            Some(Repr::InFlight(_))
-        ) {
-            let mut e = self.entries.remove(&key).expect("checked above");
-            if let Repr::InFlight(job) = std::mem::replace(&mut e.repr, Repr::Dropped) {
-                match job.join() {
-                    Ok(data) => {
-                        let over = e.resident.saturating_sub(e.raw_bytes);
-                        e.resident = e.raw_bytes;
-                        e.repr = Repr::HotF32(data);
-                        self.uncharge(over);
-                        self.metrics.prefetch_hits += 1;
-                        self.entries.insert(key, e);
-                    }
-                    Err(err) => {
-                        // The entry is gone; release its budget charge
-                        // like load()/remove() do on removal.
-                        self.uncharge(e.resident);
-                        return Err(MembudgetError::Codec(err));
-                    }
+        e.repr = match std::mem::replace(&mut e.repr, Repr::Dropped) {
+            Repr::InFlight(job) => match job.join() {
+                Ok(data) => {
+                    self.uncharge(e.resident.saturating_sub(e.raw_bytes));
+                    e.resident = e.raw_bytes;
+                    self.metrics.prefetch_hits += 1;
+                    Repr::Device(Payload::F32(data))
                 }
-            }
-        }
-        // The entry borrow pins the `entries` field only; counters below
-        // go through disjoint `self.metrics` field accesses.
-        let bandwidth = self.cfg.host_bandwidth_bps.max(1.0);
-        let entry = self.entries.get_mut(&key).ok_or(MembudgetError::Missing)?;
-        entry.last_touch = touch;
-        let elems_of = |layout: DataLayout, planes: &Range<usize>, n: usize| {
-            let pe = layout.plane_elems();
-            let np = layout.plane_count();
-            if planes.start > planes.end || planes.end > np {
-                return Err(MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
-                    "plane range out of bounds".into(),
-                )));
-            }
-            // Both ends clamp to the element count: the final D1 plane
-            // may be partial, so `start * pe` can exceed `n` for an
-            // empty range at the tail (`plane_count..plane_count`).
-            Ok(((planes.start * pe).min(n), (planes.end * pe).min(n)))
+                Err(err) => {
+                    // The entry is gone; release its budget charge like
+                    // load()/remove() do on removal.
+                    self.uncharge(e.resident);
+                    return Err(MembudgetError::Codec(err));
+                }
+            },
+            settled => settled,
         };
-        let result = match &entry.repr {
-            Repr::HotF32(data) => {
-                let (lo, hi) = elems_of(entry.layout, &planes, data.len())?;
-                self.metrics.hot_hits += 1;
-                Ok(data[lo..hi].to_vec())
+        e.last_touch = touch;
+        let result = self.read_planes(&e, planes);
+        self.entries.insert(key, e);
+        self.publish_obs();
+        result
+    }
+
+    /// The plane read behind [`fetch_planes`](Self::fetch_planes), on a
+    /// settled (not in-flight) entry.
+    fn read_planes(&mut self, e: &Entry, planes: Range<usize>) -> Result<Vec<f32>> {
+        let payload = match &e.repr {
+            Repr::Device(p) | Repr::Host(p) => p,
+            Repr::Dropped => return Err(MembudgetError::Dropped),
+            Repr::InFlight(_) => unreachable!("in-flight joined by the caller"),
+        };
+        let (vals, moved) = match payload {
+            Payload::F32(data) => {
+                let (lo, hi) = plane_elems(e.layout, &planes, data.len())?;
+                (data[lo..hi].to_vec(), (hi - lo) * 4)
             }
-            Repr::Warm(stream) | Repr::HostWarm(stream) => {
-                let host = matches!(entry.repr, Repr::HostWarm(_));
-                let _span = ebtrain_obs::span!(
-                    "membudget.decompress",
-                    bytes = stream.compressed_byte_len()
-                );
-                let t0 = Instant::now();
+            Payload::Stream(stream) => {
                 // Codecs with a frame index decode only the covering
                 // frames; others pay the documented whole-decode
                 // fallback (and the byte counters say so honestly).
-                let decoded = entry
-                    .codec
-                    .decompress_planes(stream, entry.layout, planes)
-                    .map_err(MembudgetError::Codec);
-                self.metrics.decompress_nanos += t0.elapsed().as_nanos() as u64;
-                let (vals, stats) = decoded?;
-                if host {
-                    self.metrics.transfer_nanos +=
-                        (stats.bytes_decoded as f64 / bandwidth * 1e9) as u64;
-                    self.metrics.host_hits += 1;
-                } else {
-                    self.metrics.warm_hits += 1;
-                }
+                let (vals, stats) = decode(&mut self.metrics.decompress_nanos, stream, |s| {
+                    e.codec.decompress_planes(s, e.layout, planes)
+                })?;
                 self.metrics.partial_fetches += 1;
                 self.metrics.partial_bytes_decoded += stats.bytes_decoded as u64;
                 self.metrics.partial_bytes_total += stats.bytes_total as u64;
-                Ok(vals)
+                (vals, stats.bytes_decoded)
             }
-            Repr::HostF32(data) => {
-                let (lo, hi) = elems_of(entry.layout, &planes, data.len())?;
-                self.metrics.transfer_nanos += (((hi - lo) * 4) as f64 / bandwidth * 1e9) as u64;
-                self.metrics.host_hits += 1;
-                Ok(data[lo..hi].to_vec())
+            Payload::Bytes(_) => {
+                return Err(MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
+                    "plane fetch on a byte entry".into(),
+                )))
             }
-            Repr::HotBytes(_) | Repr::HostBytes(_) => Err(MembudgetError::Codec(
-                ebtrain_sz::SzError::Corrupt("plane fetch on a byte entry".into()),
-            )),
-            Repr::Dropped => Err(MembudgetError::Dropped),
-            Repr::InFlight(_) => unreachable!("in-flight joined above"),
         };
-        self.publish_obs();
-        result
+        match e.tier() {
+            Tier::Cold => {
+                self.metrics.transfer_nanos += transfer_nanos(moved);
+                self.metrics.host_hits += 1;
+            }
+            Tier::Warm => self.metrics.warm_hits += 1,
+            _ => self.metrics.hot_hits += 1,
+        }
+        Ok(vals)
     }
 
     /// Issue background decodes for the next scheduled warm entries, up
@@ -985,18 +860,16 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         while in_flight < self.cfg.prefetch_depth && pos < self.schedule.len() {
             let key = self.schedule[pos];
             pos += 1;
-            let Some(e) = self.entries.get(&key) else {
+            let Some(e) = self.entries.get_mut(&key) else {
                 continue;
             };
-            if !matches!(e.repr, Repr::Warm(_)) {
-                continue;
-            }
             let extra = e.raw_bytes;
-            if self.resident + extra > self.cfg.budget_bytes {
-                continue; // would over-commit; serve this one inline later
+            if e.tier() != Tier::Warm || self.resident + extra > self.cfg.budget_bytes {
+                continue; // not warm, or would over-commit: served inline later
             }
-            let e = self.entries.get_mut(&key).expect("checked above");
-            if let Repr::Warm(stream) = std::mem::replace(&mut e.repr, Repr::Dropped) {
+            if let Repr::Device(Payload::Stream(stream)) =
+                std::mem::replace(&mut e.repr, Repr::Dropped)
+            {
                 e.repr = Repr::InFlight(DecodeJob::spawn(Arc::clone(&e.codec), stream));
                 e.resident += extra;
                 self.charge(extra);

@@ -18,12 +18,17 @@
 //!   as a self-describing [`TaggedStream`](ebtrain_codec::TaggedStream)
 //!   and paying only the compressed bytes;
 //! * **cold** — off-device: either *evicted to host* over a simulated
-//!   interconnect (vDNN-style, charged transfer time, zero device bytes)
-//!   or *dropped for recompute* (gradient-checkpointing style, the entry
-//!   must be regenerated by re-running forward).
+//!   interconnect (vDNN-style, charged transfer time at
+//!   [`HOST_LINK_BPS`], zero device bytes) or *dropped for recompute*
+//!   (gradient-checkpointing style, the entry must be regenerated by
+//!   re-running forward).
 //!
-//! Pressure moves entries down the ladder (demote hot → warm, evict
-//! warm → cold) under a pluggable [`EvictionPolicy`] — [`Lru`] or
+//! Internally an entry is a payload (raw `f32`, bytes, or a stream) in a
+//! place (device, prefetch in flight, host, or dropped); the tier is
+//! derived from the pair. Pressure moves entries down the ladder one
+//! step at a time (a device `f32` payload compresses to warm when that
+//! shrinks it; anything else leaves the device through the one cold
+//! path) under a pluggable [`EvictionPolicy`] — [`Lru`] or
 //! [`FarthestNextUse`] driven by the known backward-pass schedule — and
 //! the [`prefetch`](BudgetedArena::load) pipeline moves them back up
 //! *ahead of demand*: while the caller runs the current layer's gradient
@@ -41,7 +46,10 @@
 //! **device-resident bytes never exceed the budget, at any point between
 //! two public calls** — the arena frees before it charges, skips
 //! prefetch rather than over-commit, and sends payloads cold when even
-//! their compressed form cannot fit.
+//! their compressed form cannot fit. `tests/frozen.rs` pins one call
+//! script's every residency level, counter and read-back bit under three
+//! policy/cold-tier configurations, so a representation change that
+//! keeps it green moved no charge, tier or byte.
 //!
 //! Consumed by `ebtrain-dnn`'s `BudgetedStore` (an
 //! [`ActivationStore`](../ebtrain_dnn/store/trait.ActivationStore.html)
@@ -51,7 +59,9 @@
 mod arena;
 mod policy;
 
-pub use arena::{ArenaMetrics, BudgetConfig, BudgetedArena, ColdPolicy, Fetched, Tier};
+pub use arena::{
+    ArenaMetrics, BudgetConfig, BudgetedArena, ColdPolicy, Fetched, Tier, HOST_LINK_BPS,
+};
 pub use policy::{Candidate, EvictionPolicy, FarthestNextUse, Lru};
 
 use ebtrain_sz::SzError;

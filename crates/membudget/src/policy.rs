@@ -3,8 +3,8 @@
 //! The arena presents the policy with a snapshot of the candidates in one
 //! tier (hot entries when demoting, warm entries when evicting) and the
 //! policy picks the victim. Policies are deliberately key-agnostic: they
-//! see recency, scheduled next use, and size — nothing else — so the same
-//! policy drives any key type.
+//! see recency and scheduled next use — nothing else — so the same policy
+//! drives any key type.
 
 /// What the arena knows about one eviction candidate.
 #[derive(Debug, Clone, Copy)]
@@ -15,14 +15,10 @@ pub struct Candidate {
     /// schedule cursor; `None` when the entry is unscheduled or its
     /// scheduled access already passed (both mean "no known future use").
     pub next_use: Option<usize>,
-    /// Current device-resident bytes of the entry.
-    pub resident_bytes: usize,
 }
 
 /// Chooses which candidate to move down the residency ladder.
 pub trait EvictionPolicy: Send {
-    /// Policy name (reporting).
-    fn name(&self) -> &'static str;
     /// Index of the victim within `candidates`; `None` only if the slice
     /// is empty.
     fn victim(&mut self, candidates: &[Candidate]) -> Option<usize>;
@@ -33,9 +29,6 @@ pub trait EvictionPolicy: Send {
 pub struct Lru;
 
 impl EvictionPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
     fn victim(&mut self, candidates: &[Candidate]) -> Option<usize> {
         candidates
             .iter()
@@ -55,9 +48,6 @@ impl EvictionPolicy for Lru {
 pub struct FarthestNextUse;
 
 impl EvictionPolicy for FarthestNextUse {
-    fn name(&self) -> &'static str {
-        "farthest-next-use"
-    }
     fn victim(&mut self, candidates: &[Candidate]) -> Option<usize> {
         candidates
             .iter()
@@ -80,7 +70,6 @@ mod tests {
         Candidate {
             last_touch,
             next_use,
-            resident_bytes: 100,
         }
     }
 
