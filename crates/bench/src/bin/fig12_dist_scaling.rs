@@ -42,9 +42,6 @@
 //! `tiny_vgg` gradients, compressed step time ≤ dense at N≥4, and a
 //! compressed N=4 loss curve that tracks the single worker.
 //!
-//! Results append to the perf-trajectory series
-//! `BENCH_dist_scaling.json` via the criterion-shim JSON writer.
-//!
 //! `--smoke` (also `EBTRAIN_SMOKE=1`): 1–2 workers, 3 iterations — CI
 //! runs this on every push, once in the default overlap-on mode and
 //! once with `--zero` (reduce-scatter + sharded optimizer). Knobs:
@@ -54,7 +51,6 @@
 //! `EBTRAIN_EB` (comm bound, default 1e-3), `EBTRAIN_DIST_ITERS`
 //! (timed iterations, default 10).
 
-use criterion::Throughput;
 use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_f64, env_flag, env_usize, fmt_bytes};
 use ebtrain_data::{SynthConfig, SynthImageNet};
@@ -66,9 +62,6 @@ use std::time::Instant;
 struct RunResult {
     images_per_sec: f64,
     median_step_ns: f64,
-    best_step_ns: f64,
-    /// Raw per-step wall times (quantiles go to the bench JSON).
-    step_ns_samples: Vec<f64>,
     payload_bytes_per_step: u64,
     dense_bytes_per_step: u64,
     /// Per-step phase nanos summed over ranks: (encode, wire, decode,
@@ -135,7 +128,6 @@ fn run_training(spec: &RunSpec, world: usize, comm: CommMode, zero: bool) -> Run
     // registry (PR 8); the delta over the timed window is scoped to
     // this run because arms execute sequentially.
     let obs = ebtrain_obs::snapshot().delta_since(&obs_before);
-    let samples = step_ns.clone();
     step_ns.sort_by(|a, b| a.total_cmp(b));
     let per_step = |n: u64| n as f64 / spec.iters as f64;
     // Per-operation tail latency: the `dist.encode`/`dist.decode`/
@@ -158,8 +150,6 @@ fn run_training(spec: &RunSpec, world: usize, comm: CommMode, zero: bool) -> Run
     RunResult {
         images_per_sec: (spec.iters * global) as f64 / elapsed,
         median_step_ns: step_ns[step_ns.len() / 2],
-        best_step_ns: step_ns[0],
-        step_ns_samples: samples,
         payload_bytes_per_step: comm.payload_bytes / spec.iters as u64,
         dense_bytes_per_step: comm.dense_equiv_bytes / spec.iters as u64,
         phase_ns_per_step: [
@@ -360,32 +350,6 @@ fn main() {
                 ms(r.phase_p99_ns[2] as f64),
                 ms(r.phase_p99_ns[3] as f64),
             ]);
-            // The full per-step sample vector: the shim derives
-            // median/best and p50/p90/p99 for the JSON row.
-            criterion::record_samples(
-                &format!("step/{mode_name}/n{world}"),
-                &r.step_ns_samples,
-                Some(Throughput::Elements((per_batch * world) as u64)),
-            );
-            criterion::record_sample(
-                &format!("comm/{mode_name}/n{world}"),
-                r.median_step_ns,
-                r.best_step_ns,
-                Some(Throughput::Bytes(r.payload_bytes_per_step)),
-            );
-            // Per-phase breakdown: summed-over-ranks nanos per step for
-            // each pipeline stage of the bucketed collective.
-            for (phase, ns) in ["encode", "wire", "decode", "wait"]
-                .iter()
-                .zip(r.phase_ns_per_step)
-            {
-                criterion::record_sample(
-                    &format!("phase/{phase}/{mode_name}/n{world}"),
-                    ns,
-                    ns,
-                    None,
-                );
-            }
         }
     }
     table.print("Fig 12: data-parallel scaling, dense vs error-bounded gradient streams");
@@ -504,7 +468,6 @@ fn main() {
              compressed step <= dense at N>=4, loss trajectory within tolerance."
         );
     }
-    criterion::write_json_summary_named("dist_scaling");
     ebtrain_obs::flush_trace();
     ebtrain_obs::flush_flight();
 }

@@ -1,6 +1,6 @@
 //! **Codec matrix**: the paper's codec-comparison argument (§2.2/§5.3 —
 //! SZ-style prediction+quantization vs ZFP-style transform coding vs
-//! lossless baselines) as a *measured, regression-tracked table*.
+//! lossless baselines) as a *measured table*.
 //!
 //! Sweeps {codec × error bound × tensor class} over the unified
 //! [`Codec`] abstraction and reports, per cell: compression ratio,
@@ -14,10 +14,7 @@
 //! **gradients** (dense, small-magnitude, noisy), and scientific
 //! **fields** (smooth 3-D volumes, the classic SZ regime).
 //!
-//! Output: aligned table on stdout + `BENCH_codec_matrix.json` via the
-//! criterion shim's **merging** writer — rows from earlier runs that
-//! this run does not re-measure are retained, so the file accumulates a
-//! per-codec trajectory across PRs. `--smoke` shrinks the volume and rep
+//! Output: aligned table on stdout. `--smoke` shrinks the volume and rep
 //! count for CI.
 
 use ebtrain_bench::{env_usize, fmt_bytes, table::Table};
@@ -99,8 +96,8 @@ fn bound_label(bound: &BoundSpec) -> String {
     }
 }
 
-/// Median/best wall-clock of `reps` runs of `f` (ns).
-fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64, T) {
+/// Median wall-clock of `reps` runs of `f` (ns).
+fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut times = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
@@ -110,7 +107,7 @@ fn time_reps<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64, T) {
         last = Some(out);
     }
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (times[times.len() / 2], times[0], last.unwrap())
+    (times[times.len() / 2], last.unwrap())
 }
 
 fn main() {
@@ -177,7 +174,7 @@ fn main() {
                 lossy_bounds.to_vec()
             };
             for bound in bounds {
-                let (comp_med, comp_best, stream) = time_reps(reps, || {
+                let (comp_med, stream) = time_reps(reps, || {
                     codec
                         .compress(&class.data, class.layout, &bound)
                         .expect("compress")
@@ -186,7 +183,7 @@ fn main() {
                 // codec id (the routing consumers rely on).
                 let reparsed = TaggedStream::from_bytes(stream.as_bytes().to_vec()).unwrap();
                 assert_eq!(reparsed.codec_id(), codec.id());
-                let (dec_med, dec_best, decoded) =
+                let (dec_med, decoded) =
                     time_reps(reps, || codec.decompress(&stream).expect("decompress"));
                 assert_eq!(decoded.len(), class.data.len());
                 let max_err = class
@@ -223,29 +220,6 @@ fn main() {
                     eb_values.insert(eb.to_bits());
                     ratios.insert((class.name, codec.name(), eb.to_bits()), ratio);
                 }
-                // The tensor size is part of the label so the CI smoke
-                // run (8 KiB tensors) and full runs (512 KiB) keep
-                // separate, comparable rows in the merged JSON instead
-                // of clobbering each other.
-                let label_base = format!(
-                    "{}@{}KiB/{}/{}",
-                    class.name,
-                    raw_bytes >> 10,
-                    codec.name(),
-                    bound_label(&bound)
-                );
-                criterion::record_sample(
-                    &format!("{label_base}/compress"),
-                    comp_med,
-                    comp_best,
-                    Some(criterion::Throughput::Bytes(raw_bytes as u64)),
-                );
-                criterion::record_sample(
-                    &format!("{label_base}/decompress"),
-                    dec_med,
-                    dec_best,
-                    Some(criterion::Throughput::Bytes(raw_bytes as u64)),
-                );
             }
         }
     }
@@ -275,7 +249,4 @@ fn main() {
         eb_values.len(),
         classes.len()
     );
-    // Merging writer: cells not re-measured by this run survive from
-    // earlier runs, so the JSON accumulates a cross-PR trajectory.
-    criterion::write_json_summary_merged("codec_matrix");
 }

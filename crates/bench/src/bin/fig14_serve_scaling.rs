@@ -7,10 +7,9 @@
 //! its tenant budget** so the arena's tier ladder engages: every round
 //! re-stores and re-fetches the whole set, forcing hot→warm demotions
 //! and warm/cold decodes on the serving path. Per-RPC wall times are
-//! recorded for `store` and `fetch` separately; p50/p99 plus the
-//! aggregate tensor throughput (raw MiB/s moved through the protocol)
-//! go to `BENCH_serve_scaling.json` via the criterion-shim's merging
-//! writer.
+//! recorded for `store` and `fetch` separately; the table prints their
+//! p50/p99 plus the aggregate tensor throughput (raw MiB/s moved through
+//! the protocol).
 //!
 //! The run **asserts** the daemon's contract while under fire:
 //!
@@ -36,7 +35,6 @@
 //! (load rounds per client, default 3 smoke / 8 full),
 //! `EBTRAIN_SERVE_TENANT_KIB` (tenant budget, default 512 KiB).
 
-use criterion::Throughput;
 use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_flag, env_usize, fmt_bytes};
 use ebtrain_codec::{BoundSpec, Codec, SzCodec};
@@ -290,17 +288,6 @@ fn main() {
         let raw_bytes: u64 = runs.iter().map(|r| r.raw_bytes).sum();
         let rpcs = store_ns.len() + fetch_ns.len();
         let mibs = raw_bytes as f64 / elapsed / (1 << 20) as f64;
-        let per_op_bytes = (layout.len() * 4) as u64;
-        criterion::record_samples(
-            &format!("rpc/store/c{n}"),
-            &store_ns,
-            Some(Throughput::Bytes(per_op_bytes)),
-        );
-        criterion::record_samples(
-            &format!("rpc/fetch/c{n}"),
-            &fetch_ns,
-            Some(Throughput::Bytes(per_op_bytes)),
-        );
         store_ns.sort_by(|a, b| a.total_cmp(b));
         fetch_ns.sort_by(|a, b| a.total_cmp(b));
         let ms = |ns: f64| format!("{:.2}ms", ns / 1e6);
@@ -343,6 +330,5 @@ fn main() {
         "OK: sustained {ok_clients} concurrent clients with zero protocol errors; \
          every tenant peak <= budget (stats + gauge)."
     );
-    criterion::write_json_summary_merged("serve_scaling");
     daemon.shutdown();
 }

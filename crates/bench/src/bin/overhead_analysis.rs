@@ -1,9 +1,8 @@
 //! **§5.4 performance analysis** — framework overhead at equal batch
 //! size, the batch-growth offset, the codec time breakdown, the
 //! 1×1-kernel caveat the paper calls out, and the cost of the
-//! observability layer itself (the `obs_overhead` group: disabled /
-//! metrics / trace arms on the 1 MiB dual-quant compress, recorded
-//! into `BENCH_compressors.json`).
+//! observability layer itself (disabled / metrics / hist / trace arms
+//! on the 1 MiB dual-quant compress).
 
 use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_usize, fmt_bytes};
@@ -269,7 +268,7 @@ fn main() {
             .collect();
         let cfg = SzConfig::dual_quant(1e-3);
         let reps = env_usize("EBTRAIN_OBS_REPS", 15);
-        let time_arm = |metrics: bool, hist: bool, trace: bool| -> (f64, f64) {
+        let time_arm = |metrics: bool, hist: bool, trace: bool| -> f64 {
             obs::set_metrics_enabled(metrics);
             obs::set_hist_enabled(hist);
             obs::set_trace_enabled(trace);
@@ -284,12 +283,12 @@ fn main() {
                 })
                 .collect();
             ns.sort_by(|a, b| a.total_cmp(b));
-            (ns[ns.len() / 2], ns[0])
+            ns[ns.len() / 2]
         };
-        let (dis_med, dis_best) = time_arm(false, false, false);
-        let (met_med, met_best) = time_arm(true, false, false);
-        let (hist_med, hist_best) = time_arm(true, true, false);
-        let (tr_med, tr_best) = time_arm(true, true, true);
+        let dis_med = time_arm(false, false, false);
+        let met_med = time_arm(true, false, false);
+        let hist_med = time_arm(true, true, false);
+        let tr_med = time_arm(true, true, true);
         obs::clear_trace();
         // Hand enablement back to the environment (`EBTRAIN_TRACE`).
         obs::set_trace_enabled(obs::trace_env_path().is_some());
@@ -367,12 +366,6 @@ fn main() {
             hist_bound * 100.0,
             dis_med / 1e6
         );
-        let mib = Some(criterion::Throughput::Bytes(1 << 20));
-        criterion::record_sample("obs_overhead/disabled", dis_med, dis_best, mib);
-        criterion::record_sample("obs_overhead/metrics", met_med, met_best, mib);
-        criterion::record_sample("obs_overhead/hist", hist_med, hist_best, mib);
-        criterion::record_sample("obs_overhead/trace", tr_med, tr_best, mib);
-        criterion::write_json_summary_merged("compressors");
     }
     println!(
         "\nPaper shape to check: same-batch overhead is a modest constant \

@@ -1,10 +1,11 @@
 //! Greedy LZ77 block codec (LZ4-style token format).
 //!
-//! Used as the final lossless stage of both compressors: Huffman output on
-//! heavily-skewed quantization-code streams still contains long repeated
-//! byte patterns (runs of the dominant code), which a small-window LZ pass
-//! collapses — playing the role of the general-purpose lossless pass that
-//! SZ chains after its entropy stage.
+//! The last stage of three byte-oriented codecs: `sz::lossless`
+//! (byte-plane shuffle + Huffman + LZ), `ByteplaneCodec` (shuffle + LZ)
+//! and `imgcomp` (DCT + Huffman + LZ). Huffman output on skewed symbol
+//! streams still holds long repeated byte patterns (runs of the dominant
+//! code), which a small-window LZ pass collapses. The SZ stream body does
+//! not use it.
 //!
 //! Format per sequence: `token(1B)` = `(lit_len:4 | match_len-4:4)`, with
 //! 15 meaning "extended by 255-run bytes"; then literal bytes; then a

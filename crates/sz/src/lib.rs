@@ -36,7 +36,7 @@
 //! the paper's §4.4 [`SzConfig::zero_filter`], which snaps decompressed
 //! values with magnitude ≤ eb back to zero so post-ReLU zero runs are
 //! not smeared into ±eb noise. [`lossless`] is the lossless comparator
-//! (byte-plane shuffle + LZ) for the ~2× baseline of §5.3.
+//! (byte-plane shuffle + Huffman + LZ) for the ~2× baseline of §5.3.
 //!
 //! # Error contract
 //!

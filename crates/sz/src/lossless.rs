@@ -98,6 +98,25 @@ mod tests {
     }
 
     #[test]
+    fn lz_stage_earns_its_place_on_activations() {
+        // fig13's activation class: the LZ pass after Huffman must save
+        // at least 5 % over Huffman alone on the same shuffled planes.
+        let data: Vec<f32> = (0..2048)
+            .map(|i| ((i as f32 * 0.013).sin() + 0.25).max(0.0))
+            .collect();
+        let symbols: Vec<u32> = byteplane::shuffle_f32(&data)
+            .iter()
+            .map(|&b| b as u32)
+            .collect();
+        let huffman_only = huffman::encode(&symbols).len();
+        let full = compress(&data).len();
+        assert!(
+            full as f64 <= 0.95 * huffman_only as f64,
+            "shuffle+Huffman+LZ {full} B vs Huffman-only {huffman_only} B"
+        );
+    }
+
+    #[test]
     fn empty_roundtrip() {
         assert_eq!(decompress(&compress(&[])).unwrap(), Vec::<f32>::new());
     }
