@@ -14,17 +14,19 @@ use ebtrain_dnn::optimizer::SgdConfig;
 use ebtrain_dnn::store::RawStore;
 use ebtrain_encoding::{huffman, lz, range, rans};
 use ebtrain_sz::{self as sz, CompressedBuffer, DataLayout, SzConfig};
-use ebtrain_tensor::{gemm_nn, im2col, Conv2dGeometry, Tensor};
+use ebtrain_tensor::{gemm, gemm_nn, im2col, Conv2dGeometry, GemmLayout, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 fn bench_gemm(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
+    let mut fill =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect() };
     let mut group = c.benchmark_group("gemm");
     for n in [64usize, 128, 256] {
-        let a: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let a = fill(n * n);
+        let b = fill(n * n);
         group.throughput(Throughput::Elements((n * n * n) as u64));
         group.bench_with_input(BenchmarkId::new("nn", n), &n, |bench, &n| {
             bench.iter(|| {
@@ -33,6 +35,28 @@ fn bench_gemm(c: &mut Criterion) {
                 out
             })
         });
+    }
+    // tiny_vgg's weight-gradient shapes `m×n×k` (out channels × in
+    // channels·9 × output positions). `nt` is the weight gradient itself
+    // (`dY·col(X)ᵀ`); `tn` is the same product with A stored transposed.
+    for (m, n, k) in [
+        (16usize, 144usize, 1024usize),
+        (32, 288, 256),
+        (64, 576, 64),
+    ] {
+        // Both layouts read `k·m` and `k·n` operands; only the order differs.
+        let (a, b) = (fill(m * k), fill(n * k));
+        group.throughput(Throughput::Elements((m * n * k) as u64));
+        let shape = format!("{m}x{n}x{k}");
+        for (name, layout) in [("nt", GemmLayout::NT), ("tn", GemmLayout::TN)] {
+            group.bench_with_input(BenchmarkId::new(name, &shape), &shape, |bench, _| {
+                bench.iter(|| {
+                    let mut out = vec![0.0f32; m * n];
+                    gemm(layout, m, k, n, &a, &b, &mut out);
+                    out
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -18,7 +18,8 @@
 //! binary range coder (tag 2, see [`ebtrain_encoding::range`]) and a
 //! static rANS coder over the same symbols with a per-frame table (tag 3,
 //! see [`ebtrain_encoding::rans`]). The encoder picks per chunk from the
-//! symbol histogram ([`select_backend`]). This one layout (`Z2` version
+//! symbol histogram ([`select_backend`]), or from the alphabet's size
+//! alone where that already rules Huffman out ([`route`]). This one layout (`Z2` version
 //! 3) is all the decoder reads; the byte layout, and the layouts retired
 //! before it, are documented in `DESIGN.md` §3.
 
@@ -296,13 +297,84 @@ fn encode_frame(
 /// frames, where the table and the 4-byte state are a large share, stay
 /// on tag 2.
 fn select_backend(freqs: &[(u32, u64)], codes: &[u32], center: u32) -> EntropyStageTag {
-    let n_f = codes.len() as f64;
     let h = entropy::histogram_entropy(freqs);
-    let est_range_bits = n_f * (h + 0.1);
-    let est_huffman_bits = n_f * (h + 0.3).max(1.0) + freqs.len() as f64 * 24.0;
-    if est_range_bits >= 0.85 * est_huffman_bits {
+    if huffman_wins(codes.len(), freqs.len(), h) {
         return EntropyStageTag::Huffman;
     }
+    range_family(codes, center)
+}
+
+/// The size model of [`select_backend`]: whether Huffman takes a chunk of
+/// `n` symbols, `distinct` of them distinct, at histogram entropy `h`.
+/// Huffman's side grows at most 0.85× as fast as the range side's as `h`
+/// rises, so if Huffman loses at some `h` it loses at every smaller one.
+fn huffman_wins(n: usize, distinct: usize, h: f64) -> bool {
+    let n_f = n as f64;
+    let est_range_bits = n_f * (h + 0.1);
+    let est_huffman_bits = n_f * (h + 0.3).max(1.0) + distinct as f64 * 24.0;
+    est_range_bits >= 0.85 * est_huffman_bits
+}
+
+/// A chunk's entropy stage under `backend`, with its histogram when that
+/// stage is Huffman (the only one that reads it). Counting the histogram
+/// is the costly part of routing a deep chunk (a sort), so an `Auto`
+/// chunk first asks whether its alphabet alone rules Huffman out: the
+/// entropy of `d` distinct symbols is at most `log2 d`, and if Huffman
+/// loses there (plus a slack far above the rounding of either side) it
+/// loses at the chunk's real entropy, so [`select_backend`] would pick
+/// the range family too.
+fn route(
+    codes: &[u32],
+    backend: EntropyBackend,
+    center: u32,
+) -> (EntropyStageTag, Option<Vec<(u32, u64)>>) {
+    let tag = match backend {
+        EntropyBackend::Range => EntropyStageTag::Range,
+        EntropyBackend::Rans => EntropyStageTag::Rans,
+        EntropyBackend::Auto if huffman_ruled_out(codes) => range_family(codes, center),
+        EntropyBackend::Auto | EntropyBackend::Huffman => {
+            let freqs = huffman::count_freqs(codes);
+            let tag = match backend {
+                EntropyBackend::Auto => select_backend(&freqs, codes, center),
+                _ => EntropyStageTag::Huffman,
+            };
+            if tag == EntropyStageTag::Huffman {
+                return (tag, Some(freqs));
+            }
+            tag
+        }
+    };
+    (tag, None)
+}
+
+/// Whether the alphabet of `codes` alone rules Huffman out (see
+/// [`route`]).
+fn huffman_ruled_out(codes: &[u32]) -> bool {
+    distinct_symbols(codes).is_some_and(|d| !huffman_wins(codes.len(), d, (d as f64).log2() + 1e-3))
+}
+
+/// How many distinct values `codes` holds, counted on a bitmap where that
+/// is cheaper than the histogram: they span more values than there are
+/// codes (a histogram then zero-fills or sorts more entries than it
+/// counts), and at most 2^16. `None` elsewhere.
+fn distinct_symbols(codes: &[u32]) -> Option<usize> {
+    let (min, max) = codes
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)));
+    let span = max.checked_sub(min)? as usize + 1;
+    if span <= codes.len() || span > 1 << 16 {
+        return None;
+    }
+    let mut seen = [0u64; (1 << 16) / 64];
+    for &c in codes {
+        let i = (c - min) as usize;
+        seen[i / 64] |= 1 << (i % 64);
+    }
+    Some(seen.iter().map(|w| w.count_ones() as usize).sum())
+}
+
+/// Tag 2 or tag 3 for a chunk Huffman does not take.
+fn range_family(codes: &[u32], center: u32) -> EntropyStageTag {
     let price = rans::price(codes, center);
     if price.bytes as f64 <= 1.03 * price.adaptive_bytes {
         EntropyStageTag::Rans
@@ -519,14 +591,8 @@ fn compress_impl(
                 r.q.push_dual_recon(chunk, 2.0 * config.error_bound, &mut r.recon);
             }
             let codes = &r.q.codes[c0..];
-            let freqs = huffman::count_freqs(codes);
-            let tag = match config.entropy_backend {
-                EntropyBackend::Huffman => EntropyStageTag::Huffman,
-                EntropyBackend::Range => EntropyStageTag::Range,
-                EntropyBackend::Rans => EntropyStageTag::Rans,
-                EntropyBackend::Auto => select_backend(&freqs, codes, config.radius),
-            };
-            if tag == EntropyStageTag::Huffman {
+            let (tag, freqs) = route(codes, config.entropy_backend, config.radius);
+            if let Some(freqs) = freqs {
                 huffman::merge_freqs(&mut r.huffman_freqs, &freqs);
             }
             r.chunks.push((cl.len(), r.q.outliers.len() - o0, tag));
@@ -1314,6 +1380,59 @@ mod tests {
         assert_eq!(route(&tiny), EntropyStageTag::Range);
         // Degenerate inputs keep the default.
         assert_eq!(select_backend(&[], &[], 32_768), EntropyStageTag::Huffman);
+    }
+
+    /// `route` skips the histogram only where that changes no choice: on
+    /// every chunk it picks what `select_backend` picks from the full
+    /// histogram, and hands the histogram back exactly for Huffman frames.
+    /// Flat alphabets of `d` symbols sit at the largest entropy `d` allows,
+    /// where the shortcut's bound is tight, and the sweep over `d` crosses
+    /// the Huffman/range boundary at every size that has one.
+    #[test]
+    fn routing_without_the_histogram_agrees_with_it() {
+        let center = 32_768u32;
+        let mut chunks: Vec<Vec<u32>> = vec![vec![], vec![center], vec![0, u32::MAX]];
+        // `d` symbols `stride` apart: at stride 61 the span outgrows the
+        // chunk, where the bitmap counts `d`, up to its 2^16 limit.
+        for n in [1u32, 16, 100, 1000, 4096] {
+            for stride in [1, 61] {
+                for d in 1..=n.min(1075) {
+                    let flat = (0..n).map(|i| center - d / 2 * stride + i % d * stride);
+                    chunks.push(flat.collect());
+                }
+            }
+        }
+        for (centre, decay, reach) in [(0.6, 0.5, 10), (0.02, 0.99, 300), (0.0, 0.999, 3000)] {
+            chunks.push(spread(&residual_histogram(4096, centre, decay, reach)));
+        }
+        let mut ruled_out = 0;
+        for codes in &chunks {
+            let freqs = huffman::count_freqs(codes);
+            let want = select_backend(&freqs, codes, center);
+            let huffman = want == EntropyStageTag::Huffman;
+            let case = format!("n={} d={}", codes.len(), freqs.len());
+            assert_eq!(
+                route(codes, EntropyBackend::Auto, center),
+                (want, huffman.then(|| freqs.clone())),
+                "{case}"
+            );
+            if huffman_ruled_out(codes) {
+                assert!(!huffman, "{case}");
+                ruled_out += 1;
+            }
+            assert_eq!(
+                route(codes, EntropyBackend::Huffman, center),
+                (EntropyStageTag::Huffman, Some(freqs)),
+                "{case}"
+            );
+            for (backend, tag) in [
+                (EntropyBackend::Range, EntropyStageTag::Range),
+                (EntropyBackend::Rans, EntropyStageTag::Rans),
+            ] {
+                assert_eq!(route(codes, backend, center), (tag, None), "{case}");
+            }
+        }
+        assert!(ruled_out > 100, "the shortcut took only {ruled_out} chunks");
     }
 
     #[test]

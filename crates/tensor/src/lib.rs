@@ -8,8 +8,9 @@
 //! representation explicit and fast on a CPU:
 //!
 //! * [`Tensor`] — shape + contiguous `Vec<f32>` storage, with NCHW helpers.
-//! * [`mod@gemm`] — blocked, rayon-parallel matrix multiply (all transpose
-//!   combinations), the workhorse behind `im2col`-based convolution.
+//! * [`mod@gemm`] — register-tiled, rayon-parallel matrix multiply (all
+//!   transpose combinations through one kernel, with an AVX-512 arm), the
+//!   workhorse behind `im2col`-based convolution.
 //! * [`mod@im2col`] — lowering of convolution windows to matrix columns and the
 //!   inverse scatter (`col2im`) used by the input-gradient pass.
 //! * [`ops`] — parallel elementwise / reduction kernels shared by layers and
