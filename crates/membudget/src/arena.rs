@@ -99,6 +99,17 @@ pub enum Fetched {
     Bytes(Vec<u8>),
 }
 
+/// An f32 entry's payload as it is held ([`BudgetedArena::stored`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Stored<'a> {
+    /// Raw values (hot, or migrated to host raw).
+    F32(&'a [f32]),
+    /// Values beside the stream they decode from (hot).
+    Decoded(&'a [f32], &'a TaggedStream),
+    /// A stream alone (warm, or migrated to host compressed).
+    Stream(&'a TaggedStream),
+}
+
 /// Cumulative arena counters (cleared by
 /// [`BudgetedArena::reset_metrics`]).
 #[derive(Debug, Clone, Default)]
@@ -177,6 +188,9 @@ enum Payload {
     Bytes(Vec<u8>),
     /// A compressed f32 payload.
     Stream(TaggedStream),
+    /// An f32 payload together with the stream it was decoded from;
+    /// stepping down drops the values and keeps the stream.
+    Decoded(Vec<f32>, TaggedStream),
 }
 
 impl Payload {
@@ -185,6 +199,7 @@ impl Payload {
             Payload::F32(d) => d.len() * 4,
             Payload::Bytes(b) => b.len(),
             Payload::Stream(s) => s.compressed_byte_len(),
+            Payload::Decoded(d, s) => d.len() * 4 + s.compressed_byte_len(),
         }
     }
 }
@@ -200,6 +215,22 @@ enum Repr {
     Dropped,
 }
 
+impl Repr {
+    /// A settled (not in-flight) f32 entry's payload as [`Stored`].
+    fn stored(&self) -> Result<Stored<'_>> {
+        match self {
+            Repr::Device(p) | Repr::Host(p) => match p {
+                Payload::F32(values) => Ok(Stored::F32(values)),
+                Payload::Decoded(values, stream) => Ok(Stored::Decoded(values, stream)),
+                Payload::Stream(stream) => Ok(Stored::Stream(stream)),
+                Payload::Bytes(_) => Err(not_f32()),
+            },
+            Repr::Dropped => Err(MembudgetError::Dropped),
+            Repr::InFlight(_) => unreachable!("in-flight joined by the caller"),
+        }
+    }
+}
+
 struct Entry {
     repr: Repr,
     /// Layout under which an f32 payload compresses.
@@ -209,6 +240,7 @@ struct Entry {
     /// Codec this entry demotes through (per-layer routing override of
     /// the config codec).
     codec: Arc<dyn Codec>,
+    /// Bytes of the decoded payload (what a prefetch decode adds).
     raw_bytes: usize,
     /// Device bytes currently charged for this entry.
     resident: usize,
@@ -243,6 +275,13 @@ fn decode<T>(
     let out = f(stream).map_err(MembudgetError::Codec);
     *nanos += t0.elapsed().as_nanos() as u64;
     out
+}
+
+/// The error of an f32 read on a byte entry.
+fn not_f32() -> MembudgetError {
+    MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
+        "f32 read of a byte entry".into(),
+    ))
 }
 
 /// Element range `[lo, hi)` of `planes` in an `n`-element payload.
@@ -523,36 +562,40 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     }
 
     /// Move one device entry a rung down the ladder: a raw f32 payload
-    /// compresses to warm when that shrinks it; anything else (bytes,
-    /// warm streams, f32 the codec cannot shrink) leaves the device.
+    /// compresses to warm when that shrinks it, a decoded one keeps only
+    /// its stream; anything else (bytes, warm streams, f32 the codec
+    /// cannot shrink) leaves the device.
     fn step_down(&mut self, key: K) {
         let Some(mut e) = self.entries.remove(&key) else {
             return;
         };
-        let payload = match std::mem::replace(&mut e.repr, Repr::Dropped) {
+        let warm = match std::mem::replace(&mut e.repr, Repr::Dropped) {
             Repr::Device(Payload::F32(data)) => match self.compress(&data, &e) {
                 // Compression must actually help; an inflating stream
                 // sends the raw payload cold instead.
-                Some(stream) if stream.compressed_byte_len() < e.resident => {
-                    self.uncharge(e.resident);
-                    e.resident = stream.compressed_byte_len();
-                    self.charge(e.resident);
-                    e.repr = Repr::Device(Payload::Stream(stream));
-                    self.metrics.demotions += 1;
-                    None
-                }
-                _ => Some(Payload::F32(data)),
+                Some(stream) if stream.compressed_byte_len() < e.resident => Ok(stream),
+                _ => Err(Payload::F32(data)),
             },
-            Repr::Device(payload) => Some(payload),
+            Repr::Device(Payload::Decoded(_, stream)) => Ok(stream),
+            Repr::Device(payload) => Err(payload),
             other => {
                 e.repr = other; // not on device; nothing to do
-                None
+                self.entries.insert(key, e);
+                return;
             }
         };
-        if let Some(payload) = payload {
-            self.uncharge(e.resident);
-            e.resident = 0;
-            e.repr = self.send_cold(payload);
+        self.uncharge(e.resident);
+        match warm {
+            Ok(stream) => {
+                e.resident = stream.compressed_byte_len();
+                self.charge(e.resident);
+                e.repr = Repr::Device(Payload::Stream(stream));
+                self.metrics.demotions += 1;
+            }
+            Err(payload) => {
+                e.resident = 0;
+                e.repr = self.send_cold(payload);
+            }
         }
         self.entries.insert(key, e);
     }
@@ -616,6 +659,21 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
         self.insert(key, Payload::F32(data), layout, bound, codec)
     }
 
+    /// Insert f32 `values` beside the `stream` they were decoded from by
+    /// `codec`: hot and charged both while they fit, else (and when
+    /// stepped down) the stream alone, which is never compressed again.
+    pub fn insert_stream(
+        &mut self,
+        key: K,
+        values: Vec<f32>,
+        stream: TaggedStream,
+        layout: DataLayout,
+        codec: Arc<dyn Codec>,
+    ) -> Tier {
+        let bound = self.cfg.bound;
+        self.insert(key, Payload::Decoded(values, stream), layout, bound, codec)
+    }
+
     /// Insert an opaque byte payload (masks, index tensors). Never
     /// compressed; evicts to host / drops under pressure like any other
     /// entry.
@@ -637,7 +695,11 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     ) -> Tier {
         self.remove(key);
         self.metrics.inserts += 1;
-        let raw_bytes = payload.byte_len();
+        let need = payload.byte_len();
+        let raw_bytes = match &payload {
+            Payload::Decoded(values, _) => values.len() * 4,
+            _ => need,
+        };
         let mut e = Entry {
             repr: Repr::Dropped,
             layout,
@@ -648,13 +710,15 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
             last_touch: self.tick(),
         };
         let budget = self.cfg.budget_bytes;
-        self.shed(raw_bytes, budget, Some(key));
+        self.shed(need, budget, Some(key));
         // A raw payload that still does not fit has nothing left to shed
         // against, so its stream is placed without shedding again.
         let payload = match payload {
-            Payload::F32(data) if self.resident + raw_bytes > budget => self
+            _ if self.resident + need <= budget => payload,
+            Payload::F32(data) => self
                 .compress(&data, &e)
                 .map_or(Payload::F32(data), Payload::Stream),
+            Payload::Decoded(_, stream) => Payload::Stream(stream),
             other => other,
         };
         if self.resident + payload.byte_len() <= budget {
@@ -709,7 +773,7 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// Hand a payload back as loaded, decoding a compressed one.
     fn open(&mut self, codec: &Arc<dyn Codec>, payload: Payload) -> Result<Fetched> {
         match payload {
-            Payload::F32(data) => Ok(Fetched::F32(data)),
+            Payload::F32(data) | Payload::Decoded(data, _) => Ok(Fetched::F32(data)),
             Payload::Bytes(bytes) => Ok(Fetched::Bytes(bytes)),
             Payload::Stream(stream) => decode(&mut self.metrics.decompress_nanos, &stream, |s| {
                 codec.decompress(s)
@@ -771,11 +835,35 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// slice copy (a host one pays the slice's transfer). An in-flight
     /// prefetch is joined and kept hot.
     pub fn fetch_planes(&mut self, key: K, planes: Range<usize>) -> Result<Vec<f32>> {
+        let e = self.settle(key)?;
+        let result = self.read_planes(&e, planes);
+        self.entries.insert(key, e);
+        self.publish_obs();
+        result
+    }
+
+    /// Borrow an f32 entry's payload as it is held, without removing or
+    /// decoding it; counted as a read of its tier, like a plane fetch.
+    pub fn stored(&mut self, key: K) -> Result<Stored<'_>> {
+        let e = self.settle(key)?;
+        if e.repr.stored().is_ok() {
+            let moved = match &e.repr {
+                Repr::Host(p) => p.byte_len(),
+                _ => 0,
+            };
+            self.count_read(e.tier(), moved);
+        }
+        self.entries.insert(key, e);
+        self.publish_obs();
+        self.entries[&key].repr.stored()
+    }
+
+    /// Take `key`'s entry out for a non-destructive read, touched, with
+    /// an in-flight decode joined and kept hot (uncharging the stream the
+    /// worker consumed). The caller puts it back.
+    fn settle(&mut self, key: K) -> Result<Entry> {
         let touch = self.tick();
         let mut e = self.entries.remove(&key).ok_or(MembudgetError::Missing)?;
-        // Join an in-flight decode first so the read below only sees
-        // settled representations; the result stays resident as hot
-        // (uncharging the compressed source the worker consumed).
         e.repr = match std::mem::replace(&mut e.repr, Repr::Dropped) {
             Repr::InFlight(job) => match job.join() {
                 Ok(data) => {
@@ -794,10 +882,7 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
             settled => settled,
         };
         e.last_touch = touch;
-        let result = self.read_planes(&e, planes);
-        self.entries.insert(key, e);
-        self.publish_obs();
-        result
+        Ok(e)
     }
 
     /// The plane read behind [`fetch_planes`](Self::fetch_planes), on a
@@ -809,7 +894,7 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
             Repr::InFlight(_) => unreachable!("in-flight joined by the caller"),
         };
         let (vals, moved) = match payload {
-            Payload::F32(data) => {
+            Payload::F32(data) | Payload::Decoded(data, _) => {
                 let (lo, hi) = plane_elems(e.layout, &planes, data.len())?;
                 (data[lo..hi].to_vec(), (hi - lo) * 4)
             }
@@ -825,13 +910,15 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
                 self.metrics.partial_bytes_total += stats.bytes_total as u64;
                 (vals, stats.bytes_decoded)
             }
-            Payload::Bytes(_) => {
-                return Err(MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
-                    "plane fetch on a byte entry".into(),
-                )))
-            }
+            Payload::Bytes(_) => return Err(not_f32()),
         };
-        match e.tier() {
+        self.count_read(e.tier(), moved);
+        Ok(vals)
+    }
+
+    /// Count a non-destructive read of `moved` bytes from `tier`.
+    fn count_read(&mut self, tier: Tier, moved: usize) {
+        match tier {
             Tier::Cold => {
                 self.metrics.transfer_nanos += transfer_nanos(moved);
                 self.metrics.host_hits += 1;
@@ -839,7 +926,6 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
             Tier::Warm => self.metrics.warm_hits += 1,
             _ => self.metrics.hot_hits += 1,
         }
-        Ok(vals)
     }
 
     /// Issue background decodes for the next scheduled warm entries, up
@@ -1177,6 +1263,72 @@ mod tests {
         a.insert_f32(5, volume(10, 3), DataLayout::D1(10), None);
         assert!(a.rename(5, 5));
         assert!(!a.rename(6, 6));
+    }
+
+    #[test]
+    fn insert_stream_ladder_sheds_the_values_and_never_compresses() {
+        let n = 32 * 32;
+        let (raw, layout) = (n * 4, DataLayout::D2(32, 32));
+        let codec: Arc<dyn Codec> = Arc::new(SzCodec::classic());
+        let pair = |seed| {
+            let stream = codec
+                .compress(&volume(n, seed), layout, &BoundSpec::Abs(1e-3))
+                .unwrap();
+            (codec.decompress(&stream).unwrap(), stream)
+        };
+        let pairs: Vec<(Vec<f32>, TaggedStream)> = (0..4).map(pair).collect();
+        let len = |k: usize| pairs[k].1.compressed_byte_len();
+        for cold in [ColdPolicy::HostMigrate, ColdPolicy::DropForRecompute] {
+            // Room for one pair and two streams, not three.
+            let mut cfg = BudgetConfig::with_budget(raw + len(1) + len(2) + len(0) / 2);
+            cfg.cold = cold;
+            let mut a: BudgetedArena<u32> = BudgetedArena::new(cfg, Box::new(Lru));
+            let insert = |a: &mut BudgetedArena<u32>, k: u32| {
+                let (values, stream) = pairs[k as usize].clone();
+                a.insert_stream(k, values, stream, layout, Arc::clone(&codec))
+            };
+            // Hot and inclusive: charged the values and the stream.
+            assert_eq!(insert(&mut a, 0), Tier::Hot);
+            assert_eq!(a.resident_bytes(), raw + len(0));
+            assert_eq!(
+                a.stored(0).unwrap(),
+                Stored::Decoded(&pairs[0].0, &pairs[0].1)
+            );
+            // The next pair steps it down to its stream alone.
+            assert_eq!(insert(&mut a, 1), Tier::Hot);
+            assert_eq!(a.tier_of(0), Some(Tier::Warm));
+            assert_eq!(a.resident_of(0), Some(len(0)));
+            // A third sends the LRU stream cold.
+            assert_eq!(insert(&mut a, 2), Tier::Hot);
+            assert_eq!(a.tier_of(1), Some(Tier::Warm));
+            assert_eq!(a.stored(1).unwrap(), Stored::Stream(&pairs[1].1));
+            let gone = if cold == ColdPolicy::HostMigrate {
+                assert_eq!(a.stored(0).unwrap(), Stored::Stream(&pairs[0].1));
+                Tier::Cold
+            } else {
+                Tier::Dropped
+            };
+            assert_eq!(a.tier_of(0), Some(gone));
+            assert_eq!(a.resident_bytes(), raw + len(2) + len(1));
+            let m = a.metrics();
+            assert_eq!((m.bytes_compressed_raw, m.demotions), (0, 2));
+            // Every read is the decode the caller vouched for.
+            for k in 0..3u32 {
+                match a.load(k) {
+                    Ok(Fetched::F32(v)) => assert_eq!(v, pairs[k as usize].0, "key {k}"),
+                    Err(MembudgetError::Dropped) => assert_eq!((k, gone), (0, Tier::Dropped)),
+                    other => panic!("key {k}: {other:?}"),
+                }
+            }
+            // A pair that cannot fit lands its stream alone.
+            let mut cfg = BudgetConfig::with_budget(raw);
+            cfg.cold = cold;
+            let mut a: BudgetedArena<u32> = BudgetedArena::new(cfg, Box::new(Lru));
+            assert_eq!(insert(&mut a, 3), Tier::Warm);
+            assert_eq!(a.resident_bytes(), len(3));
+            assert_eq!(a.fetch_planes(3, 0..32).unwrap(), pairs[3].0);
+            assert_eq!(a.metrics().bytes_compressed_raw, 0);
+        }
     }
 
     #[test]

@@ -23,14 +23,16 @@
 //!   (gradient-checkpointing style, the entry must be regenerated by
 //!   re-running forward).
 //!
-//! Internally an entry is a payload (raw `f32`, bytes, or a stream) in a
-//! place (device, prefetch in flight, host, or dropped); the tier is
-//! derived from the pair. Pressure moves entries down the ladder one
-//! step at a time (a device `f32` payload compresses to warm when that
-//! shrinks it; anything else leaves the device through the one cold
-//! path) under a pluggable [`EvictionPolicy`] — [`Lru`] or
-//! [`FarthestNextUse`] driven by the known backward-pass schedule — and
-//! the [`prefetch`](BudgetedArena::load) pipeline moves them back up
+//! Internally an entry is a payload (raw `f32`, bytes, a stream, or
+//! `f32` values beside the stream they decode from) in a place (device,
+//! prefetch in flight, host, or dropped); the tier is derived from the
+//! pair. Pressure moves entries down the ladder one step at a time (a
+//! device `f32` payload compresses to warm when that shrinks it, values
+//! beside a stream drop to the stream alone; anything else leaves the
+//! device through the one cold path) under a pluggable
+//! [`EvictionPolicy`] — [`Lru`] or [`FarthestNextUse`] driven by the
+//! known backward-pass schedule — and the
+//! [`prefetch`](BudgetedArena::load) pipeline moves them back up
 //! *ahead of demand*: while the caller runs the current layer's gradient
 //! kernel, the shared persistent worker pool (`ebtrain-pool`, also the
 //! substrate of `ebtrain-dist`'s replica runner) decompresses the next
@@ -60,7 +62,7 @@ mod arena;
 mod policy;
 
 pub use arena::{
-    ArenaMetrics, BudgetConfig, BudgetedArena, ColdPolicy, Fetched, Tier, HOST_LINK_BPS,
+    ArenaMetrics, BudgetConfig, BudgetedArena, ColdPolicy, Fetched, Stored, Tier, HOST_LINK_BPS,
 };
 pub use policy::{Candidate, EvictionPolicy, FarthestNextUse, Lru};
 

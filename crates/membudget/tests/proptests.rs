@@ -3,13 +3,14 @@
 //! call sequence — regardless of payload mix, policy, cold tier, budget
 //! tightness or schedule.
 
-use ebtrain_codec::BoundSpec;
+use ebtrain_codec::{BoundSpec, Codec, SzCodec};
 use ebtrain_membudget::{
     BudgetConfig, BudgetedArena, ColdPolicy, FarthestNextUse, Fetched, Lru, MembudgetError,
 };
 use ebtrain_sz::DataLayout;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Device-charged bytes the registry currently reports for one arena
 /// (its instance-keyed hot + warm residency gauges).
@@ -47,7 +48,9 @@ fn run_step(
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
     // Forward phase: save one payload per slot (a few byte payloads mixed
-    // in, like masks).
+    // in, like masks, and a few streams kept beside their decode, like
+    // the serve store path).
+    let codec: Arc<dyn Codec> = Arc::new(SzCodec::dual_quant());
     let mut originals: Vec<Option<Vec<f32>>> = Vec::new();
     for (slot, &n) in elems.iter().take(n_slots).enumerate() {
         if slot % 5 == 4 {
@@ -63,7 +66,16 @@ fn run_step(
                     }
                 })
                 .collect();
-            arena.insert_f32(slot, data.clone(), DataLayout::D1(n), None);
+            if slot % 5 == 2 {
+                let stream = codec
+                    .compress(&data, DataLayout::D1(n), &BoundSpec::Abs(1e-2))
+                    .unwrap();
+                let values = codec.decompress(&stream).unwrap();
+                let codec = Arc::clone(&codec);
+                arena.insert_stream(slot, values, stream, DataLayout::D1(n), codec);
+            } else {
+                arena.insert_f32(slot, data.clone(), DataLayout::D1(n), None);
+            }
             originals.push(Some(data));
         }
         prop_assert!(

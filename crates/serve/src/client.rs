@@ -7,10 +7,10 @@
 
 use crate::frame::{self, ErrorCode, FrameError, RequestTag, DEFAULT_MAX_PAYLOAD};
 use crate::tenant::TenantStats;
-use crate::tier_from_byte;
-use ebtrain_codec::{BoundSpec, Codec, SzCodec, TaggedStream};
+use crate::{decode_checked, tier_from_byte};
+use ebtrain_codec::{BoundSpec, Codec, CodecRegistry, SzCodec, TaggedStream};
 use ebtrain_membudget::Tier;
-use ebtrain_obs::netutil::{put_u32, put_u64};
+use ebtrain_obs::netutil::{get_u8, put_u32, put_u64};
 use ebtrain_sz::DataLayout;
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -78,6 +78,8 @@ pub type ClientResult<T> = Result<T, ClientError>;
 pub struct ServeClient {
     stream: TcpStream,
     max_payload: usize,
+    /// Decodes the streams [`fetch`](ServeClient::fetch) receives.
+    registry: CodecRegistry,
 }
 
 impl ServeClient {
@@ -88,6 +90,7 @@ impl ServeClient {
         Ok(ServeClient {
             stream,
             max_payload: DEFAULT_MAX_PAYLOAD,
+            registry: CodecRegistry::standard(),
         })
     }
 
@@ -118,8 +121,9 @@ impl ServeClient {
     }
 
     /// Store an already-compressed stream under `key`; returns the
-    /// tier it landed in. `eb > 0` overrides the tenant's at-rest
-    /// demotion bound.
+    /// tier it landed in. The tenant keeps a stream smaller than its
+    /// raw values as sent; `eb > 0` overrides the at-rest demotion bound
+    /// of one that does not compress and is held raw.
     pub fn store_stream(
         &mut self,
         tenant: u32,
@@ -152,23 +156,39 @@ impl ServeClient {
         self.store_stream(tenant, key, layout, eb, &stream)
     }
 
-    /// Fetch a whole tensor as raw f32 values (non-destructive).
+    /// Fetch a whole tensor as f32 values (non-destructive) in its
+    /// stored form: a warm or cold entry's stream is decoded here, and
+    /// its declared count checked against the layout before it decodes.
     pub fn fetch(&mut self, tenant: u32, key: u64) -> ClientResult<(Vec<f32>, DataLayout)> {
         let mut req = Vec::with_capacity(9);
         put_u64(&mut req, key);
-        req.push(0); // mode 0: raw f32 body
-        let body = self.call(RequestTag::Fetch, tenant, &req)?;
+        req.push(2); // mode 2: the stored form
+        let mut body = self.call(RequestTag::Fetch, tenant, &req)?;
         let mut off = 0;
         let layout =
             frame::get_layout(&body, &mut off).ok_or(ClientError::BadResponse("fetch layout"))?;
-        let vals =
-            frame::get_f32_body(&body, &mut off).ok_or(ClientError::BadResponse("fetch body"))?;
+        let vals = match get_u8(&body, &mut off) {
+            Some(0) => frame::get_f32_body(&body, &mut off)
+                .ok_or(ClientError::BadResponse("fetch body"))?,
+            Some(1) => {
+                body.drain(..off);
+                let (_, vals) = decode_checked(&self.registry, body, layout).map_err(|e| {
+                    ClientError::BadResponse(match e.code {
+                        ErrorCode::Malformed => "fetch stream's element count",
+                        _ => "fetch stream decode",
+                    })
+                })?;
+                vals
+            }
+            _ => return Err(ClientError::BadResponse("fetch form")),
+        };
         Ok((vals, layout))
     }
 
-    /// Fetch a whole tensor as a lossless-compressed stream the caller
-    /// decodes (trades server CPU for wire bytes; the values are
-    /// bit-identical to [`fetch`](ServeClient::fetch)).
+    /// Fetch a whole tensor as a stream the caller decodes: the entry's
+    /// own stream when it holds one, else a lossless encode of its
+    /// values. Either decodes bit-identically to
+    /// [`fetch`](ServeClient::fetch).
     pub fn fetch_compressed(
         &mut self,
         tenant: u32,
@@ -176,7 +196,7 @@ impl ServeClient {
     ) -> ClientResult<(TaggedStream, DataLayout)> {
         let mut req = Vec::with_capacity(9);
         put_u64(&mut req, key);
-        req.push(1); // mode 1: lossless TaggedStream
+        req.push(1); // mode 1: a TaggedStream
         let body = self.call(RequestTag::Fetch, tenant, &req)?;
         let mut off = 0;
         let layout =

@@ -29,7 +29,7 @@ use crate::frame::{
 use crate::tenant::{Tenant, TenantStats};
 use crate::{tier_to_byte, ServeError};
 use ebtrain_codec::{BoundSpec, Codec, CodecRegistry, LosslessCodec};
-use ebtrain_membudget::{BudgetConfig, ColdPolicy};
+use ebtrain_membudget::{BudgetConfig, ColdPolicy, Stored};
 use ebtrain_obs::netutil::{get_u32, get_u64, get_u8, TcpServer};
 use ebtrain_obs::{counter_add, gauge_add, gauge_remove, gauge_set};
 use ebtrain_pool::WorkerPool;
@@ -61,7 +61,8 @@ pub struct ServeConfig {
     pub max_payload: usize,
     /// Cold-tier behaviour for tenant arenas.
     pub cold: ColdPolicy,
-    /// Default at-rest demotion bound (a store's `eb > 0` overrides).
+    /// At-rest demotion bound of tensors held raw (a store's `eb > 0`
+    /// overrides); kept streams are never re-encoded.
     pub bound: BoundSpec,
 }
 
@@ -403,7 +404,7 @@ fn dispatch(shared: &Arc<Shared>, req: RequestFrame) -> (u8, Vec<u8>) {
     let _span = ebtrain_obs::span(tag.span_name());
     let out = match tag {
         RequestTag::Ping => Ok(Vec::new()),
-        RequestTag::Store => rpc_store(shared, req.tenant, &req.payload),
+        RequestTag::Store => rpc_store(shared, req.tenant, req.payload),
         RequestTag::Fetch => rpc_fetch(shared, req.tenant, &req.payload),
         RequestTag::FetchPlanes => rpc_fetch_planes(shared, req.tenant, &req.payload),
         RequestTag::Stats => rpc_stats(shared, req.tenant, &req.payload),
@@ -441,9 +442,10 @@ fn check_response_elems(n: usize) -> Result<(), ServeError> {
     Ok(())
 }
 
-fn rpc_store(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
+fn rpc_store(shared: &Arc<Shared>, tenant: u32, mut body: Vec<u8>) -> Result<Vec<u8>, ServeError> {
     let (key, layout, eb, stream) =
-        frame::parse_store_payload(payload).ok_or_else(|| malformed("store body"))?;
+        frame::parse_store_payload(&body).ok_or_else(|| malformed("store body"))?;
+    let stream_len = stream.len();
     // `checked_len` only proves the element product fits a usize; the
     // byte size can still wrap, and a wrapped `raw` would sail under
     // both ceilings.
@@ -481,11 +483,14 @@ fn rpc_store(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8
         pending: &shared.raw_pending,
         amount: raw_delta,
     };
-    // Global resident ceiling: worst case the store lands hot, adding
-    // min(raw, tenant budget) device bytes. Try the tiered eviction
-    // pass before giving up. (Reclaim takes other tenants' locks, so
-    // release ours around it — lock order stays "one tenant at a time".)
-    let worst = raw.min(shared.cfg.tenant_budget_bytes);
+    // Global resident ceiling: worst case the store lands hot beside its
+    // kept stream, adding min(raw + stream, tenant budget) device bytes.
+    // Try the tiered eviction pass before giving up. (Reclaim takes
+    // other tenants' locks, so release ours around it — lock order
+    // stays "one tenant at a time".)
+    let worst = raw
+        .saturating_add(stream_len)
+        .min(shared.cfg.tenant_budget_bytes);
     let mut reserved = try_reserve(
         &shared.resident_total,
         &shared.resident_pending,
@@ -518,7 +523,9 @@ fn rpc_store(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8
         pending: &shared.resident_pending,
         amount: worst,
     };
-    let out = t.store(&shared.registry, key, layout, eb, stream);
+    // The tenant keeps the frame's own buffer: drop the fixed fields.
+    body.drain(..body.len() - stream_len);
+    let out = t.store(&shared.registry, key, layout, eb, body);
     // Mirror before the holds drop: totals then cover the stored bytes,
     // so total + pending never understates real usage.
     sync_slot(shared, &slot, &t);
@@ -532,7 +539,7 @@ fn rpc_fetch(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8
     if off != payload.len() {
         return Err(malformed("fetch body (trailing bytes)"));
     }
-    if mode > 1 {
+    if mode > 2 {
         return Err(ServeError::new(
             ErrorCode::Malformed,
             format!("unknown fetch mode {mode}"),
@@ -540,20 +547,42 @@ fn rpc_fetch(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8
     }
     let slot = tenant_slot(shared, tenant, false)?;
     let mut t = lock_tenant(&slot);
-    let (vals, layout) = t.fetch(key)?;
-    sync_slot(shared, &slot, &t);
-    drop(t); // re-compression below runs outside the tenant lock
-    check_response_elems(vals.len())?;
+    // Built under the tenant lock, borrowing the entry; a read moves no
+    // residency, so there is nothing to re-mirror.
+    let (layout, stored) = t.fetch_stored(key)?;
     let mut out = Vec::new();
     frame::put_layout(&mut out, layout);
-    if mode == 0 {
-        frame::put_f32_body(&mut out, &vals);
-    } else {
+    let decoded;
+    let vals = match (mode, stored) {
+        // A held stream ships as it is.
+        (1, Stored::Decoded(_, stream) | Stored::Stream(stream)) | (2, Stored::Stream(stream)) => {
+            if mode == 2 {
+                out.push(1); // form 1: the stream
+            }
+            out.extend_from_slice(stream.as_bytes());
+            return Ok(out);
+        }
+        (_, Stored::F32(vals) | Stored::Decoded(vals, _)) => vals,
+        (_, Stored::Stream(stream)) => {
+            decoded = shared
+                .registry
+                .decompress(stream)
+                .map_err(|e| ServeError::new(ErrorCode::Codec, format!("stored stream: {e}")))?;
+            &decoded
+        }
+    };
+    check_response_elems(vals.len())?;
+    if mode == 1 {
         let stream = shared
             .lossless
-            .compress(&vals, layout, &BoundSpec::Lossless)
+            .compress(vals, layout, &BoundSpec::Lossless)
             .map_err(|e| ServeError::new(ErrorCode::Codec, format!("re-compress: {e}")))?;
-        out.extend_from_slice(&stream.into_bytes());
+        out.extend_from_slice(stream.as_bytes());
+    } else {
+        if mode == 2 {
+            out.push(0); // form 0: f32 values
+        }
+        frame::put_f32_body(&mut out, vals);
     }
     Ok(out)
 }

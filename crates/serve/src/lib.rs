@@ -86,6 +86,31 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// Parse and fully decode an untrusted stream of `layout.len()` values
+/// (either end of the wire). The header's count is checked before any
+/// decode: a mismatch is `Malformed`, a parse or decode failure `Codec`.
+pub(crate) fn decode_checked(
+    registry: &ebtrain_codec::CodecRegistry,
+    bytes: Vec<u8>,
+    layout: DataLayout,
+) -> Result<(TaggedStream, Vec<f32>), ServeError> {
+    let codec = |e| ServeError::new(ErrorCode::Codec, format!("tensor stream: {e}"));
+    let mismatch = |what, n| {
+        let msg = format!("stream {what} {n} elems, layout declares {}", layout.len());
+        ServeError::new(ErrorCode::Malformed, msg)
+    };
+    let stream = TaggedStream::from_bytes(bytes).map_err(codec)?;
+    match registry.declared_elems(&stream).map_err(codec)? {
+        Some(n) if n != layout.len() => return Err(mismatch("header declares", n)),
+        _ => {}
+    }
+    let data = registry.decompress(&stream).map_err(codec)?;
+    if data.len() != layout.len() {
+        return Err(mismatch("decodes to", data.len()));
+    }
+    Ok((stream, data))
+}
+
 /// Wire byte for the tier a store landed in (the store response body).
 pub fn tier_to_byte(tier: Tier) -> u8 {
     match tier {

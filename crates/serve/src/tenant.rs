@@ -1,18 +1,21 @@
 //! Per-tenant state: one [`BudgetedArena`] under the tenant's hard
 //! byte budget, plus the layout side-table and RPC counters.
 //!
-//! Every tensor a tenant stores lives in its arena under the daemon's
-//! demotion codec — hot while the budget allows, compressed warm under
-//! pressure, cold (host-migrated or dropped, per [`ColdPolicy`]) past
-//! that. The arena's own invariant (`resident ≤ budget` between any
-//! two calls, transients included) is what makes the daemon's
-//! per-tenant guarantee: no tenant can push another over its budget,
-//! because budgets are enforced per-arena, not cooperatively.
+//! Every tensor a tenant stores lives in its arena. A stream smaller
+//! than its raw values is kept as sent: hot beside its decode while the
+//! budget allows, alone warm under pressure, cold (host-migrated or
+//! dropped, per [`ColdPolicy`]) past that; the server never compresses
+//! it again. A stream that does not compress is held raw and demotes
+//! through the daemon's codec. The arena's own invariant (`resident ≤
+//! budget` between any two calls, transients included) is what makes
+//! the daemon's per-tenant guarantee: no tenant can push another over
+//! its budget, because budgets are enforced per-arena, not
+//! cooperatively.
 
 use crate::frame::ErrorCode;
-use crate::ServeError;
-use ebtrain_codec::{BoundSpec, CodecRegistry, TaggedStream};
-use ebtrain_membudget::{BudgetConfig, BudgetedArena, MembudgetError, Tier};
+use crate::{decode_checked, ServeError};
+use ebtrain_codec::{BoundSpec, CodecRegistry};
+use ebtrain_membudget::{BudgetConfig, BudgetedArena, MembudgetError, Stored, Tier};
 use ebtrain_obs::netutil::{get_u64, put_u64};
 use ebtrain_sz::DataLayout;
 use std::collections::HashMap;
@@ -164,11 +167,12 @@ impl Tenant {
         k
     }
 
-    /// Store one tensor: parse the wire stream, validate its declared
-    /// element count against the request layout **before** decoding
-    /// (a hostile header must not size any allocation), then insert
-    /// into the arena (which lands it in whatever tier the budget
-    /// allows). `eb > 0` overrides the at-rest demotion bound.
+    /// Store one tensor: validate and decode the wire stream in full
+    /// ([`decode_checked`]), then insert it into the arena (which lands
+    /// it in whatever tier the budget allows). A stream smaller than its
+    /// raw values is kept beside its decode as the entry's at-rest form;
+    /// one that does not compress is held raw, with `eb > 0` overriding
+    /// its at-rest demotion bound.
     ///
     /// Replacing an existing key is staged: the new payload goes in
     /// under a scratch key and is renamed over the old one only once it
@@ -182,36 +186,9 @@ impl Tenant {
         key: u64,
         layout: DataLayout,
         eb: f32,
-        stream_bytes: &[u8],
+        stream_bytes: Vec<u8>,
     ) -> Result<Tier, ServeError> {
-        let stream = TaggedStream::from_bytes(stream_bytes.to_vec())
-            .map_err(|e| err(ErrorCode::Codec, format!("tensor stream: {e}")))?;
-        match registry.declared_elems(&stream) {
-            Ok(Some(n)) if n != layout.len() => {
-                return Err(err(
-                    ErrorCode::Malformed,
-                    format!(
-                        "stream header declares {n} elems, layout declares {}",
-                        layout.len()
-                    ),
-                ));
-            }
-            Ok(_) => {}
-            Err(e) => return Err(err(ErrorCode::Codec, format!("tensor stream: {e}"))),
-        }
-        let data = registry
-            .decompress(&stream)
-            .map_err(|e| err(ErrorCode::Codec, format!("tensor stream: {e}")))?;
-        if data.len() != layout.len() {
-            return Err(err(
-                ErrorCode::Malformed,
-                format!(
-                    "stream decodes to {} elems, layout declares {}",
-                    data.len(),
-                    layout.len()
-                ),
-            ));
-        }
+        let (stream, data) = decode_checked(registry, stream_bytes, layout)?;
         let raw = data.len() * 4;
         let replacing = self.layouts.contains_key(&key);
         let slot = if replacing {
@@ -219,8 +196,15 @@ impl Tenant {
         } else {
             key
         };
-        let bound = (eb > 0.0).then_some(BoundSpec::Abs(eb));
-        let tier = self.arena.insert_f32_with(slot, data, layout, bound, None);
+        let tier = if stream.compressed_byte_len() < raw {
+            let codec = registry
+                .get(stream.codec_id())
+                .expect("the registry decoded this stream");
+            self.arena.insert_stream(slot, data, stream, layout, codec)
+        } else {
+            let bound = (eb > 0.0).then_some(BoundSpec::Abs(eb));
+            self.arena.insert_f32_with(slot, data, layout, bound, None)
+        };
         if tier == Tier::Dropped {
             // DropForRecompute cold policy and nothing fit: reject the
             // store outright rather than holding a zero-byte tombstone —
@@ -249,21 +233,17 @@ impl Tenant {
         Ok(tier)
     }
 
-    /// Fetch a whole tensor without removing it (a full-range plane
-    /// fetch under the hood, so warm entries decode without being
-    /// evicted from the arena).
-    pub fn fetch(&mut self, key: u64) -> Result<(Vec<f32>, DataLayout), ServeError> {
+    /// Fetch a whole tensor in the form it is held, without decoding or
+    /// removing it. A read moves no residency (tenants never prefetch),
+    /// so the gauge stands.
+    pub fn fetch_stored(&mut self, key: u64) -> Result<(DataLayout, Stored<'_>), ServeError> {
         let (layout, _) = *self
             .layouts
             .get(&key)
             .ok_or_else(|| err(ErrorCode::Missing, "no entry under key"))?;
-        let vals = self
-            .arena
-            .fetch_planes(key, 0..layout.plane_count())
-            .map_err(map_membudget)?;
+        let stored = self.arena.stored(key).map_err(map_membudget)?;
         self.fetches += 1;
-        self.publish_gauge();
-        Ok((vals, layout))
+        Ok((layout, stored))
     }
 
     /// Fetch a leading-dimension plane range (frame-indexed codecs
@@ -393,6 +373,14 @@ mod tests {
                 .collect();
             lines.push(format!("{} {read:x}", words.join(" ")));
         };
+        // A whole fetch as `ServeClient::fetch` sees it: the stored form,
+        // a stream decoded at the client.
+        let fetch = |t: &mut Tenant, key| {
+            t.fetch_stored(key).map(|(_, stored)| match stored {
+                Stored::F32(v) | Stored::Decoded(v, _) => v.to_vec(),
+                Stored::Stream(s) => registry.decompress(s).unwrap(),
+            })
+        };
         let bits = |r: Result<Vec<f32>, ServeError>| match r {
             Ok(v) => fnv(v.iter().map(|x| x.to_bits() as u64)),
             Err(e) => e.code as u64,
@@ -409,11 +397,11 @@ mod tests {
             (1, 11),
             (4, 14),
         ] {
-            let r = t.store(&registry, key, LAYOUT, 1e-3, &stream(seed));
+            let r = t.store(&registry, key, LAYOUT, 1e-3, stream(seed));
             line(&t, r.map_or_else(|e| e.code as u64, |tier| tier as u64));
         }
         for key in [0, 4, 6] {
-            let r = t.fetch(key).map(|(v, _)| v);
+            let r = fetch(&mut t, key);
             line(&t, bits(r));
         }
         for (key, start) in [(2, 2), (5, 6), (1, 0)] {
@@ -424,11 +412,11 @@ mod tests {
         line(&t, bits(r));
         let freed = t.reclaim_to(BUDGET / 4);
         line(&t, freed as u64);
-        let r = t.fetch(1).map(|(v, _)| v);
+        let r = fetch(&mut t, 1);
         line(&t, bits(r));
-        let r = t.store(&registry, 3, LAYOUT, 1e-3, &stream(33));
+        let r = t.store(&registry, 3, LAYOUT, 1e-3, stream(33));
         line(&t, r.map_or_else(|e| e.code as u64, |tier| tier as u64));
-        let r = t.fetch(3).map(|(v, _)| v);
+        let r = fetch(&mut t, 3);
         line(&t, bits(r));
         let r = t.evict(0).map(|()| Vec::new());
         line(&t, bits(r));
@@ -438,6 +426,10 @@ mod tests {
             let r = t.fetch_planes(key, 4, 6);
             line(&t, bits(r));
         }
+        // Every stream compresses, so every entry kept its client's
+        // stream and the server never ran a compressor.
+        let m = t.arena.metrics();
+        assert_eq!((m.bytes_compressed_raw, m.compress_nanos), (0, 0));
         lines
     }
 
@@ -446,30 +438,30 @@ mod tests {
         assert_eq!(
             tenant_script(ColdPolicy::HostMigrate),
             [
-                "8192 16384 8192 1 8192 1 0 0 0",
-                "16384 16384 16384 2 16384 2 0 0 0",
-                "13782 16384 16384 3 24576 3 0 0 0",
-                "13759 16384 16384 4 32768 4 0 0 0",
-                "13752 16384 16384 5 40960 5 0 0 0",
-                "13768 16384 16384 6 49152 6 0 0 0",
-                "13795 16384 16384 7 57344 7 0 0 0",
-                "13780 16384 16384 7 57344 8 0 0 0",
-                "13757 16384 16384 7 57344 9 0 0 0",
-                "13757 16384 16384 7 57344 9 1 0 1b72a6f31d40963c",
-                "13757 16384 16384 7 57344 9 2 0 9643b8e773ddfb80",
-                "13757 16384 16384 7 57344 9 3 0 e2ec3877e31daa39",
-                "13757 16384 16384 7 57344 9 4 0 c34c3ad3d4a9ee85",
-                "13757 16384 16384 7 57344 9 5 0 a3187b27a8d5e745",
-                "13757 16384 16384 7 57344 9 6 0 974ca676b472e0a2",
-                "13757 16384 16384 6 49152 9 6 0 cbf29ce484222325",
-                "2784 16384 16384 6 49152 9 6 0 2add",
-                "2784 16384 16384 6 49152 9 7 0 e9a0b4157cd18a1",
-                "10976 16384 16384 7 57344 10 7 0 0",
-                "10976 16384 16384 7 57344 10 8 0 dc251efb0858e2d3",
-                "10976 16384 16384 6 49152 10 8 0 cbf29ce484222325",
-                "0 16384 16384 6 49152 10 8 0 2ae0",
-                "0 16384 16384 6 49152 10 9 0 b7f58ff3a7c982bc",
-                "0 16384 16384 6 49152 10 10 0 5f9cc4fe4102fd89",
+                "10995 16384 10995 1 8192 1 0 0 0",
+                "13782 16384 13782 2 16384 2 0 0 0",
+                "13759 16384 13782 3 24576 3 0 0 0",
+                "13752 16384 13782 4 32768 4 0 0 0",
+                "13768 16384 13782 5 40960 5 0 0 0",
+                "13795 16384 13795 6 49152 6 0 0 0",
+                "13780 16384 13795 7 57344 7 0 0 0",
+                "13757 16384 13795 7 57344 8 0 0 0",
+                "13779 16384 13795 7 57344 9 0 0 0",
+                "13779 16384 13795 7 57344 9 1 0 f59f687f4b9f1230",
+                "13779 16384 13795 7 57344 9 2 0 9643b8e773ddfb80",
+                "13779 16384 13795 7 57344 9 3 0 419356b969163c24",
+                "13779 16384 13795 7 57344 9 4 0 d65c018914f6257b",
+                "13779 16384 13795 7 57344 9 5 0 388b574c4a32c94f",
+                "13779 16384 13795 7 57344 9 6 0 da46c1bb14ff4260",
+                "13779 16384 13795 6 49152 9 6 0 cbf29ce484222325",
+                "2784 16384 13795 6 49152 9 6 0 2af3",
+                "2784 16384 13795 6 49152 9 7 0 4f8f4de02a95ea9a",
+                "13759 16384 13795 7 57344 10 7 0 0",
+                "13759 16384 13795 7 57344 10 8 0 dc251efb0858e2d3",
+                "13759 16384 13795 6 49152 10 8 0 cbf29ce484222325",
+                "0 16384 13795 6 49152 10 8 0 35bf",
+                "0 16384 13795 6 49152 10 9 0 7565adefe67ed048",
+                "0 16384 13795 6 49152 10 10 0 dee41aea3a47c3b3",
             ]
         );
     }
@@ -479,30 +471,30 @@ mod tests {
         assert_eq!(
             tenant_script(ColdPolicy::DropForRecompute),
             [
-                "8192 16384 8192 1 8192 1 0 0 0",
-                "16384 16384 16384 2 16384 2 0 0 0",
-                "13782 16384 16384 3 24576 3 0 0 0",
-                "13759 16384 16384 4 32768 4 0 0 0",
-                "13752 16384 16384 5 40960 5 0 0 0",
-                "13768 16384 16384 6 49152 6 0 0 0",
-                "13795 16384 16384 7 57344 7 0 0 0",
-                "13780 16384 16384 7 57344 8 0 0 0",
-                "13757 16384 16384 7 57344 9 0 0 0",
-                "13757 16384 16384 7 57344 9 0 0 8",
-                "13757 16384 16384 7 57344 9 1 0 9643b8e773ddfb80",
-                "13757 16384 16384 7 57344 9 2 0 e2ec3877e31daa39",
-                "13757 16384 16384 7 57344 9 2 0 8",
-                "13757 16384 16384 7 57344 9 2 0 8",
-                "13757 16384 16384 7 57344 9 3 0 974ca676b472e0a2",
-                "13757 16384 16384 6 49152 9 3 0 cbf29ce484222325",
-                "2784 16384 16384 6 49152 9 3 0 2add",
-                "2784 16384 16384 6 49152 9 4 0 e9a0b4157cd18a1",
-                "10976 16384 16384 7 57344 10 4 0 0",
-                "10976 16384 16384 7 57344 10 5 0 dc251efb0858e2d3",
-                "10976 16384 16384 6 49152 10 5 0 cbf29ce484222325",
-                "0 16384 16384 6 49152 10 5 0 2ae0",
-                "0 16384 16384 6 49152 10 5 0 8",
-                "0 16384 16384 6 49152 10 5 0 8",
+                "10995 16384 10995 1 8192 1 0 0 0",
+                "13782 16384 13782 2 16384 2 0 0 0",
+                "13759 16384 13782 3 24576 3 0 0 0",
+                "13752 16384 13782 4 32768 4 0 0 0",
+                "13768 16384 13782 5 40960 5 0 0 0",
+                "13795 16384 13795 6 49152 6 0 0 0",
+                "13780 16384 13795 7 57344 7 0 0 0",
+                "13757 16384 13795 7 57344 8 0 0 0",
+                "13779 16384 13795 7 57344 9 0 0 0",
+                "13779 16384 13795 7 57344 9 0 0 8",
+                "13779 16384 13795 7 57344 9 1 0 9643b8e773ddfb80",
+                "13779 16384 13795 7 57344 9 1 0 8",
+                "13779 16384 13795 7 57344 9 1 0 8",
+                "13779 16384 13795 7 57344 9 1 0 8",
+                "13779 16384 13795 7 57344 9 2 0 da46c1bb14ff4260",
+                "13779 16384 13795 6 49152 9 2 0 cbf29ce484222325",
+                "2784 16384 13795 6 49152 9 2 0 2af3",
+                "2784 16384 13795 6 49152 9 3 0 4f8f4de02a95ea9a",
+                "13759 16384 13795 7 57344 10 3 0 0",
+                "13759 16384 13795 7 57344 10 4 0 dc251efb0858e2d3",
+                "13759 16384 13795 6 49152 10 4 0 cbf29ce484222325",
+                "0 16384 13795 6 49152 10 4 0 35bf",
+                "0 16384 13795 6 49152 10 4 0 8",
+                "0 16384 13795 6 49152 10 4 0 8",
             ]
         );
     }

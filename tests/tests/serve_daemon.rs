@@ -8,12 +8,16 @@
 //! process-global and `cargo test` runs these in parallel, so each
 //! test owns its `serve.tenant.resident#t<id>` gauges outright.
 
-use ebtrain_codec::{CodecId, TaggedStream};
-use ebtrain_serve::{
-    frame, ColdPolicy, DataLayout, ErrorCode, ServeClient, ServeConfig, ServeDaemon,
+use ebtrain_codec::{
+    BoundSpec, Codec, CodecId, CodecRegistry, LosslessCodec, SzCodec, TaggedStream,
 };
+use ebtrain_serve::{
+    frame, ClientError, ColdPolicy, DataLayout, ErrorCode, ServeClient, ServeConfig, ServeDaemon,
+    Tier,
+};
+use ebtrain_sz::SzConfig;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -177,6 +181,8 @@ fn lifecycle_store_fetch_planes_stats_evict() {
         .decompress(&stream)
         .expect("decode fetched stream");
     assert_eq!(vals, got);
+    // It is the stream the client stored, not a re-encode.
+    assert_eq!(stream.codec_id(), CodecId::SZ);
     // Plane range: rows 8..16 of the D2.
     let planes = c.fetch_planes(tenant, 5, 8..16).expect("fetch planes");
     assert_eq!(planes.len(), 8 * 256);
@@ -658,5 +664,232 @@ fn global_ceiling_triggers_cross_tenant_reclaim_not_rejection() {
     }
     let (got, _) = cb.fetch(b, 1).expect("B's store served");
     assert_eq!(got.len(), layout.len());
+    daemon.shutdown();
+}
+
+/// Smooth waves plus seeded noise: a tensor whose streams are a few
+/// times smaller than raw.
+fn noisy(n: usize, seed: u32) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(2_654_435_761) | 1;
+    (0..n)
+        .map(|i| {
+            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let noise = (s >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+            ((i as f32 + seed as f32 * 37.0) * 0.011).sin() + 0.1 * noise
+        })
+        .collect()
+}
+
+/// One fetch over a raw socket, in any mode; the success body.
+fn raw_fetch(s: &mut TcpStream, tenant: u32, key: u64, mode: u8) -> Vec<u8> {
+    let mut body = key.to_be_bytes().to_vec();
+    body.push(mode);
+    s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 2, tenant, &body))
+        .unwrap();
+    let resp = frame::read_response(s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+    assert_eq!(resp.status, 0, "{}", String::from_utf8_lossy(&resp.payload));
+    resp.payload
+}
+
+/// The values of a mode-0 body (layout, then count-prefixed f32).
+fn mode0_values(body: &[u8]) -> Vec<f32> {
+    let mut off = 0;
+    frame::get_layout(body, &mut off).expect("layout");
+    frame::get_f32_body(body, &mut off).expect("f32 body")
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn stored_form_fetch_is_a_server_decode_in_every_tier() {
+    let layout = DataLayout::D2(64, 256);
+    let raw = layout.len() * 4;
+    let streams: Vec<TaggedStream> = (0..4)
+        .map(|k| {
+            SzCodec::classic()
+                .compress(&noisy(layout.len(), k), layout, &BoundSpec::Abs(1e-3))
+                .unwrap()
+        })
+        .collect();
+    let len = |k: usize| streams[k].compressed_byte_len();
+    // Room for one hot pair and two streams, not three: the fourth store
+    // sends the first stream to host.
+    let mut cfg = test_config();
+    cfg.tenant_budget_bytes = raw + len(1) + len(2) + len(3) + len(0) / 2;
+    let daemon = ServeDaemon::spawn(cfg).expect("spawn");
+    let mut c = ServeClient::connect(daemon.addr()).expect("connect");
+    let mut s = connect_raw(&daemon);
+    let tenant = 9_930;
+    for (k, stream) in streams.iter().enumerate() {
+        let tier = c.store_stream(tenant, k as u64, layout, 1e-3, stream);
+        assert_eq!(tier.expect("store"), Tier::Hot);
+    }
+    // Key 3 is hot beside its stream, keys 1 and 2 warm, key 0 on host.
+    let stats = c.stats(tenant).expect("stats");
+    assert_eq!(
+        stats.resident_bytes as usize,
+        raw + len(3) + len(1) + len(2)
+    );
+    let registry = CodecRegistry::standard();
+    for (k, stream) in streams.iter().enumerate() {
+        let want = bits(&registry.decompress(stream).unwrap());
+        let stored = raw_fetch(&mut s, tenant, k as u64, 2);
+        let (form, body) = (stored[13], &stored[14..]);
+        if k == 3 {
+            assert_eq!(form, 0, "a hot entry ships its values");
+        } else {
+            assert_eq!(
+                (form, body),
+                (1, stream.as_bytes()),
+                "key {k} ships as sent"
+            );
+        }
+        assert_eq!(
+            bits(&mode0_values(&raw_fetch(&mut s, tenant, k as u64, 0))),
+            want
+        );
+        let (got, got_layout) = c.fetch(tenant, k as u64).expect("fetch");
+        assert_eq!((bits(&got), got_layout), (want, layout), "key {k}");
+    }
+    // A stream that does not compress is held raw: mode 1 falls back to
+    // a lossless encode of it, bit-identical all the same.
+    let random: Vec<f32> = (0..layout.len() as u64)
+        .map(|i| {
+            // SplitMix64: every bit pattern, NaNs included.
+            let mut z = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            f32::from_bits((z ^ (z >> 31)) as u32)
+        })
+        .collect();
+    let lossless = LosslessCodec
+        .compress(&random, layout, &BoundSpec::Lossless)
+        .unwrap();
+    assert!(lossless.compressed_byte_len() >= raw);
+    c.store_stream(tenant, 9, layout, 0.0, &lossless)
+        .expect("store");
+    let (stream, _) = c.fetch_compressed(tenant, 9).expect("fetch compressed");
+    assert_eq!(stream.codec_id(), CodecId::LOSSLESS);
+    let (got, _) = c.fetch(tenant, 9).expect("fetch");
+    assert_eq!(bits(&registry.decompress(&stream).unwrap()), bits(&got));
+    assert_eq!(bits(&got), bits(&random));
+    daemon.shutdown();
+}
+
+#[test]
+fn hostile_fetch_stream_is_refused_before_any_decode() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let layout = DataLayout::D1(1024);
+    let byteplane = |count: u64| {
+        let mut body = vec![0x42, 0x31]; // B1 magic
+        body.extend_from_slice(&leb128(count));
+        TaggedStream::tag(CodecId::BYTEPLANE, body).into_bytes()
+    };
+    let longer = SzCodec::dual_quant()
+        .compress(
+            &smooth(2048, 1),
+            DataLayout::D1(2048),
+            &BoundSpec::Abs(1e-3),
+        )
+        .unwrap()
+        .into_bytes();
+    // Form-1 answers: a header claiming 2^60 elements, a real stream of
+    // twice the layout, and a count that matches over a missing body.
+    let answers = [byteplane(1 << 60), longer, byteplane(1024)];
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        for stream in answers {
+            frame::read_request(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+            let mut body = Vec::new();
+            frame::put_layout(&mut body, layout);
+            body.push(1);
+            body.extend_from_slice(&stream);
+            frame::write_response(&mut s, 0, &body).unwrap();
+        }
+    });
+    let mut c = ServeClient::connect(addr).expect("connect");
+    for want in [
+        "fetch stream's element count",
+        "fetch stream's element count",
+        "fetch stream decode",
+    ] {
+        match c.fetch(1, 1) {
+            Err(ClientError::BadResponse(what)) => assert_eq!(what, want),
+            other => panic!("expected BadResponse({want}), got {other:?}"),
+        }
+    }
+    server.join().unwrap();
+}
+
+#[test]
+fn every_truncation_and_bit_flip_of_a_stored_stream_is_refused_or_served_whole() {
+    // Four one-plane frames, so plane fetches read the frame index.
+    let layout = DataLayout::D3(4, 8, 8);
+    let raw = layout.len() * 4;
+    let data: Vec<f32> = noisy(layout.len(), 3).iter().map(|v| v.max(0.0)).collect();
+    let codecs = [SzConfig::classic(1e-3), SzConfig::dual_quant(1e-3)].map(|cfg| {
+        SzCodec::new(SzConfig {
+            chunk_planes: Some(1),
+            ..cfg
+        })
+    });
+    // A budget of one raw tensor: every kept stream lands warm, so a
+    // fetch ships it and the client decodes it.
+    let mut cfg = test_config();
+    cfg.tenant_budget_bytes = raw;
+    let daemon = ServeDaemon::spawn(cfg).expect("spawn");
+    let mut c = ServeClient::connect(daemon.addr()).expect("connect");
+    let mut s = connect_raw(&daemon);
+    let tenant = 9_940;
+    let registry = CodecRegistry::standard();
+    let (mut refused, mut served) = (0, 0);
+    for codec in &codecs {
+        let stream = codec
+            .compress(&data, layout, &BoundSpec::Abs(1e-3))
+            .unwrap();
+        let bytes = stream.as_bytes();
+        let cuts = (0..bytes.len()).map(|cut| bytes[..cut].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut m = bytes.to_vec();
+            m[bit / 8] ^= 1 << (bit % 8);
+            m
+        });
+        for mutant in cuts.chain(flips) {
+            let body = frame::store_payload(1, layout, 0.0, &mutant);
+            s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 1, tenant, &body))
+                .unwrap();
+            let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+            if resp.status != 0 {
+                let code = ErrorCode::from_byte(resp.status);
+                assert!(
+                    matches!(code, Some(ErrorCode::Codec | ErrorCode::Malformed)),
+                    "mutant refused with {code:?}: {}",
+                    String::from_utf8_lossy(&resp.payload)
+                );
+                refused += 1;
+                continue;
+            }
+            // Accepted: the values seen at store are its decode, and
+            // every later read serves exactly those.
+            let (want, _) = registry.decompress_any(&mutant).expect("store decoded it");
+            let want = bits(&want);
+            assert_eq!(bits(&mode0_values(&raw_fetch(&mut s, tenant, 1, 0))), want);
+            let (got, _) = c.fetch(tenant, 1).expect("mode-2 client decode");
+            assert_eq!(bits(&got), want);
+            let plane = want.len() / 4;
+            for p in 0..4 {
+                let got = c.fetch_planes(tenant, 1, p..p + 1).expect("plane fetch");
+                assert_eq!(bits(&got), want[p * plane..(p + 1) * plane], "plane {p}");
+            }
+            served += 1;
+        }
+    }
+    assert!(
+        refused > 0 && served > 0,
+        "refused {refused}, served {served}"
+    );
     daemon.shutdown();
 }
