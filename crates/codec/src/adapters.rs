@@ -1,7 +1,10 @@
 //! [`Codec`] adapters over the in-tree backends.
 
 use crate::stream::TaggedStream;
-use crate::{corrupt, BoundSpec, Codec, CodecId, ErrorContract, PlaneDecodeStats, Result};
+use crate::{
+    corrupt, decode_planes_whole, BoundSpec, Codec, CodecId, ErrorContract, PlaneDecodeStats,
+    Result,
+};
 use ebtrain_encoding::{byteplane, lz, varint};
 use ebtrain_sz::{zfp_like, DataLayout, EntropyBackend, QuantMode, SzConfig, SzError};
 use std::ops::Range;
@@ -146,16 +149,20 @@ impl Codec for SzCodec {
         true
     }
 
-    /// SZ streams are self-describing: the plane geometry comes from the
-    /// stream's own header; `layout` is ignored. Only the frames covering
-    /// `planes` are decoded (Z2 frame index, DESIGN.md §3), straight off
-    /// the borrowed body (no stream copy).
+    /// Only the frames covering `planes` are decoded (Z2 frame index,
+    /// DESIGN.md §3), straight off the borrowed body (no stream copy).
+    /// The frames index the header's layout; a stream compressed under
+    /// another layout of the same length takes the whole-decode
+    /// fallback, so `planes` always mean the caller's `layout`.
     fn decompress_planes(
         &self,
         stream: &TaggedStream,
-        _layout: DataLayout,
+        layout: DataLayout,
         planes: Range<usize>,
     ) -> Result<(Vec<f32>, PlaneDecodeStats)> {
+        if ebtrain_sz::declared_layout(stream.body())? != layout {
+            return decode_planes_whole(self, stream, layout, planes);
+        }
         let _span = ebtrain_obs::span!("codec.decompress", bytes = stream.compressed_byte_len());
         let (vals, st) = ebtrain_sz::decompress_planes_bytes(stream.body(), planes)?;
         Ok((
@@ -459,6 +466,22 @@ mod tests {
         assert_eq!(part, full[4 * 64..8 * 64]);
         assert!(stats.partial);
         assert!(stats.bytes_decoded < stats.bytes_total);
+    }
+
+    #[test]
+    fn sz_adapter_planes_follow_the_callers_layout() {
+        let data = activationish(64 * 256);
+        let c = SzCodec::dual_quant();
+        let asked = DataLayout::D2(64, 256);
+        for held in [asked, DataLayout::D2(256, 64), DataLayout::D1(64 * 256)] {
+            let s = c.compress(&data, held, &BoundSpec::Abs(1e-3)).unwrap();
+            let full = c.decompress(&s).unwrap();
+            let (part, stats) = c.decompress_planes(&s, asked, 8..16).unwrap();
+            assert_eq!(part, full[8 * 256..16 * 256], "{held:?}");
+            // Only the header's own layout can use the frame index.
+            assert_eq!(stats.bytes_decoded == stats.bytes_total, held != asked);
+            assert!(c.decompress_planes(&s, asked, 8..65).is_err());
+        }
     }
 
     #[test]

@@ -238,37 +238,48 @@ pub trait Codec: Send + Sync {
     /// so callers' byte accounting stays honest. Codecs with a frame
     /// index override this to decode only the covering frames.
     ///
-    /// Self-describing streams (SZ) take the plane geometry from their
-    /// own header; `layout` is the caller's description and is used by
-    /// the fallback path only.
+    /// Planes are always those of the caller's `layout`. Self-describing
+    /// streams (SZ) index their frames by their own header's layout, so
+    /// they take the frame path only when that layout is the caller's.
     fn decompress_planes(
         &self,
         stream: &TaggedStream,
         layout: DataLayout,
         planes: Range<usize>,
     ) -> Result<(Vec<f32>, PlaneDecodeStats)> {
-        let pe = layout.plane_elems();
-        let np = layout.plane_count();
-        if planes.start > planes.end || planes.end > np {
-            return Err(corrupt("plane range out of bounds"));
-        }
-        let full = self.decompress(stream)?;
-        if full.len() != layout.len() {
-            return Err(corrupt("stream length does not match caller layout"));
-        }
-        // Clamp both ends: the final D1 plane may be partial.
-        let lo = (planes.start * pe).min(full.len());
-        let hi = (planes.end * pe).min(full.len());
-        let body = stream.body().len();
-        Ok((
-            full[lo..hi].to_vec(),
-            PlaneDecodeStats {
-                bytes_decoded: body,
-                bytes_total: body,
-                partial: false,
-            },
-        ))
+        decode_planes_whole(self, stream, layout, planes)
     }
+}
+
+/// The whole-decode plane fallback of [`Codec::decompress_planes`]: the
+/// window `planes` of `layout` sliced from a full decode.
+pub(crate) fn decode_planes_whole<C: Codec + ?Sized>(
+    codec: &C,
+    stream: &TaggedStream,
+    layout: DataLayout,
+    planes: Range<usize>,
+) -> Result<(Vec<f32>, PlaneDecodeStats)> {
+    let pe = layout.plane_elems();
+    let np = layout.plane_count();
+    if planes.start > planes.end || planes.end > np {
+        return Err(corrupt("plane range out of bounds"));
+    }
+    let full = codec.decompress(stream)?;
+    if full.len() != layout.len() {
+        return Err(corrupt("stream length does not match caller layout"));
+    }
+    // Clamp both ends: the final D1 plane may be partial.
+    let lo = (planes.start * pe).min(full.len());
+    let hi = (planes.end * pe).min(full.len());
+    let body = stream.body().len();
+    Ok((
+        full[lo..hi].to_vec(),
+        PlaneDecodeStats {
+            bytes_decoded: body,
+            bytes_total: body,
+            partial: false,
+        },
+    ))
 }
 
 #[cfg(test)]

@@ -158,6 +158,20 @@ pub struct ArenaMetrics {
     pub partial_bytes_total: u64,
 }
 
+impl ArenaMetrics {
+    /// Count a non-destructive read of `moved` bytes from `tier`.
+    fn count_read(&mut self, tier: Tier, moved: usize) {
+        match tier {
+            Tier::Cold => {
+                self.transfer_nanos += transfer_nanos(moved);
+                self.host_hits += 1;
+            }
+            Tier::Warm => self.warm_hits += 1,
+            _ => self.hot_hits += 1,
+        }
+    }
+}
+
 /// Background decode of one compressed payload, running on the shared
 /// persistent [`WorkerPool`] (no per-decode OS-thread spawn; joining a
 /// not-yet-started decode runs it inline, so a saturated pool degrades
@@ -223,7 +237,9 @@ impl Repr {
                 Payload::F32(values) => Ok(Stored::F32(values)),
                 Payload::Decoded(values, stream) => Ok(Stored::Decoded(values, stream)),
                 Payload::Stream(stream) => Ok(Stored::Stream(stream)),
-                Payload::Bytes(_) => Err(not_f32()),
+                Payload::Bytes(_) => Err(MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
+                    "f32 read of a byte entry".into(),
+                ))),
             },
             Repr::Dropped => Err(MembudgetError::Dropped),
             Repr::InFlight(_) => unreachable!("in-flight joined by the caller"),
@@ -275,13 +291,6 @@ fn decode<T>(
     let out = f(stream).map_err(MembudgetError::Codec);
     *nanos += t0.elapsed().as_nanos() as u64;
     out
-}
-
-/// The error of an f32 read on a byte entry.
-fn not_f32() -> MembudgetError {
-    MembudgetError::Codec(ebtrain_sz::SzError::Corrupt(
-        "f32 read of a byte entry".into(),
-    ))
 }
 
 /// Element range `[lo, hi)` of `planes` in an `n`-element payload.
@@ -844,18 +853,19 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
 
     /// Borrow an f32 entry's payload as it is held, without removing or
     /// decoding it; counted as a read of its tier, like a plane fetch.
+    /// Its hit reaches the obs counters at the next public call.
     pub fn stored(&mut self, key: K) -> Result<Stored<'_>> {
         let e = self.settle(key)?;
-        if e.repr.stored().is_ok() {
-            let moved = match &e.repr {
-                Repr::Host(p) => p.byte_len(),
-                _ => 0,
-            };
-            self.count_read(e.tier(), moved);
-        }
         self.entries.insert(key, e);
         self.publish_obs();
-        self.entries[&key].repr.stored()
+        let e = &self.entries[&key];
+        let stored = e.repr.stored()?;
+        let moved = match &e.repr {
+            Repr::Host(p) => p.byte_len(),
+            _ => 0,
+        };
+        self.metrics.count_read(e.tier(), moved);
+        Ok(stored)
     }
 
     /// Take `key`'s entry out for a non-destructive read, touched, with
@@ -888,17 +898,12 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
     /// The plane read behind [`fetch_planes`](Self::fetch_planes), on a
     /// settled (not in-flight) entry.
     fn read_planes(&mut self, e: &Entry, planes: Range<usize>) -> Result<Vec<f32>> {
-        let payload = match &e.repr {
-            Repr::Device(p) | Repr::Host(p) => p,
-            Repr::Dropped => return Err(MembudgetError::Dropped),
-            Repr::InFlight(_) => unreachable!("in-flight joined by the caller"),
-        };
-        let (vals, moved) = match payload {
-            Payload::F32(data) | Payload::Decoded(data, _) => {
+        let (vals, moved) = match e.repr.stored()? {
+            Stored::F32(data) | Stored::Decoded(data, _) => {
                 let (lo, hi) = plane_elems(e.layout, &planes, data.len())?;
                 (data[lo..hi].to_vec(), (hi - lo) * 4)
             }
-            Payload::Stream(stream) => {
+            Stored::Stream(stream) => {
                 // Codecs with a frame index decode only the covering
                 // frames; others pay the documented whole-decode
                 // fallback (and the byte counters say so honestly).
@@ -910,22 +915,9 @@ impl<K: Copy + Eq + Hash + Debug> BudgetedArena<K> {
                 self.metrics.partial_bytes_total += stats.bytes_total as u64;
                 (vals, stats.bytes_decoded)
             }
-            Payload::Bytes(_) => return Err(not_f32()),
         };
-        self.count_read(e.tier(), moved);
+        self.metrics.count_read(e.tier(), moved);
         Ok(vals)
-    }
-
-    /// Count a non-destructive read of `moved` bytes from `tier`.
-    fn count_read(&mut self, tier: Tier, moved: usize) {
-        match tier {
-            Tier::Cold => {
-                self.metrics.transfer_nanos += transfer_nanos(moved);
-                self.metrics.host_hits += 1;
-            }
-            Tier::Warm => self.metrics.warm_hits += 1,
-            _ => self.metrics.hot_hits += 1,
-        }
     }
 
     /// Issue background decodes for the next scheduled warm entries, up

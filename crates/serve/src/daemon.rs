@@ -61,8 +61,7 @@ pub struct ServeConfig {
     pub max_payload: usize,
     /// Cold-tier behaviour for tenant arenas.
     pub cold: ColdPolicy,
-    /// At-rest demotion bound of tensors held raw (a store's `eb > 0`
-    /// overrides); kept streams are never re-encoded.
+    /// Demotion bound of raw-held tensors (a store's `eb > 0` overrides).
     pub bound: BoundSpec,
 }
 
@@ -483,14 +482,12 @@ fn rpc_store(shared: &Arc<Shared>, tenant: u32, mut body: Vec<u8>) -> Result<Vec
         pending: &shared.raw_pending,
         amount: raw_delta,
     };
-    // Global resident ceiling: worst case the store lands hot beside its
-    // kept stream, adding min(raw + stream, tenant budget) device bytes.
-    // Try the tiered eviction pass before giving up. (Reclaim takes
-    // other tenants' locks, so release ours around it — lock order
-    // stays "one tenant at a time".)
-    let worst = raw
-        .saturating_add(stream_len)
-        .min(shared.cfg.tenant_budget_bytes);
+    // Global resident ceiling: worst case the store lands hot with its
+    // stream, adding min(raw + stream, tenant budget). Try the tiered
+    // eviction pass before giving up. (Reclaim takes other tenants'
+    // locks, so release ours around it — one tenant lock at a time.)
+    let worst = raw.saturating_add(stream_len);
+    let worst = worst.min(shared.cfg.tenant_budget_bytes);
     let mut reserved = try_reserve(
         &shared.resident_total,
         &shared.resident_pending,
@@ -523,8 +520,7 @@ fn rpc_store(shared: &Arc<Shared>, tenant: u32, mut body: Vec<u8>) -> Result<Vec
         pending: &shared.resident_pending,
         amount: worst,
     };
-    // The tenant keeps the frame's own buffer: drop the fixed fields.
-    body.drain(..body.len() - stream_len);
+    body.drain(..body.len() - stream_len); // the tenant keeps the frame's buffer
     let out = t.store(&shared.registry, key, layout, eb, body);
     // Mirror before the holds drop: totals then cover the stored bytes,
     // so total + pending never understates real usage.
@@ -547,41 +543,31 @@ fn rpc_fetch(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8
     }
     let slot = tenant_slot(shared, tenant, false)?;
     let mut t = lock_tenant(&slot);
-    // Built under the tenant lock, borrowing the entry; a read moves no
-    // residency, so there is nothing to re-mirror.
     let (layout, stored) = t.fetch_stored(key)?;
+    let codec = |e| ServeError::new(ErrorCode::Codec, format!("fetch: {e}"));
     let mut out = Vec::new();
     frame::put_layout(&mut out, layout);
-    let decoded;
-    let vals = match (mode, stored) {
-        // A held stream ships as it is.
-        (1, Stored::Decoded(_, stream) | Stored::Stream(stream)) | (2, Stored::Stream(stream)) => {
-            if mode == 2 {
-                out.push(1); // form 1: the stream
-            }
-            out.extend_from_slice(stream.as_bytes());
-            return Ok(out);
-        }
-        (_, Stored::F32(vals) | Stored::Decoded(vals, _)) => vals,
-        (_, Stored::Stream(stream)) => {
-            decoded = shared
-                .registry
-                .decompress(stream)
-                .map_err(|e| ServeError::new(ErrorCode::Codec, format!("stored stream: {e}")))?;
-            &decoded
-        }
+    let held = match (mode, stored) {
+        (1, Stored::Decoded(_, s) | Stored::Stream(s)) | (2, Stored::Stream(s)) => Some(s),
+        _ => None,
+    };
+    out.extend((mode == 2).then_some(held.is_some() as u8)); // mode 2: form 1 stream, 0 f32
+    if let Some(stream) = held {
+        out.extend_from_slice(stream.as_bytes());
+        return Ok(out);
+    }
+    let vals = match stored {
+        Stored::F32(vals) | Stored::Decoded(vals, _) => vals,
+        Stored::Stream(stream) => &shared.registry.decompress(stream).map_err(codec)?,
     };
     check_response_elems(vals.len())?;
     if mode == 1 {
-        let stream = shared
-            .lossless
-            .compress(vals, layout, &BoundSpec::Lossless)
-            .map_err(|e| ServeError::new(ErrorCode::Codec, format!("re-compress: {e}")))?;
-        out.extend_from_slice(stream.as_bytes());
+        // Only a raw-held entry gets here: encode a copy, unlocked.
+        let raw = vals.to_vec();
+        drop(t);
+        let lossless = shared.lossless.compress(&raw, layout, &BoundSpec::Lossless);
+        out.extend_from_slice(lossless.map_err(codec)?.as_bytes());
     } else {
-        if mode == 2 {
-            out.push(0); // form 0: f32 values
-        }
         frame::put_f32_body(&mut out, vals);
     }
     Ok(out)

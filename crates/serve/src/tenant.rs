@@ -197,9 +197,7 @@ impl Tenant {
             key
         };
         let tier = if stream.compressed_byte_len() < raw {
-            let codec = registry
-                .get(stream.codec_id())
-                .expect("the registry decoded this stream");
+            let codec = registry.get(stream.codec_id()).expect("decoded above");
             self.arena.insert_stream(slot, data, stream, layout, codec)
         } else {
             let bound = (eb > 0.0).then_some(BoundSpec::Abs(eb));

@@ -797,6 +797,12 @@ pub fn declared_len(bytes: &[u8]) -> Result<usize> {
     parse_header(bytes).map(|h| h.n)
 }
 
+/// The layout a stream's header declares (what its frames index), read
+/// without decoding the body.
+pub fn declared_layout(bytes: &[u8]) -> Result<DataLayout> {
+    parse_header(bytes).map(|h| h.layout)
+}
+
 /// A full decode: the whole-plane-range case of [`crate::frames`]' one
 /// decoder.
 fn decompress_impl(bytes: &[u8], parallel: bool) -> Result<Vec<f32>> {

@@ -59,8 +59,8 @@ mod reconstruct;
 pub mod zfp_like;
 
 pub use codec::{
-    compress, compress_recon, compress_serial, declared_len, decompress, decompress_bytes,
-    decompress_serial, CompressedBuffer,
+    compress, compress_recon, compress_serial, declared_layout, declared_len, decompress,
+    decompress_bytes, decompress_serial, CompressedBuffer,
 };
 pub use frames::{
     decompress_planes_bytes, frame_index_of, FrameEntry, FrameIndex, RangeDecodeStats,

@@ -779,6 +779,59 @@ fn stored_form_fetch_is_a_server_decode_in_every_tier() {
 }
 
 #[test]
+fn a_stream_of_another_layout_serves_the_requests_planes_in_every_tier() {
+    let layout = DataLayout::D2(64, 256);
+    let raw = layout.len() * 4;
+    // Same element count, other geometry: the header's frames index
+    // planes of 64 and of the D1 chunking, not the request's 256.
+    let held = [
+        DataLayout::D2(256, 64),
+        DataLayout::D1(layout.len()),
+        layout,
+    ];
+    let streams: Vec<TaggedStream> = held
+        .iter()
+        .zip(0..)
+        .map(|(&l, k)| {
+            SzCodec::dual_quant()
+                .compress(&noisy(layout.len(), k), l, &BoundSpec::Abs(1e-3))
+                .unwrap()
+        })
+        .collect();
+    let len = |k: usize| streams[k].compressed_byte_len();
+    // One hot pair and two streams: the third store sends key 1 warm and
+    // key 0 to host.
+    let mut cfg = test_config();
+    cfg.tenant_budget_bytes = raw + len(1) + len(2) + len(0) / 2;
+    let daemon = ServeDaemon::spawn(cfg).expect("spawn");
+    let mut c = ServeClient::connect(daemon.addr()).expect("connect");
+    let mut s = connect_raw(&daemon);
+    let tenant = 9_945;
+    let mut hot = Vec::new();
+    for (k, stream) in streams.iter().enumerate() {
+        let tier = c.store_stream(tenant, k as u64, layout, 1e-3, stream);
+        assert_eq!(tier.expect("store"), Tier::Hot);
+        hot.push(c.fetch_planes(tenant, k as u64, 8..16).expect("hot planes"));
+        assert_eq!(hot[k].len(), 8 * 256);
+    }
+    let stats = c.stats(tenant).expect("stats");
+    assert_eq!(stats.resident_bytes as usize, raw + len(2) + len(1));
+    for (k, want) in hot.iter().enumerate().take(2) {
+        assert_eq!(
+            raw_fetch(&mut s, tenant, k as u64, 2)[13],
+            1,
+            "key {k} not hot"
+        );
+        let got = c.fetch_planes(tenant, k as u64, 8..16).expect("planes");
+        assert_eq!(bits(&got), bits(want), "key {k}");
+        let (whole, _) = c.fetch(tenant, k as u64).expect("fetch");
+        assert_eq!(bits(&whole[8 * 256..16 * 256]), bits(want), "key {k}");
+        assert!(c.fetch_planes(tenant, k as u64, 8..65).is_err());
+    }
+    daemon.shutdown();
+}
+
+#[test]
 fn hostile_fetch_stream_is_refused_before_any_decode() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
