@@ -352,12 +352,6 @@ impl AdaptiveTrainer {
         self.store.metrics()
     }
 
-    /// The optimizer's hyper-parameters — a ZeRO-style sharded optimizer
-    /// replicates this exact update rule over its owned shard.
-    pub fn sgd_config(&self) -> &SgdConfig {
-        self.opt.config()
-    }
-
     /// Full iteration history.
     pub fn history(&self) -> &[IterationRecord] {
         &self.history

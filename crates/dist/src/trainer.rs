@@ -500,11 +500,6 @@ impl DistributedTrainer {
         &self.replicas[0]
     }
 
-    /// Mutable chief access.
-    pub fn chief_mut(&mut self) -> &mut AdaptiveTrainer {
-        &mut self.replicas[0]
-    }
-
     /// Any replica (panics on out-of-range rank).
     pub fn replica(&self, rank: usize) -> &AdaptiveTrainer {
         &self.replicas[rank]
@@ -534,12 +529,6 @@ impl DistributedTrainer {
     /// every rank).
     pub fn num_buckets(&self) -> usize {
         self.syncs[0].plan().num_buckets()
-    }
-
-    /// The chief rank's bucketed synchronizer (plan, shard bytes,
-    /// last-step statistics).
-    pub fn chief_sync(&self) -> &BucketedGradSync {
-        &self.syncs[0]
     }
 
     /// Per-step records so far.

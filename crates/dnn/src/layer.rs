@@ -366,16 +366,6 @@ pub trait Layer: Send {
     /// builder seed would apply the same mask to every shard, which is
     /// not how per-device RNG behaves on real data-parallel stacks.
     fn reseed_stochastic(&mut self, _seed: u64) {}
-
-    /// Non-parameter persistent state (e.g. batch-norm running
-    /// statistics) for checkpoint serialization. Empty by default.
-    fn extra_state(&self) -> Vec<Vec<f64>> {
-        Vec::new()
-    }
-
-    /// Restore state captured by [`extra_state`](Layer::extra_state).
-    /// Implementations must accept exactly what they produced.
-    fn set_extra_state(&mut self, _state: &[Vec<f64>]) {}
 }
 
 #[cfg(test)]

@@ -163,18 +163,6 @@ impl Layer for BatchNorm2d {
     fn params(&self) -> Vec<&Param> {
         vec![&self.gamma, &self.beta]
     }
-
-    fn extra_state(&self) -> Vec<Vec<f64>> {
-        vec![self.running_mean.clone(), self.running_var.clone()]
-    }
-
-    fn set_extra_state(&mut self, state: &[Vec<f64>]) {
-        assert_eq!(state.len(), 2, "{}: bad BN state arity", self.name);
-        assert_eq!(state[0].len(), self.channels);
-        assert_eq!(state[1].len(), self.channels);
-        self.running_mean = state[0].clone();
-        self.running_var = state[1].clone();
-    }
 }
 
 #[cfg(test)]

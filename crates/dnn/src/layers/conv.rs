@@ -87,11 +87,6 @@ impl Conv2d {
     pub fn kernel(&self) -> usize {
         self.kh
     }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_c
-    }
 }
 
 impl Layer for Conv2d {

@@ -38,7 +38,6 @@ pub mod memsim;
 pub mod network;
 pub mod optimizer;
 pub mod recompute;
-pub mod serialize;
 pub mod store;
 pub mod train;
 pub mod zoo;

@@ -54,11 +54,6 @@ impl BitWriter {
         }
         self.bytes
     }
-
-    /// Number of complete bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.nbits as usize
-    }
 }
 
 /// Reads bits MSB-first from a byte slice, through a 64-bit register
@@ -211,16 +206,6 @@ mod tests {
         w.write_bits(0b101, 3);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0b1010_0000]);
-    }
-
-    #[test]
-    fn bit_len_tracks_progress() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.bit_len(), 0);
-        w.write_bits(0, 3);
-        assert_eq!(w.bit_len(), 3);
-        w.write_bits(0, 13);
-        assert_eq!(w.bit_len(), 16);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! Three design points (DESIGN.md §9 has the full rationale):
 //!
 //! * **Thread-local shards.** Counter and span updates land in a shard
-//!   owned by the calling thread, so `ebtrain-pool` workers and the
-//!   rayon-shim's scoped threads never contend on a shared lock in the
-//!   hot path. [`snapshot`] merges every live shard plus a *retired*
-//!   accumulator that absorbs shards of threads that have exited (the
-//!   rayon shim spawns short-lived scoped threads per parallel loop, so
-//!   retirement is the common case, and no count is ever lost).
+//!   owned by the calling thread, so `ebtrain-pool` workers and their
+//!   callers never contend on a shared lock in the hot path.
+//!   [`snapshot`] merges every live shard plus a *retired* accumulator
+//!   that absorbs shards of threads that have exited (client threads,
+//!   serve session threads and the workers of a dropped pool), so no
+//!   count is ever lost.
 //! * **Spans are RAII guards.** [`span!`]`("sz.compress", bytes = n)`
 //!   returns a guard; dropping it records duration + byte attribution
 //!   into the registry and, when tracing is on, a `B`/`E` event pair

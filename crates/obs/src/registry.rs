@@ -5,11 +5,11 @@
 //! while a snapshot is being taken), so concurrent workers never fight
 //! over a shared line. [`snapshot`] merges every live shard plus the
 //! *retired* accumulator into which a dying thread folds its shard —
-//! the rayon shim's scoped threads live for one parallel loop, so
-//! retirement must be loss-free. Gauges are low-frequency (tier
-//! residency, queue depth) and live in one global map keyed by owned
-//! strings, which is what lets per-instance keys like
-//! `membudget.resident.hot#3` exist.
+//! client threads, serve session threads and a dropped pool's workers
+//! exit while the process runs on, so retirement must be loss-free.
+//! Gauges are low-frequency (tier residency, queue depth) and live in
+//! one global map keyed by owned strings, which is what lets
+//! per-instance keys like `membudget.resident.hot#3` exist.
 
 use crate::hist::{Histogram, Quantiles};
 use std::collections::{BTreeMap, HashMap};

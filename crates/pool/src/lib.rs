@@ -147,86 +147,17 @@ impl<T: Send> TaskHandle<T> {
         }
     }
 
-    /// True once the task has produced a result (never blocks).
-    pub fn is_finished(&self) -> bool {
-        matches!(
-            *self.inner.state.lock().expect("task poisoned"),
-            TaskState::Done(_)
-        )
-    }
-
     /// Block until the task has produced a result, **without** consuming
     /// the handle or claiming pending work inline. This is a pure
     /// completion wait: if the task is still queued behind a saturated
     /// pool the caller sleeps until a worker (or another joiner) runs
-    /// it. Use [`join_result`](Self::join_result) — or a
-    /// [`CompletionSet`] — when the caller may be the only thread left
-    /// to make progress.
+    /// it. Use [`join_result`](Self::join_result) when the caller may be
+    /// the only thread left to make progress.
     pub fn wait(&self) {
         let mut st = self.inner.state.lock().expect("task poisoned");
         while !matches!(*st, TaskState::Done(_) | TaskState::Taken) {
             st = self.inner.cv.wait(st).expect("task poisoned");
         }
-    }
-}
-
-/// An ordered set of in-flight task handles — the completion-notify
-/// surface the bucketed gradient collectives build on. A data-parallel
-/// worker pushes one handle per gradient bucket as backward retires it,
-/// keeps computing, and calls [`join_all`](CompletionSet::join_all) once
-/// backward finishes; only then does it pay for whatever communication
-/// is still outstanding.
-///
-/// Joining preserves **insertion order** and uses the pool's
-/// inline-claim join, so a set drained by the submitting thread can
-/// never deadlock against a saturated pool: a still-pending task is
-/// executed on the joining thread, in submission order, which is
-/// exactly the non-overlapped baseline cost.
-pub struct CompletionSet<T> {
-    handles: Vec<TaskHandle<T>>,
-}
-
-impl<T: Send> CompletionSet<T> {
-    /// Empty set.
-    pub fn new() -> CompletionSet<T> {
-        CompletionSet {
-            handles: Vec::new(),
-        }
-    }
-
-    /// Track one in-flight task.
-    pub fn push(&mut self, handle: TaskHandle<T>) {
-        self.handles.push(handle);
-    }
-
-    /// Number of tracked tasks (finished or not).
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// True when no tasks are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// How many tracked tasks have already produced a result (never
-    /// blocks) — lets callers observe how much communication genuinely
-    /// overlapped with their compute.
-    pub fn finished_count(&self) -> usize {
-        self.handles.iter().filter(|h| h.is_finished()).count()
-    }
-
-    /// Join every tracked task in insertion order and return their
-    /// results (worker panics surface as `Err`, mirroring
-    /// [`TaskHandle::join_result`]). The set is left empty.
-    pub fn join_all(&mut self) -> Vec<std::thread::Result<T>> {
-        self.handles.drain(..).map(|h| h.join_result()).collect()
-    }
-}
-
-impl<T: Send> Default for CompletionSet<T> {
-    fn default() -> Self {
-        CompletionSet::new()
     }
 }
 
@@ -679,74 +610,7 @@ mod tests {
             5
         });
         h.wait();
-        assert!(h.is_finished());
         assert_eq!(h.join(), 5);
-    }
-
-    #[test]
-    fn completion_set_joins_in_insertion_order() {
-        let pool = WorkerPool::new(3);
-        let mut set = CompletionSet::new();
-        for i in 0..10usize {
-            set.push(pool.submit(move || i * 2));
-        }
-        assert_eq!(set.len(), 10);
-        let results: Vec<usize> = set.join_all().into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(results, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn completion_set_drains_saturated_pool_inline() {
-        // One worker parked on a gate; the remaining queued tasks must be
-        // claimed inline by join_all instead of deadlocking.
-        let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        let blocker = pool.submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            0usize
-        });
-        let mut set = CompletionSet::new();
-        for i in 1..5usize {
-            set.push(pool.submit(move || i));
-        }
-        let results: Vec<usize> = set.join_all().into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(results, vec![1, 2, 3, 4]);
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        blocker.join();
-    }
-
-    #[test]
-    fn completion_set_surfaces_panics_per_task() {
-        let pool = WorkerPool::new(2);
-        let mut set = CompletionSet::new();
-        set.push(pool.submit(|| 1usize));
-        set.push(pool.submit(|| panic!("bucket failed")));
-        set.push(pool.submit(|| 3usize));
-        let results = set.join_all();
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn finished_count_tracks_completion() {
-        let pool = WorkerPool::new(2);
-        let mut set = CompletionSet::new();
-        set.push(pool.submit(|| 1usize));
-        // Wait for it to finish, then observe without consuming.
-        while set.finished_count() == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(set.finished_count(), 1);
-        set.join_all();
     }
 
     #[test]

@@ -160,15 +160,15 @@ impl ServeClient {
     /// stored form: a warm or cold entry's stream is decoded here, and
     /// its declared count checked against the layout before it decodes.
     pub fn fetch(&mut self, tenant: u32, key: u64) -> ClientResult<(Vec<f32>, DataLayout)> {
-        let mut req = Vec::with_capacity(9);
+        let mut req = Vec::with_capacity(8);
         put_u64(&mut req, key);
-        req.push(2); // mode 2: the stored form
         let mut body = self.call(RequestTag::Fetch, tenant, &req)?;
         let mut off = 0;
         let layout =
             frame::get_layout(&body, &mut off).ok_or(ClientError::BadResponse("fetch layout"))?;
         let vals = match get_u8(&body, &mut off) {
             Some(0) => frame::get_f32_body(&body, &mut off)
+                .filter(|vals| vals.len() == layout.len())
                 .ok_or(ClientError::BadResponse("fetch body"))?,
             Some(1) => {
                 body.drain(..off);
@@ -185,27 +185,6 @@ impl ServeClient {
         Ok((vals, layout))
     }
 
-    /// Fetch a whole tensor as a stream the caller decodes: the entry's
-    /// own stream when it holds one, else a lossless encode of its
-    /// values. Either decodes bit-identically to
-    /// [`fetch`](ServeClient::fetch).
-    pub fn fetch_compressed(
-        &mut self,
-        tenant: u32,
-        key: u64,
-    ) -> ClientResult<(TaggedStream, DataLayout)> {
-        let mut req = Vec::with_capacity(9);
-        put_u64(&mut req, key);
-        req.push(1); // mode 1: a TaggedStream
-        let body = self.call(RequestTag::Fetch, tenant, &req)?;
-        let mut off = 0;
-        let layout =
-            frame::get_layout(&body, &mut off).ok_or(ClientError::BadResponse("fetch layout"))?;
-        let stream = TaggedStream::from_bytes(body[off..].to_vec())
-            .map_err(|_| ClientError::BadResponse("fetch stream"))?;
-        Ok((stream, layout))
-    }
-
     /// Fetch a leading-dimension plane range (non-destructive).
     pub fn fetch_planes(
         &mut self,
@@ -215,8 +194,11 @@ impl ServeClient {
     ) -> ClientResult<Vec<f32>> {
         let mut req = Vec::with_capacity(16);
         put_u64(&mut req, key);
-        put_u32(&mut req, planes.start as u32);
-        put_u32(&mut req, planes.end as u32);
+        // An index past u32 saturates, so the server answers `BadRange`
+        // instead of serving a truncated range.
+        let wire = |i: usize| u32::try_from(i).unwrap_or(u32::MAX);
+        put_u32(&mut req, wire(planes.start));
+        put_u32(&mut req, wire(planes.end));
         let body = self.call(RequestTag::FetchPlanes, tenant, &req)?;
         let mut off = 0;
         frame::get_f32_body(&body, &mut off).ok_or(ClientError::BadResponse("fetch_planes body"))

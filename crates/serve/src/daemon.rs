@@ -28,9 +28,9 @@ use crate::frame::{
 };
 use crate::tenant::{Tenant, TenantStats};
 use crate::{tier_to_byte, ServeError};
-use ebtrain_codec::{BoundSpec, Codec, CodecRegistry, LosslessCodec};
+use ebtrain_codec::{BoundSpec, CodecRegistry};
 use ebtrain_membudget::{BudgetConfig, ColdPolicy, Stored};
-use ebtrain_obs::netutil::{get_u32, get_u64, get_u8, TcpServer};
+use ebtrain_obs::netutil::{get_u32, get_u64, TcpServer};
 use ebtrain_obs::{counter_add, gauge_add, gauge_remove, gauge_set};
 use ebtrain_pool::WorkerPool;
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Daemon configuration. Env-var knobs: see [`ServeConfig::from_env`].
+/// Daemon configuration.
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Bind address (`host:port`, port 0 for ephemeral).
@@ -81,40 +81,6 @@ impl Default for ServeConfig {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-impl ServeConfig {
-    /// Defaults overridden by the environment:
-    ///
-    /// | var | meaning |
-    /// |---|---|
-    /// | `EBTRAIN_SERVE_ADDR` | bind address |
-    /// | `EBTRAIN_SERVE_TENANT_MIB` | per-tenant budget (MiB) |
-    /// | `EBTRAIN_SERVE_GLOBAL_MIB` | global resident ceiling (MiB); raw ceiling = 8× |
-    /// | `EBTRAIN_SERVE_MAX_INFLIGHT` | in-flight request ceiling |
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        if let Ok(a) = std::env::var("EBTRAIN_SERVE_ADDR") {
-            if !a.is_empty() {
-                cfg.addr = a;
-            }
-        }
-        if let Some(m) = env_usize("EBTRAIN_SERVE_TENANT_MIB") {
-            cfg.tenant_budget_bytes = m << 20;
-        }
-        if let Some(m) = env_usize("EBTRAIN_SERVE_GLOBAL_MIB") {
-            cfg.max_resident_bytes = m << 20;
-            cfg.max_raw_bytes = (m << 20).saturating_mul(8);
-        }
-        if let Some(n) = env_usize("EBTRAIN_SERVE_MAX_INFLIGHT") {
-            cfg.max_inflight = n;
-        }
-        cfg
-    }
-}
-
 /// One tenant plus lock-free mirrors of its byte totals, so admission
 /// and the eviction pass can sum/sort residency without taking every
 /// tenant lock.
@@ -127,7 +93,6 @@ struct TenantSlot {
 struct Shared {
     cfg: ServeConfig,
     registry: CodecRegistry,
-    lossless: LosslessCodec,
     tenants: Mutex<HashMap<u32, Arc<TenantSlot>>>,
     /// Σ slot.resident — maintained under each tenant's lock, read
     /// lock-free by admission.
@@ -208,7 +173,6 @@ impl ServeDaemon {
         let shared = Arc::new(Shared {
             cfg,
             registry: CodecRegistry::standard(),
-            lossless: LosslessCodec,
             tenants: Mutex::new(HashMap::new()),
             resident_total: AtomicUsize::new(0),
             raw_total: AtomicUsize::new(0),
@@ -531,44 +495,24 @@ fn rpc_store(shared: &Arc<Shared>, tenant: u32, mut body: Vec<u8>) -> Result<Vec
 fn rpc_fetch(shared: &Arc<Shared>, tenant: u32, payload: &[u8]) -> Result<Vec<u8>, ServeError> {
     let mut off = 0;
     let key = get_u64(payload, &mut off).ok_or_else(|| malformed("fetch body"))?;
-    let mode = get_u8(payload, &mut off).ok_or_else(|| malformed("fetch body"))?;
     if off != payload.len() {
         return Err(malformed("fetch body (trailing bytes)"));
-    }
-    if mode > 2 {
-        return Err(ServeError::new(
-            ErrorCode::Malformed,
-            format!("unknown fetch mode {mode}"),
-        ));
     }
     let slot = tenant_slot(shared, tenant, false)?;
     let mut t = lock_tenant(&slot);
     let (layout, stored) = t.fetch_stored(key)?;
-    let codec = |e| ServeError::new(ErrorCode::Codec, format!("fetch: {e}"));
     let mut out = Vec::new();
     frame::put_layout(&mut out, layout);
-    let held = match (mode, stored) {
-        (1, Stored::Decoded(_, s) | Stored::Stream(s)) | (2, Stored::Stream(s)) => Some(s),
-        _ => None,
-    };
-    out.extend((mode == 2).then_some(held.is_some() as u8)); // mode 2: form 1 stream, 0 f32
-    if let Some(stream) = held {
-        out.extend_from_slice(stream.as_bytes());
-        return Ok(out);
-    }
-    let vals = match stored {
-        Stored::F32(vals) | Stored::Decoded(vals, _) => vals,
-        Stored::Stream(stream) => &shared.registry.decompress(stream).map_err(codec)?,
-    };
-    check_response_elems(vals.len())?;
-    if mode == 1 {
-        // Only a raw-held entry gets here: encode a copy, unlocked.
-        let raw = vals.to_vec();
-        drop(t);
-        let lossless = shared.lossless.compress(&raw, layout, &BoundSpec::Lossless);
-        out.extend_from_slice(lossless.map_err(codec)?.as_bytes());
-    } else {
-        frame::put_f32_body(&mut out, vals);
+    match stored {
+        Stored::Stream(stream) => {
+            out.push(1);
+            out.extend_from_slice(stream.as_bytes());
+        }
+        Stored::F32(vals) | Stored::Decoded(vals, _) => {
+            check_response_elems(vals.len())?;
+            out.push(0);
+            frame::put_f32_body(&mut out, vals);
+        }
     }
     Ok(out)
 }

@@ -50,11 +50,9 @@ pub const DEFAULT_MAX_PAYLOAD: usize = 64 << 20;
 pub enum RequestTag {
     /// Store one tensor: `key u64 | layout | eb f32 | TaggedStream`.
     Store = 1,
-    /// Fetch a stored tensor: `key u64 | mode u8`; non-destructive.
-    /// Body `layout | …`: mode 0 count-prefixed f32; mode 1 a
-    /// `TaggedStream` decoding to the same bits (the entry's own stream,
-    /// else a lossless encode); mode 2 `form u8 | body`, form 0 f32
-    /// (hot entries) or form 1 the stream as stored (warm, cold).
+    /// Fetch a stored tensor: `key u64`; non-destructive. Body
+    /// `layout | form u8 | …`: form 0 count-prefixed f32 (hot and
+    /// raw-held entries), form 1 the stream as stored (warm, cold).
     Fetch = 2,
     /// Fetch a leading-dimension plane range: `key u64 | start u32 |
     /// end u32`. Non-destructive; frame-indexed codecs decode only the

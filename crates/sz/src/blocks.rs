@@ -13,11 +13,11 @@
 //! ran. The error contract is untouched because it is a per-element
 //! property.
 //!
-//! This module owns the geometry (how a [`DataLayout`] splits) and the
-//! explicit-block-size entry point [`compress_blocked`]; the framing
-//! itself lives in the codec.
+//! This module owns the geometry (how a [`DataLayout`] splits);
+//! [`SzConfig::chunk_planes`](crate::SzConfig::chunk_planes) overrides
+//! the automatic block size, and the framing itself lives in the codec.
 
-use crate::{compress, CompressedBuffer, DataLayout, Result, SzConfig};
+use crate::DataLayout;
 
 /// Auto-chunking target: roughly this many elements per chunk. Small
 /// enough that a 64 KiB activation volume still splits into several
@@ -81,29 +81,19 @@ pub(crate) fn auto_block_planes(layout: &DataLayout) -> usize {
     CHUNK_TARGET_ELEMS.div_ceil(plane_elems.max(1))
 }
 
-/// Compress with an explicit block size instead of the automatic one:
-/// `block_planes` leading-dimension slices per independently-coded chunk.
-///
-/// Equivalent to setting [`SzConfig::chunk_planes`]; the returned stream
-/// is an ordinary framed [`CompressedBuffer`] that any of the decompress
-/// entry points accepts.
-pub fn compress_blocked(
-    data: &[f32],
-    layout: DataLayout,
-    config: &SzConfig,
-    block_planes: usize,
-) -> Result<CompressedBuffer> {
-    let cfg = SzConfig {
-        chunk_planes: Some(block_planes.max(1)),
-        ..*config
-    };
-    compress(data, layout, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decompress, decompress_serial};
+    use crate::{compress, decompress, decompress_serial, CompressedBuffer, SzConfig};
+
+    /// Vanilla SZ at `eb` with `block_planes` slices per chunk.
+    fn blocked(data: &[f32], layout: DataLayout, eb: f32, block_planes: usize) -> CompressedBuffer {
+        let cfg = SzConfig {
+            chunk_planes: Some(block_planes),
+            ..SzConfig::vanilla(eb)
+        };
+        compress(data, layout, &cfg).unwrap()
+    }
 
     fn volume(a: usize, b: usize, c: usize) -> Vec<f32> {
         (0..a * b * c)
@@ -143,13 +133,7 @@ mod tests {
         let data = volume(12, 16, 16);
         let eb = 1e-3f32;
         for bp in [1usize, 4, 100] {
-            let buf = compress_blocked(
-                &data,
-                DataLayout::D3(12, 16, 16),
-                &SzConfig::vanilla(eb),
-                bp,
-            )
-            .unwrap();
+            let buf = blocked(&data, DataLayout::D3(12, 16, 16), eb, bp);
             for out in [decompress(&buf).unwrap(), decompress_serial(&buf).unwrap()] {
                 assert_eq!(out.len(), data.len());
                 for (x, y) in data.iter().zip(&out) {
@@ -162,16 +146,9 @@ mod tests {
     #[test]
     fn block_count_matches_geometry() {
         let data = volume(12, 8, 8);
-        let buf =
-            compress_blocked(&data, DataLayout::D3(12, 8, 8), &SzConfig::vanilla(1e-3), 4).unwrap();
+        let buf = blocked(&data, DataLayout::D3(12, 8, 8), 1e-3, 4);
         assert_eq!(buf.num_chunks(), 3);
-        let buf1 = compress_blocked(
-            &data,
-            DataLayout::D3(12, 8, 8),
-            &SzConfig::vanilla(1e-3),
-            100,
-        )
-        .unwrap();
+        let buf1 = blocked(&data, DataLayout::D3(12, 8, 8), 1e-3, 100);
         assert_eq!(buf1.num_chunks(), 1);
     }
 
@@ -180,43 +157,33 @@ mod tests {
         // Independent blocks restart prediction and duplicate tables; the
         // loss should stay small on real-sized tensors.
         let data = volume(32, 32, 32);
-        let whole = compress_blocked(
-            &data,
-            DataLayout::D3(32, 32, 32),
-            &SzConfig::vanilla(1e-3),
-            1000,
-        )
-        .unwrap();
-        let blocked = compress_blocked(
-            &data,
-            DataLayout::D3(32, 32, 32),
-            &SzConfig::vanilla(1e-3),
-            4,
-        )
-        .unwrap();
+        let whole = blocked(&data, DataLayout::D3(32, 32, 32), 1e-3, 1000);
+        let split = blocked(&data, DataLayout::D3(32, 32, 32), 1e-3, 4);
         assert!(
-            blocked.ratio() > whole.ratio() * 0.6,
+            split.ratio() > whole.ratio() * 0.6,
             "blocked {:.2} vs whole {:.2}",
-            blocked.ratio(),
+            split.ratio(),
             whole.ratio()
         );
     }
 
     #[test]
     fn explicit_blocking_matches_config_field() {
-        let data = volume(8, 8, 8);
+        // The field set to the automatic grain writes the default stream.
+        let data = volume(16, 32, 32);
+        let layout = DataLayout::D3(16, 32, 32);
         let cfg = SzConfig::with_error_bound(1e-3);
-        let via_fn = compress_blocked(&data, DataLayout::D3(8, 8, 8), &cfg, 2).unwrap();
-        let via_cfg = compress(
+        let auto = compress(&data, layout, &cfg).unwrap();
+        let explicit = compress(
             &data,
-            DataLayout::D3(8, 8, 8),
+            layout,
             &SzConfig {
-                chunk_planes: Some(2),
+                chunk_planes: Some(auto_block_planes(&layout)),
                 ..cfg
             },
         )
         .unwrap();
-        assert_eq!(via_fn.as_bytes(), via_cfg.as_bytes());
-        assert_eq!(via_fn.num_chunks(), 4);
+        assert_eq!(explicit.as_bytes(), auto.as_bytes());
+        assert_eq!(auto.num_chunks(), 4);
     }
 }

@@ -24,20 +24,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// `y[i] = alpha * y[i] + beta * x[i]` (the SGD-momentum update shape).
-pub fn axpby(alpha: f32, beta: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len());
-    if y.len() >= PAR_THRESHOLD {
-        y.par_iter_mut()
-            .zip(x.par_iter())
-            .for_each(|(yv, &xv)| *yv = alpha * *yv + beta * xv);
-    } else {
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv = alpha * *yv + beta * xv;
-        }
-    }
-}
-
 /// In-place scale `x[i] *= alpha`.
 pub fn scale(alpha: f32, x: &mut [f32]) {
     if x.len() >= PAR_THRESHOLD {
@@ -92,27 +78,6 @@ pub fn max_abs(x: &[f32]) -> f32 {
             .reduce(|| 0.0, f32::max)
     } else {
         x.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
-    }
-}
-
-/// `(min, max)` over the slice; `(0,0)` for an empty slice.
-pub fn min_max(x: &[f32]) -> (f32, f32) {
-    if x.is_empty() {
-        return (0.0, 0.0);
-    }
-    let fold = |c: &[f32]| {
-        c.iter()
-            .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(v), hi.max(v))
-            })
-    };
-    if x.len() >= PAR_THRESHOLD {
-        x.par_chunks(PAR_THRESHOLD).map(fold).reduce(
-            || (f32::INFINITY, f32::NEG_INFINITY),
-            |(a, b), (c, d)| (a.min(c), b.max(d)),
-        )
-    } else {
-        fold(x)
     }
 }
 
@@ -219,23 +184,11 @@ mod tests {
     }
 
     #[test]
-    fn axpby_momentum_shape() {
-        // v = 0.9 v + 1.0 g
-        let mut v = vec![1.0, 2.0];
-        axpby(0.9, 1.0, &[10.0, 20.0], &mut v);
-        assert!((v[0] - 10.9).abs() < 1e-6);
-        assert!((v[1] - 21.8).abs() < 1e-6);
-    }
-
-    #[test]
     fn reductions_agree_with_reference() {
         let x: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) / 100.0).collect();
         assert!((sum(&x) - x.iter().map(|&v| v as f64).sum::<f64>()).abs() < 1e-9);
         assert!((mean(&x) - (-0.005)).abs() < 1e-6);
         assert!((max_abs(&x) - 5.0).abs() < 1e-6);
-        let (lo, hi) = min_max(&x);
-        assert_eq!(lo, -5.0);
-        assert!((hi - 4.99).abs() < 1e-6);
     }
 
     #[test]

@@ -1,5 +1,4 @@
 use crate::{Result, TensorError};
-use rand::distributions::Distribution;
 use rand::Rng;
 
 /// A dense, contiguous, row-major `f32` tensor.
@@ -71,17 +70,6 @@ impl Tensor {
         }
     }
 
-    /// Sample every element i.i.d. uniformly from `[lo, hi)`.
-    pub fn rand_uniform<R: Rng>(shape: &[usize], lo: f32, hi: f32, rng: &mut R) -> Self {
-        let n: usize = shape.iter().product();
-        let dist = rand::distributions::Uniform::new(lo, hi);
-        let data = (0..n).map(|_| dist.sample(rng)).collect();
-        Tensor {
-            shape: shape.to_vec(),
-            data,
-        }
-    }
-
     /// The tensor's shape.
     #[inline]
     pub fn shape(&self) -> &[usize] {
@@ -98,12 +86,6 @@ impl Tensor {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
-    }
-
-    /// Number of dimensions.
-    #[inline]
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
     }
 
     /// Size in bytes of the raw storage (what an activation store accounts).
@@ -202,17 +184,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Extract the `b`-th batch element of an NCHW tensor as a `[c,h,w]` tensor.
-    pub fn batch_slice(&self, b: usize) -> Tensor {
-        let (n, c, h, w) = self.dims4();
-        assert!(b < n, "batch index {b} out of range {n}");
-        let plane = c * h * w;
-        Tensor {
-            shape: vec![c, h, w],
-            data: self.data[b * plane..(b + 1) * plane].to_vec(),
-        }
-    }
-
     /// Shape equality check returning a typed error (used by layer contracts).
     pub fn expect_shape(&self, shape: &[usize]) -> Result<()> {
         if self.shape != shape {
@@ -285,23 +256,6 @@ mod tests {
             / t.len() as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn rand_uniform_respects_range() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let t = Tensor::rand_uniform(&[10_000], -0.5, 0.5, &mut rng);
-        assert!(t.data().iter().all(|&x| (-0.5..0.5).contains(&x)));
-    }
-
-    #[test]
-    fn batch_slice_extracts_contiguous_plane() {
-        let data: Vec<f32> = (0..24).map(|x| x as f32).collect();
-        let t = Tensor::from_vec(&[2, 3, 2, 2], data).unwrap();
-        let b1 = t.batch_slice(1);
-        assert_eq!(b1.shape(), &[3, 2, 2]);
-        assert_eq!(b1.data()[0], 12.0);
-        assert_eq!(b1.data()[11], 23.0);
     }
 
     #[test]

@@ -153,11 +153,21 @@ fn unknown_tag_and_malformed_bodies_keep_the_session_alive() {
         .unwrap();
     let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
     assert_eq!(ErrorCode::from_byte(resp.status), Some(ErrorCode::Codec));
+    // A fetch body with a trailing mode byte (`key | mode`): Malformed.
+    let mut body = 1u64.to_be_bytes().to_vec();
+    body.push(2);
+    s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 2, 9_200, &body))
+        .unwrap();
+    let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
+    assert_eq!(
+        ErrorCode::from_byte(resp.status),
+        Some(ErrorCode::Malformed)
+    );
     // Same socket, valid RPC: still served.
     s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 6, 9_200, &[]))
         .unwrap();
     let resp = frame::read_response(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
-    assert_eq!(resp.status, 0, "session survived three typed errors");
+    assert_eq!(resp.status, 0, "session survived four typed errors");
     daemon.shutdown();
 }
 
@@ -175,14 +185,6 @@ fn lifecycle_store_fetch_planes_stats_evict() {
         .iter()
         .zip(&data)
         .all(|(a, b)| (a - b).abs() <= 1e-3 + 1e-6));
-    // Compressed fetch mode returns bit-identical values.
-    let (stream, _) = c.fetch_compressed(tenant, 5).expect("fetch compressed");
-    let vals = ebtrain_codec::CodecRegistry::standard()
-        .decompress(&stream)
-        .expect("decode fetched stream");
-    assert_eq!(vals, got);
-    // It is the stream the client stored, not a re-encode.
-    assert_eq!(stream.codec_id(), CodecId::SZ);
     // Plane range: rows 8..16 of the D2.
     let planes = c.fetch_planes(tenant, 5, 8..16).expect("fetch planes");
     assert_eq!(planes.len(), 8 * 256);
@@ -190,10 +192,15 @@ fn lifecycle_store_fetch_planes_stats_evict() {
     // Out-of-range is a typed BadRange, not a hangup.
     let err = c.fetch_planes(tenant, 5, 0..65).unwrap_err();
     assert_eq!(err.server_code(), Some(ErrorCode::BadRange));
+    // So is one past the wire's u32, never a wrapped plane 0.
+    let err = c
+        .fetch_planes(tenant, 5, 1 << 32..(1 << 32) + 1)
+        .unwrap_err();
+    assert_eq!(err.server_code(), Some(ErrorCode::BadRange));
     let stats = c.stats(tenant).expect("stats");
     assert_eq!(stats.entries, 1);
     assert_eq!(stats.stores, 1);
-    assert_eq!(stats.fetches, 3); // fetch + fetch_compressed + planes
+    assert_eq!(stats.fetches, 2); // fetch + planes
     assert_eq!(stats.raw_bytes, (layout.len() * 4) as u64);
     c.evict(tenant, 5).expect("evict");
     let err = c.fetch(tenant, 5).unwrap_err();
@@ -680,22 +687,14 @@ fn noisy(n: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// One fetch over a raw socket, in any mode; the success body.
-fn raw_fetch(s: &mut TcpStream, tenant: u32, key: u64, mode: u8) -> Vec<u8> {
-    let mut body = key.to_be_bytes().to_vec();
-    body.push(mode);
+/// One fetch over a raw socket; the success body.
+fn raw_fetch(s: &mut TcpStream, tenant: u32, key: u64) -> Vec<u8> {
+    let body = key.to_be_bytes();
     s.write_all(&raw_request(frame::MAGIC, frame::VERSION, 2, tenant, &body))
         .unwrap();
     let resp = frame::read_response(s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
     assert_eq!(resp.status, 0, "{}", String::from_utf8_lossy(&resp.payload));
     resp.payload
-}
-
-/// The values of a mode-0 body (layout, then count-prefixed f32).
-fn mode0_values(body: &[u8]) -> Vec<f32> {
-    let mut off = 0;
-    frame::get_layout(body, &mut off).expect("layout");
-    frame::get_f32_body(body, &mut off).expect("f32 body")
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -735,7 +734,7 @@ fn stored_form_fetch_is_a_server_decode_in_every_tier() {
     let registry = CodecRegistry::standard();
     for (k, stream) in streams.iter().enumerate() {
         let want = bits(&registry.decompress(stream).unwrap());
-        let stored = raw_fetch(&mut s, tenant, k as u64, 2);
+        let stored = raw_fetch(&mut s, tenant, k as u64);
         let (form, body) = (stored[13], &stored[14..]);
         if k == 3 {
             assert_eq!(form, 0, "a hot entry ships its values");
@@ -746,15 +745,10 @@ fn stored_form_fetch_is_a_server_decode_in_every_tier() {
                 "key {k} ships as sent"
             );
         }
-        assert_eq!(
-            bits(&mode0_values(&raw_fetch(&mut s, tenant, k as u64, 0))),
-            want
-        );
         let (got, got_layout) = c.fetch(tenant, k as u64).expect("fetch");
         assert_eq!((bits(&got), got_layout), (want, layout), "key {k}");
     }
-    // A stream that does not compress is held raw: mode 1 falls back to
-    // a lossless encode of it, bit-identical all the same.
+    // A stream that does not compress is held raw and fetched bit-exact.
     let random: Vec<f32> = (0..layout.len() as u64)
         .map(|i| {
             // SplitMix64: every bit pattern, NaNs included.
@@ -770,10 +764,7 @@ fn stored_form_fetch_is_a_server_decode_in_every_tier() {
     assert!(lossless.compressed_byte_len() >= raw);
     c.store_stream(tenant, 9, layout, 0.0, &lossless)
         .expect("store");
-    let (stream, _) = c.fetch_compressed(tenant, 9).expect("fetch compressed");
-    assert_eq!(stream.codec_id(), CodecId::LOSSLESS);
     let (got, _) = c.fetch(tenant, 9).expect("fetch");
-    assert_eq!(bits(&registry.decompress(&stream).unwrap()), bits(&got));
     assert_eq!(bits(&got), bits(&random));
     daemon.shutdown();
 }
@@ -818,7 +809,7 @@ fn a_stream_of_another_layout_serves_the_requests_planes_in_every_tier() {
     assert_eq!(stats.resident_bytes as usize, raw + len(2) + len(1));
     for (k, want) in hot.iter().enumerate().take(2) {
         assert_eq!(
-            raw_fetch(&mut s, tenant, k as u64, 2)[13],
+            raw_fetch(&mut s, tenant, k as u64)[13],
             1,
             "key {k} not hot"
         );
@@ -849,17 +840,25 @@ fn hostile_fetch_stream_is_refused_before_any_decode() {
         )
         .unwrap()
         .into_bytes();
+    let mut short = Vec::new();
+    frame::put_f32_body(&mut short, &smooth(1023, 1));
     // Form-1 answers: a header claiming 2^60 elements, a real stream of
     // twice the layout, and a count that matches over a missing body.
-    let answers = [byteplane(1 << 60), longer, byteplane(1024)];
+    // Then a form-0 answer one value short of the layout.
+    let answers = [
+        (1, byteplane(1 << 60)),
+        (1, longer),
+        (1, byteplane(1024)),
+        (0, short),
+    ];
     let server = std::thread::spawn(move || {
         let (mut s, _) = listener.accept().expect("accept");
-        for stream in answers {
+        for (form, answer) in answers {
             frame::read_request(&mut s, frame::DEFAULT_MAX_PAYLOAD).unwrap();
             let mut body = Vec::new();
             frame::put_layout(&mut body, layout);
-            body.push(1);
-            body.extend_from_slice(&stream);
+            body.push(form);
+            body.extend_from_slice(&answer);
             frame::write_response(&mut s, 0, &body).unwrap();
         }
     });
@@ -868,6 +867,7 @@ fn hostile_fetch_stream_is_refused_before_any_decode() {
         "fetch stream's element count",
         "fetch stream's element count",
         "fetch stream decode",
+        "fetch body",
     ] {
         match c.fetch(1, 1) {
             Err(ClientError::BadResponse(what)) => assert_eq!(what, want),
@@ -929,8 +929,7 @@ fn every_truncation_and_bit_flip_of_a_stored_stream_is_refused_or_served_whole()
             // every later read serves exactly those.
             let (want, _) = registry.decompress_any(&mutant).expect("store decoded it");
             let want = bits(&want);
-            assert_eq!(bits(&mode0_values(&raw_fetch(&mut s, tenant, 1, 0))), want);
-            let (got, _) = c.fetch(tenant, 1).expect("mode-2 client decode");
+            let (got, _) = c.fetch(tenant, 1).expect("client decode");
             assert_eq!(bits(&got), want);
             let plane = want.len() / 4;
             for p in 0..4 {
