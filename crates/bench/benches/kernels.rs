@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks: the compute kernels under the training
 //! substrate (GEMM, im2col, full conv fwd/bwd, entropy stages) and the
-//! SZ codec on steady-state training activations.
+//! SZ codec on steady-state training activations and on the serve
+//! workload's classic-mode tensor.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ebtrain_bench::capture::CapturingStore;
 use ebtrain_core::{AdaptiveTrainer, FrameworkConfig};
+use ebtrain_data::fields::{FieldConfig, SyntheticFields};
 use ebtrain_data::{SynthConfig, SynthImageNet};
 use ebtrain_dnn::layer::Layer;
 use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext};
@@ -317,6 +319,24 @@ fn bench_sz_kernels(c: &mut Criterion) {
                     black_box(decompress(s).expect("decompress"));
                 }
             })
+        });
+    }
+
+    // The serve workload's tensor: a ReLU'd 512² field stored as
+    // D2(256, 1024) under the paper's classic mode (zero filter on), the
+    // stream a client ships and decodes on every warm fetch.
+    let fields = SyntheticFields::new(FieldConfig {
+        size: 512,
+        modes: 12,
+        ..FieldConfig::default()
+    });
+    let field: Vec<f32> = fields.sample(0).0.into_iter().map(|v| v.max(0.0)).collect();
+    let classic = sz::compress(&field, DataLayout::D2(256, 1024), &SzConfig::classic(1e-3))
+        .expect("compress");
+    group.throughput(Throughput::Bytes((field.len() * 4) as u64));
+    for (name, _, decompress) in arms {
+        group.bench_function(format!("decompress_classic_{name}"), |b| {
+            b.iter(|| black_box(decompress(&classic).expect("decompress")))
         });
     }
 

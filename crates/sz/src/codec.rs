@@ -460,11 +460,11 @@ pub(crate) fn decode_chunk(
         // Paper §4.4: values that landed within the error bound of zero are
         // snapped back, so compressed runs of zeros stay exactly zero. A
         // dual-quant value is `q·2eb`: exactly zero or at least 2eb away
-        // from it, so there is nothing for the pass to do.
+        // from it, so there is nothing for the pass to do. A select, not a
+        // conditional store: the compare is data-dependent on ReLU output
+        // and a branch there does not vectorize.
         for v in &mut recon {
-            if v.abs() <= eb {
-                *v = 0.0;
-            }
+            *v = if v.abs() <= eb { 0.0 } else { *v };
         }
     }
     Ok(recon)
@@ -1267,20 +1267,18 @@ mod tests {
                     let radius = cfg.radius as i64;
                     let two_eb = 2.0 * cfg.error_bound;
                     // Generic reference: per-element predict()/predict_i64().
-                    let mut reference = vec![0.0f32; n];
-                    let mut oi = outliers_f.iter();
-                    match quant_mode {
-                        QuantMode::Classic => {
-                            for idx in 0..n {
-                                reference[idx] = if codes[idx] == 0 {
-                                    *oi.next().unwrap()
-                                } else {
-                                    let q = codes[idx] as i64 - radius;
-                                    predict(predictor, &layout, &reference, idx) + q as f32 * two_eb
-                                };
-                            }
-                        }
+                    let reference = match quant_mode {
+                        QuantMode::Classic => classic_reference(
+                            &codes,
+                            &outliers_f,
+                            predictor,
+                            layout,
+                            radius,
+                            two_eb,
+                        ),
                         QuantMode::DualQuant => {
+                            let mut reference = vec![0.0f32; n];
+                            let mut oi = outliers_f.iter();
                             let mut grid = vec![0i64; n];
                             for idx in 0..n {
                                 if codes[idx] == 0 {
@@ -1294,8 +1292,9 @@ mod tests {
                                     reference[idx] = (q as f64 * two_eb as f64) as f32;
                                 }
                             }
+                            reference
                         }
-                    }
+                    };
                     let specialized = match quant_mode {
                         QuantMode::Classic => crate::reconstruct::reconstruct_classic(
                             &codes,
@@ -1324,6 +1323,156 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The generic per-element classic decoder: `predict()` over the
+    /// values decoded so far, outliers taken in element order.
+    fn classic_reference(
+        codes: &[u32],
+        outliers: &[f32],
+        predictor: Predictor,
+        layout: DataLayout,
+        radius: i64,
+        two_eb: f32,
+    ) -> Vec<f32> {
+        let mut reference = vec![0.0f32; codes.len()];
+        let mut oi = outliers.iter();
+        for (idx, &code) in codes.iter().enumerate() {
+            reference[idx] = if code == 0 {
+                *oi.next().unwrap()
+            } else {
+                let q = code as i64 - radius;
+                predict(predictor, &layout, &reference, idx) + q as f32 * two_eb
+            };
+        }
+        reference
+    }
+
+    #[test]
+    fn classic_row_groups_match_generic_bit_for_bit() {
+        // The Grid2 wavefront decodes rows in skewed groups with one
+        // outlier cursor per row. Widths below, at and above the group
+        // size, row counts that leave 0, 1 and 2 rows after the groups
+        // (and 1-row chunks), and outliers of every kind in several rows
+        // of the one chunk: NaN, ±Inf and jumps beyond the radius.
+        let mut rng = StdRng::seed_from_u64(41);
+        for w in [1usize, 2, 3, 4, 17, 1024] {
+            for rows in 1..=9usize {
+                let layout = DataLayout::D2(rows, w);
+                let mut data: Vec<f32> = (0..rows * w)
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            0.0
+                        } else {
+                            rng.gen_range(-4.0f32..4.0)
+                        }
+                    })
+                    .collect();
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e9, -0.0];
+                for (r, x) in (0..rows).step_by(2).zip(specials.iter().cycle()) {
+                    data[r * w + (r * 7) % w] = *x;
+                    data[r * w + w - 1] = -3e8;
+                }
+                let cfg = SzConfig::classic(1e-3);
+                let (codes, outliers) =
+                    crate::quantize::quantize_chunk_owned(&data, layout, Predictor::Lorenzo2, &cfg);
+                let outliers: Vec<f32> = outliers.iter().map(|&b| f32::from_bits(b)).collect();
+                let radius = cfg.radius as i64;
+                let two_eb = 2.0 * cfg.error_bound;
+                let reference = classic_reference(
+                    &codes,
+                    &outliers,
+                    Predictor::Lorenzo2,
+                    layout,
+                    radius,
+                    two_eb,
+                );
+                let decode = |outliers: &[f32]| {
+                    crate::reconstruct::reconstruct_classic(
+                        &codes,
+                        outliers,
+                        Predictor::Lorenzo2,
+                        layout,
+                        radius,
+                        two_eb,
+                    )
+                };
+                let got = decode(&outliers).unwrap();
+                assert_eq!(bits(&got), bits(&reference), "{layout:?}");
+                // One outlier short: a typed error, whichever row is short.
+                if let Some(less) = outliers.len().checked_sub(1) {
+                    assert!(
+                        matches!(decode(&outliers[..less]), Err(SzError::Corrupt(_))),
+                        "{layout:?}"
+                    );
+                }
+            }
+        }
+        // Zero codes in the rows below row 0 and no outliers at all.
+        let codes = [7u32, 0, 0, 9, 9, 0];
+        let got = crate::reconstruct::reconstruct_classic(
+            &codes,
+            &[],
+            Predictor::Lorenzo2,
+            DataLayout::D2(3, 2),
+            8,
+            2e-3,
+        );
+        assert!(matches!(got, Err(SzError::Corrupt(_))));
+    }
+
+    #[test]
+    fn zero_filter_select_matches_the_branchy_loop() {
+        // The filter snaps |v| <= eb to +0.0. Values at exactly ±eb, one
+        // ulp either side, ±0.0, NaN and ±Inf reach the decoder's output
+        // as exact outliers (each sits between two 1e9 jumps), beside a
+        // random stretch that takes the ordinary quantized path.
+        let eb = 1e-3f32;
+        let specials = [
+            eb,
+            -eb,
+            f32::from_bits(eb.to_bits() + 1),
+            f32::from_bits(eb.to_bits() - 1),
+            -f32::from_bits(eb.to_bits() + 1),
+            -f32::from_bits(eb.to_bits() - 1),
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut data: Vec<f32> = specials.iter().flat_map(|&x| [1e9, x]).collect();
+        let mut rng = StdRng::seed_from_u64(43);
+        data.extend((0..500).map(|_| rng.gen_range(-0.004f32..0.004).max(0.0)));
+        let layout = DataLayout::D1(data.len());
+        // The two configurations write the same body; only the header's
+        // filter flag differs.
+        let vanilla =
+            decompress(&compress(&data, layout, &SzConfig::vanilla(eb)).unwrap()).unwrap();
+        let filtered =
+            decompress(&compress(&data, layout, &SzConfig::classic(eb)).unwrap()).unwrap();
+        let mut reference = vanilla.clone();
+        for v in &mut reference {
+            if v.abs() <= eb {
+                *v = 0.0;
+            }
+        }
+        assert_eq!(bits(&filtered), bits(&reference));
+        for (k, x) in specials.iter().enumerate() {
+            let (before, after) = (vanilla[2 * k + 1], filtered[2 * k + 1]);
+            assert_eq!(
+                before.to_bits(),
+                x.to_bits(),
+                "special {k} is an exact outlier"
+            );
+            let snapped = x.abs() <= eb;
+            assert_eq!(
+                after.to_bits(),
+                if snapped { 0 } else { x.to_bits() },
+                "special {k}"
+            );
+        }
+        assert!(filtered.iter().skip(2 * specials.len()).any(|&v| v == 0.0));
     }
 
     /// Histogram of `n` codes: `centre` of them on the quantizer's zero

@@ -9,11 +9,21 @@
 //! predictor dispatch happens once per chunk, and the border handling is
 //! hoisted out of the inner loop as loop-invariant flags.
 //!
+//! Row by row, classic `Grid2` would be one dependency chain of three
+//! float adds per element. Row 0 of a chunk stays a scan; the rows
+//! below decode in groups of [`ROW_GROUP`], each row one column behind
+//! the row above, so the group's chains overlap. Each row takes its own
+//! outlier cursor from a per-row count of zero codes, checked against
+//! the outliers first. On the serve tensor (D2(256, 1024), 2-vCPU Xeon)
+//! 1 MiB now reconstructs in ≈ 0.85 ms, down from ≈ 1.4. Dual-quant
+//! rows skip the all-zero neighbour rows past the volume's edge.
+//!
 //! The arithmetic — operand order included, where it is float — mirrors
 //! the generic stencils in `predictor.rs` exactly, so encoder
 //! (`quantize.rs`, lowered the same way) and decoder reconstruct the
 //! same values; `codec::tests::specialized_reconstruct_matches_generic`
-//! pins that equivalence element-by-element.
+//! and `classic_row_groups_match_generic_bit_for_bit` pin that
+//! equivalence element-by-element.
 
 use crate::codec::{grid_of, grid_value};
 use crate::predictor::Predictor;
@@ -88,7 +98,7 @@ pub(crate) fn neighbour_rows<'a>(
     d2: usize,
 ) -> [&'a [i64]; 3] {
     let row = done.len();
-    let (has_up, has_back) = (!(row / d2).is_multiple_of(d1), row >= d1 * d2);
+    let (has_up, has_back) = present_rows(row, d1, d2);
     let at = |present: bool, back_by: usize| {
         let src = if present {
             &done[row - back_by..]
@@ -102,6 +112,12 @@ pub(crate) fn neighbour_rows<'a>(
         at(has_back, d1 * d2),
         at(has_up && has_back, d1 * d2 + d2),
     ]
+}
+
+/// Whether the row starting at element `row` of a volume of `d1 × d2`
+/// planes has a row above it and a plane behind it.
+fn present_rows(row: usize, d1: usize, d2: usize) -> (bool, bool) {
+    (!(row / d2).is_multiple_of(d1), row >= d1 * d2)
 }
 
 /// Integer Lorenzo prediction at column `k` of a row, minus its
@@ -155,25 +171,30 @@ pub(crate) fn reconstruct_classic(
     }
 
     match geometry(predictor, layout, n) {
-        Geometry::Scan => {
-            emit!(0, 0.0f32);
-            for idx in 1..n {
-                emit!(idx, recon[idx - 1]);
-            }
-        }
+        Geometry::Scan => scan(codes, outliers, &mut recon, radius, two_eb)?,
         Geometry::Grid2 { rows, w } => {
-            // Row 0: only the left neighbour exists.
-            emit!(0, 0.0f32);
-            for j in 1..w {
-                emit!(j, recon[j - 1]);
+            // Outliers are stored in element order, so row i's first one
+            // follows every zero code above it. The total is checked
+            // here, which keeps every per-row cursor in bounds below.
+            let mut starts = Vec::with_capacity(rows + 1);
+            starts.push(0usize);
+            for row in codes.chunks_exact(w) {
+                let zeros = row.iter().filter(|&&c| c == 0).count();
+                starts.push(starts[starts.len() - 1] + zeros);
             }
-            for i in 1..rows {
-                let base = i * w;
-                emit!(base, recon[base - w]);
-                for j in 1..w {
-                    let idx = base + j;
-                    emit!(idx, recon[idx - w] + recon[idx - 1] - recon[idx - w - 1]);
-                }
+            if starts[rows] > outliers.len() {
+                return Err(corrupt("outlier underflow"));
+            }
+            // Row 0: only the left neighbour exists.
+            scan(&codes[..w], outliers, &mut recon[..w], radius, two_eb)?;
+            let q_step = (radius, two_eb);
+            let mut i = 1;
+            while i + ROW_GROUP <= rows {
+                group::<ROW_GROUP>(&mut recon, codes, outliers, &starts, i, w, q_step);
+                i += ROW_GROUP;
+            }
+            for i in i..rows {
+                group::<1>(&mut recon, codes, outliers, &starts, i, w, q_step);
             }
         }
         Geometry::Grid3 { d0, d1, d2 } => {
@@ -223,6 +244,78 @@ pub(crate) fn reconstruct_classic(
     Ok(recon)
 }
 
+/// A running scan: each element predicts from the one before it, the
+/// first from `0.0` — Lorenzo1, and row 0 of a grid.
+fn scan(codes: &[u32], outliers: &[f32], out: &mut [f32], radius: i64, two_eb: f32) -> Result<()> {
+    let (mut left, mut outliers) = (0.0f32, outliers.iter());
+    for (&code, v) in codes.iter().zip(out) {
+        left = match code {
+            0 => *outliers
+                .next()
+                .ok_or_else(|| corrupt("outlier underflow"))?,
+            _ => left + (code as i64 - radius) as f32 * two_eb,
+        };
+        *v = left;
+    }
+    Ok(())
+}
+
+/// Rows a [`group`] decodes side by side.
+const ROW_GROUP: usize = 3;
+
+/// Rows `first..first + G` of a classic `Grid2` chunk, each one column
+/// behind the row above it: at step `t` row `g` decodes column `t - g`,
+/// so the `G` chains are independent. A row's upper neighbours are what
+/// the row above produced in the two steps before, held in registers;
+/// `starts[i]` is row `i`'s first outlier.
+#[inline(always)]
+fn group<const G: usize>(
+    recon: &mut [f32],
+    codes: &[u32],
+    outliers: &[f32],
+    starts: &[usize],
+    first: usize,
+    w: usize,
+    (radius, two_eb): (i64, f32),
+) {
+    let (done, rest) = recon.split_at_mut(first * w);
+    let above = &done[done.len() - w..];
+    let mut rows = rest.chunks_exact_mut(w);
+    let out: [&mut [f32]; G] = std::array::from_fn(|_| rows.next().expect("rows in chunk"));
+    let codes: [&[u32]; G] = std::array::from_fn(|g| &codes[(first + g) * w..][..w]);
+    let mut cursor: [usize; G] = std::array::from_fn(|g| starts[first + g]);
+    let (mut left, mut upleft) = ([0.0f32; G], [0.0f32; G]);
+    for t in 0..w + G - 1 {
+        // From step G to step w every row is inside and past column 0.
+        let edge = t < G || t >= w;
+        // Bottom row first: row g reads row g - 1's value of the previous
+        // step before row g - 1 replaces it.
+        for g in (0..G).rev() {
+            let j = t.wrapping_sub(g);
+            if edge && j >= w {
+                continue;
+            }
+            let up = if g == 0 { above[j] } else { left[g - 1] };
+            // The row's next outlier, or `up + left − upleft` (`up` alone
+            // in column 0) then `+ q·2eb`, in the generic operand order.
+            let v = if codes[g][j] == 0 {
+                cursor[g] += 1;
+                outliers[cursor[g] - 1]
+            } else {
+                let pred = if edge && j == 0 {
+                    up
+                } else {
+                    up + left[g] - upleft[g]
+                };
+                pred + (codes[g][j] as i64 - radius) as f32 * two_eb
+            };
+            upleft[g] = up;
+            left[g] = v;
+            out[g][j] = v;
+        }
+    }
+}
+
 /// Dual-quantization reconstruction: the Lorenzo stencil runs on the
 /// exact integer grid; wrapping arithmetic mirrors the encoder (corrupt
 /// code streams may accumulate arbitrarily — garbage values are fine,
@@ -246,29 +339,58 @@ pub(crate) fn reconstruct_dual(
     let zeros = vec![0i64; d2];
     for row in (0..n).step_by(d2) {
         let (done, rest) = grid.split_at_mut(row);
-        let cur = &mut rest[..d2];
         let rows = neighbour_rows(done, &zeros, d1, d2);
-        let mut left = 0i64;
-        for (k, (&code, out)) in codes[row..row + d2]
-            .iter()
-            .zip(&mut recon[row..row + d2])
-            .enumerate()
-        {
-            left = if code == 0 {
-                let x = *outliers
-                    .next()
-                    .ok_or_else(|| corrupt("outlier underflow"))?;
-                *out = x;
-                grid_of(x, two_eb).unwrap_or(0)
+        let line = (
+            &codes[row..row + d2],
+            &mut recon[row..row + d2],
+            &mut rest[..d2],
+        );
+        // The rows past the volume's edge are zeros, which wrapping sums
+        // drop exactly: only the present rows are read.
+        let one = |r: &[i64], k: usize| {
+            if k == 0 {
+                r[0]
             } else {
-                let q = left
-                    .wrapping_add(lorenzo_rest(rows, k))
-                    .wrapping_add(code as i64 - radius);
-                *out = grid_value(q, two_eb);
-                q
-            };
-            cur[k] = left;
-        }
+                r[k].wrapping_sub(r[k - 1])
+            }
+        };
+        let o = &mut outliers;
+        match present_rows(row, d1, d2) {
+            (false, false) => dual_row(line, o, radius, two_eb, |_| 0),
+            (true, false) => dual_row(line, o, radius, two_eb, |k| one(rows[0], k)),
+            (false, true) => dual_row(line, o, radius, two_eb, |k| one(rows[1], k)),
+            (true, true) => dual_row(line, o, radius, two_eb, |k| lorenzo_rest(rows, k)),
+        }?;
     }
     Ok(recon)
+}
+
+/// One row of [`reconstruct_dual`]: its codes, values and grid points;
+/// `rest(k)` is [`lorenzo_rest`] at column `k`.
+#[inline(always)]
+fn dual_row(
+    (codes, out, grid): (&[u32], &mut [f32], &mut [i64]),
+    outliers: &mut std::slice::Iter<f32>,
+    radius: i64,
+    two_eb: f32,
+    rest: impl Fn(usize) -> i64,
+) -> Result<()> {
+    let mut left = 0i64;
+    for (k, ((&code, out), cur)) in codes.iter().zip(out).zip(grid).enumerate() {
+        left = if code == 0 {
+            let x = *outliers
+                .next()
+                .ok_or_else(|| corrupt("outlier underflow"))?;
+            *out = x;
+            grid_of(x, two_eb).unwrap_or(0)
+        } else {
+            let q = left
+                .wrapping_add(rest(k))
+                .wrapping_add(code as i64 - radius);
+            *out = grid_value(q, two_eb);
+            q
+        };
+        *cur = left;
+    }
+    Ok(())
 }
