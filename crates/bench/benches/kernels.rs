@@ -143,6 +143,26 @@ fn bench_entropy(c: &mut Criterion) {
     group.bench_function("huffman_decode", |b| {
         b.iter(|| huffman::decode(&enc).unwrap())
     });
+    // The serve tensors' Huffman frames are rougher: ≈ 1.5 symbols per
+    // table lookup, not the ≈ 3 of the stream above. A 55 % centre and a
+    // Laplacian rest (mean distance 4) decode at that shape.
+    let laplace: Vec<u32> = (0..100_000)
+        .map(|_| {
+            if rng.gen_bool(0.55) {
+                return 32_768;
+            }
+            let d = 1 + (-rng.gen::<f64>().ln() * 4.0) as u32;
+            if rng.gen_bool(0.5) {
+                32_768 + d
+            } else {
+                32_768 - d
+            }
+        })
+        .collect();
+    let enc_laplace = huffman::encode(&laplace);
+    group.bench_function("huffman_decode_laplace", |b| {
+        b.iter(|| huffman::decode(&enc_laplace).unwrap())
+    });
     group.throughput(Throughput::Bytes(enc.len() as u64));
     group.bench_function("lz_compress", |b| b.iter(|| lz::compress(&enc)));
     let packed = lz::compress(&enc);

@@ -56,6 +56,10 @@ impl BitWriter {
     }
 }
 
+/// Bits the register holds after [`BitReader::refill_word`]: each refill
+/// loads whole bytes while at least one more fits in 64 bits.
+pub const LOADED_BITS: u32 = 56;
+
 /// Reads bits MSB-first from a byte slice, through a 64-bit register
 /// topped up eight bytes at a time — a peek is a shift, not a load, so a
 /// table-driven decoder's per-symbol dependency chain is shift → table
@@ -87,12 +91,8 @@ impl<'a> BitReader<'a> {
 
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.bytes.get(self.next..self.next + 8) {
-            let word = u64::from_be_bytes(word.try_into().expect("8-byte slice"));
-            self.acc |= word >> self.have;
-            let whole = (63 - self.have) / 8;
-            self.next += whole as usize;
-            self.have += whole * 8;
+        if self.unloaded_bytes() >= 8 {
+            self.refill_word();
         } else {
             while self.have <= 56 && self.next < self.bytes.len() {
                 self.acc |= (self.bytes[self.next] as u64) << (56 - self.have);
@@ -100,6 +100,47 @@ impl<'a> BitReader<'a> {
                 self.have += 8;
             }
         }
+    }
+
+    /// Bytes of the buffer not yet loaded into the register. While at
+    /// least eight remain, [`refill_word`](BitReader::refill_word) may
+    /// run.
+    #[inline(always)]
+    pub fn unloaded_bytes(&self) -> usize {
+        self.bytes.len() - self.next
+    }
+
+    /// Top the register up to at least [`LOADED_BITS`] bits of the buffer
+    /// with one 8-byte load; the caller has checked
+    /// [`unloaded_bytes`](BitReader::unloaded_bytes) ≥ 8. Those bits are
+    /// real stream bits, so [`peek_loaded`](BitReader::peek_loaded) and
+    /// [`take_loaded`](BitReader::take_loaded) may use up to
+    /// `LOADED_BITS` of them with no refill and no end check.
+    #[inline(always)]
+    pub fn refill_word(&mut self) {
+        let word: [u8; 8] = self.bytes[self.next..self.next + 8]
+            .try_into()
+            .expect("8-byte slice");
+        self.acc |= u64::from_be_bytes(word) >> self.have;
+        let whole = (63 - self.have) / 8;
+        self.next += whole as usize;
+        self.have += whole * 8;
+    }
+
+    /// The next `n` bits (1 ≤ n ≤ 32) of those already loaded.
+    #[inline(always)]
+    pub fn peek_loaded(&self, n: u32) -> u64 {
+        debug_assert!((1..=32).contains(&n) && n <= self.have);
+        self.acc >> (64 - n)
+    }
+
+    /// Consume `n` bits of those already loaded.
+    #[inline(always)]
+    pub fn take_loaded(&mut self, n: u32) {
+        debug_assert!(n <= self.have);
+        self.pos += n as usize;
+        self.acc <<= n;
+        self.have -= n;
     }
 
     /// Read `n ≤ 32` bits as the low bits of a `u64`.
@@ -143,13 +184,12 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// [`consume`](BitReader::consume) without the end-of-buffer check,
-    /// for a decoder that checks once per block instead of once per
-    /// symbol: past the end the reader keeps yielding zero bits, and
+    /// [`consume`](BitReader::consume) without the end-of-buffer check:
+    /// past the end the reader keeps yielding zero bits, and
     /// [`overran`](BitReader::overran) tells afterwards whether any of
     /// them were consumed.
     #[inline]
-    pub fn advance(&mut self, n: u32) {
+    fn advance(&mut self, n: u32) {
         debug_assert!(n <= 32);
         if self.have < n {
             self.refill(); // consumed without a peek

@@ -117,9 +117,25 @@ pub enum EntropyDecoder<'a> {
 }
 
 impl EntropyDecoder<'_> {
-    /// Decode a frame payload back to exactly `n` symbols. `n` comes
-    /// from validated framing (the chunk layout), which bounds every
-    /// allocation here; trailing payload bytes are corruption. Each
+    /// Check, without decoding, that `payload` can hold `n` symbols:
+    /// the Huffman block's own count and bitstream length, or the range
+    /// family's symbols per byte ([`range::check_count`],
+    /// [`rans::check_count`]). Every payload the encoder writes passes;
+    /// [`decode_block`](Self::decode_block) checks the same before it
+    /// reserves anything, so a caller that sizes one buffer for several
+    /// frames can check them all first.
+    pub fn check_count(&self, payload: &[u8], n: usize) -> Result<()> {
+        match *self {
+            EntropyDecoder::Huffman(_) => huffman::check_block(payload, n),
+            EntropyDecoder::Range { .. } => range::check_count(payload, n),
+            EntropyDecoder::Rans { .. } => rans::check_count(payload, n),
+        }
+    }
+
+    /// Decode a frame payload back to exactly `n` symbols. A count the
+    /// payload cannot hold is rejected (see
+    /// [`check_count`](Self::check_count)) before anything is reserved;
+    /// trailing payload bytes are corruption. Each
     /// decoded frame and its symbols are counted per backend
     /// (`encoding.entropy_decode.{huffman,range,rans}` and `.symbols`),
     /// so a scrape can say which coder the decode time went to.
@@ -229,6 +245,31 @@ mod tests {
             enc.encode_block(&codes, &mut payload);
             let back = dec.decode_block(&payload, codes.len()).unwrap();
             assert_eq!(back, codes, "{:?} backend", enc.tag());
+        }
+    }
+
+    /// The densest payloads the range family writes — a long run of
+    /// hits, each near the coders' cheapest — stay inside the payload
+    /// bound, and a count beyond it fails before anything is reserved.
+    #[test]
+    fn all_hit_blocks_pass_the_payload_bound() {
+        let codes = vec![77u32; 1 << 20];
+        for (enc, dec) in [
+            (
+                EntropyEncoder::Range { center: 77 },
+                EntropyDecoder::Range { center: 77 },
+            ),
+            (
+                EntropyEncoder::Rans { center: 77 },
+                EntropyDecoder::Rans { center: 77 },
+            ),
+        ] {
+            let mut payload = Vec::new();
+            enc.encode_block(&codes, &mut payload);
+            assert_eq!(dec.check_count(&payload, codes.len()), Ok(()));
+            assert_eq!(dec.decode_block(&payload, codes.len()).unwrap(), codes);
+            assert!(dec.check_count(&payload, usize::MAX).is_err());
+            assert!(dec.decode_block(&payload, usize::MAX).is_err());
         }
     }
 

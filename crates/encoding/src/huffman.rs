@@ -7,7 +7,7 @@
 //! serialized as `(symbol, code length)` pairs, and codes are assigned
 //! canonically so the decoder rebuilds the table from lengths alone.
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitReader, BitWriter, LOADED_BITS};
 use crate::varint;
 use crate::{CodecError, Result};
 use std::collections::BinaryHeap;
@@ -351,26 +351,50 @@ pub fn skip_serialized_codebook(bytes: &[u8], pos: &mut usize) -> Result<()> {
 /// Width of the table-driven decoder's lookup window. Every code of at
 /// most this many bits decodes with a single peek + index; longer (rare,
 /// deep-tail) codes fall through to the canonical first-code walk.
-/// 11 bits → 2048 16-byte slots, 32 KiB, which stays resident in L1.
 const PRIMARY_BITS: u32 = 11;
 
 /// Most symbols one table slot decodes.
 const SYMS_PER_SLOT: usize = 3;
 
-/// One lookup-table slot: the codes that, back to back, start the
-/// `primary_bits`-bit window indexing it.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    /// Decoded symbols; entries from `count` on are filler the block
-    /// decoder writes ahead of its cursor and then overwrites.
-    syms: [u32; SYMS_PER_SLOT],
-    /// Code length of `syms[0]`; 0 marks an overflow slot, whose window
-    /// is the prefix of a code longer than `primary_bits`.
-    len0: u8,
-    /// Bits the `count` codes take together (≤ `primary_bits`).
-    bits: u8,
-    /// Symbols decoded: 1..=3, or 0 in an overflow slot.
-    count: u8,
+/// Lookups the block loop makes per register refill: each consumes at
+/// most `PRIMARY_BITS` of the ≥ `LOADED_BITS` a refill leaves.
+const LOOKUPS_PER_REFILL: usize = 5;
+const _: () = assert!(LOOKUPS_PER_REFILL as u32 * PRIMARY_BITS <= LOADED_BITS);
+
+/// Output slots one refill group may write: every lookup stores a whole
+/// symbol triple.
+const GROUP_SLOTS: usize = LOOKUPS_PER_REFILL * SYMS_PER_SLOT;
+
+/// One chain-array entry: what the peek → lookup → shift chain needs of
+/// a table slot, in two bytes — `bits` (0..=11) in bits 0–3, `len0`
+/// (0..=11) in bits 4–7, `count` (0..=3) in bits 8–9. The slot's
+/// symbols sit in `Decoder::syms` at the same index, off the chain.
+#[derive(Clone, Copy)]
+struct Link(u16);
+
+impl Link {
+    fn new(bits: u32, len0: u32, count: u32) -> Link {
+        Link((bits | (len0 << 4) | (count << 8)) as u16)
+    }
+
+    /// Bits the slot's `count` codes take together (≤ `primary_bits`).
+    #[inline(always)]
+    fn bits(self) -> u32 {
+        (self.0 & 0xF) as u32
+    }
+
+    /// Code length of the slot's first symbol; 0 marks an overflow slot,
+    /// whose window is the prefix of a code longer than `primary_bits`.
+    #[inline(always)]
+    fn len0(self) -> u32 {
+        ((self.0 >> 4) & 0xF) as u32
+    }
+
+    /// Symbols the slot decodes: 1..=3, or 0 in an overflow slot.
+    #[inline(always)]
+    fn count(self) -> usize {
+        (self.0 >> 8) as usize
+    }
 }
 
 /// Prebuilt table-driven canonical decoder, reusable across any number
@@ -378,8 +402,14 @@ struct Slot {
 /// between threads (all state is read-only after construction).
 pub struct Decoder {
     /// Flat `2^primary_bits` lookup, indexed by the next window of the
-    /// stream: up to three symbols per slot (see [`Slot`]).
-    table: Vec<Slot>,
+    /// stream: how many bits and codes the window's leading codes take.
+    /// 2048 two-byte entries, 4 KiB: the only table the block loop's
+    /// dependency chain reads.
+    chain: Vec<Link>,
+    /// The same slots' decoded symbols, up to three; entries from
+    /// `count` on are filler the block loop writes ahead of its cursor
+    /// and then overwrites.
+    syms: Vec<[u32; SYMS_PER_SLOT]>,
     primary_bits: u32,
     /// Canonical first-code/first-index walk state for the overflow path.
     first_code: Vec<u64>,
@@ -413,7 +443,8 @@ impl Decoder {
         }
         if table.is_empty() {
             return Ok(Decoder {
-                table: Vec::new(),
+                chain: Vec::new(),
+                syms: Vec::new(),
                 primary_bits: 0,
                 first_code: Vec::new(),
                 first_index: Vec::new(),
@@ -446,13 +477,8 @@ impl Decoder {
     /// `pos`, advancing `pos` past it — the one decode loop behind both
     /// [`decode_block`](Self::decode_block) and [`decode`].
     fn decode_bits(&self, n: usize, bytes: &[u8], pos: &mut usize) -> Result<Vec<u32>> {
-        let bits_len = varint::read_usize(bytes, pos)?;
-        // Subtract rather than add: `*pos + bits_len` could wrap.
-        if bits_len > bytes.len() - *pos {
-            return Err(CodecError::UnexpectedEof);
-        }
+        let bits = bitstream(n, bytes, pos)?;
         if n == 0 {
-            *pos += bits_len;
             return Ok(Vec::new());
         }
         if self.is_empty() {
@@ -460,36 +486,40 @@ impl Decoder {
                 "empty huffman table for non-empty data",
             ));
         }
-        // Every code is at least one bit, so the bitstream bounds the
-        // symbol count; reject corrupt counts before reserving memory.
-        if n > bits_len.saturating_mul(8) {
-            return Err(CodecError::Corrupt("symbol count exceeds bitstream"));
-        }
-        let mut br = BitReader::new(&bytes[*pos..*pos + bits_len]);
+        let mut br = BitReader::new(bits);
         let mut out = vec![0u32; n];
         let mut i = 0usize;
-        // One lookup per up-to-three symbols while three output slots
-        // remain: every slot is written whole and the cursor advances by
-        // the slot's count. Consumption is unchecked here (past the end
-        // the reader yields zeros); one overrun check covers the block.
-        while i + SYMS_PER_SLOT <= n {
-            let slot = &self.table[br.peek_bits(self.primary_bits) as usize];
-            if slot.count == 0 {
-                out[i] = self.decode_symbol(&mut br)?;
-                i += 1;
-                continue;
+        // Refill groups: one 8-byte load tops the reader up to ≥ 56 real
+        // bits, then up to five lookups of at most 11 bits each consume
+        // them with no refill and no end check. The chain array alone
+        // feeds the next peek; each lookup stores its slot's whole
+        // symbol triple and advances by the slot's count. An overflow
+        // slot takes the checked single-symbol path and ends the group.
+        while i + GROUP_SLOTS <= n && br.unloaded_bytes() >= 8 {
+            br.refill_word();
+            for _ in 0..LOOKUPS_PER_REFILL {
+                let w = br.peek_loaded(self.primary_bits) as usize;
+                let link = self.chain[w];
+                if link.count() == 0 {
+                    out[i] = self.decode_symbol(&mut br)?;
+                    i += 1;
+                    break;
+                }
+                br.take_loaded(link.bits());
+                out[i..i + SYMS_PER_SLOT].copy_from_slice(&self.syms[w]);
+                i += link.count();
             }
-            br.advance(slot.bits as u32);
-            out[i..i + SYMS_PER_SLOT].copy_from_slice(&slot.syms);
-            i += slot.count as usize;
         }
+        // The tail — fewer than 15 slots or 8 unloaded bytes left — one
+        // checked symbol at a time.
         for sym in &mut out[i..] {
             *sym = self.decode_symbol(&mut br)?;
         }
+        // The block's one end check, kept as a backstop: the group loop
+        // consumes only loaded bytes and the tail checks every symbol.
         if br.overran() {
             return Err(CodecError::UnexpectedEof);
         }
-        *pos += bits_len;
         Ok(out)
     }
 
@@ -519,46 +549,46 @@ impl Decoder {
             }
         }
         let primary_bits = max_len.min(PRIMARY_BITS);
-        let mut table = vec![Slot::default(); 1usize << primary_bits];
+        let mut chain = vec![Link(0); 1usize << primary_bits];
+        let mut syms = vec![[0u32; SYMS_PER_SLOT]; chain.len()];
         for &(sym, code, len) in canon {
-            if len as u32 <= primary_bits {
+            let len = len as u32;
+            if len <= primary_bits {
                 // Fill every slot whose top `len` bits equal `code`.
-                let base = (code as usize) << (primary_bits - len as u32);
-                let span = 1usize << (primary_bits - len as u32);
-                for slot in &mut table[base..base + span] {
-                    slot.syms[0] = sym;
-                    slot.len0 = len;
-                    slot.bits = len;
-                    slot.count = 1;
-                }
+                let base = (code as usize) << (primary_bits - len);
+                let span = base..base + (1usize << (primary_bits - len));
+                chain[span.clone()].fill(Link::new(len, len, 1));
+                syms[span].iter_mut().for_each(|s| s[0] = sym);
             }
         }
         // Extend each slot with the two codes that follow its first one
         // inside the window. The slot at the window shifted past the
         // bits already taken starts with the next code — if that code
         // fits in the window's remaining real bits. Extension leaves
-        // every slot's `syms[0]` and `len0` as they were, so reading
-        // them from an already-extended slot is sound. Branch-free: a
-        // code that does not fit still lands in `syms` as filler.
-        let mask = table.len() - 1;
-        let fits =
-            |taken: u8, next: &Slot| next.len0 != 0 && (taken + next.len0) as u32 <= primary_bits;
-        for w in 0..table.len() {
-            let first = table[w];
-            let second = table[(w << first.len0) & mask];
-            let fit2 = first.count != 0 && fits(first.len0, &second);
-            let two = first.len0 + second.len0;
-            let third = table[(w << two) & mask];
-            let fit3 = fit2 && fits(two, &third);
-            table[w] = Slot {
-                syms: [first.syms[0], second.syms[0], third.syms[0]],
-                len0: first.len0,
-                bits: first.len0 + fit2 as u8 * second.len0 + fit3 as u8 * third.len0,
-                count: first.count + fit2 as u8 + fit3 as u8,
-            };
+        // every slot's first symbol and `len0` as they were, so reading
+        // them from an already-extended slot is sound. A code that does
+        // not fit still lands in `syms` as filler.
+        let mask = chain.len() - 1;
+        let fits = |taken: u32, len: u32| len != 0 && taken + len <= primary_bits;
+        for w in 0..chain.len() {
+            let l0 = chain[w].len0();
+            let w1 = (w << l0) & mask;
+            let l1 = chain[w1].len0();
+            let w2 = (w << (l0 + l1)) & mask;
+            let l2 = chain[w2].len0();
+            let fit2 = l0 != 0 && fits(l0, l1);
+            let fit3 = fit2 && fits(l0 + l1, l2);
+            syms[w][1] = syms[w1][0];
+            syms[w][2] = syms[w2][0];
+            chain[w] = Link::new(
+                l0 + fit2 as u32 * l1 + fit3 as u32 * l2,
+                l0,
+                (l0 != 0) as u32 + fit2 as u32 + fit3 as u32,
+            );
         }
         Ok(Decoder {
-            table,
+            chain,
+            syms,
             primary_bits,
             first_code,
             first_index,
@@ -575,10 +605,10 @@ impl Decoder {
     #[inline]
     fn decode_symbol(&self, br: &mut BitReader<'_>) -> Result<u32> {
         let window = br.peek_bits(self.primary_bits) as usize;
-        let slot = &self.table[window];
-        if slot.len0 != 0 {
-            br.consume(slot.len0 as u32)?;
-            return Ok(slot.syms[0]);
+        let len0 = self.chain[window].len0();
+        if len0 != 0 {
+            br.consume(len0)?;
+            return Ok(self.syms[window][0]);
         }
         // Overflow (code deeper than the primary table): canonical
         // first-code walk over the remaining lengths, re-peeking the
@@ -596,6 +626,35 @@ impl Decoder {
         }
         Err(CodecError::Corrupt("code longer than table max"))
     }
+}
+
+/// The `varint bits_len · bitstream` at `pos` holding `n` symbols: its
+/// bitstream, with `pos` advanced past it. Every code is at least one
+/// bit, so the bitstream bounds the symbol count; a corrupt count is
+/// rejected here, before anything is sized from it.
+fn bitstream<'a>(n: usize, bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+    let bits_len = varint::read_usize(bytes, pos)?;
+    // Subtract rather than add: `*pos + bits_len` could wrap.
+    if bits_len > bytes.len() - *pos {
+        return Err(CodecError::UnexpectedEof);
+    }
+    if n > bits_len.saturating_mul(8) {
+        return Err(CodecError::Corrupt("symbol count exceeds bitstream"));
+    }
+    *pos += bits_len;
+    Ok(&bytes[*pos - bits_len..*pos])
+}
+
+/// Check, without decoding, that a block appended by
+/// [`Codebook::encode_block`] claims `expect` symbols and that its
+/// bitstream can hold them: what [`Decoder::decode_block`] checks before
+/// it reserves its output.
+pub fn check_block(bytes: &[u8], expect: usize) -> Result<()> {
+    let mut pos = 0usize;
+    if varint::read_usize(bytes, &mut pos)? != expect {
+        return Err(CodecError::Corrupt("huffman block count mismatch"));
+    }
+    bitstream(expect, bytes, &mut pos).map(drop)
 }
 
 /// Decode a stream produced by [`encode`].
@@ -782,11 +841,58 @@ mod tests {
         (0..n).map(|_| dec.decode_symbol(&mut br)).collect()
     }
 
-    /// Encode `n` symbols for every `n` in {0, 1, 2, 3, 4, 3000} — half
-    /// the most frequent symbol (runs of short codes, three to a table
-    /// slot), half drawn uniformly from the alphabet (so rare, long
-    /// codes occur often) — and hold the block decoder to the
-    /// reference: the same symbols; `Err` on every truncation; on a
+    /// Symbol blocks at the block loop's edges, drawn half from the most
+    /// frequent symbol (runs of short codes, three to a table slot) and
+    /// half uniformly from the alphabet (so rare, long codes occur often):
+    /// - `n` around the 15 output slots one refill group may write, and
+    ///   around three groups;
+    /// - bitstreams of exactly 7, 8 and 9 bytes, where the group loop
+    ///   needs 8 unloaded bytes to run at all;
+    /// - where the top symbol's code is at most 3 bits, so a slot of them
+    ///   holds three, and some code is longer than the table window: that
+    ///   code as the first lookup of a refill group and as the fifth,
+    ///   after twelve top symbols.
+    fn edge_blocks(codebook: &Codebook, seed: u64) -> Vec<Vec<u32>> {
+        let canon = &codebook.canon;
+        let len_of = |sym: u32| canon.iter().find(|&&(s, _, _)| s == sym).unwrap().2 as usize;
+        // The canonical order starts with a shortest code.
+        let (top, top_len) = (canon[0].0, canon[0].2 as usize);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let draw = |rng: &mut StdRng| match rng.gen_bool(0.5) {
+            true => top,
+            false => canon[rng.gen_range(0..canon.len())].0,
+        };
+        let mut blocks: Vec<Vec<u32>> = [0usize, 1, 2, 3, 4, 14, 15, 16, 17, 45, 46, 47, 3000]
+            .iter()
+            .map(|&n| (0..n).map(|_| draw(&mut rng)).collect())
+            .collect();
+        for bytes in [7usize, 8, 9] {
+            // Fill to more than `bytes − 1` whole bytes without passing
+            // `bytes`; a code that does not fit is replaced by the top
+            // symbol's (at most 6 bits with ≤ 64 symbols, less than a byte).
+            let (mut syms, mut bits) = (Vec::new(), 0usize);
+            while bits <= 8 * (bytes - 1) {
+                let mut sym = draw(&mut rng);
+                if bits + len_of(sym) > 8 * bytes {
+                    sym = top;
+                }
+                bits += len_of(sym);
+                syms.push(sym);
+            }
+            blocks.push(syms);
+        }
+        if let Some(&(long, _, _)) = canon.iter().find(|&&(_, _, l)| l as u32 > PRIMARY_BITS) {
+            if top_len <= 3 {
+                let rest: Vec<u32> = (0..40).map(|_| draw(&mut rng)).collect();
+                blocks.push([&[long][..], &rest].concat());
+                blocks.push([&[top; 12][..], &[long], &rest].concat());
+            }
+        }
+        blocks
+    }
+
+    /// Encode every [`edge_blocks`] block and hold the block decoder to
+    /// the reference: the same symbols; `Err` on every truncation; on a
     /// block with bit `flip` flipped, the reference's answer — `Err` or
     /// exactly as many symbols as the block claims. Returns the longest
     /// code length.
@@ -795,15 +901,8 @@ mod tests {
         let mut table = Vec::new();
         codebook.serialize(&mut table);
         let dec = Decoder::deserialize(&table, &mut 0).unwrap();
-        let top = freqs.iter().max_by_key(|&&(_, c)| c).unwrap().0;
-        let mut rng = StdRng::seed_from_u64(seed);
-        for n in [0usize, 1, 2, 3, 4, 3000] {
-            let syms: Vec<u32> = (0..n)
-                .map(|_| match rng.gen_bool(0.5) {
-                    true => top,
-                    false => freqs[rng.gen_range(0..freqs.len())].0,
-                })
-                .collect();
+        for syms in edge_blocks(&codebook, seed) {
+            let n = syms.len();
             let mut block = Vec::new();
             codebook.encode_block(&syms, &mut block);
             let mut pos = 0usize;
@@ -839,6 +938,31 @@ mod tests {
             }
         }
         codebook.canon.iter().map(|&(_, _, len)| len).max().unwrap()
+    }
+
+    #[test]
+    fn edge_blocks_hit_the_byte_counts_and_long_code_positions() {
+        let chain: Vec<(u32, u64)> = (0..48).map(|i| (1000 + i, 1u64 << i)).collect();
+        let codebook = Codebook::from_freqs(&chain);
+        let blocks = edge_blocks(&codebook, 5);
+        let bitstream_bytes = |syms: &[u32]| {
+            let mut block = Vec::new();
+            codebook.encode_block(syms, &mut block);
+            let mut pos = 0;
+            varint::read_usize(&block, &mut pos).unwrap();
+            varint::read_usize(&block, &mut pos).unwrap()
+        };
+        let lens: Vec<usize> = blocks[13..16].iter().map(|b| bitstream_bytes(b)).collect();
+        assert_eq!(lens, [7, 8, 9]);
+        assert_eq!(blocks.len(), 18, "both long-code blocks");
+        let long = |sym: u32| {
+            codebook
+                .canon
+                .iter()
+                .any(|&(s, _, l)| s == sym && l as u32 > PRIMARY_BITS)
+        };
+        assert!(long(blocks[16][0]) && long(blocks[17][12]));
+        assert!(bitstream_bytes(&blocks[16]) >= 8 && bitstream_bytes(&blocks[17]) >= 8);
     }
 
     #[test]

@@ -380,17 +380,38 @@ impl SideStream {
     }
 }
 
+/// Reject a count of more symbols than the tag-2 payload `bytes` can
+/// hold, before anything is sized from it; every payload the encoder
+/// writes passes. A model's probability stays in `[31, 4065] / 4096`
+/// (the 1/32 update stops there), so a decision keeps at most
+/// `(1 + 4065/4096) / 2` of the interval even at the smallest width a
+/// renormalised interval has, and costs more than 1/184 bit. The
+/// interval starts 32 bits wide and gains 8 per byte the coder reads
+/// after its first four; every symbol takes at least one decision, and
+/// the coder reads at most the payload's bytes, so a payload holds fewer
+/// than `8 · 184` symbols per byte.
+pub fn check_count(bytes: &[u8], n: usize) -> Result<()> {
+    if n > bytes.len().saturating_mul(8 * 184) {
+        return Err(CodecError::Corrupt("range symbol count exceeds payload"));
+    }
+    Ok(())
+}
+
 /// Decode exactly `n` symbols coded by [`encode_block`] with the same
-/// `center`. Output allocation is bounded by `n`, which the caller
-/// derives from validated framing — a corrupt payload can produce wrong
-/// symbols (caught structurally upstream) but never oversized output.
-/// Bytes the `n` symbols did not consume, or lacked, are corruption.
+/// `center`. A count [`check_count`] refuses is rejected before the
+/// output is reserved, and decoding stops once the coder has read past
+/// the payload. Bytes the `n` symbols did not consume, or lacked, are
+/// corruption.
 pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
+    check_count(bytes, n)?;
     let mut dec = RangeDecoder::new(bytes);
     let mut side = SideStream::default();
     let mut model = SymbolModel::new();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
+        if dec.pos > bytes.len() {
+            return Err(CodecError::Corrupt("range coder read past the payload"));
+        }
         if dec.decode_bit(&mut model.hit[model.prev_hit]) == 1 {
             model.prev_hit = 1;
             out.push(center);

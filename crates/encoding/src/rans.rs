@@ -555,11 +555,28 @@ fn renorm(x: &mut u32, bytes: &[u8], pos: &mut usize) {
     *pos += one as usize + two as usize;
 }
 
+/// Reject a count of more symbols than the tag-3 payload `bytes` can
+/// hold, before anything is sized from it; every payload the encoder
+/// writes passes. Every symbol takes a hit/miss step, which removes at
+/// least `(4096 − p)·⌊x/4096⌋ > x/4099` from a state `x ≥ 2^23` (a hit
+/// at the largest probability, `p = 4095`): more than 1/2842 bit. The
+/// state falls from below 2^31 to 2^23 and gains 8 bits per byte read,
+/// so a payload holds fewer than `8 · 2842` symbols per byte.
+pub fn check_count(bytes: &[u8], n: usize) -> Result<()> {
+    if n > bytes.len().saturating_mul(8 * 2842) {
+        return Err(CodecError::Corrupt("rans symbol count exceeds payload"));
+    }
+    Ok(())
+}
+
 /// Decode exactly `n` symbols coded by [`encode_block_into`] with the
-/// same `center`. `n` comes from validated framing and bounds the output
-/// allocation; a corrupt table, a state the encoder could not have left,
-/// or bytes the `n` symbols did not consume exactly are corruption.
+/// same `center`. A count [`check_count`] refuses is rejected before the
+/// output is reserved, and decoding stops once the coder has read past
+/// the payload; a corrupt table, a state the encoder could not have
+/// left, or bytes the `n` symbols did not consume exactly are
+/// corruption.
 pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
+    check_count(bytes, n)?;
     let (model, mut pos) = Model::read(bytes)?;
     let classes = model.top() > 0;
     // Slot → (symbol << 25 | freq << 12 | slot − start): freq ≤ 4096
@@ -584,6 +601,9 @@ pub fn decode_block(bytes: &[u8], n: usize, center: u32) -> Result<Vec<u32>> {
     let mut out = Vec::with_capacity(n);
     let mut prev = 1usize;
     for _ in 0..n {
+        if pos > bytes.len() {
+            return Err(CodecError::Corrupt("rans coder read past the payload"));
+        }
         let p = model.p_hit[prev];
         let slot = x & MASK;
         if slot < p {

@@ -383,15 +383,28 @@ fn range_family(codes: &[u32], center: u32) -> EntropyStageTag {
     }
 }
 
-/// Decode one frame body back into `layout.len()` f32 values; Huffman
-/// payloads decode against the stream's shared `decoder`. The frame is
-/// exact: bytes after the payload are corruption.
-pub(crate) fn decode_chunk(
-    frame: &[u8],
+/// One frame body, parsed but not decoded: its entropy backend, its
+/// outliers (little-endian `f32` bits) and its payload, which
+/// [`parse_frame`] has checked can hold the chunk's `layout.len()` codes.
+pub(crate) struct Frame<'a> {
+    layout: DataLayout,
+    backend: EntropyDecoder<'a>,
+    outliers: &'a [u8],
+    payload: &'a [u8],
+}
+
+/// Parse one frame body of chunk `layout`: the tag, the outliers and
+/// the payload, whose symbol count is then bounded by what the payload
+/// can hold (`EntropyDecoder::check_count`), so a caller may size output
+/// for the frame from `layout` alone. Huffman payloads decode against
+/// the stream's shared `decoder`. The frame is exact: bytes after the
+/// payload are corruption.
+pub(crate) fn parse_frame<'a>(
+    frame: &'a [u8],
     layout: DataLayout,
     header: &Header,
-    decoder: &huffman::Decoder,
-) -> Result<Vec<f32>> {
+    decoder: &'a huffman::Decoder,
+) -> Result<Frame<'a>> {
     let n = layout.len();
     let tag = *frame
         .first()
@@ -404,16 +417,8 @@ pub(crate) fn decode_chunk(
     if n_outliers > n || n_outliers > (frame.len() - pos) / 4 {
         return Err(corrupt("truncated outliers"));
     }
-    let mut outliers = Vec::with_capacity(n_outliers);
-    for _ in 0..n_outliers {
-        outliers.push(f32::from_bits(u32::from_le_bytes([
-            frame[pos],
-            frame[pos + 1],
-            frame[pos + 2],
-            frame[pos + 3],
-        ])));
-        pos += 4;
-    }
+    let outliers = &frame[pos..pos + 4 * n_outliers];
+    pos += 4 * n_outliers;
     let payload_len = rd_usize(frame, &mut pos)?;
     // Subtract rather than add: `pos + payload_len` could wrap.
     if payload_len > frame.len() - pos {
@@ -431,9 +436,31 @@ pub(crate) fn decode_chunk(
         EntropyStageTag::Range => EntropyDecoder::Range { center },
         EntropyStageTag::Rans => EntropyDecoder::Rans { center },
     };
+    backend
+        .check_count(payload, n)
+        .map_err(|e| SzError::Corrupt(e.to_string()))?;
+    Ok(Frame {
+        layout,
+        backend,
+        outliers,
+        payload,
+    })
+}
+
+impl Frame<'_> {
+    /// Values the frame decodes to: its chunk's element count.
+    pub(crate) fn len(&self) -> usize {
+        self.layout.len()
+    }
+}
+
+/// Decode a parsed frame into `out`, its chunk's `layout.len()` values.
+pub(crate) fn decode_frame(frame: &Frame<'_>, header: &Header, out: &mut [f32]) -> Result<()> {
+    let n = frame.layout.len();
     let entropy_span = ebtrain_obs::span!("sz.entropy_decode", bytes = n * 4);
-    let codes = backend
-        .decode_block(payload, n)
+    let codes = frame
+        .backend
+        .decode_block(frame.payload, n)
         .map_err(|e| SzError::Corrupt(e.to_string()))?;
     drop(entropy_span);
     if codes.len() != n {
@@ -441,21 +468,25 @@ pub(crate) fn decode_chunk(
     }
 
     let _span = ebtrain_obs::span!("sz.reconstruct", bytes = n * 4);
+    let outliers: Vec<f32> = frame
+        .outliers
+        .chunks_exact(4)
+        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect();
     let eb = header.eb;
     let two_eb = 2.0 * eb;
-    let radius = header.radius;
-    let predictor = header.predictor;
+    let (radius, predictor, layout) = (header.radius, header.predictor, frame.layout);
     // Specialized per-(predictor, layout) reconstruction loops — same
     // stencils, same operand order, no per-element div/mod or dispatch
     // (see `reconstruct.rs`).
-    let mut recon = match header.quant_mode {
+    match header.quant_mode {
         QuantMode::Classic => crate::reconstruct::reconstruct_classic(
-            &codes, &outliers, predictor, layout, radius, two_eb,
+            &codes, &outliers, predictor, layout, radius, two_eb, out,
         )?,
         QuantMode::DualQuant => crate::reconstruct::reconstruct_dual(
-            &codes, &outliers, predictor, layout, radius, two_eb,
+            &codes, &outliers, predictor, layout, radius, two_eb, out,
         )?,
-    };
+    }
     if header.zero_filter && header.quant_mode == QuantMode::Classic {
         // Paper §4.4: values that landed within the error bound of zero are
         // snapped back, so compressed runs of zeros stay exactly zero. A
@@ -463,11 +494,11 @@ pub(crate) fn decode_chunk(
         // from it, so there is nothing for the pass to do. A select, not a
         // conditional store: the compare is data-dependent on ReLU output
         // and a branch there does not vectorize.
-        for v in &mut recon {
+        for v in out.iter_mut() {
             *v = if v.abs() <= eb { 0.0 } else { *v };
         }
     }
-    Ok(recon)
+    Ok(())
 }
 
 /// Deterministic integer-grid mapping `round(x / 2eb)` shared by encoder
@@ -1073,6 +1104,51 @@ mod tests {
         assert_eq!(corrupt_message(&evil), "truncated outliers");
     }
 
+    /// A one-frame stream under `D1(2^62)` (one chunk of 2^62 elements)
+    /// whose frame is entropy tag `tag` with no outliers and `payload`.
+    fn crafted_2_62_element_frame(tag: EntropyStageTag, payload: &[u8]) -> Vec<u8> {
+        let huge = 1usize << 62;
+        let mut evil = crafted_header(huge, &[huge], 0, huge);
+        varint::write_usize(&mut evil, 1); // n_chunks
+        huffman::Codebook::from_freqs(&[]).serialize(&mut evil);
+        let mut frame = vec![tag.as_u8()];
+        varint::write_usize(&mut frame, 0); // n_outliers
+        varint::write_usize(&mut frame, payload.len());
+        frame.extend_from_slice(payload);
+        varint::write_usize(&mut evil, frame.len());
+        evil.extend_from_slice(&frame);
+        evil
+    }
+
+    #[test]
+    fn crafted_range_frame_claiming_2_62_elements_errors_not_panics() {
+        // The range coder stores no count, so only the payload bounds the
+        // frame's: before the bound, reserving 2^62 codes panicked.
+        let evil = crafted_2_62_element_frame(EntropyStageTag::Range, &[0; 4]);
+        assert_eq!(
+            corrupt_message(&evil),
+            "corrupt stream: range symbol count exceeds payload"
+        );
+    }
+
+    #[test]
+    fn crafted_rans_frame_claiming_2_62_elements_errors_not_panics() {
+        // A valid rANS table (both hit probabilities 4095/4096, no class
+        // symbols) and the final state 2^23: every hit decodes, so only
+        // the payload bound stops the count.
+        let mut table = ebtrain_encoding::bitio::BitWriter::new();
+        table.write_bits(4095, 12);
+        table.write_bits(4095, 12);
+        table.write_bits(0, 7); // top
+        let mut payload = table.finish();
+        payload.extend_from_slice(&(1u32 << 23).to_be_bytes());
+        let evil = crafted_2_62_element_frame(EntropyStageTag::Rans, &payload);
+        assert_eq!(
+            corrupt_message(&evil),
+            "corrupt stream: rans symbol count exceeds payload"
+        );
+    }
+
     #[test]
     fn retired_z1_stream_is_rejected_at_the_magic() {
         // A format-1 stream as the pre-framing encoder wrote it (sin ramp,
@@ -1295,7 +1371,8 @@ mod tests {
                             reference
                         }
                     };
-                    let specialized = match quant_mode {
+                    let mut specialized = vec![0.0f32; n];
+                    match quant_mode {
                         QuantMode::Classic => crate::reconstruct::reconstruct_classic(
                             &codes,
                             &outliers_f,
@@ -1303,6 +1380,7 @@ mod tests {
                             layout,
                             radius,
                             two_eb,
+                            &mut specialized,
                         ),
                         QuantMode::DualQuant => crate::reconstruct::reconstruct_dual(
                             &codes,
@@ -1311,6 +1389,7 @@ mod tests {
                             layout,
                             radius,
                             two_eb,
+                            &mut specialized,
                         ),
                     }
                     .unwrap();
@@ -1388,6 +1467,7 @@ mod tests {
                     two_eb,
                 );
                 let decode = |outliers: &[f32]| {
+                    let mut got = vec![0.0f32; codes.len()];
                     crate::reconstruct::reconstruct_classic(
                         &codes,
                         outliers,
@@ -1395,7 +1475,9 @@ mod tests {
                         layout,
                         radius,
                         two_eb,
+                        &mut got,
                     )
+                    .map(|()| got)
                 };
                 let got = decode(&outliers).unwrap();
                 assert_eq!(bits(&got), bits(&reference), "{layout:?}");
@@ -1417,6 +1499,7 @@ mod tests {
             DataLayout::D2(3, 2),
             8,
             2e-3,
+            &mut [0.0; 6],
         );
         assert!(matches!(got, Err(SzError::Corrupt(_))));
     }

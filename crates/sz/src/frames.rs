@@ -18,7 +18,9 @@
 //! `d1 × d2` plane for `D3`, and a 4096-element run for `D1` (matching
 //! the chunk geometry in [`crate::blocks`]).
 
-use crate::codec::{corrupt, decode_chunk, parse_header, rd_usize, CompressedBuffer, Header};
+use crate::codec::{
+    corrupt, decode_frame, parse_frame, parse_header, rd_usize, CompressedBuffer, Frame, Header,
+};
 use crate::{blocks, DataLayout, Result};
 use ebtrain_encoding::huffman;
 use rayon::prelude::*;
@@ -213,12 +215,19 @@ fn walk_frames(
 
 /// The SZ decoder: the values of the leading-dimension planes `planes`,
 /// or of the whole stream for `None`, and what the call read. The whole
-/// stream is walked before anything is decoded; then the covering frames
-/// decode — as one parallel region when `parallel` and there are several
-/// — each into its own buffer, and the window is copied out of them in
-/// frame order. Sizing the output from decoded frames, not from the
-/// header, keeps a hostile header from sizing an allocation by itself;
-/// collecting in frame order makes the first error in frame order win.
+/// stream is walked and every covering frame parsed before anything is
+/// decoded; then the covering frames decode — as one parallel region
+/// when `parallel` and there are several — each straight into its own
+/// slice of the output. A frame the window covers only in part (the
+/// first or last of a plane range) decodes into scratch, and its overlap
+/// is copied out.
+///
+/// The output is reserved only after every covering frame's symbol
+/// count has passed its payload's bound (see `codec::parse_frame`), so
+/// a hostile header cannot size an allocation by itself: at most a
+/// fixed multiple of the stream's own length. If a frame fails to
+/// parse, the frames before it still decode, so the first error in
+/// frame order wins, as it does among the decodes.
 pub(crate) fn decode(
     bytes: &[u8],
     planes: Option<Range<usize>>,
@@ -245,9 +254,10 @@ pub(crate) fn decode(
         frames_total: frames.len(),
         ..RangeDecodeStats::default()
     };
-    // The covering frames: (body, layout, overlap with the window in
-    // the frame's own elements).
-    let mut covering: Vec<(&[u8], DataLayout, Range<usize>)> = Vec::new();
+    // The covering frames, parsed, with their overlap with the window in
+    // the frame's own elements — up to the first that does not parse.
+    let mut covering = Vec::new();
+    let mut parse_error = None;
     for (off, cl, body) in frames {
         stats.frame_bytes_total += body.len();
         let lo = start_e.max(off);
@@ -255,27 +265,49 @@ pub(crate) fn decode(
         if lo < hi {
             stats.frames_decoded += 1;
             stats.frame_bytes_decoded += body.len();
-            covering.push((&bytes[body], cl, lo - off..hi - off));
+            if parse_error.is_none() {
+                match parse_frame(&bytes[body], cl, &header, &decoder) {
+                    Ok(frame) => covering.push((frame, lo - off..hi - off)),
+                    Err(e) => parse_error = Some(e),
+                }
+            }
         }
     }
 
-    // Chunks restart prediction, so a frame decodes whole.
-    let decode_one = |&(frame, cl, _): &(&[u8], DataLayout, Range<usize>)| {
-        decode_chunk(frame, cl, &header, &decoder)
-    };
-    let parts: Vec<Vec<f32>> = if parallel && covering.len() > 1 {
-        covering.par_iter().map(decode_one).collect::<Result<_>>()?
-    } else {
-        covering.iter().map(decode_one).collect::<Result<_>>()?
-    };
-    let mut out = Vec::with_capacity(end_e - start_e);
-    for ((_, _, overlap), part) in covering.into_iter().zip(&parts) {
-        out.extend_from_slice(&part[overlap]);
+    // The overlaps tile the window (the chunk geometry tiles the
+    // volume), so each frame's share of `out` follows the one before.
+    let mut out = vec![0.0f32; covering.iter().map(|(_, o)| o.len()).sum()];
+    let mut jobs = Vec::with_capacity(covering.len());
+    let mut rest = &mut out[..];
+    for (frame, overlap) in covering {
+        let (dst, tail) = rest.split_at_mut(overlap.len());
+        jobs.push((frame, overlap, dst));
+        rest = tail;
     }
-    // The chunk geometry tiles the volume and every frame decodes to its
-    // chunk's length, so the overlaps tile the window.
-    debug_assert_eq!(out.len(), end_e - start_e);
-    Ok((out, stats))
+    // Chunks restart prediction, so a frame decodes whole.
+    let decode_one = |(frame, overlap, dst): &mut (Frame<'_>, Range<usize>, &mut [f32])| {
+        if overlap.len() == frame.len() {
+            return decode_frame(frame, &header, dst);
+        }
+        let mut whole = vec![0.0f32; frame.len()];
+        decode_frame(frame, &header, &mut whole)?;
+        dst.copy_from_slice(&whole[overlap.clone()]);
+        Ok(())
+    };
+    if parallel && jobs.len() > 1 {
+        jobs.par_iter_mut()
+            .map(decode_one)
+            .collect::<Result<()>>()?;
+    } else {
+        jobs.iter_mut().try_for_each(decode_one)?;
+    }
+    match parse_error {
+        Some(e) => Err(e),
+        None => {
+            debug_assert_eq!(out.len(), end_e - start_e);
+            Ok((out, stats))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,7 +334,7 @@ mod borrow_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress, decompress, SzConfig};
+    use crate::{compress, decompress, decompress_serial, SzConfig};
 
     fn volume(a: usize, b: usize, c: usize) -> Vec<f32> {
         (0..a * b * c)
@@ -447,6 +479,70 @@ mod tests {
         }
         // Ranges that avoid both corrupt frames still decode.
         assert!(decompress_planes_bytes(&evil, 4..12).is_ok());
+    }
+
+    /// Every covering frame is parsed before any decodes, so the error
+    /// order must hold across the two phases too: a frame that parses
+    /// but fails to decode (range bytes read as rANS) before one that
+    /// does not parse (an unknown tag), and the other way round.
+    #[test]
+    fn first_error_in_frame_order_wins_across_parse_and_decode() {
+        let data = volume(16, 8, 8);
+        let mut cfg = SzConfig::with_error_bound(1e-2);
+        cfg.chunk_planes = Some(2);
+        let buf = compress(&data, DataLayout::D3(16, 8, 8), &cfg).unwrap();
+        let idx = buf.frame_index().unwrap();
+        let msg = |evil: &[u8], r: Range<usize>| match decompress_planes_bytes(evil, r) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("corrupt frames decoded"),
+        };
+        for (first_tag, later_tag) in [(3u8, 0x7f), (0x7f, 3)] {
+            let mut evil = buf.as_bytes().to_vec();
+            evil[idx.entries()[1].bytes.start] = first_tag;
+            evil[idx.entries()[6].bytes.start] = later_tag;
+            let first = msg(&evil, 2..4);
+            assert_ne!(first, msg(&evil, 12..14));
+            assert_eq!(msg(&evil, 0..16), first);
+            assert_eq!(msg(&evil, 3..13), first);
+            assert_eq!(
+                decompress_serial(&CompressedBuffer::from_bytes(evil).unwrap())
+                    .unwrap_err()
+                    .to_string(),
+                first
+            );
+        }
+    }
+
+    /// A plane window decodes to the same slice of a whole decode for
+    /// every window, serial and parallel, on streams whose last frame is
+    /// partial: fewer planes than the others (`D3`), and a partial last
+    /// plane (`D1`).
+    #[test]
+    fn every_window_matches_the_whole_decode() {
+        let n = 4096 * 4 + 100;
+        let d1: Vec<f32> = (0..n).map(|i| (i as f32 * 0.003).cos()).collect();
+        let d3 = volume(11, 8, 8);
+        for (data, layout, chunk_planes) in [
+            (d3, DataLayout::D3(11, 8, 8), 3),
+            (d1, DataLayout::D1(n), 2),
+        ] {
+            let mut cfg = SzConfig::with_error_bound(1e-3);
+            cfg.chunk_planes = Some(chunk_planes);
+            let buf = compress(&data, layout, &cfg).unwrap();
+            let bytes = buf.as_bytes();
+            let full = decompress(&buf).unwrap();
+            let np = layout.plane_count();
+            let pe = layout.plane_elems();
+            for a in 0..=np {
+                for b in a..=np {
+                    let want = &full[(a * pe).min(full.len())..(b * pe).min(full.len())];
+                    for parallel in [false, true] {
+                        let (got, _) = decode(bytes, Some(a..b), parallel).unwrap();
+                        assert_eq!(got, want, "{layout:?} {a}..{b} parallel {parallel}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -134,8 +134,9 @@ pub(crate) fn lorenzo_rest([up, back, back_up]: [&[i64]; 3], k: usize) -> i64 {
         .wrapping_add(back_up[k - 1])
 }
 
-/// Classic-mode reconstruction: codes quantize the residual against the
-/// float prediction over already-reconstructed neighbours.
+/// Classic-mode reconstruction into `recon` (one value per code): codes
+/// quantize the residual against the float prediction over
+/// already-reconstructed neighbours.
 pub(crate) fn reconstruct_classic(
     codes: &[u32],
     outliers: &[f32],
@@ -143,11 +144,12 @@ pub(crate) fn reconstruct_classic(
     layout: DataLayout,
     radius: i64,
     two_eb: f32,
-) -> Result<Vec<f32>> {
+    recon: &mut [f32],
+) -> Result<()> {
     let n = codes.len();
-    let mut recon = vec![0.0f32; n];
+    debug_assert_eq!(recon.len(), n);
     if n == 0 {
-        return Ok(recon);
+        return Ok(());
     }
     let mut oi = 0usize;
 
@@ -171,7 +173,7 @@ pub(crate) fn reconstruct_classic(
     }
 
     match geometry(predictor, layout, n) {
-        Geometry::Scan => scan(codes, outliers, &mut recon, radius, two_eb)?,
+        Geometry::Scan => scan(codes, outliers, recon, radius, two_eb)?,
         Geometry::Grid2 { rows, w } => {
             // Outliers are stored in element order, so row i's first one
             // follows every zero code above it. The total is checked
@@ -190,11 +192,11 @@ pub(crate) fn reconstruct_classic(
             let q_step = (radius, two_eb);
             let mut i = 1;
             while i + ROW_GROUP <= rows {
-                group::<ROW_GROUP>(&mut recon, codes, outliers, &starts, i, w, q_step);
+                group::<ROW_GROUP>(recon, codes, outliers, &starts, i, w, q_step);
                 i += ROW_GROUP;
             }
             for i in i..rows {
-                group::<1>(&mut recon, codes, outliers, &starts, i, w, q_step);
+                group::<1>(recon, codes, outliers, &starts, i, w, q_step);
             }
         }
         Geometry::Grid3 { d0, d1, d2 } => {
@@ -241,7 +243,7 @@ pub(crate) fn reconstruct_classic(
             }
         }
     }
-    Ok(recon)
+    Ok(())
 }
 
 /// A running scan: each element predicts from the one before it, the
@@ -316,10 +318,10 @@ fn group<const G: usize>(
     }
 }
 
-/// Dual-quantization reconstruction: the Lorenzo stencil runs on the
-/// exact integer grid; wrapping arithmetic mirrors the encoder (corrupt
-/// code streams may accumulate arbitrarily — garbage values are fine,
-/// panics are not).
+/// Dual-quantization reconstruction into `recon` (one value per code):
+/// the Lorenzo stencil runs on the exact integer grid; wrapping
+/// arithmetic mirrors the encoder (corrupt code streams may accumulate
+/// arbitrarily — garbage values are fine, panics are not).
 pub(crate) fn reconstruct_dual(
     codes: &[u32],
     outliers: &[f32],
@@ -327,11 +329,12 @@ pub(crate) fn reconstruct_dual(
     layout: DataLayout,
     radius: i64,
     two_eb: f32,
-) -> Result<Vec<f32>> {
+    recon: &mut [f32],
+) -> Result<()> {
     let n = codes.len();
-    let mut recon = vec![0.0f32; n];
+    debug_assert_eq!(recon.len(), n);
     if n == 0 {
-        return Ok(recon);
+        return Ok(());
     }
     let mut grid = vec![0i64; n];
     let mut outliers = outliers.iter();
@@ -362,7 +365,7 @@ pub(crate) fn reconstruct_dual(
             (true, true) => dual_row(line, o, radius, two_eb, |k| lorenzo_rest(rows, k)),
         }?;
     }
-    Ok(recon)
+    Ok(())
 }
 
 /// One row of [`reconstruct_dual`]: its codes, values and grid points;
