@@ -53,7 +53,7 @@ fn bench_sz(c: &mut Criterion) {
     // classic encoder is latency-bound on a float divide/round inside
     // its prediction recurrence.
     for eb in [1e-2f32, 1e-3] {
-        let cfg = SzConfig::dual_quant(eb);
+        let cfg = SzConfig::with_error_bound(eb);
         group.bench_with_input(
             BenchmarkId::new("compress_dualquant", format!("eb={eb:.0e}")),
             &cfg,
@@ -87,7 +87,7 @@ fn bench_sz_entropy(c: &mut Criterion) {
             ("huffman", EntropyBackend::Huffman),
             ("range", EntropyBackend::Range),
         ] {
-            let mut cfg = SzConfig::dual_quant(eb);
+            let mut cfg = SzConfig::with_error_bound(eb);
             cfg.entropy_backend = backend;
             group.bench_with_input(
                 BenchmarkId::new(format!("compress_{name}"), format!("eb={eb:.0e}")),

@@ -48,7 +48,7 @@ fn main() {
         for (cfg, tag) in [
             (SzConfig::vanilla(eb), "classic, filter off"),
             (SzConfig::classic(eb), "classic, filter on"),
-            (SzConfig::dual_quant(eb), "dual-quant"),
+            (SzConfig::with_error_bound(eb), "dual-quant"),
         ] {
             let buf =
                 compress(act.data(), DataLayout::for_shape(act.shape()), &cfg).expect("compress");

@@ -30,6 +30,30 @@ use ebtrain_dnn::optimizer::{LrSchedule, Sgd, SgdConfig};
 use ebtrain_dnn::store::RawStore;
 use ebtrain_dnn::train::{evaluate, train_step};
 use ebtrain_dnn::zoo;
+use ebtrain_obs::Snapshot;
+
+/// One line per span (`name: count x total ms [bytes]`), then one per
+/// counter, of every name under one of `prefixes`.
+fn format_brief(delta: &Snapshot, prefixes: &[&str]) -> String {
+    let wanted = |name: &str| prefixes.iter().any(|p| name.starts_with(p));
+    let mut out = String::new();
+    for (name, st) in delta.spans().filter(|(name, _)| wanted(name)) {
+        out.push_str(&format!(
+            "{name}: {}x {:.3} ms{}\n",
+            st.count,
+            st.total_nanos as f64 * 1e-6,
+            if st.total_bytes > 0 {
+                format!(" {} B", st.total_bytes)
+            } else {
+                String::new()
+            }
+        ));
+    }
+    for (name, v) in delta.counters().filter(|(name, _)| wanted(name)) {
+        out.push_str(&format!("{name}: {v}\n"));
+    }
+    out
+}
 
 fn main() {
     // Panic-hook flight dump + optional EBTRAIN_METRICS_ADDR endpoint.
@@ -107,9 +131,12 @@ fn main() {
     );
     let mut comp_acc: Vec<f64> = Vec::new();
     let mut ratio_series: Vec<(usize, f64)> = Vec::new();
+    let mut last_step = None;
     for i in 0..iters {
         let (x, labels) = data.batch((i * batch) as u64, batch);
+        let before = (i + 1 == iters).then(ebtrain_obs::snapshot);
         let r = trainer.step(x, &labels).expect("framework step");
+        last_step = before.map(|b| ebtrain_obs::snapshot().delta_since(&b));
         ratio_series.push((i, r.compression_ratio));
         if (i + 1) % eval_every == 0 {
             let (_, c) = trainer.evaluate(vx.clone(), &vl).expect("eval");
@@ -157,10 +184,13 @@ fn main() {
         ]);
     }
     plan_table.print("Fig 10 aux: adaptive per-layer error bounds");
-    if let Some(report) = trainer.step_report() {
+    if let Some(delta) = last_step {
         println!(
             "\nLast framework step, obs-registry delta:\n{}",
-            report.format_brief(&["core.", "sz.", "codec.", "encoding.", "membudget."])
+            format_brief(
+                &delta,
+                &["core.", "sz.", "codec.", "encoding.", "membudget."]
+            )
         );
     }
     let snap = ebtrain_obs::snapshot();

@@ -131,9 +131,9 @@ fn main() {
     // stage forced, next to the cost-model Auto default. The tight
     // eb=1e-4 bound is where the codebook-free range coder pays off
     // (deep Huffman codebooks get charged against every chunk).
-    let mut range_cfg = ebtrain_sz::SzConfig::dual_quant(1e-3);
+    let mut range_cfg = ebtrain_sz::SzConfig::with_error_bound(1e-3);
     range_cfg.entropy_backend = ebtrain_sz::EntropyBackend::Range;
-    let mut huffman_cfg = ebtrain_sz::SzConfig::dual_quant(1e-3);
+    let mut huffman_cfg = ebtrain_sz::SzConfig::with_error_bound(1e-3);
     huffman_cfg.entropy_backend = ebtrain_sz::EntropyBackend::Huffman;
     let codecs: Vec<Arc<dyn Codec>> = vec![
         Arc::new(SzCodec::classic()),

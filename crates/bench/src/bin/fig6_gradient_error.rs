@@ -10,57 +10,15 @@
 //! the quantity Eq. 4 models. Expect: normal shape, ±σ coverage ≈ 68.2%,
 //! and σ(b) ≈ σ(a)·√R.
 
+use ebtrain_bench::grads::conv_grads;
 use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_f64, env_usize};
 use ebtrain_core::inject::InjectingStore;
 use ebtrain_core::stats::{fraction_within, looks_normal, moments};
 use ebtrain_data::{SynthConfig, SynthImageNet};
-use ebtrain_dnn::layer::{BackwardContext, CompressionPlan, ForwardContext, LayerKind};
-use ebtrain_dnn::layers::SoftmaxCrossEntropy;
-use ebtrain_dnn::network::Network;
-use ebtrain_dnn::store::{ActivationStore, RawStore};
+use ebtrain_dnn::store::RawStore;
 use ebtrain_dnn::zoo;
 use ebtrain_tensor::ops::nonzero_fraction;
-use ebtrain_tensor::Tensor;
-
-/// Forward+backward one batch, return per-conv (name, weight grad, input R).
-fn conv_grads(
-    net: &mut Network,
-    store: &mut dyn ActivationStore,
-    x: Tensor,
-    labels: &[usize],
-) -> Vec<(String, Vec<f32>)> {
-    let head = SoftmaxCrossEntropy::new();
-    let plan = CompressionPlan::new();
-    let logits = {
-        let mut fctx = ForwardContext {
-            store,
-            training: true,
-            collect: true,
-            plan: &plan,
-        };
-        net.forward(x, &mut fctx).expect("forward")
-    };
-    let (_, dlogits) = head.loss(&logits, labels).expect("loss");
-    {
-        let mut bctx = BackwardContext {
-            store,
-            collect: true,
-            grad_ready: None,
-        };
-        net.backward(dlogits, &mut bctx).expect("backward");
-    }
-    let mut grads = Vec::new();
-    net.visit_layers(&mut |layer| {
-        if layer.kind() == LayerKind::Conv {
-            grads.push((
-                layer.name().to_string(),
-                layer.params()[0].grad.data().to_vec(),
-            ));
-        }
-    });
-    grads
-}
 
 fn main() {
     let batch = env_usize("EBTRAIN_BATCH", 2);
@@ -79,7 +37,7 @@ fn main() {
     eprintln!("[fig6] clean pass ...");
     let mut net = zoo::alexnet(1000, 7);
     let mut raw = RawStore::new();
-    let clean = conv_grads(&mut net, &mut raw, x.clone(), &labels);
+    let clean = conv_grads(&mut net, &mut raw, x.clone(), &labels).expect("clean step");
     let r_by_layer: Vec<(String, f64)> = {
         // Sparsity of each conv input, captured from the clean pass.
         let mut net = zoo::alexnet(1000, 7);
@@ -96,9 +54,10 @@ fn main() {
         eprintln!("[fig6] injected pass ({tag}) ...");
         let mut net = zoo::alexnet(1000, 7);
         let mut store = InjectingStore::new(RawStore::new(), eb, preserve, 1234);
-        let noisy = conv_grads(&mut net, &mut store, x.clone(), &labels);
-        for (i, ((name, g_clean), (_, g_noisy))) in clean.iter().zip(&noisy).enumerate() {
-            let err: Vec<f32> = g_noisy.iter().zip(g_clean).map(|(a, b)| a - b).collect();
+        let noisy = conv_grads(&mut net, &mut store, x.clone(), &labels).expect("injected step");
+        for (i, (c, n)) in clean.iter().zip(&noisy).enumerate() {
+            let name = &c.name;
+            let err: Vec<f32> = n.grad.iter().zip(&c.grad).map(|(a, b)| a - b).collect();
             let m = moments(&err);
             let within = fraction_within(&err, m.mean, m.std);
             let r = r_by_layer[i].1;

@@ -9,65 +9,15 @@
 //! value depends on the loss-concentration structure of the task, the
 //! *consistency across layers* is the claim under test).
 
+use ebtrain_bench::grads::conv_grads;
 use ebtrain_bench::table::Table;
 use ebtrain_bench::{env_f64, env_flag, env_usize};
 use ebtrain_core::inject::InjectingStore;
 use ebtrain_core::model::{predict_sigma, predict_sigma_exact, PAPER_A};
 use ebtrain_core::stats::moments;
 use ebtrain_data::{SynthConfig, SynthImageNet};
-use ebtrain_dnn::layer::{
-    BackwardContext, CompressionPlan, ConvLayerStats, ForwardContext, LayerKind,
-};
-use ebtrain_dnn::layers::SoftmaxCrossEntropy;
-use ebtrain_dnn::network::Network;
-use ebtrain_dnn::store::{ActivationStore, RawStore};
+use ebtrain_dnn::store::RawStore;
 use ebtrain_dnn::zoo;
-use ebtrain_tensor::Tensor;
-
-struct LayerObservation {
-    name: String,
-    grad: Vec<f32>,
-    stats: ConvLayerStats,
-}
-
-fn run(
-    net: &mut Network,
-    store: &mut dyn ActivationStore,
-    x: Tensor,
-    labels: &[usize],
-) -> Vec<LayerObservation> {
-    let head = SoftmaxCrossEntropy::new();
-    let plan = CompressionPlan::new();
-    let logits = {
-        let mut fctx = ForwardContext {
-            store,
-            training: true,
-            collect: true,
-            plan: &plan,
-        };
-        net.forward(x, &mut fctx).expect("forward")
-    };
-    let (_, dlogits) = head.loss(&logits, labels).expect("loss");
-    {
-        let mut bctx = BackwardContext {
-            store,
-            collect: true,
-            grad_ready: None,
-        };
-        net.backward(dlogits, &mut bctx).expect("backward");
-    }
-    let mut out = Vec::new();
-    net.visit_layers(&mut |layer| {
-        if let (LayerKind::Conv, Some(stats)) = (layer.kind(), layer.conv_stats()) {
-            out.push(LayerObservation {
-                name: layer.name().to_string(),
-                grad: layer.params()[0].grad.data().to_vec(),
-                stats,
-            });
-        }
-    });
-    out
-}
 
 fn main() {
     let batch = env_usize("EBTRAIN_BATCH", 2);
@@ -93,11 +43,11 @@ fn main() {
         eprintln!("[fig8] {name}: clean pass ...");
         let mut net = zoo::by_name(name, 1000, 7).expect("zoo");
         let mut raw = RawStore::new();
-        let clean = run(&mut net, &mut raw, x.clone(), &labels);
+        let clean = conv_grads(&mut net, &mut raw, x.clone(), &labels).expect("clean step");
         eprintln!("[fig8] {name}: injected pass ...");
         let mut net2 = zoo::by_name(name, 1000, 7).expect("zoo");
         let mut inj = InjectingStore::new(RawStore::new(), eb as f32, true, 99);
-        let noisy = run(&mut net2, &mut inj, x.clone(), &labels);
+        let noisy = conv_grads(&mut net2, &mut inj, x.clone(), &labels).expect("injected step");
 
         let mut table = Table::new(&[
             "layer",

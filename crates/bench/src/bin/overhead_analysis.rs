@@ -203,12 +203,15 @@ fn main() {
         let mut net = zoo::tiny_resnet(10, 7);
         let mut opt = Sgd::new(SgdConfig::default());
         let plan = CompressionPlan::new();
+        let mut store = RawStore::new();
         let mut peak = 0usize;
         let t0 = Instant::now();
         for i in 0..iters {
             let (x, labels) = data.batch((i * batch) as u64, batch);
-            let r = checkpointed_train_step(&mut net, &head, &mut opt, &plan, x, &labels, 4, false)
-                .expect("step");
+            let r = checkpointed_train_step(
+                &mut net, &head, &mut opt, &mut store, &plan, x, &labels, 4, false, None,
+            )
+            .expect("step");
             peak = peak.max(r.peak_store_bytes);
         }
         let tr = t0.elapsed().as_secs_f64();
@@ -266,7 +269,7 @@ fn main() {
         let input: Vec<f32> = (0..64 * 64 * 64)
             .map(|i| (((i as f32) * 0.013).sin() * 0.5).max(0.0))
             .collect();
-        let cfg = SzConfig::dual_quant(1e-3);
+        let cfg = SzConfig::with_error_bound(1e-3);
         let reps = env_usize("EBTRAIN_OBS_REPS", 15);
         let time_arm = |metrics: bool, hist: bool, trace: bool| -> f64 {
             obs::set_metrics_enabled(metrics);

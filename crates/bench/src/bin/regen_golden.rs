@@ -88,7 +88,7 @@ fn current_fixtures() -> Vec<Fixture> {
     // --- Z3 range-tagged frames: skewed data, Auto selection picks the
     // range backend for every chunk of this volume.
     let data = relu_volume(16 * 16);
-    let mut cfg = SzConfig::dual_quant(1e-2);
+    let mut cfg = SzConfig::with_error_bound(1e-2);
     cfg.chunk_planes = Some(4);
     let buf = compress(&data, DataLayout::D2(16, 16), &cfg).unwrap();
     out.push(fixture("z3_range_dualquant", buf.as_bytes()));
@@ -125,7 +125,7 @@ fn current_fixtures() -> Vec<Fixture> {
         let noise = (i as u32).wrapping_mul(2_654_435_761) >> 20;
         (x * 0.91).sin() * 0.7 + (noise as f32 / 4096.0 - 0.5) * 0.2
     }));
-    let mut cfg = SzConfig::dual_quant(1e-2);
+    let mut cfg = SzConfig::with_error_bound(1e-2);
     cfg.chunk_planes = Some(8);
     let buf = compress(&data, DataLayout::D2(16, 512), &cfg).unwrap();
     let tags: Vec<u8> = {
@@ -147,7 +147,12 @@ fn current_fixtures() -> Vec<Fixture> {
             (i as f32 * 0.37).sin() + (noise as f32 / 4096.0 - 0.5) * 0.05
         })
         .collect();
-    let buf = compress(&data, DataLayout::D2(8, 512), &SzConfig::dual_quant(1e-3)).unwrap();
+    let buf = compress(
+        &data,
+        DataLayout::D2(8, 512),
+        &SzConfig::with_error_bound(1e-3),
+    )
+    .unwrap();
     let idx = ebtrain_sz::frame_index_of(buf.as_bytes()).unwrap();
     assert!(
         idx.entries()

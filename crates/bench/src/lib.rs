@@ -15,6 +15,7 @@
 //!   (codec chunks, GEMM, fig9 branches); defaults to the core count.
 
 pub mod capture;
+pub mod grads;
 pub mod noisy;
 pub mod snapshot;
 pub mod table;

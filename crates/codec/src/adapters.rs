@@ -22,7 +22,7 @@ pub struct SzCodec {
 }
 
 impl SzCodec {
-    /// Adapter over an explicit base configuration (chunking, radius,
+    /// Adapter over an explicit base configuration (chunking,
     /// zero filter, quantization mode; the error bound is overridden per
     /// call).
     pub fn new(base: SzConfig) -> SzCodec {
@@ -44,7 +44,7 @@ impl SzCodec {
     /// by construction, strict ±eb) — what the trainer, the compressed
     /// ring and the budgeted arena's at-rest encode use.
     pub fn dual_quant() -> SzCodec {
-        SzCodec::new(SzConfig::dual_quant(1e-3))
+        SzCodec::new(SzConfig::with_error_bound(1e-3))
     }
 
     /// The base configuration.
@@ -434,7 +434,7 @@ mod tests {
         for base in [
             SzConfig::classic(1e-3),
             SzConfig::vanilla(1e-3),
-            SzConfig::dual_quant(1e-3),
+            SzConfig::with_error_bound(1e-3),
         ] {
             for entropy_backend in [
                 EntropyBackend::Auto,

@@ -136,9 +136,6 @@ pub struct AdaptiveTrainer {
     history: Vec<IterationRecord>,
     prev_raw: u64,
     prev_stored: u64,
-    /// Registry delta captured around the last step (see
-    /// [`step_report`](Self::step_report)).
-    last_report: Option<ebtrain_obs::StepReport>,
 }
 
 impl AdaptiveTrainer {
@@ -156,7 +153,6 @@ impl AdaptiveTrainer {
             history: Vec::new(),
             prev_raw: 0,
             prev_stored: 0,
-            last_report: None,
         }
     }
 
@@ -202,7 +198,6 @@ impl AdaptiveTrainer {
         labels: &[usize],
         sync: Option<&mut dyn GradSync>,
     ) -> Result<IterationRecord> {
-        let obs_before = ebtrain_obs::snapshot();
         let step_start = std::time::Instant::now();
         let step_span = ebtrain_obs::span!("core.step");
         let iter = self.opt.iteration();
@@ -249,8 +244,6 @@ impl AdaptiveTrainer {
         };
         self.history.push(record);
         drop(step_span);
-        // Feed the flight recorder before capturing the report, so a
-        // tripped obs.anomaly.* counter lands inside this step's delta.
         ebtrain_obs::flight_step(ebtrain_obs::FlightRecord {
             source: "core.step",
             step: iter as u64,
@@ -261,16 +254,7 @@ impl AdaptiveTrainer {
             queue_depth_peak: ebtrain_obs::gauge_peak_take("pool.queue_depth"),
             anomalies: 0,
         });
-        self.last_report = Some(ebtrain_obs::StepReport::capture_since(&obs_before));
         Ok(record)
-    }
-
-    /// Registry delta of the last step: sz/codec span times, entropy
-    /// backend routing, membudget residency and hit counters — the
-    /// single source of truth the fig binaries print per-step numbers
-    /// from. `None` before the first step.
-    pub fn step_report(&self) -> Option<&ebtrain_obs::StepReport> {
-        self.last_report.as_ref()
     }
 
     /// Phase 2 + 3: recompute the error bound of every layer that collects
@@ -700,10 +684,14 @@ mod tests {
         };
         for i in 0..6 {
             let (x, labels) = data.batch(i as u64 * 8, 8);
+            let before = ebtrain_obs::snapshot();
             let r = trainer.step(x, &labels).unwrap();
+            let drops = ebtrain_obs::snapshot()
+                .delta_since(&before)
+                .counter("membudget.drops");
             run.losses[i] = r.loss.to_bits();
             run.peaks[i] = r.peak_store_bytes;
-            run.dropped[i] = trainer.step_report().unwrap().counter("membudget.drops") > 0;
+            run.dropped[i] = drops > 0;
         }
         run.params = param_checksum(trainer.network());
         run

@@ -59,13 +59,13 @@ use ebtrain_pool::{TaskHandle, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Target f32-gradient bytes per bucket.
+const BUCKET_BYTES: usize = 256 * 1024;
+
 /// Knobs of the bucketed synchronizer (one per group, identical on all
 /// ranks).
 #[derive(Debug, Clone)]
 pub struct SyncConfig {
-    /// Target f32-gradient bytes per bucket; `0` = one bucket for the
-    /// whole network (the legacy whole-tensor sync). Default 256 KiB.
-    pub bucket_bytes: usize,
     /// Launch each bucket's collective as soon as backward retires it
     /// (overlap with the rest of backward). `false` launches everything
     /// after backward — the non-overlapped baseline.
@@ -87,7 +87,6 @@ pub struct SyncConfig {
 impl Default for SyncConfig {
     fn default() -> SyncConfig {
         SyncConfig {
-            bucket_bytes: 256 * 1024,
             overlap: true,
             zero_shard: false,
             straggler_timeout: None,
@@ -160,7 +159,7 @@ impl BucketedGradSync {
         want_summary: bool,
     ) -> BucketedGradSync {
         let world = coll.world_size();
-        let plan = Arc::new(BucketPlan::build(net, cfg.bucket_bytes));
+        let plan = Arc::new(BucketPlan::build(net, BUCKET_BYTES));
         debug_assert_eq!(cfg.zero_shard, zero_sgd.is_some());
         let zero = zero_sgd.map(|sgd| {
             let mut decay = Vec::with_capacity(plan.total_len());

@@ -34,7 +34,7 @@ use crate::bucketed::{BucketedGradSync, SyncConfig};
 use crate::collective::{Collective, CommStats};
 use crate::ring::{CompressedRing, DenseRing};
 use crate::{DistError, Result};
-use ebtrain_core::framework::{FrameworkConfig, IterationRecord};
+use ebtrain_core::framework::FrameworkConfig;
 use ebtrain_core::{
     comm_error_bound_for_sigma, per_bucket_comm_bounds, target_sigma, AdaptiveTrainer,
 };
@@ -93,8 +93,8 @@ pub struct DistConfig {
     /// When set, every replica stores activations in its own budgeted
     /// arena under this configuration (PR-3 composition).
     pub budget: Option<BudgetConfig>,
-    /// Bucketed-sync knobs: bucket size, backward overlap, ZeRO
-    /// sharding, straggler deadline, modeled wire.
+    /// Bucketed-sync knobs: backward overlap, ZeRO sharding, straggler
+    /// deadline, modeled wire.
     pub sync: SyncConfig,
 }
 
@@ -148,9 +148,6 @@ pub struct DistributedTrainer {
     adaptive_comm: bool,
     error_feedback: bool,
     history: Vec<DistStepRecord>,
-    /// Registry delta captured around the last [`step`](Self::step) —
-    /// the per-step phase breakdown the fig binaries print from.
-    last_report: Option<ebtrain_obs::StepReport>,
 }
 
 /// Mean |momentum| across all parameters of a network (the global `M̄`
@@ -269,7 +266,6 @@ impl DistributedTrainer {
             adaptive_comm,
             error_feedback,
             history: Vec::new(),
-            last_report: None,
         };
         trainer.broadcast_params(0)?;
         Ok(trainer)
@@ -283,43 +279,54 @@ impl DistributedTrainer {
             return Ok(());
         }
         let collective = Arc::clone(&self.collective);
-        let mut outcomes: Vec<Option<Result<()>>> = (0..self.world).map(|_| None).collect();
+        self.on_every_rank(vec![(); self.world], |rank, trainer, _, ()| {
+            let net = trainer.network_mut();
+            let mut flat = Vec::new();
+            net.flatten_params_into(&mut flat);
+            collective.broadcast(rank, root, &mut flat)?;
+            net.unflatten_params(&flat).map_err(DistError::Dnn)
+        })?;
+        Ok(())
+    }
+
+    /// Run `work` once per rank, concurrently on the rank pool, with that
+    /// rank's replica, synchronizer and input. A rank that fails or
+    /// panics aborts the collective first, so no peer stays blocked in
+    /// the ring; the first failure in rank order is returned and a panic
+    /// is re-raised.
+    fn on_every_rank<I: Send, T: Send>(
+        &mut self,
+        inputs: Vec<I>,
+        work: impl Fn(usize, &mut AdaptiveTrainer, &mut BucketedGradSync, I) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        let mut outcomes: Vec<Option<Result<T>>> = (0..self.world).map(|_| None).collect();
+        let (work, collective) = (&work, &self.collective);
         self.pool.scope(|s| {
-            for (rank, (trainer, out)) in self
+            for (rank, (((trainer, sync), out), input)) in self
                 .replicas
                 .iter_mut()
+                .zip(self.syncs.iter_mut())
                 .zip(outcomes.iter_mut())
+                .zip(inputs)
                 .enumerate()
             {
-                let coll = Arc::clone(&collective);
                 s.spawn(move || {
-                    let run = || -> Result<()> {
-                        let net = trainer.network_mut();
-                        let mut flat = Vec::new();
-                        net.flatten_params_into(&mut flat);
-                        coll.broadcast(rank, root, &mut flat)?;
-                        net.unflatten_params(&flat).map_err(DistError::Dnn)
-                    };
-                    let result = catch_unwind(AssertUnwindSafe(run));
-                    match result {
+                    match catch_unwind(AssertUnwindSafe(|| work(rank, trainer, sync, input))) {
                         Ok(r) => {
                             if r.is_err() {
-                                coll.abort();
+                                collective.abort();
                             }
                             *out = Some(r);
                         }
                         Err(panic) => {
-                            coll.abort();
+                            collective.abort();
                             resume_unwind(panic);
                         }
                     }
                 });
             }
         });
-        for o in outcomes {
-            o.expect("rank ran")?;
-        }
-        Ok(())
+        outcomes.into_iter().map(|o| o.expect("rank ran")).collect()
     }
 
     /// One synchronous step over a global batch (must divide evenly by
@@ -342,7 +349,7 @@ impl DistributedTrainer {
         }
         let shard = n / self.world;
         let plane = c * h * w;
-        let mut shards: Vec<Option<(Tensor, Vec<usize>)>> = (0..self.world)
+        let shards = (0..self.world)
             .map(|widx| {
                 let lo = widx * shard;
                 let t = Tensor::from_vec(
@@ -350,70 +357,28 @@ impl DistributedTrainer {
                     x.data()[lo * plane..(lo + shard) * plane].to_vec(),
                 )
                 .map_err(|e| DistError::Dnn(DnnError::Tensor(e)))?;
-                Ok(Some((t, labels[lo..lo + shard].to_vec())))
+                Ok((t, labels[lo..lo + shard].to_vec()))
             })
-            .collect::<Result<_>>()?;
+            .collect::<Result<Vec<_>>>()?;
 
         let stats_before = self.collective.stats();
-        let obs_before = ebtrain_obs::snapshot();
         let step_start = std::time::Instant::now();
-        let collective = Arc::clone(&self.collective);
-        type Outcome = std::result::Result<(IterationRecord, usize), DnnError>;
-        let mut outcomes: Vec<Option<Outcome>> = (0..self.world).map(|_| None).collect();
-        self.pool.scope(|s| {
-            for (((trainer, sync), out), shard_slot) in self
-                .replicas
-                .iter_mut()
-                .zip(self.syncs.iter_mut())
-                .zip(outcomes.iter_mut())
-                .zip(shards.iter_mut())
-            {
-                let coll = Arc::clone(&collective);
-                let (sx, slabels) = shard_slot.take().expect("shard built above");
-                s.spawn(move || {
-                    let run = move || -> Outcome {
-                        let record =
-                            trainer.step_synced(sx, &slabels, Some(sync as &mut dyn GradSync))?;
-                        let batch = slabels.len();
-                        Ok((record, batch))
-                    };
-                    match catch_unwind(AssertUnwindSafe(run)) {
-                        Ok(r) => {
-                            if r.is_err() {
-                                // A replica that failed before (or inside)
-                                // the collective must not leave peers
-                                // blocked in the ring.
-                                coll.abort();
-                            }
-                            *out = Some(r);
-                        }
-                        Err(panic) => {
-                            coll.abort();
-                            resume_unwind(panic);
-                        }
-                    }
-                });
-            }
-        });
+        let records = self.on_every_rank(shards, |_, trainer, sync, (sx, slabels)| {
+            trainer
+                .step_synced(sx, &slabels, Some(sync as &mut dyn GradSync))
+                .map_err(DistError::Dnn)
+        })?;
 
         let mut loss_sum = 0.0f64;
         let mut acc_sum = 0.0f64;
         let mut peak = 0usize;
-        let mut iter = 0usize;
-        let mut collected = false;
-        for (rank, o) in outcomes.into_iter().enumerate() {
-            let (record, _batch) = o.expect("rank ran").map_err(DistError::Dnn)?;
+        for record in &records {
             loss_sum += record.loss as f64;
             acc_sum += record.accuracy;
             peak = peak.max(record.peak_store_bytes);
-            if rank == 0 {
-                iter = record.iter;
-                collected = record.collected;
-            }
         }
+        let (iter, collected) = (records[0].iter, records[0].collected);
         let comm = self.collective.stats().delta_since(&stats_before);
-        // Feed the flight recorder before capturing the report, so a
-        // tripped obs.anomaly.* counter lands inside this step's delta.
         // The "dist.step" stream is separate from the replicas'
         // "core.step" records (each replica also reported above).
         ebtrain_obs::flight_step(ebtrain_obs::FlightRecord {
@@ -426,7 +391,6 @@ impl DistributedTrainer {
             queue_depth_peak: ebtrain_obs::gauge_peak_take("pool.queue_depth"),
             anomalies: 0,
         });
-        self.last_report = Some(ebtrain_obs::StepReport::capture_since(&obs_before));
         // The bound the just-completed collectives actually encoded with
         // — captured before the σ-hook re-picks it for the *next* step.
         let used_eb = self.collective.error_bound();
@@ -483,16 +447,6 @@ impl DistributedTrainer {
     /// Number of worker replicas.
     pub fn world_size(&self) -> usize {
         self.world
-    }
-
-    /// Registry delta of the last [`step`](Self::step): the
-    /// `dist.encode`/`dist.decode` span times, `dist.wire.nanos`/
-    /// `dist.wait.nanos` counters, the ring's codec calls
-    /// (`dist.codec.encodes`/`.decodes`), codec activity, and (for budgeted
-    /// replicas) membudget residency — one source of truth for per-step
-    /// reporting. `None` before the first step.
-    pub fn step_report(&self) -> Option<&ebtrain_obs::StepReport> {
-        self.last_report.as_ref()
     }
 
     /// The chief replica (rank 0), e.g. for evaluation.

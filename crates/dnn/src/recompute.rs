@@ -21,7 +21,7 @@ use crate::layer::{BackwardContext, CompressionPlan, ForwardContext, Layer};
 use crate::layers::SoftmaxCrossEntropy;
 use crate::network::Network;
 use crate::optimizer::Sgd;
-use crate::store::{ActivationStore, NullStore, RawStore};
+use crate::store::{ActivationStore, NullStore};
 use crate::train::{apply_sync_action, GradSync, NoSync, StepResult};
 use crate::{DnnError, Result};
 use ebtrain_tensor::Tensor;
@@ -42,57 +42,23 @@ fn segment_bounds(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// One training iteration with gradient checkpointing over `n_segments`
-/// segments, using a fresh [`RawStore`] for the per-segment activations.
-#[allow(clippy::too_many_arguments)]
-pub fn checkpointed_train_step(
-    net: &mut Network,
-    head: &SoftmaxCrossEntropy,
-    opt: &mut Sgd,
-    plan: &CompressionPlan,
-    x: Tensor,
-    labels: &[usize],
-    n_segments: usize,
-    collect: bool,
-) -> Result<StepResult> {
-    let mut store = RawStore::new();
-    checkpointed_train_step_with(
-        net, head, opt, &mut store, plan, x, labels, n_segments, collect,
-    )
-}
-
-/// Gradient checkpointing composed with an arbitrary per-segment storage
-/// policy — the paper's §6 point that recomputation, migration and
-/// compression are orthogonal and combinable: pass a
+/// segments, storing each segment's activations in `store` — pass a
+/// [`RawStore`](crate::store::RawStore) for the plain baseline. Any
+/// storage policy composes with it, the paper's §6 point that
+/// recomputation, migration and compression are orthogonal: pass a
 /// [`CompressedStore`](crate::store::CompressedStore) to stack O(√n)
 /// checkpointing *on top of* ~10× activation compression.
+///
+/// An optional [`GradSync`] driver observes the segmented backward
+/// exactly like the plain path — `begin` before the first segment's
+/// backward, `grad_ready` as each layer retires inside its segment,
+/// `finish` after the last segment — so bucketed collectives overlap
+/// with recomputation too.
 ///
 /// Reports peak memory as (checkpoint bytes) + (largest per-segment
 /// store peak).
 #[allow(clippy::too_many_arguments)]
-pub fn checkpointed_train_step_with(
-    net: &mut Network,
-    head: &SoftmaxCrossEntropy,
-    opt: &mut Sgd,
-    store: &mut dyn ActivationStore,
-    plan: &CompressionPlan,
-    x: Tensor,
-    labels: &[usize],
-    n_segments: usize,
-    collect: bool,
-) -> Result<StepResult> {
-    checkpointed_train_step_synced(
-        net, head, opt, store, plan, x, labels, n_segments, collect, None,
-    )
-}
-
-/// [`checkpointed_train_step_with`] plus an optional
-/// [`GradSync`] driver. The driver observes the
-/// segmented backward exactly like the plain path — `begin` before the
-/// first segment's backward, `grad_ready` as each layer retires inside
-/// its segment, `finish` after the last segment — so bucketed
-/// collectives overlap with recomputation too.
-#[allow(clippy::too_many_arguments)]
-pub fn checkpointed_train_step_synced(
+pub fn checkpointed_train_step(
     net: &mut Network,
     head: &SoftmaxCrossEntropy,
     opt: &mut Sgd,
@@ -175,6 +141,7 @@ pub fn checkpointed_train_step_synced(
 mod tests {
     use super::*;
     use crate::optimizer::SgdConfig;
+    use crate::store::RawStore;
     use crate::train::train_step;
     use crate::zoo;
     use ebtrain_data::{SynthConfig, SynthImageNet};
@@ -232,11 +199,13 @@ mod tests {
                 &mut ckpt_net,
                 &head,
                 &mut ckpt_opt,
+                &mut RawStore::new(),
                 &plan,
                 x,
                 &labels,
                 3,
                 false,
+                None,
             )
             .unwrap();
             assert_eq!(rp.loss, rc.loss, "iter {i}: losses diverged");
@@ -275,9 +244,12 @@ mod tests {
 
         let mut net = zoo::tiny_resnet(4, 5);
         let mut opt = Sgd::new(SgdConfig::default());
-        let ckpt = checkpointed_train_step(&mut net, &head, &mut opt, &plan, x, &labels, 4, false)
-            .unwrap()
-            .peak_store_bytes;
+        let mut store = RawStore::new();
+        let ckpt = checkpointed_train_step(
+            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, 4, false, None,
+        )
+        .unwrap()
+        .peak_store_bytes;
 
         assert!(
             (ckpt as f64) < plain as f64 * 0.8,
@@ -302,19 +274,21 @@ mod tests {
             &mut net,
             &head,
             &mut opt,
+            &mut RawStore::new(),
             &plan,
             x.clone(),
             &labels,
             4,
             false,
+            None,
         )
         .unwrap();
 
         let mut net = zoo::tiny_resnet(4, 5);
         let mut opt = Sgd::new(SgdConfig::default());
         let mut comp = CompressedStore::new(SzConfig::with_error_bound(1e-3));
-        let ckpt_comp = checkpointed_train_step_with(
-            &mut net, &head, &mut opt, &mut comp, &plan, x, &labels, 4, false,
+        let ckpt_comp = checkpointed_train_step(
+            &mut net, &head, &mut opt, &mut comp, &plan, x, &labels, 4, false, None,
         )
         .unwrap();
 
@@ -337,8 +311,11 @@ mod tests {
         let (x, labels) = data.batch(0, 8);
         let mut net = zoo::tiny_resnet(4, 5);
         let mut opt = Sgd::new(SgdConfig::default());
-        let r = checkpointed_train_step(&mut net, &head, &mut opt, &plan, x, &labels, 1, false)
-            .unwrap();
+        let mut store = RawStore::new();
+        let r = checkpointed_train_step(
+            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, 1, false, None,
+        )
+        .unwrap();
         assert!(r.loss.is_finite());
         assert!(r.peak_store_bytes > 0);
     }

@@ -5,7 +5,7 @@ use crate::layer::{BackwardContext, CompressionPlan, ForwardContext, Layer};
 use crate::layers::SoftmaxCrossEntropy;
 use crate::network::Network;
 use crate::optimizer::Sgd;
-use crate::recompute::checkpointed_train_step_synced;
+use crate::recompute::checkpointed_train_step;
 use crate::store::{ActivationStore, NullStore};
 use crate::Result;
 use ebtrain_tensor::Tensor;
@@ -111,7 +111,7 @@ pub fn train_step(
 /// [`ColdPolicy::DropForRecompute`](crate::store::ColdPolicy) whose budget
 /// even compressed residency overflowed), backward cannot run. The step
 /// then falls back to gradient checkpointing
-/// ([`checkpointed_train_step_synced`]) over `⌈√nodes⌉` segments from a
+/// ([`checkpointed_train_step`]) over `⌈√nodes⌉` segments from a
 /// copy of the batch, re-running forward per segment so each segment's
 /// smaller live set fits. The driver runs exactly once on either path, so
 /// a data-parallel worker joins its collective whichever path its memory
@@ -143,7 +143,7 @@ pub fn train_step_synced(
     };
     if let Some(x) = x_again.filter(|_| store.step_dropped()) {
         let segments = (net.num_top_nodes() as f64).sqrt().ceil() as usize;
-        return checkpointed_train_step_synced(
+        return checkpointed_train_step(
             net, head, opt, store, plan, x, labels, segments, collect, sync,
         );
     }
@@ -434,7 +434,7 @@ mod tests {
             let mut sync = CountingSync::default();
             let r = if direct {
                 // ⌈√3⌉ = 2 segments, as the fallback picks for toy_net.
-                checkpointed_train_step_synced(
+                checkpointed_train_step(
                     &mut net,
                     &head,
                     &mut opt,

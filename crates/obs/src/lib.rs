@@ -32,7 +32,6 @@ pub mod hist;
 mod json_mod;
 pub mod netutil;
 mod registry;
-mod report;
 pub mod serve;
 mod span;
 mod trace;
@@ -43,7 +42,6 @@ pub use registry::{
     counter_add, gauge_add, gauge_peak_take, gauge_remove, gauge_set, gauge_value, hist_record,
     next_instance_id, snapshot, Snapshot, SpanStats,
 };
-pub use report::StepReport;
 pub use span::{span, span_with_bytes, SpanGuard};
 pub use trace::{clear_trace, flush_trace, trace_env_path, write_trace, write_trace_to};
 

@@ -622,7 +622,7 @@ fn compress_impl(
                 r.q.push_dual_recon(chunk, 2.0 * config.error_bound, &mut r.recon);
             }
             let codes = &r.q.codes[c0..];
-            let (tag, freqs) = route(codes, config.entropy_backend, config.radius);
+            let (tag, freqs) = route(codes, config.entropy_backend, crate::RADIUS);
             if let Some(freqs) = freqs {
                 huffman::merge_freqs(&mut r.huffman_freqs, &freqs);
             }
@@ -663,7 +663,7 @@ fn compress_impl(
         let (mut c, mut o) = (0usize, 0usize);
         for &(n_codes, n_outliers, tag) in &r.chunks {
             let _span = ebtrain_obs::span!("sz.entropy", bytes = n_codes * 4);
-            let center = config.radius;
+            let center = crate::RADIUS;
             let backend = match tag {
                 EntropyStageTag::Huffman => EntropyEncoder::Huffman(&codebook),
                 EntropyStageTag::Rans => EntropyEncoder::Rans { center },
@@ -706,7 +706,7 @@ fn compress_impl(
             varint::write_usize(&mut bytes, c);
         }
     }
-    varint::write_u64(&mut bytes, config.radius as u64);
+    varint::write_u64(&mut bytes, crate::RADIUS as u64);
     bytes.push(config.zero_filter as u8);
     bytes.push(config.quant_mode.tag());
     varint::write_usize(&mut bytes, block_planes);
@@ -1229,7 +1229,7 @@ mod tests {
     fn dual_quant_roundtrip_honours_error_bound() {
         let data = smooth_volume(4, 16, 16);
         for eb in [1e-2f32, 1e-3, 1e-4] {
-            let cfg = SzConfig::dual_quant(eb);
+            let cfg = SzConfig::with_error_bound(eb);
             let buf = compress(&data, DataLayout::D3(4, 16, 16), &cfg).unwrap();
             let out = decompress(&buf).unwrap();
             for (i, (x, y)) in data.iter().zip(&out).enumerate() {
@@ -1246,7 +1246,7 @@ mod tests {
         for (i, v) in data.iter_mut().take(32).enumerate() {
             *v = 0.37 + i as f32 * 0.013;
         }
-        let cfg = SzConfig::dual_quant(1e-3);
+        let cfg = SzConfig::with_error_bound(1e-3);
         assert!(!cfg.zero_filter);
         let buf = compress(&data, DataLayout::D1(256), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
@@ -1261,7 +1261,7 @@ mod tests {
         data[5] = 1e30; // beyond the grid clamp -> bit-exact outlier
         data[9] = f32::NAN;
         data[11] = -4e20;
-        let cfg = SzConfig::dual_quant(1e-4);
+        let cfg = SzConfig::with_error_bound(1e-4);
         let buf = compress(&data, DataLayout::D1(64), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
         assert_eq!(out[5], 1e30);
@@ -1279,7 +1279,7 @@ mod tests {
         // f32 reconstruction rounding would violate the bound here; the
         // encoder must demote these points to bit-exact outliers.
         let data = vec![1.0e6f32, 1.0e6 + 0.5, -2.0e6, 0.0];
-        let cfg = SzConfig::dual_quant(1e-6);
+        let cfg = SzConfig::with_error_bound(1e-6);
         let buf = compress(&data, DataLayout::D1(4), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
         for (x, y) in data.iter().zip(&out) {
@@ -1294,7 +1294,7 @@ mod tests {
         let dual = compress(
             &data,
             DataLayout::D3(8, 32, 32),
-            &SzConfig::dual_quant(1e-3),
+            &SzConfig::with_error_bound(1e-3),
         )
         .unwrap();
         let (rc, rd) = (classic.ratio(), dual.ratio());
@@ -1340,7 +1340,7 @@ mod tests {
                         crate::quantize::quantize_chunk_owned(&data, layout, predictor, &cfg);
                     let outliers_f: Vec<f32> =
                         outliers.iter().map(|&b| f32::from_bits(b)).collect();
-                    let radius = cfg.radius as i64;
+                    let radius = crate::RADIUS as i64;
                     let two_eb = 2.0 * cfg.error_bound;
                     // Generic reference: per-element predict()/predict_i64().
                     let reference = match quant_mode {
@@ -1456,7 +1456,7 @@ mod tests {
                 let (codes, outliers) =
                     crate::quantize::quantize_chunk_owned(&data, layout, Predictor::Lorenzo2, &cfg);
                 let outliers: Vec<f32> = outliers.iter().map(|&b| f32::from_bits(b)).collect();
-                let radius = cfg.radius as i64;
+                let radius = crate::RADIUS as i64;
                 let two_eb = 2.0 * cfg.error_bound;
                 let reference = classic_reference(
                     &codes,

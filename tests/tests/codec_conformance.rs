@@ -38,7 +38,7 @@ fn all_codecs() -> Vec<Arc<dyn Codec>> {
     let mut codecs: Vec<Arc<dyn Codec>> = CodecRegistry::standard().codecs().to_vec();
     codecs.push(Arc::new(SzCodec::classic()));
     codecs.push(Arc::new(SzCodec::vanilla()));
-    let mut forced_range = SzConfig::dual_quant(1e-3);
+    let mut forced_range = SzConfig::with_error_bound(1e-3);
     forced_range.entropy_backend = EntropyBackend::Range;
     codecs.push(Arc::new(SzCodec::new(forced_range)));
     let mut forced_huffman = SzConfig::classic(1e-3);
@@ -373,7 +373,7 @@ fn plane_ranges_match_the_full_decode_and_read_only_covering_frames() {
     let standard = CodecRegistry::standard().get(CodecId::SZ).unwrap();
     let codec = SzCodec::new(SzConfig {
         chunk_planes: Some(4),
-        ..SzConfig::dual_quant(1e-3)
+        ..SzConfig::with_error_bound(1e-3)
     });
     assert_eq!(codec.name(), standard.name(), "the registry's SZ encoder");
     assert!(codec.supports_frame_index());

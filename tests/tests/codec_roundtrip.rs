@@ -110,7 +110,6 @@ fn sz_framework_default_respects_strict_bound_and_preserves_zeros() {
         for eb in [1e-2f32, 1e-3] {
             // The default every framework path compresses with.
             let cfg = SzConfig::with_error_bound(eb);
-            assert_eq!(cfg, SzConfig::dual_quant(eb));
             let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
             let out = decompress(&buf).unwrap();
             for (i, (x, y)) in data.iter().zip(&out).enumerate() {

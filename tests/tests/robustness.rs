@@ -6,7 +6,7 @@ use ebtrain_data::{SynthConfig, SynthImageNet};
 use ebtrain_dnn::layer::CompressionPlan;
 use ebtrain_dnn::layers::SoftmaxCrossEntropy;
 use ebtrain_dnn::optimizer::{Sgd, SgdConfig};
-use ebtrain_dnn::recompute::checkpointed_train_step_with;
+use ebtrain_dnn::recompute::checkpointed_train_step;
 use ebtrain_dnn::store::{ActivationStore, CompressedStore, RawStore};
 use ebtrain_dnn::train::train_step;
 use ebtrain_dnn::zoo;
@@ -173,8 +173,8 @@ fn checkpointing_over_hybrid_store_trains() {
     let mut last = f32::INFINITY;
     for i in 0..4 {
         let (x, labels) = data.batch((i * 16) as u64, 16);
-        let r = checkpointed_train_step_with(
-            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, 4, false,
+        let r = checkpointed_train_step(
+            &mut net, &head, &mut opt, &mut store, &plan, x, &labels, 4, false, None,
         )
         .unwrap();
         peak = peak.max(r.peak_store_bytes);

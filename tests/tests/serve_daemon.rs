@@ -883,7 +883,7 @@ fn every_truncation_and_bit_flip_of_a_stored_stream_is_refused_or_served_whole()
     let layout = DataLayout::D3(4, 8, 8);
     let raw = layout.len() * 4;
     let data: Vec<f32> = noisy(layout.len(), 3).iter().map(|v| v.max(0.0)).collect();
-    let codecs = [SzConfig::classic(1e-3), SzConfig::dual_quant(1e-3)].map(|cfg| {
+    let codecs = [SzConfig::classic(1e-3), SzConfig::with_error_bound(1e-3)].map(|cfg| {
         SzCodec::new(SzConfig {
             chunk_planes: Some(1),
             ..cfg
