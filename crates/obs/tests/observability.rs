@@ -13,8 +13,9 @@ use ebtrain_obs::flight::{
     ANOMALY_STEP_TIME, DEFAULT_CAPACITY,
 };
 use ebtrain_obs::{
-    clear_trace, counter_add, flight_step, hist_record, json, serve, set_hist_enabled,
-    set_metrics_enabled, set_trace_enabled, snapshot, span, write_trace, FlightRecord, Histogram,
+    clear_trace, counter_add, flight_step, gauge_remove, gauge_set, hist_record, json, serve,
+    set_hist_enabled, set_metrics_enabled, set_trace_enabled, snapshot, span, write_trace,
+    FlightRecord, Histogram,
 };
 use proptest::prelude::*;
 
@@ -307,6 +308,130 @@ fn metrics_endpoint_exposes_counters_and_histograms() {
 
     assert!(serve::fetch(server.addr(), "/nope").is_err(), "404 route");
     server.shutdown();
+}
+
+/// Pins the `/metrics` exposition of a fixed script over its
+/// `delta_since`: every TYPE line, every series name, and every value
+/// that does not depend on timing. Span durations pick their buckets
+/// and `_sum`, so those series are only checked for shape.
+#[test]
+fn exposition_of_a_fixed_script_is_pinned() {
+    set_metrics_enabled(true);
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    // Activity before the window must not reach the delta.
+    counter_add("obs.pin.before", 3);
+    drop(span("obs.pin.span_before"));
+    let before = snapshot();
+    counter_add("obs.pin.counter", 5);
+    counter_add("obs.pin.counter", 2);
+    counter_add("obs.pin.zero", 0);
+    gauge_set("obs.pin.gauge#7", 42);
+    for v in [0u64, 1, 5, 31, 32, 33, 100, 100, 1000, 1_000_000] {
+        hist_record("obs.pin.values", v);
+    }
+    for _ in 0..3 {
+        let _g = span!("obs.pin.span_bytes", bytes = 256);
+    }
+    for _ in 0..2 {
+        let _g = span("obs.pin.span_plain");
+    }
+    let d = snapshot().delta_since(&before);
+    gauge_remove("obs.pin.gauge#7");
+
+    let text = serve::render_prometheus(&d);
+    let prefix = "ebtrain_obs_pin_";
+    let mut types: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with(&format!("# TYPE {prefix}")))
+        .collect();
+    types.sort_unstable();
+    assert_eq!(
+        types,
+        [
+            "# TYPE ebtrain_obs_pin_counter_total counter",
+            "# TYPE ebtrain_obs_pin_gauge gauge",
+            "# TYPE ebtrain_obs_pin_span_bytes_bytes_total counter",
+            "# TYPE ebtrain_obs_pin_span_bytes_nanos histogram",
+            "# TYPE ebtrain_obs_pin_span_plain_nanos histogram",
+            "# TYPE ebtrain_obs_pin_values_nanos histogram",
+        ]
+    );
+
+    let series = serve::parse_exposition(&text).expect("exposition must parse");
+    let mut exact: Vec<(String, f64)> = Vec::new();
+    let mut span_sums = Vec::new();
+    let mut span_buckets: HashMap<String, Vec<(u64, f64)>> = HashMap::new();
+    for (name, v) in series.into_iter().filter(|(n, _)| n.starts_with(prefix)) {
+        let timed = name.starts_with("ebtrain_obs_pin_span_");
+        let finite_bucket = name.split_once("_bucket{le=\"").and_then(|(base, le)| {
+            let le = le.trim_end_matches("\"}").parse::<u64>().ok()?;
+            Some((base.to_string(), le))
+        });
+        match (timed, finite_bucket) {
+            (true, Some((base, le))) => span_buckets.entry(base).or_default().push((le, v)),
+            (true, None) if name.ends_with("_nanos_sum") => span_sums.push(name),
+            _ => exact.push((name, v)),
+        }
+    }
+    exact.sort_by(|a, b| a.0.cmp(&b.0));
+    let expected: Vec<(String, f64)> = [
+        ("ebtrain_obs_pin_counter_total", 7.0),
+        ("ebtrain_obs_pin_gauge{instance=\"7\"}", 42.0),
+        ("ebtrain_obs_pin_span_bytes_bytes_total", 768.0),
+        ("ebtrain_obs_pin_span_bytes_nanos_bucket{le=\"+Inf\"}", 3.0),
+        ("ebtrain_obs_pin_span_bytes_nanos_count", 3.0),
+        ("ebtrain_obs_pin_span_plain_nanos_bucket{le=\"+Inf\"}", 2.0),
+        ("ebtrain_obs_pin_span_plain_nanos_count", 2.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"+Inf\"}", 10.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"0\"}", 1.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"1\"}", 2.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"1007\"}", 9.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"101\"}", 8.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"1015807\"}", 10.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"31\"}", 4.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"32\"}", 5.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"33\"}", 6.0),
+        ("ebtrain_obs_pin_values_nanos_bucket{le=\"5\"}", 3.0),
+        ("ebtrain_obs_pin_values_nanos_count", 10.0),
+        ("ebtrain_obs_pin_values_nanos_sum", 1_001_302.0),
+    ]
+    .into_iter()
+    .map(|(n, v)| (n.to_string(), v))
+    .collect();
+    assert_eq!(exact, expected);
+
+    span_sums.sort_unstable();
+    assert_eq!(
+        span_sums,
+        [
+            "ebtrain_obs_pin_span_bytes_nanos_sum",
+            "ebtrain_obs_pin_span_plain_nanos_sum",
+        ]
+    );
+    // Finite span buckets are cumulative in ascending `le` and end at
+    // the span count.
+    let mut bases: Vec<_> = span_buckets.keys().cloned().collect();
+    bases.sort_unstable();
+    assert_eq!(
+        bases,
+        [
+            "ebtrain_obs_pin_span_bytes_nanos",
+            "ebtrain_obs_pin_span_plain_nanos",
+        ]
+    );
+    for (base, count) in [
+        ("ebtrain_obs_pin_span_bytes_nanos", 3.0),
+        ("ebtrain_obs_pin_span_plain_nanos", 2.0),
+    ] {
+        let buckets = &span_buckets[base];
+        assert!(
+            buckets
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+            "{base}: {buckets:?}"
+        );
+        assert_eq!(buckets.last().map(|b| b.1), Some(count), "{base}");
+    }
 }
 
 proptest! {
