@@ -4,15 +4,14 @@
 //! consistent.
 //!
 //! Checks: the file parses as a JSON object with `reason`, `steps`,
-//! `counters`, `gauges`, `spans`, and `hist`; there are at least
-//! `min_steps` step records, each carrying the full field set; step ids
-//! are monotonically non-decreasing **per source** (a distributed step
+//! `counters`, and a non-empty `spans`; there are at least `min_steps`
+//! step records, each carrying the full field set; step ids are
+//! monotonically non-decreasing **per source** (a distributed step
 //! nests its replicas' `core.step` records, so sources interleave);
 //! every anomaly named in a step record matches a positive
-//! `obs.anomaly.*` counter; and for every span key that also has a
-//! histogram, the histogram bucket counts sum to the span's count —
-//! the exactly-once merge property, checked end to end through the
-//! dump.
+//! `obs.anomaly.*` counter; and every span record's bucket counts sum
+//! to its count — the exactly-once merge property, checked end to end
+//! through the dump.
 //!
 //! Usage: `flight_check <flight.json> [min_steps]` — exits 0 on
 //! success, 1 with a diagnostic on the first violation.
@@ -97,58 +96,42 @@ fn check(path: &str, min_steps: usize) -> Result<(), String> {
         }
     }
 
-    // Histogram bucket sums == span counts, for every key having both.
-    let spans = obj(&root, "spans")?;
-    let hist = obj(&root, "hist")?;
-    let span_names = match spans {
-        Value::Obj(entries) => entries.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
-        _ => return Err("spans is not an object".into()),
+    // Every record's bucket counts sum to its count: the exactly-once
+    // merge property, checked end to end through the dump.
+    let Value::Obj(records) = obj(&root, "spans")? else {
+        return Err("spans is not an object".into());
     };
-    let mut checked = 0usize;
-    for name in &span_names {
-        let Some(h) = hist.get(name) else {
-            continue; // histograms may be disabled for a span's lifetime
-        };
-        let span_count = num(spans.get(name).expect("iterated"), "count")
-            .map_err(|e| format!("span {name:?}: {e}"))?;
-        let hist_count = num(h, "count").map_err(|e| format!("hist {name:?}: {e}"))?;
-        let buckets = obj(h, "buckets")
+    if records.is_empty() {
+        return Err("no span records in the dump".into());
+    }
+    for (name, rec) in records {
+        let at = |e: String| format!("span {name:?}: {e}");
+        let count = num(rec, "count").map_err(at)?;
+        let buckets = obj(rec, "buckets")
             .and_then(|v| v.as_array().ok_or("buckets is not an array".into()))
-            .map_err(|e| format!("hist {name:?}: {e}"))?;
+            .map_err(at)?;
         let mut sum = 0.0;
         for b in buckets {
             let pair = b
                 .as_array()
-                .ok_or(format!("hist {name:?}: non-array bucket"))?;
-            if pair.len() != 2 {
-                return Err(format!("hist {name:?}: bucket is not [upper, count]"));
-            }
+                .filter(|p| p.len() == 2)
+                .ok_or(at("bucket is not [upper, count]".into()))?;
             sum += pair[1]
                 .as_f64()
-                .ok_or(format!("hist {name:?}: non-numeric bucket count"))?;
+                .ok_or(at("non-numeric bucket count".into()))?;
         }
-        if sum != hist_count {
-            return Err(format!(
-                "hist {name:?}: bucket sum {sum} != histogram count {hist_count}"
-            ));
+        if sum != count {
+            return Err(at(format!("bucket sum {sum} != count {count}")));
         }
-        if hist_count != span_count {
-            return Err(format!(
-                "hist {name:?}: histogram count {hist_count} != span count {span_count}"
-            ));
-        }
-        checked += 1;
-    }
-    if checked == 0 {
-        return Err("no span had a histogram to cross-check".into());
     }
 
     println!(
         "flight_check: {path} OK — reason {reason:?}, {} steps over {} source(s), \
-         {} anomalies, {checked} span histograms consistent",
+         {} anomalies, {} span records consistent",
         steps.len(),
         last_step.len(),
-        anomaly_names.len()
+        anomaly_names.len(),
+        records.len()
     );
     Ok(())
 }

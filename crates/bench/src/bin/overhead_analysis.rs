@@ -1,7 +1,7 @@
 //! **§5.4 performance analysis** — framework overhead at equal batch
 //! size, the batch-growth offset, the codec time breakdown, the
 //! 1×1-kernel caveat the paper calls out, and the cost of the
-//! observability layer itself (disabled / metrics / hist / trace arms
+//! observability layer itself (disabled / metrics / trace arms
 //! on the 1 MiB dual-quant compress).
 
 use ebtrain_bench::table::Table;
@@ -252,13 +252,13 @@ fn main() {
         );
     }
     // Observability overhead: what does the always-compiled obs layer
-    // cost? Four arms over the same 1 MiB dual-quant compress —
-    // everything off, metrics registry on (hists off), metrics +
-    // latency histograms on (the default), full span tracing on — plus
-    // two deterministic bounds: the measured per-call cost of a
-    // disabled span (two relaxed atomic loads) and of a fully-enabled
-    // histogram-feeding span, each times the spans one compress emits,
-    // must stay under 2% of the compress itself. The direct product
+    // cost? Three arms over the same 1 MiB dual-quant compress —
+    // everything off, metrics registry on (the default; every span
+    // feeds its histogram), full span tracing on — plus two
+    // deterministic bounds: the measured per-call cost of a disabled
+    // span (two relaxed atomic loads) and of an enabled span, each
+    // times the spans one compress emits, must stay under 2% of the
+    // compress itself. The direct product
     // sidesteps run-to-run noise that dwarfs a sub-percent delta in
     // median comparisons.
     {
@@ -271,9 +271,8 @@ fn main() {
             .collect();
         let cfg = SzConfig::with_error_bound(1e-3);
         let reps = env_usize("EBTRAIN_OBS_REPS", 15);
-        let time_arm = |metrics: bool, hist: bool, trace: bool| -> f64 {
+        let time_arm = |metrics: bool, trace: bool| -> f64 {
             obs::set_metrics_enabled(metrics);
-            obs::set_hist_enabled(hist);
             obs::set_trace_enabled(trace);
             let mut ns: Vec<f64> = (0..reps)
                 .map(|_| {
@@ -288,15 +287,13 @@ fn main() {
             ns.sort_by(|a, b| a.total_cmp(b));
             ns[ns.len() / 2]
         };
-        let dis_med = time_arm(false, false, false);
-        let met_med = time_arm(true, false, false);
-        let hist_med = time_arm(true, true, false);
-        let tr_med = time_arm(true, true, true);
+        let dis_med = time_arm(false, false);
+        let met_med = time_arm(true, false);
+        let tr_med = time_arm(true, true);
         obs::clear_trace();
         // Hand enablement back to the environment (`EBTRAIN_TRACE`).
         obs::set_trace_enabled(obs::trace_env_path().is_some());
         obs::set_metrics_enabled(true);
-        obs::set_hist_enabled(true);
 
         // How many spans does one compress emit? Count via the registry.
         let before = obs::snapshot();
@@ -318,28 +315,26 @@ fn main() {
         let per_span_ns = t0.elapsed().as_nanos() as f64 / loops as f64;
         obs::set_metrics_enabled(true);
 
-        // Per-call cost of a fully-enabled span *with* histogram
-        // feeding — clock read, shard-map update, and the log-bucket
-        // increment — same tight loop, same deterministic product.
+        // Per-call cost of an enabled span — clock read, one shard-map
+        // update, and the log-bucket increment — same tight loop, same
+        // deterministic product.
         let t0 = Instant::now();
         for _ in 0..loops {
-            let g = obs::span!("overhead.hist_probe");
+            let g = obs::span!("overhead.enabled_probe");
             std::hint::black_box(&g);
         }
-        let per_hist_span_ns = t0.elapsed().as_nanos() as f64 / loops as f64;
+        let per_enabled_span_ns = t0.elapsed().as_nanos() as f64 / loops as f64;
 
         let added_ns = per_span_ns * spans_per_compress as f64;
         let bound = added_ns / dis_med;
-        let hist_added_ns = per_hist_span_ns * spans_per_compress as f64;
-        let hist_bound = hist_added_ns / dis_med;
+        let enabled_added_ns = per_enabled_span_ns * spans_per_compress as f64;
+        let enabled_bound = enabled_added_ns / dis_med;
         println!("\n== Observability overhead (1 MiB dual-quant compress) ==");
         println!(
-            "disabled {:.2}ms | metrics {:.2}ms ({:+.1}%) | hist {:.2}ms ({:+.1}%) | trace {:.2}ms ({:+.1}%)",
+            "disabled {:.2}ms | metrics {:.2}ms ({:+.1}%) | trace {:.2}ms ({:+.1}%)",
             dis_med / 1e6,
             met_med / 1e6,
             (met_med / dis_med - 1.0) * 100.0,
-            hist_med / 1e6,
-            (hist_med / dis_med - 1.0) * 100.0,
             tr_med / 1e6,
             (tr_med / dis_med - 1.0) * 100.0,
         );
@@ -350,10 +345,10 @@ fn main() {
             bound * 100.0
         );
         println!(
-            "hist-enabled span: {per_hist_span_ns:.1}ns/call x {spans_per_compress} \
+            "enabled span: {per_enabled_span_ns:.1}ns/call x {spans_per_compress} \
              spans/compress = {:.1}us added = {:.3}% of the compress",
-            hist_added_ns / 1e3,
-            hist_bound * 100.0
+            enabled_added_ns / 1e3,
+            enabled_bound * 100.0
         );
         assert!(
             bound < 0.02,
@@ -363,10 +358,10 @@ fn main() {
             dis_med / 1e6
         );
         assert!(
-            hist_bound < 0.02,
-            "histogram-enabled span overhead {:.2}% breaches the 2% budget \
-             ({per_hist_span_ns:.1}ns/span x {spans_per_compress} spans vs {:.2}ms compress)",
-            hist_bound * 100.0,
+            enabled_bound < 0.02,
+            "enabled span overhead {:.2}% breaches the 2% budget \
+             ({per_enabled_span_ns:.1}ns/span x {spans_per_compress} spans vs {:.2}ms compress)",
+            enabled_bound * 100.0,
             dis_med / 1e6
         );
     }

@@ -24,8 +24,8 @@
 //! so a live `/metrics` scrape and a post-mortem dump both see it.
 //!
 //! **Dumps.** [`write_flight`] serializes the ring plus a full registry
-//! snapshot (counters, gauges, span stats with histogram quantiles, and
-//! raw histogram buckets) as JSON parseable by [`crate::json`].
+//! snapshot (counters, gauges, and each name's statistics with its
+//! quantiles and raw buckets) as JSON parseable by [`crate::json`].
 //! [`flush_flight`] writes it to `EBTRAIN_FLIGHT=<path>` at normal exit
 //! (fig binaries), [`install_panic_hook`] does the same on panic, and
 //! the distributed collective dumps on poisoning — the last N steps
@@ -255,9 +255,11 @@ fn json_f64(v: f64) -> String {
 
 /// Serialize the flight ring plus a full registry snapshot as one JSON
 /// object: `reason`, `steps` (ring, oldest first), `counters`,
-/// `gauges`, `spans` (stats + p50/p90/p99 where a histogram exists),
-/// and `hist` (raw `[upper_bound, count]` buckets). Parseable by
-/// [`crate::json::parse`]; `flight_check` validates it in CI.
+/// `gauges`, and `spans` — one entry per recorded name (span or
+/// [`crate::hist_record`] value) with its count, total/min/max nanos,
+/// bytes, p50/p90/p99 and raw `[upper_bound, count]` buckets.
+/// Parseable by [`crate::json::parse`]; `flight_check` validates it in
+/// CI.
 pub fn write_flight(w: &mut dyn Write, reason: &str) -> io::Result<()> {
     let records = flight_records();
     let snap = crate::snapshot();
@@ -300,46 +302,29 @@ pub fn write_flight(w: &mut dyn Write, reason: &str) -> io::Result<()> {
     writeln!(w, "\"gauges\":{{{}}},", gauges.join(","))?;
 
     writeln!(w, "\"spans\":{{")?;
-    let spans: Vec<(&str, crate::SpanStats)> = snap.spans().collect();
-    for (i, (name, st)) in spans.iter().enumerate() {
-        let q = snap
-            .quantiles(name)
-            .map(|Quantiles { p50, p90, p99, .. }| {
-                format!(",\"p50_nanos\":{p50},\"p90_nanos\":{p90},\"p99_nanos\":{p99}")
-            })
-            .unwrap_or_default();
-        let sep = if i + 1 == spans.len() { "" } else { "," };
+    let records: Vec<_> = snap.records().collect();
+    for (i, (name, r)) in records.iter().enumerate() {
+        let st = r.stats();
+        let q = Quantiles::from_hist(&r.hist);
+        let buckets = r
+            .hist
+            .buckets()
+            .map(|(upper, count)| format!("[{upper},{count}]"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let sep = if i + 1 == records.len() { "" } else { "," };
         writeln!(
             w,
-            "\"{}\":{{\"count\":{},\"total_nanos\":{},\"min_nanos\":{},\"max_nanos\":{},\"total_bytes\":{}{}}}{}",
+            "\"{}\":{{\"count\":{},\"total_nanos\":{},\"min_nanos\":{},\"max_nanos\":{},\"total_bytes\":{},\"p50_nanos\":{},\"p90_nanos\":{},\"p99_nanos\":{},\"buckets\":[{}]}}{}",
             escape_json(name),
             st.count,
             st.total_nanos,
             st.min_nanos,
             st.max_nanos,
             st.total_bytes,
-            q,
-            sep
-        )?;
-    }
-    writeln!(w, "}},")?;
-
-    writeln!(w, "\"hist\":{{")?;
-    let hists: Vec<(&str, &crate::Histogram)> = snap.histograms().collect();
-    for (i, (name, h)) in hists.iter().enumerate() {
-        let buckets = h
-            .buckets()
-            .map(|(upper, count)| format!("[{upper},{count}]"))
-            .collect::<Vec<_>>()
-            .join(",");
-        let sep = if i + 1 == hists.len() { "" } else { "," };
-        writeln!(
-            w,
-            "\"{}\":{{\"count\":{},\"total\":{},\"max\":{},\"buckets\":[{}]}}{}",
-            escape_json(name),
-            h.count(),
-            h.total(),
-            h.max(),
+            q.p50,
+            q.p90,
+            q.p99,
             buckets,
             sep
         )?;
@@ -349,7 +334,7 @@ pub fn write_flight(w: &mut dyn Write, reason: &str) -> io::Result<()> {
 }
 
 /// Write the flight dump to a file path (creating/truncating it).
-pub fn write_flight_to(path: &Path, reason: &str) -> io::Result<()> {
+fn write_flight_to(path: &Path, reason: &str) -> io::Result<()> {
     let mut w = BufWriter::new(std::fs::File::create(path)?);
     write_flight(&mut w, reason)?;
     w.flush()

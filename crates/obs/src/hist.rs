@@ -14,11 +14,13 @@
 //! histogram costs one index computation and one slot increment — cheap
 //! enough to hang off every `span!` drop.
 //!
-//! Histograms are sharded per thread exactly like counters (see
-//! `registry`): each shard owns a `name → Histogram` map, dying threads
-//! fold theirs into the retired accumulator, and [`Histogram::merge`]
-//! is exact (bucket-wise addition), so snapshot quantiles see every
-//! recorded value exactly once.
+//! A histogram is also a span's statistics: beside the buckets it keeps
+//! the exact count, sum, min and max, so the registry holds one
+//! histogram (plus a byte sum) per name and derives `SpanStats` from
+//! it. Histograms are sharded per thread exactly like counters (see
+//! `registry`): dying threads fold theirs into the retired accumulator,
+//! and [`Histogram::merge`] is exact (bucket-wise addition), so
+//! snapshot quantiles see every recorded value exactly once.
 
 /// Linear sub-bucket resolution: `2^SUB_BITS` sub-buckets per
 /// power-of-2 major.
@@ -74,6 +76,8 @@ pub struct Histogram {
     count: u64,
     /// Sum of recorded values (saturating).
     total: u64,
+    /// Smallest recorded value (exact; 0 while empty).
+    min: u64,
     /// Largest recorded value (exact, not bucket-rounded).
     max: u64,
 }
@@ -86,6 +90,7 @@ impl Histogram {
             self.counts.resize(i + 1, 0);
         }
         self.counts[i] += 1;
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
         self.count += 1;
         self.total = self.total.saturating_add(v);
         self.max = self.max.max(v);
@@ -99,6 +104,11 @@ impl Histogram {
     /// Sum of recorded values.
     pub fn total(&self) -> u64 {
         self.total
+    }
+
+    /// Smallest recorded value (exact; 0 while empty).
+    pub fn min(&self) -> u64 {
+        self.min
     }
 
     /// Largest recorded value (exact).
@@ -117,14 +127,19 @@ impl Histogram {
         for (slot, &c) in self.counts.iter_mut().zip(&other.counts) {
             *slot += c;
         }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
         self.count += other.count;
         self.total = self.total.saturating_add(other.total);
         self.max = self.max.max(other.max);
     }
 
     /// Bucket-wise difference since `earlier` (which must be an earlier
-    /// view of the same accumulating histogram). `max` keeps the
-    /// cumulative value — extrema don't subtract.
+    /// view of the same accumulating histogram). `min` and `max` keep
+    /// the cumulative values — extrema don't subtract.
     pub fn delta_since(&self, earlier: &Histogram) -> Histogram {
         let counts = self
             .counts
@@ -136,6 +151,7 @@ impl Histogram {
             counts,
             count: self.count.saturating_sub(earlier.count),
             total: self.total.saturating_sub(earlier.total),
+            min: self.min,
             max: self.max,
         }
     }

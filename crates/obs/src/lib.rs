@@ -15,9 +15,10 @@
 //!   serve session threads and the workers of a dropped pool), so no
 //!   count is ever lost.
 //! * **Spans are RAII guards.** [`span!`]`("sz.compress", bytes = n)`
-//!   returns a guard; dropping it records duration + byte attribution
-//!   into the registry and, when tracing is on, a `B`/`E` event pair
-//!   into the calling thread's trace buffer. Span names follow the
+//!   returns a guard; dropping it records its duration into the name's
+//!   histogram (which is also its count/total/min/max) and its byte
+//!   attribution beside it, and, when tracing is on, a `B`/`E` event
+//!   pair into the calling thread's trace buffer. Span names follow the
 //!   `crate.operation` convention. When both metrics and tracing are
 //!   disabled the guard costs two relaxed atomic loads and skips the
 //!   clock read entirely.
@@ -57,7 +58,6 @@ use std::sync::OnceLock;
 // 0 = uninitialized (read env on first use), 1 = enabled, 2 = disabled.
 static METRICS_STATE: AtomicU8 = AtomicU8::new(0);
 static TRACE_STATE: AtomicU8 = AtomicU8::new(0);
-static HIST_STATE: AtomicU8 = AtomicU8::new(0);
 
 fn read_state(state: &AtomicU8, init: fn() -> bool) -> bool {
     match state.load(Ordering::Relaxed) {
@@ -94,28 +94,9 @@ pub fn trace_enabled() -> bool {
     })
 }
 
-/// True when span drops also feed latency histograms (default;
-/// `EBTRAIN_HIST=0` or [`set_hist_enabled`]`(false)` turns it off while
-/// keeping plain span stats). Only consulted when metrics are enabled.
-#[inline]
-pub fn hist_enabled() -> bool {
-    read_state(&HIST_STATE, || {
-        !matches!(
-            std::env::var("EBTRAIN_HIST").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
-
 /// Programmatically enable/disable metric recording (overrides the env).
 pub fn set_metrics_enabled(on: bool) {
     METRICS_STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Programmatically enable/disable histogram feeding (overrides the
-/// env; the overhead bench flips this per arm).
-pub fn set_hist_enabled(on: bool) {
-    HIST_STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }
 
 /// Programmatically enable/disable trace collection (overrides the env).

@@ -1,9 +1,10 @@
 //! The sharded metrics registry.
 //!
-//! Counters and span statistics live in **per-thread shards**: the hot
-//! path locks only the calling thread's own mutex (uncontended except
-//! while a snapshot is being taken), so concurrent workers never fight
-//! over a shared line. [`snapshot`] merges every live shard plus the
+//! Counters and per-name records (a span's or a value's [`Histogram`]
+//! plus its byte sum) live in **per-thread shards**: the hot path locks
+//! only the calling thread's own mutex (uncontended except while a
+//! snapshot is being taken), so concurrent workers never fight over a
+//! shared line. [`snapshot`] merges every live shard plus the
 //! *retired* accumulator into which a dying thread folds its shard —
 //! client threads, serve session threads and a dropped pool's workers
 //! exit while the process runs on, so retirement must be loss-free.
@@ -16,7 +17,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Aggregated timing statistics of one span name.
+/// Aggregated timing statistics of one span name — a view of its
+/// [`Histogram`] and byte sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanStats {
     /// Completed span instances.
@@ -31,43 +33,28 @@ pub struct SpanStats {
     pub total_bytes: u64,
 }
 
-impl SpanStats {
-    pub(crate) fn record(&mut self, nanos: u64, bytes: u64) {
-        self.min_nanos = if self.count == 0 {
-            nanos
-        } else {
-            self.min_nanos.min(nanos)
-        };
-        self.count += 1;
-        self.total_nanos += nanos;
-        self.max_nanos = self.max_nanos.max(nanos);
-        self.total_bytes += bytes;
+/// Everything recorded under one name: the histogram of its values
+/// (span durations, or [`hist_record`] values) and the summed `bytes`
+/// attributes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Record {
+    pub(crate) hist: Histogram,
+    pub(crate) bytes: u64,
+}
+
+impl Record {
+    fn merge(&mut self, other: &Record) {
+        self.hist.merge(&other.hist);
+        self.bytes += other.bytes;
     }
 
-    fn merge(&mut self, other: &SpanStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.total_nanos += other.total_nanos;
-        self.min_nanos = self.min_nanos.min(other.min_nanos);
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-        self.total_bytes += other.total_bytes;
-    }
-
-    /// Difference of the additive fields since `earlier`; `min`/`max`
-    /// keep the cumulative values (extrema don't subtract).
-    fn delta_since(&self, earlier: &SpanStats) -> SpanStats {
+    pub(crate) fn stats(&self) -> SpanStats {
         SpanStats {
-            count: self.count.saturating_sub(earlier.count),
-            total_nanos: self.total_nanos.saturating_sub(earlier.total_nanos),
-            min_nanos: self.min_nanos,
-            max_nanos: self.max_nanos,
-            total_bytes: self.total_bytes.saturating_sub(earlier.total_bytes),
+            count: self.hist.count(),
+            total_nanos: self.hist.total(),
+            min_nanos: self.hist.min(),
+            max_nanos: self.hist.max(),
+            total_bytes: self.bytes,
         }
     }
 }
@@ -75,10 +62,7 @@ impl SpanStats {
 #[derive(Default)]
 pub(crate) struct ShardData {
     counters: HashMap<&'static str, u64>,
-    spans: HashMap<&'static str, SpanStats>,
-    /// Latency/value histograms, sharded and retired exactly like
-    /// counters so bucket merges are exact.
-    hists: HashMap<&'static str, Histogram>,
+    records: HashMap<&'static str, Record>,
 }
 
 impl ShardData {
@@ -86,11 +70,8 @@ impl ShardData {
         for (&k, &v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
         }
-        for (&k, v) in &other.spans {
-            self.spans.entry(k).or_default().merge(v);
-        }
-        for (&k, v) in &other.hists {
-            self.hists.entry(k).or_default().merge(v);
+        for (&k, v) in &other.records {
+            self.records.entry(k).or_default().merge(v);
         }
     }
 }
@@ -156,33 +137,32 @@ thread_local! {
     };
 }
 
-fn with_shard<F: FnOnce(&mut ShardData)>(f: F) {
-    match SHARD.try_with(|s| Arc::clone(&s.data)) {
-        Ok(data) => f(&mut lock(&data)),
-        // TLS already destroyed (thread teardown): write through the
-        // retired accumulator so nothing is lost.
-        Err(_) => f(&mut lock(&global().retired)),
+fn with_shard(f: impl FnOnce(&mut ShardData)) {
+    let mut f = Some(f);
+    let _ = SHARD.try_with(|s| f.take().map(|f| f(&mut lock(&s.data))));
+    // TLS already destroyed (thread teardown): write through the
+    // retired accumulator so nothing is lost.
+    if let Some(f) = f {
+        f(&mut lock(&global().retired));
     }
 }
 
-pub(crate) fn record_span(name: &'static str, nanos: u64, bytes: u64) {
-    let hist = crate::hist_enabled();
+/// One map update: `v` into the name's histogram, `bytes` into its sum.
+pub(crate) fn record(name: &'static str, v: u64, bytes: u64) {
     with_shard(|d| {
-        d.spans.entry(name).or_default().record(nanos, bytes);
-        if hist {
-            d.hists.entry(name).or_default().record(nanos);
-        }
+        let r = d.records.entry(name).or_default();
+        r.hist.record(v);
+        r.bytes += bytes;
     });
 }
 
 /// Record a value into the named histogram directly — for distributions
 /// that aren't span durations (e.g. modeled wire nanos per message).
-/// Keys share the namespace with span histograms; pick distinct names.
+/// Keys share the namespace with spans; pick distinct names.
 pub fn hist_record(name: &'static str, v: u64) {
-    if !crate::metrics_enabled() || !crate::hist_enabled() {
-        return;
+    if crate::metrics_enabled() {
+        record(name, v, 0);
     }
-    with_shard(|d| d.hists.entry(name).or_default().record(v));
 }
 
 /// Add `v` to the named monotonic counter (no-op when metrics are
@@ -276,9 +256,8 @@ pub fn next_instance_id() -> u64 {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     counters: BTreeMap<String, u64>,
-    spans: BTreeMap<String, SpanStats>,
+    records: BTreeMap<String, Record>,
     gauges: BTreeMap<String, i64>,
-    hists: BTreeMap<String, Histogram>,
 }
 
 impl Snapshot {
@@ -289,7 +268,10 @@ impl Snapshot {
 
     /// Aggregated statistics of a span name (zeroed when never opened).
     pub fn span_stats(&self, name: &str) -> SpanStats {
-        self.spans.get(name).copied().unwrap_or_default()
+        self.records
+            .get(name)
+            .map(Record::stats)
+            .unwrap_or_default()
     }
 
     /// Total nanoseconds spent inside a span name.
@@ -317,9 +299,16 @@ impl Snapshot {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Iterate all span statistics (sorted by name).
+    /// Iterate the statistics of every recorded name (sorted by name;
+    /// a [`hist_record`] value counts as one instance).
     pub fn spans(&self) -> impl Iterator<Item = (&str, SpanStats)> {
-        self.spans.iter().map(|(k, &v)| (k.as_str(), v))
+        self.records.iter().map(|(k, r)| (k.as_str(), r.stats()))
+    }
+
+    /// Iterate all records (sorted by name) — the one walk the
+    /// exposition and the flight dump make.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (&str, &Record)> {
+        self.records.iter().map(|(k, r)| (k.as_str(), r))
     }
 
     /// Iterate all gauges (sorted by name).
@@ -327,29 +316,22 @@ impl Snapshot {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// The histogram recorded under `name` — every span key has one
-    /// (while histograms are enabled), plus explicit
-    /// [`hist_record`] value histograms like `dist.wire`.
+    /// The histogram recorded under `name` — every span key has one,
+    /// and so has every [`hist_record`] name like `dist.wire`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Iterate all histograms (sorted by name).
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
+        self.records.get(name).map(|r| &r.hist)
     }
 
     /// p50/p90/p99/max of the named histogram, or `None` when nothing
-    /// was recorded under that key.
+    /// was recorded under that key (a snapshot holds no empty record).
     pub fn quantiles(&self, name: &str) -> Option<Quantiles> {
-        let h = self.hists.get(name)?;
-        (h.count() > 0).then(|| Quantiles::from_hist(h))
+        self.histogram(name).map(Quantiles::from_hist)
     }
 
-    /// Monotonic difference since `earlier`: counters and span
-    /// count/total/bytes subtract; gauges keep this snapshot's values
-    /// (a gauge is a level, not a rate). Entries whose delta is zero
-    /// are dropped.
+    /// Monotonic difference since `earlier`: counters, and each
+    /// record's buckets, count, sum and bytes, subtract (min and max
+    /// stay cumulative); gauges keep this snapshot's values (a gauge is
+    /// a level, not a rate). Entries whose delta is zero are dropped.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -359,30 +341,24 @@ impl Snapshot {
                 (d > 0).then(|| (k.clone(), d))
             })
             .collect();
-        let spans = self
-            .spans
+        let records = self
+            .records
             .iter()
-            .filter_map(|(k, v)| {
-                let d = v.delta_since(&earlier.span_stats(k));
-                (d.count > 0 || d.total_nanos > 0).then(|| (k.clone(), d))
-            })
-            .collect();
-        let hists = self
-            .hists
-            .iter()
-            .filter_map(|(k, v)| {
-                let d = match earlier.hists.get(k) {
-                    Some(e) => v.delta_since(e),
-                    None => v.clone(),
+            .filter_map(|(k, r)| {
+                let d = match earlier.records.get(k) {
+                    Some(e) => Record {
+                        hist: r.hist.delta_since(&e.hist),
+                        bytes: r.bytes.saturating_sub(e.bytes),
+                    },
+                    None => r.clone(),
                 };
-                (d.count() > 0).then(|| (k.clone(), d))
+                (d.hist.count() > 0).then(|| (k.clone(), d))
             })
             .collect();
         Snapshot {
             counters,
-            spans,
+            records,
             gauges: self.gauges.clone(),
-            hists,
         }
     }
 }
@@ -403,22 +379,12 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|(k, c)| (k.clone(), c.value))
         .collect();
+    fn owned<V>(m: HashMap<&'static str, V>) -> BTreeMap<String, V> {
+        m.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    }
     Snapshot {
-        counters: agg
-            .counters
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-        spans: agg
-            .spans
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
+        counters: owned(agg.counters),
+        records: owned(agg.records),
         gauges,
-        hists: agg
-            .hists
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
     }
 }

@@ -10,8 +10,8 @@
 //!   and histograms as cumulative `_bucket{le="…"}` series with `_sum`
 //!   and `_count`.
 //! * `GET /report.json` — the flight-recorder dump
-//!   ([`crate::flight::write_flight`]): ring, counters, gauges, span
-//!   quantiles, raw buckets.
+//!   ([`crate::flight::write_flight`]): ring, counters, gauges, and
+//!   per-name statistics with quantiles and raw buckets.
 //!
 //! The protocol is deliberately minimal — HTTP/1.0, one request per
 //! connection, `Connection: close` — which is all `curl`, Prometheus
@@ -69,8 +69,9 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
         }
         out.push_str(&format!("{base}{labels} {v}\n"));
     }
-    for (key, h) in snap.histograms() {
-        let name = format!("{}_nanos", metric_name(key));
+    for (key, r) in snap.records() {
+        let (base, h) = (metric_name(key), &r.hist);
+        let name = format!("{base}_nanos");
         out.push_str(&format!("# TYPE {name} histogram\n"));
         let mut cum = 0u64;
         for (upper, count) in h.buckets() {
@@ -80,14 +81,12 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
         out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
         out.push_str(&format!("{name}_sum {}\n", h.total()));
         out.push_str(&format!("{name}_count {}\n", h.count()));
-    }
-    // Span byte attribution isn't in the histograms; expose it as
-    // counters so scrapers can rate() bytes per span key.
-    for (key, st) in snap.spans() {
-        if st.total_bytes > 0 {
-            let name = format!("{}_bytes_total", metric_name(key));
+        // Byte attribution as a counter, so scrapers can rate() bytes
+        // per span key.
+        if r.bytes > 0 {
+            let name = format!("{base}_bytes_total");
             out.push_str(&format!("# TYPE {name} counter\n"));
-            out.push_str(&format!("{name} {}\n", st.total_bytes));
+            out.push_str(&format!("{name} {}\n", r.bytes));
         }
     }
     out

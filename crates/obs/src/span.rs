@@ -16,13 +16,6 @@ pub struct SpanGuard {
     traced: bool,
 }
 
-impl SpanGuard {
-    /// Attribute additional bytes to this span instance.
-    pub fn add_bytes(&mut self, n: u64) {
-        self.bytes += n;
-    }
-}
-
 /// Open a span; see [`span!`](crate::span!).
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
@@ -62,7 +55,7 @@ impl Drop for SpanGuard {
         };
         let nanos = start.elapsed().as_nanos() as u64;
         if crate::metrics_enabled() {
-            crate::registry::record_span(self.name, nanos, self.bytes);
+            crate::registry::record(self.name, nanos, self.bytes);
         }
         if self.traced {
             crate::trace::record_event(self.name, b'E', self.bytes);

@@ -14,8 +14,7 @@ use ebtrain_obs::flight::{
 };
 use ebtrain_obs::{
     clear_trace, counter_add, flight_step, gauge_remove, gauge_set, hist_record, json, serve,
-    set_hist_enabled, set_metrics_enabled, set_trace_enabled, snapshot, span, write_trace,
-    FlightRecord, Histogram,
+    set_metrics_enabled, set_trace_enabled, snapshot, span, write_trace, FlightRecord, Histogram,
 };
 use proptest::prelude::*;
 
@@ -43,8 +42,7 @@ fn exporter_emits_valid_chrome_trace() {
 
     // A tiny multi-threaded workload with nested spans.
     {
-        let mut g = ebtrain_obs::span_with_bytes("test.outer", 64);
-        g.add_bytes(64);
+        let _outer = ebtrain_obs::span!("test.outer", bytes = 128);
         let handles: Vec<_> = (0..3)
             .map(|i| {
                 std::thread::Builder::new()
@@ -208,7 +206,6 @@ fn injected_loss_spike_trips_anomaly_detector() {
 #[test]
 fn spans_feed_latency_histograms() {
     set_metrics_enabled(true);
-    set_hist_enabled(true);
     let name = leaked_name("obs.test.hist.span");
     let before = snapshot();
     for _ in 0..10 {
@@ -225,7 +222,6 @@ fn spans_feed_latency_histograms() {
 #[test]
 fn metrics_endpoint_exposes_counters_and_histograms() {
     set_metrics_enabled(true);
-    set_hist_enabled(true);
     let server = serve::serve("127.0.0.1:0").expect("bind ephemeral port");
     let counter = leaked_name("obs.test.endpoint.counter");
     let lat = leaked_name("obs.test.endpoint.lat");
@@ -296,7 +292,7 @@ fn metrics_endpoint_exposes_counters_and_histograms() {
     // the same counter value.
     let report = serve::fetch(server.addr(), "/report.json").expect("fetch /report.json");
     let doc = json::parse(&report).expect("report must be valid JSON");
-    for key in ["reason", "steps", "counters", "gauges", "spans", "hist"] {
+    for key in ["reason", "steps", "counters", "gauges", "spans"] {
         assert!(doc.get(key).is_some(), "report missing {key:?}");
     }
     assert_eq!(
@@ -305,6 +301,28 @@ fn metrics_endpoint_exposes_counters_and_histograms() {
             .and_then(|v| v.as_f64()),
         Some(7.0)
     );
+    // A value histogram is a record like any span: count, sum, exact
+    // extrema and its raw buckets in one entry.
+    let rec = doc
+        .get("spans")
+        .and_then(|s| s.get(lat))
+        .expect("lat record");
+    let num = |k: &str| rec.get(k).and_then(|v| v.as_f64());
+    assert_eq!(num("count"), Some(5.0));
+    assert_eq!(num("total_nanos"), Some(3100.0));
+    assert_eq!(
+        (num("min_nanos"), num("max_nanos")),
+        (Some(100.0), Some(1600.0))
+    );
+    let buckets = rec
+        .get("buckets")
+        .and_then(|b| b.as_array())
+        .expect("buckets");
+    let bucket_sum: f64 = buckets
+        .iter()
+        .filter_map(|b| b.as_array()?.get(1)?.as_f64())
+        .sum();
+    assert_eq!(bucket_sum, 5.0);
 
     assert!(serve::fetch(server.addr(), "/nope").is_err(), "404 route");
     server.shutdown();

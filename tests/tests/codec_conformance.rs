@@ -3,11 +3,13 @@
 //! safe to route anywhere:
 //!
 //! * roundtrip honours the codec's declared [`ErrorContract`] for every
-//!   [`BoundSpec`] it supports;
+//!   [`BoundSpec`] it supports, on dense, large-scale and sparse
+//!   corpora (raw `f32` bit patterns too for the exact codecs), and the
+//!   dual-quant default keeps zeros exact;
 //! * truncated streams are rejected with errors, never panics;
-//! * corrupted streams never panic (garbage or error are both
-//!   acceptable — integrity is the container's job, memory safety the
-//!   codec's);
+//! * corrupted streams — every single-bit flip among them — never panic
+//!   (garbage or error are both acceptable — integrity is the
+//!   container's job, memory safety the codec's);
 //! * [`Codec::compress_recon`] is `compress` + `decompress`, byte for
 //!   byte and bit for bit, on every codec — the contract the compressed
 //!   ring's bit-identical replicas rest on;
@@ -64,75 +66,133 @@ fn payload(n: usize) -> Vec<f32> {
     data
 }
 
-fn bounds_for(codec: &dyn Codec) -> Vec<BoundSpec> {
-    [
-        BoundSpec::Abs(1e-2),
-        BoundSpec::Abs(1e-3),
-        BoundSpec::Rel(1e-3),
-        BoundSpec::Lossless,
+/// Dense random field of `side × side` values, uniform in `[-scale, scale]`.
+fn random_grid(seed: u64, side: usize, scale: f32) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..side * side)
+        .map(|_| rng.gen_range(-scale..scale))
+        .collect()
+}
+
+/// Post-ReLU-like activations: smooth positive structure, ~60% exact
+/// zeros — the sparsity pattern the zero filter exists for.
+fn sparse_activations(seed: u64, side: usize) -> Vec<f32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..side * side)
+        .map(|i| {
+            let (y, x) = ((i / side) as f32, (i % side) as f32);
+            let v = (x * 0.11).sin() + (y * 0.07).cos() - 0.4 + rng.gen_range(-0.15..0.15);
+            v.max(0.0)
+        })
+        .collect()
+}
+
+/// The roundtrip corpora: the activation payload, dense fields at unit
+/// and ±300 scale, and sparse post-ReLU activations.
+fn corpora() -> Vec<(&'static str, DataLayout, Vec<f32>)> {
+    let grid = DataLayout::D2(64, 64);
+    let layout = DataLayout::D3(8, 16, 16);
+    vec![
+        ("payload", layout, payload(layout.len())),
+        ("dense", grid, random_grid(11, 64, 1.0)),
+        ("dense_x300", grid, random_grid(12, 64, 300.0)),
+        ("sparse_relu", grid, sparse_activations(13, 64)),
     ]
-    .into_iter()
-    .filter(|b| codec.supports(b))
-    .collect()
+}
+
+fn supported(codec: &dyn Codec, bounds: &[BoundSpec]) -> Vec<BoundSpec> {
+    bounds
+        .iter()
+        .copied()
+        .filter(|b| codec.supports(b))
+        .collect()
+}
+
+fn bounds_for(codec: &dyn Codec) -> Vec<BoundSpec> {
+    supported(
+        codec,
+        &[
+            BoundSpec::Abs(1e-2),
+            BoundSpec::Abs(1e-3),
+            BoundSpec::Rel(1e-3),
+            BoundSpec::Lossless,
+        ],
+    )
 }
 
 #[test]
 fn every_codec_roundtrips_within_its_contract() {
     let registry = CodecRegistry::standard();
-    let layout = DataLayout::D3(8, 16, 16);
-    let data = payload(layout.len());
+    // The framework default: dual-quantization also keeps zeros exact.
+    let default_sz = registry.get(CodecId::SZ).unwrap().name();
+    let mut rng = StdRng::seed_from_u64(17);
+    let raw_bits: Vec<f32> = (0..4096).map(|_| f32::from_bits(rng.gen())).collect();
     for codec in all_codecs() {
-        for bound in bounds_for(codec.as_ref()) {
-            let stream = codec
-                .compress(&data, layout, &bound)
-                .unwrap_or_else(|e| panic!("{} failed on {bound:?}: {e}", codec.name()));
-            // Decode through the registry router (id-based), not the
-            // instance, to prove the wire id alone is enough.
-            let (out, id) = registry.decompress_any(stream.as_bytes()).unwrap();
-            assert_eq!(id, codec.id(), "{}", codec.name());
-            assert_eq!(out.len(), data.len(), "{}", codec.name());
-            let eb = bound.resolve_abs(&data);
-            match codec.contract() {
-                ErrorContract::Exact => {
-                    for (a, b) in data.iter().zip(&out) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{}", codec.name());
-                    }
-                }
-                ErrorContract::Absolute => {
-                    let eb = eb.expect("lossy codec got a lossless bound");
-                    for (i, (a, b)) in data.iter().zip(&out).enumerate() {
-                        assert!(
-                            (a - b).abs() <= eb,
-                            "{} [{bound:?}] elem {i}: |{a} - {b}| > {eb}",
-                            codec.name()
-                        );
-                    }
-                }
-                ErrorContract::AbsoluteZeroSnap => {
-                    let eb = eb.expect("lossy codec got a lossless bound");
-                    for (i, (a, b)) in data.iter().zip(&out).enumerate() {
-                        if *a == 0.0 {
-                            assert_eq!(*b, 0.0, "{} elem {i}: zero perturbed", codec.name());
-                        } else if a.abs() > 2.0 * eb {
-                            assert!(
-                                (a - b).abs() <= eb,
-                                "{} elem {i}: |{a} - {b}| > {eb}",
-                                codec.name()
-                            );
-                        } else {
-                            assert!(
-                                (a - b).abs() <= 2.0 * eb,
-                                "{} elem {i}: small value drifted past 2eb",
-                                codec.name()
-                            );
+        let name = codec.name();
+        let mut cases = corpora();
+        if codec.contract() == ErrorContract::Exact {
+            // NaN payloads, infinities and subnormals pass through too.
+            cases.push(("raw_bits", DataLayout::D2(64, 64), raw_bits.clone()));
+        }
+        let bounds = supported(
+            codec.as_ref(),
+            &[
+                BoundSpec::Abs(1e-1),
+                BoundSpec::Abs(1e-2),
+                BoundSpec::Abs(1e-3),
+                BoundSpec::Abs(1e-4),
+                BoundSpec::Rel(1e-3),
+                BoundSpec::Lossless,
+            ],
+        );
+        for (corpus, layout, data) in &cases {
+            for bound in &bounds {
+                let what = format!("{name} [{bound:?}] {corpus}");
+                let stream = codec
+                    .compress(data, *layout, bound)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                // Decode through the registry router (id-based), not the
+                // instance, to prove the wire id alone is enough.
+                let (out, id) = registry.decompress_any(stream.as_bytes()).unwrap();
+                assert_eq!(id, codec.id(), "{what}");
+                assert_eq!(out.len(), data.len(), "{what}");
+                let eb = bound.resolve_abs(data);
+                match codec.contract() {
+                    ErrorContract::Exact => {
+                        for (i, (a, b)) in data.iter().zip(&out).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{what} elem {i}");
                         }
                     }
-                }
-                // No absolute promise (the paper's §2.2 point about
-                // fixed-rate coding); shape and determinism only.
-                ErrorContract::BlockRelative => {
-                    let again = codec.compress(&data, layout, &bound).unwrap();
-                    assert_eq!(stream.as_bytes(), again.as_bytes(), "{}", codec.name());
+                    ErrorContract::Absolute => {
+                        let eb = eb.expect("lossy codec got a lossless bound");
+                        for (i, (a, b)) in data.iter().zip(&out).enumerate() {
+                            assert!((a - b).abs() <= eb, "{what} elem {i}: |{a} - {b}| > {eb}");
+                            if name == default_sz && *a == 0.0 {
+                                assert_eq!(*b, 0.0, "{what} elem {i}: zero perturbed");
+                            }
+                        }
+                    }
+                    ErrorContract::AbsoluteZeroSnap => {
+                        let eb = eb.expect("lossy codec got a lossless bound");
+                        for (i, (a, b)) in data.iter().zip(&out).enumerate() {
+                            if *a == 0.0 {
+                                assert_eq!(*b, 0.0, "{what} elem {i}: zero perturbed");
+                            } else if a.abs() > 2.0 * eb {
+                                assert!((a - b).abs() <= eb, "{what} elem {i}: |{a} - {b}| > {eb}");
+                            } else {
+                                assert!(
+                                    (a - b).abs() <= 2.0 * eb,
+                                    "{what} elem {i}: small value drifted past 2eb"
+                                );
+                            }
+                        }
+                    }
+                    // No absolute promise (the paper's §2.2 point about
+                    // fixed-rate coding); shape and determinism only.
+                    ErrorContract::BlockRelative => {
+                        let again = codec.compress(data, *layout, bound).unwrap();
+                        assert_eq!(stream.as_bytes(), again.as_bytes(), "{what}");
+                    }
                 }
             }
         }
@@ -281,9 +341,15 @@ fn every_codec_survives_corruption_without_panicking() {
     for codec in all_codecs() {
         let bound = bounds_for(codec.as_ref())[0];
         let stream = codec.compress(&data, layout, &bound).unwrap();
-        for pos in (0..stream.as_bytes().len()).step_by(7) {
+        let len = stream.as_bytes().len();
+        // A multi-bit XOR every 7th byte, then every single-bit flip.
+        let flips = (0..len)
+            .step_by(7)
+            .map(|pos| (pos, 0xA5))
+            .chain((0..len * 8).map(|bit| (bit / 8, 1u8 << (bit % 8))));
+        for (pos, mask) in flips {
             let mut evil = stream.as_bytes().to_vec();
-            evil[pos] ^= 0xA5;
+            evil[pos] ^= mask;
             // Error or garbage both acceptable; panic/abort is not.
             let _ = registry.decompress_any(&evil);
         }

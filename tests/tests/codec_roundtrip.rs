@@ -1,21 +1,15 @@
-//! Round-trip error-contract tests for every codec in the workspace, on
-//! both dense random data and sparse activation-like data (the regime
-//! the paper trains in).
+//! Backend-level round-trip properties that the per-codec contracts in
+//! `codec_conformance.rs` do not state, on dense random data and sparse
+//! activation-like data (the regime the paper trains in):
 //!
-//! Contracts exercised:
-//!
-//! * `sz::codec` (Classic, Classic+zero-filter, and the dual-quant
-//!   framework default) — absolute error bound `eb`, strict for the
-//!   default (with the documented 2eb small-value relaxation only when
-//!   the classic zero filter snaps `|x| <= eb` to zero).
+//! * `sz` chunk framing — the error contract holds across chunk
+//!   boundaries, serial and parallel paths produce identical bytes, and
+//!   truncated framed streams are rejected.
 //! * `sz::zfp_like` — fixed rate with per-4×4-block *relative* error:
 //!   no absolute bound exists (that is the paper's §2.2 argument for SZ),
 //!   but error must stay within a block-scaled envelope and tighten as
 //!   the bit budget grows.
-//! * `encoding::byteplane` — lossless: bit-exact reconstruction ("error
-//!   bound zero"), including non-finite bit patterns.
 
-use ebtrain_encoding::byteplane::{shuffle_f32, unshuffle_f32};
 use ebtrain_sz::zfp_like::{self, ZfpLikeConfig};
 use ebtrain_sz::{
     compress, compress_serial, decompress, decompress_bytes, decompress_serial, DataLayout,
@@ -58,71 +52,6 @@ fn corpora() -> Vec<(&'static str, Vec<f32>)> {
         ("dense_random_large_scale", random_grid(12, 300.0)),
         ("sparse_activations", sparse_activations(13)),
     ]
-}
-
-#[test]
-fn sz_classic_respects_absolute_error_bound() {
-    for (name, data) in corpora() {
-        for eb in [1e-1f32, 1e-2, 1e-3, 1e-4] {
-            let cfg = SzConfig::vanilla(eb);
-            let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
-            let out = decompress(&buf).unwrap();
-            assert_eq!(out.len(), data.len(), "{name} eb={eb}");
-            for (i, (x, y)) in data.iter().zip(&out).enumerate() {
-                assert!(
-                    (x - y).abs() <= eb,
-                    "{name} eb={eb} idx {i}: |{x} - {y}| > {eb}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn sz_zero_filter_respects_relaxed_contract() {
-    for (name, data) in corpora() {
-        for eb in [1e-2f32, 1e-3] {
-            let cfg = SzConfig::classic(eb); // zero filter ON
-            let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
-            let out = decompress(&buf).unwrap();
-            for (i, (x, y)) in data.iter().zip(&out).enumerate() {
-                if *x == 0.0 {
-                    assert_eq!(*y, 0.0, "{name} eb={eb} idx {i}: zero not exact");
-                } else if x.abs() > 2.0 * eb {
-                    assert!(
-                        (x - y).abs() <= eb,
-                        "{name} eb={eb} idx {i}: |{x} - {y}| > {eb}"
-                    );
-                } else {
-                    assert!(
-                        (x - y).abs() <= 2.0 * eb,
-                        "{name} eb={eb} idx {i}: |{x} - {y}| > 2eb"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn sz_framework_default_respects_strict_bound_and_preserves_zeros() {
-    for (name, data) in corpora() {
-        for eb in [1e-2f32, 1e-3] {
-            // The default every framework path compresses with.
-            let cfg = SzConfig::with_error_bound(eb);
-            let buf = compress(&data, DataLayout::D2(SIDE, SIDE), &cfg).unwrap();
-            let out = decompress(&buf).unwrap();
-            for (i, (x, y)) in data.iter().zip(&out).enumerate() {
-                assert!(
-                    (x - y).abs() <= eb,
-                    "{name} eb={eb} idx {i}: |{x} - {y}| > {eb}"
-                );
-                if *x == 0.0 {
-                    assert_eq!(*y, 0.0, "{name} eb={eb} idx {i}: zero not exact");
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -237,38 +166,5 @@ fn zfp_like_error_is_block_relative_and_tightens_with_rate() {
             worst_by_bits[0] > worst_by_bits[1] && worst_by_bits[1] > worst_by_bits[2],
             "{name}: worst rel errors {worst_by_bits:?} not decreasing in rate"
         );
-    }
-}
-
-#[test]
-fn byteplane_roundtrip_is_bit_exact() {
-    // Ordinary corpora plus raw bit patterns (NaNs, infinities,
-    // subnormals): the shuffle must be transparent to all of them.
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut cases: Vec<(String, Vec<f32>)> = corpora()
-        .into_iter()
-        .map(|(n, d)| (n.to_string(), d))
-        .collect();
-    cases.push((
-        "raw_bit_patterns".to_string(),
-        (0..4096)
-            .map(|_| f32::from_bits(rng.gen::<u32>()))
-            .collect(),
-    ));
-    cases.push(("empty".to_string(), Vec::new()));
-    for (name, data) in cases {
-        let bytes = shuffle_f32(&data);
-        assert_eq!(bytes.len(), data.len() * 4, "{name}: size changed");
-        let back = unshuffle_f32(&bytes).expect("well-formed plane buffer");
-        assert_eq!(back.len(), data.len(), "{name}: length changed");
-        for (i, (a, b)) in data.iter().zip(&back).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{name} idx {i}: bits {:#010x} != {:#010x}",
-                a.to_bits(),
-                b.to_bits()
-            );
-        }
     }
 }
